@@ -19,7 +19,6 @@ import argparse
 import json
 import os
 import sys
-import xml.etree.ElementTree as ET
 from enum import IntEnum
 from pathlib import Path
 
@@ -149,14 +148,13 @@ def _load_validator_config(args) -> ValidatorConfig:
         raise CliError(f"cannot load config {path}: {exc}") from None
     if not isinstance(raw, dict):
         raise CliError(f"config {path} must hold a JSON object")
-    allowed = {"org_unit_vocabulary", "doc_type_vocabulary", "severity_overrides"}
+    allowed = {"org_unit_vocabulary", "severity_overrides"}
     unknown = set(raw) - allowed
     if unknown:
         raise CliError(f"config {path} has unknown keys: {', '.join(sorted(unknown))}")
     kwargs: dict = {}
-    for key in ("org_unit_vocabulary", "doc_type_vocabulary"):
-        if key in raw:
-            kwargs[key] = frozenset(raw[key])
+    if "org_unit_vocabulary" in raw:
+        kwargs["org_unit_vocabulary"] = frozenset(raw["org_unit_vocabulary"])
     if "severity_overrides" in raw:
         kwargs["severity_overrides"] = dict(raw["severity_overrides"])
     try:
@@ -199,28 +197,32 @@ def _load_schema_file(path: str):
         raise CliError(f"cannot load schema {path}: {exc}") from None
 
 
+def _style_arg(args):
+    try:
+        return get_style(args.style)
+    except (StyleError, OSError, json.JSONDecodeError) as exc:
+        raise CliError(f"cannot load style {args.style!r}: {exc}") from None
+
+
 # --------------------------------------------------------------------------
 # Subcommands
 # --------------------------------------------------------------------------
 
 
-def cmd_validate(args) -> int:
-    config = _load_validator_config(args)
+def _report_findings(args, check) -> int:
+    """Print or record the findings of ``check(name, data)`` for each file.
+
+    ``check`` returns a file's findings, or None when the file cannot be
+    parsed (having said why on stderr).
+    """
     failed = False
     any_error_finding = False
     records = []
     for name in args.files:
-        data = _read_bytes(name)
-        report = parse_article(data, name)
-        if not report.ok:
+        findings = check(name, _read_bytes(name))
+        if findings is None:
             failed = True
-            for issue in report.errors():
-                print(f"{name}: cannot parse: {issue.message}", file=sys.stderr)
             continue
-        if args.format == "text":
-            for issue in report.warnings():
-                print(f"{name}: parse warning at {issue.location}: {issue.message}")
-        findings = validate(report.outcome, config)
         any_error_finding = any_error_finding or any(
             f.severity == "error" for f in findings
         )
@@ -238,6 +240,23 @@ def cmd_validate(args) -> int:
     if failed:
         return ExitStatus.FAILURE
     return ExitStatus.FINDINGS if any_error_finding else ExitStatus.OK
+
+
+def cmd_validate(args) -> int:
+    config = _load_validator_config(args)
+
+    def check(name: str, data: bytes):
+        report = parse_article(data, name)
+        if not report.ok:
+            for issue in report.errors():
+                print(f"{name}: cannot parse: {issue.message}", file=sys.stderr)
+            return None
+        if args.format == "text":
+            for issue in report.warnings():
+                print(f"{name}: parse warning at {issue.location}: {issue.message}")
+        return validate(report.outcome, config)
+
+    return _report_findings(args, check)
 
 
 def cmd_schema_validate(args) -> int:
@@ -248,35 +267,16 @@ def cmd_schema_validate(args) -> int:
         base = _load_schema_file(args.base)
     else:
         base = load_base_schema()
-    failed = False
-    any_error_finding = False
-    records = []
-    for name in args.files:
-        data = _read_bytes(name)
+
+    def check(name: str, data: bytes):
         try:
             doc = parse_raw(data)
         except RawXmlError as exc:
-            failed = True
             print(f"{name}: cannot parse: {exc}", file=sys.stderr)
-            continue
-        findings = validate_against(schema, doc, base)
-        any_error_finding = any_error_finding or any(
-            f.severity == "error" for f in findings
-        )
-        if args.format == "records":
-            records.extend(
-                (f.severity, name, f.location, f.rule_id, f.message) for f in findings
-            )
-        else:
-            for f in findings:
-                print(f"{name}: [{f.rule_id}/{f.severity}] {f.location}: {f.message}")
-            if not findings:
-                print(f"{name}: ok")
-    if args.format == "records":
-        sys.stdout.write(write_records(records))
-    if failed:
-        return ExitStatus.FAILURE
-    return ExitStatus.FINDINGS if any_error_finding else ExitStatus.OK
+            return None
+        return validate_against(schema, doc, base)
+
+    return _report_findings(args, check)
 
 
 def _codify_options(args) -> CodifyOptions:
@@ -344,10 +344,7 @@ def cmd_arbitrate(args) -> int:
 
 
 def cmd_render(args) -> int:
-    try:
-        style = get_style(args.style)
-    except (StyleError, OSError, json.JSONDecodeError) as exc:
-        raise CliError(f"cannot load style {args.style!r}: {exc}") from None
+    style = _style_arg(args)
     report = parse_article(_read_bytes(args.file), args.file)
     if not report.ok:
         details = "; ".join(i.message for i in report.errors())
@@ -374,13 +371,6 @@ def cmd_index(args) -> int:
     else:
         sys.stdout.write(corpus_ops.index_xhtml(entries))
     return ExitStatus.OK
-
-
-def _style_arg(args):
-    try:
-        return get_style(args.style)
-    except (StyleError, OSError, json.JSONDecodeError) as exc:
-        raise CliError(f"cannot load style {args.style!r}: {exc}") from None
 
 
 def cmd_biblio(args) -> int:
@@ -413,20 +403,6 @@ def _parse_date(raw: str | None, flag: str) -> CalendarDate | None:
         raise CliError(f"bad {flag} date {raw!r}: {exc}") from None
 
 
-def _query_xhtml(hits) -> str:
-    html = ET.Element("html", {"xmlns": "http://www.w3.org/1999/xhtml"})
-    head = ET.SubElement(html, "head")
-    ET.SubElement(head, "title").text = "Query results"
-    body = ET.SubElement(html, "body")
-    ET.SubElement(body, "h1").text = "Query results"
-    listing = ET.SubElement(ET.SubElement(body, "div", {"class": "tj-query"}), "ul")
-    for doc_id, path, snippet in hits:
-        ET.SubElement(listing, "li").text = f"{doc_id}:{path} — {snippet}"
-    return '<?xml version="1.0" encoding="UTF-8"?>\n' + ET.tostring(
-        html, encoding="unicode"
-    ) + "\n"
-
-
 def cmd_query(args) -> int:
     corpus = _load_corpus_dir(args.dir)
     try:
@@ -443,7 +419,7 @@ def cmd_query(args) -> int:
     if args.format == "records":
         sys.stdout.write(write_records(corpus_ops.query_records(hits)))
     else:
-        sys.stdout.write(_query_xhtml(hits))
+        sys.stdout.write(corpus_ops.query_xhtml(hits))
     return ExitStatus.OK
 
 

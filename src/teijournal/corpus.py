@@ -40,6 +40,18 @@ INDEX_KINDS = (
 
 _SOURCE_PREFIX = "TEI[1]/teiHeader[1]/fileDesc[1]/sourceDesc[1]/"
 
+# Mention class -> (index kind, query kind).  A term is indexed only when
+# its kind is "software"; every term is queryable.
+_MENTION_KINDS = {
+    m.PersonMention: ("person", "person-mention"),
+    m.OrgMention: ("organization", "org-mention"),
+    m.PlaceMention: ("place", "place-mention"),
+    m.TermMention: ("software", "term-mention"),
+    m.AbbrMention: ("abbreviation", "abbreviation"),
+}
+
+QUERY_KINDS = ("any",) + tuple(query for _, query in _MENTION_KINDS.values())
+
 
 @dataclass(frozen=True)
 class Corpus:
@@ -103,16 +115,6 @@ class Query:
             raise ValueError(
                 f"unknown element kind {self.element_kind!r} (have {', '.join(QUERY_KINDS)})"
             )
-
-
-QUERY_KINDS = (
-    "any",
-    "person-mention",
-    "org-mention",
-    "place-mention",
-    "term-mention",
-    "abbreviation",
-)
 
 
 # --------------------------------------------------------------------------
@@ -189,27 +191,22 @@ def _author_display(author: m.Author) -> str:
     return author.surname
 
 
+def _mention_text(node) -> str:
+    return node.abbr if isinstance(node, m.AbbrMention) else node.text
+
+
 def _mention_kind_and_text(path: str, node) -> tuple:
     """Classify one walker node for indexing; (None, "") when not indexed."""
     if isinstance(node, m.Author):
         if path.startswith(_SOURCE_PREFIX):
             return "author", _author_display(node)
         return None, ""
-    if isinstance(node, m.PersonMention):
-        return "person", node.text
-    if isinstance(node, m.OrgMention):
-        return "organization", node.text
-    if isinstance(node, m.PlaceMention):
-        return "place", node.text
-    if isinstance(node, m.TermMention):
-        if node.kind == "software":
-            return "software", node.text
-        return None, ""
-    if isinstance(node, m.AbbrMention):
-        return "abbreviation", node.abbr
     if isinstance(node, m.Keyword):
         return "keyword", node.term
-    return None, ""
+    kinds = _MENTION_KINDS.get(type(node))
+    if kinds is None or (isinstance(node, m.TermMention) and node.kind != "software"):
+        return None, ""
+    return kinds[0], _mention_text(node)
 
 
 def _norm_key(text: str) -> str:
@@ -331,24 +328,12 @@ def _query_nodes(article: m.Article, element_kind: str | None):
     """(path, text) pairs for nodes a query may match."""
     kind = element_kind or "any"
     for path, node in iter_model_paths(article):
-        if isinstance(node, m.PersonMention):
-            if kind in ("any", "person-mention"):
-                yield path, node.text
-        elif isinstance(node, m.OrgMention):
-            if kind in ("any", "org-mention"):
-                yield path, node.text
-        elif isinstance(node, m.PlaceMention):
-            if kind in ("any", "place-mention"):
-                yield path, node.text
-        elif isinstance(node, m.TermMention):
-            if kind in ("any", "term-mention"):
-                yield path, node.text
-        elif isinstance(node, m.AbbrMention):
-            if kind in ("any", "abbreviation"):
-                yield path, node.abbr
-        elif isinstance(node, m.Paragraph):
-            if kind == "any":
-                yield path, m.plain_text(node.content)
+        kinds = _MENTION_KINDS.get(type(node))
+        if kinds is not None:
+            if kind in ("any", kinds[1]):
+                yield path, _mention_text(node)
+        elif kind == "any" and isinstance(node, m.Paragraph):
+            yield path, m.plain_text(node.content)
 
 
 def _date_in_range(article: m.Article, q: Query) -> bool:
@@ -466,6 +451,15 @@ def corrigenda_xhtml(entries) -> str:
     for entry in entries:
         li = ET.SubElement(listing, "li")
         li.text = f"{entry.when.iso()} — {entry.article_id}: {entry.description}"
+    return _page_markup(html)
+
+
+def query_xhtml(hits) -> str:
+    """Query hits as a standalone page (``tj-query``)."""
+    html, container = _page("Query results", "tj-query")
+    listing = ET.SubElement(container, "ul")
+    for doc_id, path, snippet in hits:
+        ET.SubElement(listing, "li").text = f"{doc_id}:{path} — {snippet}"
     return _page_markup(html)
 
 

@@ -58,9 +58,6 @@ class RawNode:
             c for c in self.children if isinstance(c, RawNode) and c.name == name
         ]
 
-    def direct_text(self) -> str:
-        return "".join(c for c in self.children if isinstance(c, str))
-
     def text_content(self) -> str:
         parts = []
         for child in self.children:

@@ -147,14 +147,10 @@ class ValidatorConfig:
         {"laboratory", "department", "institution"}
     )
     severity_overrides: dict = field(default_factory=dict)
-    doc_type_vocabulary: frozenset = m.DocumentType.KNOWN
 
     def __post_init__(self) -> None:
         object.__setattr__(
             self, "org_unit_vocabulary", frozenset(self.org_unit_vocabulary)
-        )
-        object.__setattr__(
-            self, "doc_type_vocabulary", frozenset(self.doc_type_vocabulary)
         )
         unknown = set(self.severity_overrides) - set(RULES)
         if unknown:

@@ -62,10 +62,57 @@ def _collapse(text: str) -> str:
 
 
 # --------------------------------------------------------------------------
+# Node kinds
+# --------------------------------------------------------------------------
+
+# TEI element of each model class whose element name is fixed; see
+# _element_name for the classes whose name depends on their values.
+_ELEMENT_NAMES = {
+    m.Emph: "hi",
+    m.BiblRef: "ref",
+    m.PersonMention: "persName",
+    m.OrgMention: "orgName",
+    m.PlaceMention: "placeName",
+    m.TermMention: "term",
+    m.Paragraph: "p",
+    m.CitBlock: "cit",
+    m.FigureBlock: "figure",
+    m.ListBlock: "list",
+    m.QuoteBlock: "quote",
+}
+
+# Mentions are text plus one optional attribute: (TEI attribute, model field).
+_MENTION_ATTRS = {
+    m.PersonMention: ("key", "key"),
+    m.OrgMention: ("key", "key"),
+    m.PlaceMention: ("key", "key"),
+    m.TermMention: ("type", "kind"),
+}
+_MENTION_CLASSES = {_ELEMENT_NAMES[cls]: cls for cls in _MENTION_ATTRS}
+
+_OPAQUE_CLASSES = (m.OpaqueInline, m.TableBlock, m.FormulaBlock, m.OpaqueBlock)
+
+
+def _element_name(node) -> str:
+    """Canonical TEI element name of an inline or block model node."""
+    name = _ELEMENT_NAMES.get(type(node))
+    if name is not None:
+        return name
+    if isinstance(node, m.Link):
+        return "ref" if node.text else "ptr"
+    if isinstance(node, m.AbbrMention):
+        return "abbr" if node.expansion is None else "choice"
+    if isinstance(node, _OPAQUE_CLASSES):
+        return opaque_root_name(node.markup)
+    raise TypeError(f"not an inline or block node: {node!r}")
+
+
+# --------------------------------------------------------------------------
 # Parsing
 # --------------------------------------------------------------------------
 
 _INLINE_BLOCKISH = {"p", "div", "list", "table", "figure", "cit", "formula"}
+_LISTBIBL_NAMES = frozenset({"listBibl", "listBib"})
 
 
 class _Builder:
@@ -128,14 +175,10 @@ class _Builder:
             return m.Link(target, node.text_content())
         if name == "ptr":
             return m.Link(node.attrs.get("target", ""), "")
-        if name == "persName":
-            return m.PersonMention(self.text(node), node.attrs.get("key"))
-        if name == "orgName":
-            return m.OrgMention(self.text(node), node.attrs.get("key"))
-        if name == "placeName":
-            return m.PlaceMention(self.text(node), node.attrs.get("key"))
-        if name == "term":
-            return m.TermMention(self.text(node), node.attrs.get("type"))
+        mention = _MENTION_CLASSES.get(name)
+        if mention is not None:
+            attr, _ = _MENTION_ATTRS[mention]
+            return mention(self.text(node), node.attrs.get(attr))
         if name == "abbr":
             return m.AbbrMention(self.text(node), None)
         if name == "choice":
@@ -215,7 +258,12 @@ class _Builder:
             return m.TableBlock(self.slice(node), caption)
         return m.FigureBlock(url, caption)
 
-    def division(self, node: RawNode) -> m.Division:
+    def division(
+        self, node: RawNode, consumed: frozenset = frozenset()
+    ) -> m.Division | None:
+        """One div. In back matter, ``consumed`` names the reference lists
+        already harvested: they are skipped, and a div left empty, such as a
+        shell that only wrapped them, is dropped by returning None."""
         kind = node.attrs.get("type") or "section"
         head: tuple = ()
         blocks: list = []
@@ -227,17 +275,26 @@ class _Builder:
                     self.warn(node, "stray text inside div wrapped as paragraph")
                     blocks.append(m.Paragraph((m.TextRun(child),)))
                 continue
-            if child.name == "head" and not child.foreign and not seen_head:
+            name = None if child.foreign else child.name
+            if name in consumed:
+                continue
+            if name == "head" and not seen_head:
                 head = self.rich(child)
                 seen_head = True
-            elif child.name == "div" and not child.foreign:
-                children.append(self.division(child))
+            elif name == "div":
+                sub = self.division(child, consumed)
+                if sub is not None:
+                    children.append(sub)
             else:
                 blocks.append(self.block(child))
+        if consumed and not (head or blocks or children):
+            return None
         return m.Division(kind, head, tuple(blocks), tuple(children))
 
-    def division_sequence(self, node: RawNode, context: str) -> tuple:
-        """Children of front/body: divs, with stray blocks wrapped."""
+    def division_sequence(
+        self, node: RawNode, context: str, consumed: frozenset = frozenset()
+    ) -> tuple:
+        """Children of front/body/back: divs, with stray blocks wrapped."""
         out: list = []
         for child in node.children:
             if isinstance(child, str):
@@ -247,8 +304,13 @@ class _Builder:
                         m.Division(blocks=(m.Paragraph((m.TextRun(child),)),))
                     )
                 continue
-            if child.name == "div" and not child.foreign:
-                out.append(self.division(child))
+            name = None if child.foreign else child.name
+            if name in consumed:
+                continue
+            if name == "div":
+                division = self.division(child, consumed)
+                if division is not None:
+                    out.append(division)
             else:
                 self.warn(
                     child,
@@ -578,7 +640,7 @@ class _Builder:
             for sub in el.element_children():
                 if sub.foreign:
                     continue
-                if sub.name in ("listBibl", "listBib"):
+                if sub.name in _LISTBIBL_NAMES:
                     if sub.name == "listBib":
                         self.warn(sub, "element 'listBib' read as 'listBibl'")
                     listbibl_seen += 1
@@ -595,60 +657,9 @@ class _Builder:
                     harvest(sub)
 
         harvest(node)
-        consumed = {"listBibl", "listBib"}
-        divisions: list = []
-        for child in node.children:
-            if isinstance(child, str):
-                if child.strip():
-                    self.warn(node, "stray text in back wrapped in div")
-                    divisions.append(
-                        m.Division(blocks=(m.Paragraph((m.TextRun(child),)),))
-                    )
-                continue
-            if child.name in consumed and not child.foreign:
-                continue
-            if child.name == "div" and not child.foreign:
-                division = self._back_division(child, consumed)
-                if division is not None:
-                    divisions.append(division)
-            else:
-                self.warn(
-                    child, f"element '{child.name}' in back wrapped in div"
-                )
-                divisions.append(m.Division(blocks=(self.block(child),)))
+        divisions = self.division_sequence(node, "back", _LISTBIBL_NAMES)
         reference_list = m.ListBibl(tuple(entries)) if listbibl_seen else None
-        return m.BackMatter(tuple(divisions), reference_list)
-
-    def _back_division(self, node: RawNode, consumed: set) -> m.Division | None:
-        """Like division(), but reference lists were already harvested."""
-        kind = node.attrs.get("type") or "section"
-        head: tuple = ()
-        blocks: list = []
-        children: list = []
-        seen_head = False
-        for child in node.children:
-            if isinstance(child, str):
-                if child.strip():
-                    self.warn(node, "stray text inside div wrapped as paragraph")
-                    blocks.append(m.Paragraph((m.TextRun(child),)))
-                continue
-            if child.foreign:
-                blocks.append(m.OpaqueBlock(self.slice(child)))
-                continue
-            if child.name in consumed:
-                continue
-            if child.name == "head" and not seen_head:
-                head = self.rich(child)
-                seen_head = True
-            elif child.name == "div":
-                sub = self._back_division(child, consumed)
-                if sub is not None:
-                    children.append(sub)
-            else:
-                blocks.append(self.block(child))
-        if not head and not blocks and not children:
-            return None  # shell that only wrapped the reference list
-        return m.Division(kind, head, tuple(blocks), tuple(children))
+        return m.BackMatter(divisions, reference_list)
 
 
 def _leading_word(text: str) -> str:
@@ -833,15 +844,12 @@ def _inline_markup(content: tuple) -> str:
                 )
             else:
                 parts.append(_tag("ptr", {"target": node.target}, close=True))
-        elif isinstance(node, m.PersonMention):
-            parts.append(_mention("persName", node.text, node.key))
-        elif isinstance(node, m.OrgMention):
-            parts.append(_mention("orgName", node.text, node.key))
-        elif isinstance(node, m.PlaceMention):
-            parts.append(_mention("placeName", node.text, node.key))
-        elif isinstance(node, m.TermMention):
-            attrs = {"type": node.kind} if node.kind else {}
-            parts.append(_tag("term", attrs) + _esc(node.text) + "</term>")
+        elif type(node) in _MENTION_ATTRS:
+            name = _ELEMENT_NAMES[type(node)]
+            attr, field = _MENTION_ATTRS[type(node)]
+            value = getattr(node, field)
+            attrs = {attr: value} if value else {}
+            parts.append(_tag(name, attrs) + _esc(node.text) + f"</{name}>")
         elif isinstance(node, m.AbbrMention):
             if node.expansion is None:
                 parts.append("<abbr>" + _esc(node.abbr) + "</abbr>")
@@ -858,11 +866,6 @@ def _inline_markup(content: tuple) -> str:
         else:
             raise TypeError(f"not an inline node: {node!r}")
     return "".join(parts)
-
-
-def _mention(name: str, text: str, key: str | None) -> str:
-    attrs = {"key": key} if key else {}
-    return _tag(name, attrs) + _esc(text) + f"</{name}>"
 
 
 class _Writer:
@@ -1218,7 +1221,7 @@ def iter_model_paths(article: m.Article) -> list:
         for node in content:
             if isinstance(node, m.TextRun):
                 continue
-            name = _inline_name(node)
+            name = _element_name(node)
             path = child_path(parent, counters, name)
             out.append((path, node))
             if isinstance(node, m.Emph):
@@ -1275,7 +1278,7 @@ def iter_model_paths(article: m.Article) -> list:
                 out.append((s_path, scope))
 
     def walk_block(block, parent: str, counters: dict) -> None:
-        name = _block_name(block)
+        name = _element_name(block)
         path = child_path(parent, counters, name)
         out.append((path, block))
         inner: dict = {}
@@ -1289,10 +1292,7 @@ def iter_model_paths(article: m.Article) -> list:
                 )
             if block.qualifiers:
                 walk_leaf_rich(block.qualifiers, path, inner, "note")
-        elif isinstance(block, m.FigureBlock):
-            if block.caption:
-                walk_leaf_rich(block.caption, path, inner, "head")
-        elif isinstance(block, m.TableBlock):
+        elif isinstance(block, (m.FigureBlock, m.TableBlock)):
             if block.caption:
                 walk_leaf_rich(block.caption, path, inner, "head")
         elif isinstance(block, m.ListBlock):
@@ -1370,40 +1370,3 @@ def iter_model_paths(article: m.Article) -> list:
                 walk_biblstruct(entry, child_path(lb_path, lbc, "biblStruct"))
     return out
 
-
-def _inline_name(node) -> str:
-    if isinstance(node, m.Emph):
-        return "hi"
-    if isinstance(node, m.BiblRef):
-        return "ref"
-    if isinstance(node, m.Link):
-        return "ref" if node.text else "ptr"
-    if isinstance(node, m.PersonMention):
-        return "persName"
-    if isinstance(node, m.OrgMention):
-        return "orgName"
-    if isinstance(node, m.PlaceMention):
-        return "placeName"
-    if isinstance(node, m.TermMention):
-        return "term"
-    if isinstance(node, m.AbbrMention):
-        return "abbr" if node.expansion is None else "choice"
-    if isinstance(node, m.OpaqueInline):
-        return opaque_root_name(node.markup)
-    raise TypeError(f"not an inline node: {node!r}")
-
-
-def _block_name(block) -> str:
-    if isinstance(block, m.Paragraph):
-        return "p"
-    if isinstance(block, m.CitBlock):
-        return "cit"
-    if isinstance(block, m.FigureBlock):
-        return "figure"
-    if isinstance(block, (m.TableBlock, m.FormulaBlock, m.OpaqueBlock)):
-        return opaque_root_name(block.markup)
-    if isinstance(block, m.ListBlock):
-        return "list"
-    if isinstance(block, m.QuoteBlock):
-        return "quote"
-    raise TypeError(f"not a block node: {block!r}")

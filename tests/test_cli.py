@@ -121,6 +121,10 @@ class TestValidate:
         assert run(capsys, ["validate", path, "--config", str(cfg)])[0] == 2
         cfg.write_text(json.dumps(["a", "list"]))
         assert run(capsys, ["validate", path, "--config", str(cfg)])[0] == 2
+        cfg.write_text(json.dumps({"doc_type_vocabulary": ["book"]}))
+        code, _, err = run(capsys, ["validate", path, "--config", str(cfg)])
+        assert code == ExitStatus.FAILURE
+        assert "unknown keys: doc_type_vocabulary" in err
 
 
 @pytest.fixture

@@ -303,6 +303,20 @@ class TestCanonicalSerialization:
         empty_body = dataclasses.replace(article, body=())
         assert b"<body/>" in serialize_article(empty_body)
 
+    def test_back_shell_around_reference_list_dropped(self):
+        data = wrap(
+            text=b'<body/><back><div type="bibliography"><listBibl>'
+            b'<biblStruct xml:id="b1"><monogr><title level="m">B</title>'
+            b"</monogr></biblStruct></listBibl></div></back>"
+        )
+        out = serialize_article(ok(data))
+        assert b"<listBibl>" in out
+        assert b'<div type="bibliography"' not in out
+
+    def test_empty_body_div_kept(self):
+        out = serialize_article(ok(wrap(text=b"<body><div/></body>")))
+        assert b'<div type="section"/>' in out
+
     def test_serialization_byte_stable(self):
         for fixture in (SKELETON, IMPRINT_REPAIR, TestCitFixture.CIT):
             once = serialize_article(ok(fixture))
@@ -378,6 +392,33 @@ class TestRoundTripProperties:
         assert report.outcome == article
 
 
+# Every inline and block class, with both element names of Link and of
+# AbbrMention, so each entry of the serializer's node-kind table is walked.
+EVERY_CLASS = wrap(
+    text=b'<body><div type="s"><head>H <hi>h</hi></head>'
+    b'<p>a <hi rend="i">b <persName key="k">P</persName></hi>'
+    b'<ref type="bibr" target="#b1">1</ref><ref target="http://x">L</ref>'
+    b'<ptr target="http://y"/><persName>Q</persName><orgName>O</orgName>'
+    b'<placeName>Pl</placeName><term type="software">S</term><term>T</term>'
+    b"<abbr>A</abbr><choice><abbr>B</abbr><expan>Bee</expan></choice>"
+    b"<unknown>u</unknown></p>"
+    b'<cit><quote>q <orgName>O</orgName></quote><biblStruct type="book">'
+    b'<monogr><title level="m">M</title></monogr></biblStruct>'
+    b"<note>n <abbr>N</abbr></note></cit>"
+    b'<figure><head>F <term>f</term></head><graphic url="u.png"/></figure>'
+    b"<table><head>T <placeName>t</placeName></head><row/></table>"
+    b'<formula notation="tex">x</formula>'
+    b"<list><item>i <persName>I</persName></item><item>j</item></list>"
+    b"<quote>qq <abbr>Q</abbr></quote><lg>l</lg><div/></div></body>"
+)
+EVERY_CLASS_TYPES = {
+    m.Emph, m.BiblRef, m.Link, m.PersonMention, m.OrgMention, m.PlaceMention,
+    m.TermMention, m.AbbrMention, m.OpaqueInline, m.Paragraph, m.CitBlock,
+    m.FigureBlock, m.TableBlock, m.FormulaBlock, m.ListBlock, m.QuoteBlock,
+    m.OpaqueBlock,
+}
+
+
 class TestModelPaths:
     def test_paths_unique_and_rooted(self):
         pairs = iter_model_paths(parse_skeleton())
@@ -407,21 +448,23 @@ class TestModelPaths:
 
     def test_paths_match_serialized_tree(self):
         # Walker paths must name real elements of the canonical output.
-        article = parse_skeleton()
-        raw = parse_raw(serialize_article(article))
+        for article in (parse_skeleton(), ok(EVERY_CLASS)):
+            raw = parse_raw(serialize_article(article))
 
-        def exists(path: str) -> bool:
-            node = raw.root
-            steps = path.split("/")[1:]
-            for step in steps:
-                name, _, index = step.partition("[")
-                wanted = int(index.rstrip("]"))
-                found = [c for c in node.element_children() if c.name == name]
-                if len(found) < wanted:
-                    return False
-                node = found[wanted - 1]
-            return True
+            def exists(path: str) -> bool:
+                node = raw.root
+                steps = path.split("/")[1:]
+                for step in steps:
+                    name, _, index = step.partition("[")
+                    wanted = int(index.rstrip("]"))
+                    found = [c for c in node.element_children() if c.name == name]
+                    if len(found) < wanted:
+                        return False
+                    node = found[wanted - 1]
+                return True
 
-        pairs = iter_model_paths(article)
-        missing = [p for p, _ in pairs if not exists(p)]
-        assert missing == []
+            pairs = iter_model_paths(article)
+            missing = [p for p, _ in pairs if not exists(p)]
+            assert missing == []
+        walked = {type(n) for _, n in iter_model_paths(ok(EVERY_CLASS))}
+        assert walked >= EVERY_CLASS_TYPES
