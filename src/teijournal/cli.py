@@ -6,7 +6,8 @@ times over the same files.  All output is deterministic and sorted; the only
 subcommand that ever writes to its inputs is ``arbitrate --in-place``.
 
 Exit codes: 0 success, 1 error-severity findings (validate and
-schema-validate only), 2 usage, I/O, or format problems.
+schema-validate only), 2 usage, I/O, or format problems, and internal
+errors.
 
 Machine-readable output (``--format records``) is line-delimited UTF-8 text
 with five tab-separated fields — kind, file, path, code, message — written
@@ -18,20 +19,14 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shutil
 import sys
+import tempfile
 from enum import IntEnum
 from pathlib import Path
 
-from . import corpus as corpus_ops
-from .model import CalendarDate
+from .base import BUILTIN_STYLES, QUERY_KINDS
 from .rawxml import RawXmlError, parse_raw
-from .render import (
-    BUILTIN_STYLES,
-    StyleError,
-    get_style,
-    render_plaintext,
-    render_xhtml,
-)
 from .schema import (
     CodifyOptions,
     arbitrate,
@@ -44,8 +39,10 @@ from .schema import (
     schema_to_json,
     validate_against,
 )
-from .validator import ValidatorConfig, explain, validate
-from .xmlio import parse_article
+
+# The TEI commands import the model, builder, validator, renderers and
+# corpus code inside their functions, so the schema commands never load
+# them.  Names are looked up in their modules at call time.
 
 
 class ExitStatus(IntEnum):
@@ -138,7 +135,36 @@ def _write_text(path: str | None, text: str) -> None:
         raise CliError(f"cannot write {path}: {exc}") from None
 
 
-def _load_validator_config(args) -> ValidatorConfig:
+def _replace_all(contents) -> None:
+    """Rewrite every (path, data) pair, or none of them.
+
+    Each new content goes to a temporary file beside its target; the targets
+    are replaced only once every temporary file is written.
+    """
+    moves = []
+    try:
+        for name, data in contents:
+            target = os.path.realpath(name)
+            handle, temp = tempfile.mkstemp(
+                prefix=".teijournal-", suffix=".tmp", dir=os.path.dirname(target)
+            )
+            moves.append((temp, target))
+            with os.fdopen(handle, "wb") as out:
+                out.write(data)
+            shutil.copymode(target, temp)
+    except BaseException as exc:
+        for temp, _ in moves:
+            os.unlink(temp)
+        if isinstance(exc, OSError):
+            raise CliError(f"cannot write {name}: {exc}") from None
+        raise
+    for temp, target in moves:
+        os.replace(temp, target)
+
+
+def _load_validator_config(args):
+    from .validator import ValidatorConfig
+
     path = getattr(args, "config", None) or os.environ.get("TJ_CONFIG")
     if not path:
         return ValidatorConfig()
@@ -181,8 +207,10 @@ def _load_raw_dir(directory: str) -> list:
     return docs
 
 
-def _load_corpus_dir(directory: str) -> corpus_ops.Corpus:
-    corpus = corpus_ops.load_corpus(_xml_files(directory))
+def _load_corpus_dir(directory: str):
+    from .corpus import load_corpus
+
+    corpus = load_corpus(_xml_files(directory))
     for key, report in sorted(corpus.load_reports.items()):
         if not report.ok:
             for issue in report.errors():
@@ -198,6 +226,8 @@ def _load_schema_file(path: str):
 
 
 def _style_arg(args):
+    from .render import StyleError, get_style
+
     try:
         return get_style(args.style)
     except (StyleError, OSError, json.JSONDecodeError) as exc:
@@ -243,6 +273,9 @@ def _report_findings(args, check) -> int:
 
 
 def cmd_validate(args) -> int:
+    from .validator import validate
+    from .xmlio import parse_article
+
     config = _load_validator_config(args)
 
     def check(name: str, data: bytes):
@@ -331,9 +364,11 @@ def cmd_arbitrate(args) -> int:
     except ValueError as exc:
         raise CliError(str(exc)) from None
     if args.in_place:
-        for (name, old), new in zip(named, rewritten):
-            if new.data != old.data:
-                Path(name).write_bytes(new.data)
+        _replace_all(
+            (name, new.data)
+            for (name, old), new in zip(named, rewritten)
+            if new.data != old.data
+        )
     else:
         out_root = Path(args.out_dir)
         out_root.mkdir(parents=True, exist_ok=True)
@@ -344,6 +379,9 @@ def cmd_arbitrate(args) -> int:
 
 
 def cmd_render(args) -> int:
+    from .render import render_plaintext, render_xhtml
+    from .xmlio import parse_article
+
     style = _style_arg(args)
     report = parse_article(_read_bytes(args.file), args.file)
     if not report.ok:
@@ -358,6 +396,8 @@ def cmd_render(args) -> int:
 
 
 def cmd_index(args) -> int:
+    from . import corpus as corpus_ops
+
     corpus = _load_corpus_dir(args.dir)
     kinds = None
     if args.kinds is not None:
@@ -374,6 +414,8 @@ def cmd_index(args) -> int:
 
 
 def cmd_biblio(args) -> int:
+    from . import corpus as corpus_ops
+
     corpus = _load_corpus_dir(args.dir)
     items = corpus_ops.unified_bibliography(corpus)
     style = _style_arg(args)
@@ -385,6 +427,8 @@ def cmd_biblio(args) -> int:
 
 
 def cmd_corrigenda(args) -> int:
+    from . import corpus as corpus_ops
+
     corpus = _load_corpus_dir(args.dir)
     entries = corpus_ops.corrigenda(corpus, kind=args.kind)
     if args.format == "records":
@@ -394,7 +438,9 @@ def cmd_corrigenda(args) -> int:
     return ExitStatus.OK
 
 
-def _parse_date(raw: str | None, flag: str) -> CalendarDate | None:
+def _parse_date(raw: str | None, flag: str):
+    from .model import CalendarDate
+
     if raw is None:
         return None
     try:
@@ -404,6 +450,8 @@ def _parse_date(raw: str | None, flag: str) -> CalendarDate | None:
 
 
 def cmd_query(args) -> int:
+    from . import corpus as corpus_ops
+
     corpus = _load_corpus_dir(args.dir)
     try:
         q = corpus_ops.Query(
@@ -424,6 +472,8 @@ def cmd_query(args) -> int:
 
 
 def cmd_explain(args) -> int:
+    from .validator import explain
+
     try:
         print(explain(args.rule))
     except ValueError as exc:
@@ -511,7 +561,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("query", help="structural search across a corpus")
     p.add_argument("dir")
-    p.add_argument("--in", dest="element_kind", choices=corpus_ops.QUERY_KINDS)
+    p.add_argument("--in", dest="element_kind", choices=QUERY_KINDS)
     p.add_argument("--text", help="casefolded substring to find")
     p.add_argument("--from", dest="date_from", help="earliest publication date")
     p.add_argument("--to", dest="date_to", help="latest publication date")
@@ -532,7 +582,17 @@ def main(argv=None) -> int:
         return int(args.func(args))
     except CliError as exc:
         print(f"teijournal: {exc}", file=sys.stderr)
-        return int(ExitStatus.FAILURE)
+    except Exception as exc:  # a bug, not a finding: never exit 1 for it
+        import traceback
+
+        frame = traceback.extract_tb(exc.__traceback__)[-1]
+        detail = " ".join(str(exc).split())
+        print(
+            f"teijournal: internal error: {type(exc).__name__}: {detail}"
+            f" ({Path(frame.filename).name}:{frame.lineno})",
+            file=sys.stderr,
+        )
+    return int(ExitStatus.FAILURE)
 
 
 if __name__ == "__main__":

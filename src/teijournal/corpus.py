@@ -18,6 +18,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from . import model as m
+from .base import MENTION_KINDS, QUERY_KINDS
 from .render import (
     StyleGuide,
     StyleError,
@@ -40,17 +41,8 @@ INDEX_KINDS = (
 
 _SOURCE_PREFIX = "TEI[1]/teiHeader[1]/fileDesc[1]/sourceDesc[1]/"
 
-# Mention class -> (index kind, query kind).  A term is indexed only when
-# its kind is "software"; every term is queryable.
-_MENTION_KINDS = {
-    m.PersonMention: ("person", "person-mention"),
-    m.OrgMention: ("organization", "org-mention"),
-    m.PlaceMention: ("place", "place-mention"),
-    m.TermMention: ("software", "term-mention"),
-    m.AbbrMention: ("abbreviation", "abbreviation"),
-}
-
-QUERY_KINDS = ("any",) + tuple(query for _, query in _MENTION_KINDS.values())
+# Mention class -> (index kind, query kind), from ``base.MENTION_KINDS``.
+_MENTION_KINDS = {getattr(m, name): kinds for name, kinds in MENTION_KINDS.items()}
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,9 @@ rewrite machinery splice attribute values without disturbing anything else.
 Hardening: entity declarations of any kind and external DTD subsets are
 rejected outright, as are UTF-16/32 inputs and non-UTF-8 encoding
 declarations. Only the five built-in character entities and numeric
-character references ever reach the tree.
+character references ever reach the tree. Elements may nest at most
+``MAX_DEPTH`` deep, so that every recursive walk over the tree, here and
+in the layers above, finishes within Python's default recursion limit.
 """
 
 from __future__ import annotations
@@ -20,12 +22,15 @@ from xml.parsers import expat
 TEI_NS = "http://www.tei-c.org/ns/1.0"
 XML_NS = "http://www.w3.org/XML/1998/namespace"
 
+#: Deepest element nesting accepted, counting the document element as 1.
+MAX_DEPTH = 256
+
 
 class RawXmlError(Exception):
     """Input rejected: not well-formed, wrong encoding, or unsafe."""
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class RawNode:
     """One element: resolved name, attributes, children, and byte span.
 
@@ -122,6 +127,11 @@ def _resolve_name(expat_name: str) -> tuple[str, str]:
     return "{%s}%s" % (uri, local), uri
 
 
+# The rest of a start tag after its '<': any run of unquoted bytes and
+# quoted values up to the first unquoted '>' (values may contain '>').
+_START_TAG_REST_RE = re.compile(rb"""(?:[^"'>]|"[^"]*"|'[^']*')*>""")
+
+
 def parse_raw(data: bytes) -> RawDocument:
     """Parse bytes into a span-annotated tree, or raise ``RawXmlError``."""
     if not data.strip():
@@ -136,31 +146,17 @@ def parse_raw(data: bytes) -> RawDocument:
     stack: list[RawNode] = []
     counters: list[dict] = []  # same-name sibling counters per open element
     pending_ns: list[tuple] = []
+    names: dict = {}  # expat name -> (name, namespace URI), for this parse
+
+    def resolve(expat_name: str) -> tuple[str, str]:
+        resolved = names[expat_name] = _resolve_name(expat_name)
+        return resolved
 
     def fail(message: str) -> None:
         raise RawXmlError(
             f"{message} (line {parser.CurrentLineNumber},"
             f" column {parser.CurrentColumnNumber + 1})"
         )
-
-    def scan_start_tag(start: int) -> tuple[int, bool]:
-        """Find the end of the start tag beginning at ``start``.
-
-        Walks byte-by-byte honouring quotes, since attribute values may
-        legally contain ``>``. Returns (offset past '>', self-closed).
-        """
-        i = start + 1
-        quote = 0
-        while True:
-            c = data[i]
-            if quote:
-                if c == quote:
-                    quote = 0
-            elif c in (0x22, 0x27):  # " or '
-                quote = c
-            elif c == 0x3E:  # >
-                return i + 1, data[i - 1] == 0x2F  # preceding /
-            i += 1
 
     def on_entity_decl(*args) -> None:
         fail("entity declarations are not allowed")
@@ -174,32 +170,32 @@ def parse_raw(data: bytes) -> RawDocument:
             pending_ns.append((prefix, uri or ""))
 
     def on_start(expat_name, attr_list) -> None:
-        name, uri = _resolve_name(expat_name)
+        if len(stack) >= MAX_DEPTH:
+            fail(f"elements nested more than {MAX_DEPTH} deep")
+        name, uri = names.get(expat_name) or resolve(expat_name)
         attrs = {}
-        for i in range(0, len(attr_list), 2):
-            attr_name, _ = _resolve_name(attr_list[i])
-            attrs[attr_name] = attr_list[i + 1]
+        if attr_list:
+            pairs = iter(attr_list)
+            for attr_name, value in zip(pairs, pairs):
+                attrs[(names.get(attr_name) or resolve(attr_name))[0]] = value
         start = parser.CurrentByteIndex
-        end, self_closed = scan_start_tag(start)
-        parent = stack[-1] if stack else None
-        root_ns = root_holder[0].ns if root_holder else uri
-        node = RawNode(
-            name=name,
-            ns=uri,
-            attrs=attrs,
-            start=start,
-            end=end if self_closed else 0,
-            parent=parent,
-            ns_decls=tuple(pending_ns),
-            foreign=(uri != root_ns) or (parent.foreign if parent else False),
-        )
+        end = _START_TAG_REST_RE.match(data, start + 1).end()
+        if data[end - 2] != 0x2F:  # no '/' before the '>': set by on_end
+            end = 0
+        ns_decls = tuple(pending_ns) if pending_ns else ()
         pending_ns.clear()
-        if parent is None:
-            root_holder.append(node)
-        else:
+        if stack:
+            parent = stack[-1]
+            # positional for speed: name, ns, attrs, children, start, end,
+            # parent, ordinal, ns_decls, foreign
+            node = RawNode(name, uri, attrs, [], start, end, parent, 1, ns_decls,
+                           parent.foreign or uri != root_holder[0].ns)
             parent.children.append(node)
             siblings = counters[-1]
             node.ordinal = siblings[name] = siblings.get(name, 0) + 1
+        else:
+            node = RawNode(name, uri, attrs, start=start, end=end, ns_decls=ns_decls)
+            root_holder.append(node)
         stack.append(node)
         counters.append({})
 

@@ -20,6 +20,7 @@ import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 from importlib import resources
 
+from .base import BUILTIN_STYLES
 from .model import (
     AbbrMention,
     Article,
@@ -73,8 +74,6 @@ SEGMENT_PATHS = frozenset(
     }
     | {f"scopes.{kind}" for kind in ("vol", "issue", "fpage", "lpage", "pp")}
 )
-
-BUILTIN_STYLES = ("apa", "chicago", "mla")
 
 
 class StyleError(ValueError):

@@ -19,7 +19,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from .rawxml import RawDocument, RawNode, source_path
-from .validator import Finding
+from .base import Finding
 
 DEFAULT_ENUMERABLE_ATTRIBUTES = frozenset({"type", "level", "rend", "unit"})
 
@@ -50,32 +50,49 @@ class UsageProfile:
 
 def profile_document(doc: RawDocument) -> UsageProfile:
     """Profile a single tree; foreign subtrees are recorded as boundaries."""
-    profile = UsageProfile(doc_count=1)
-    profile.roots[doc.root.name] += 1
+    profile = UsageProfile()
+    _add_document(profile, doc)
+    return profile
+
+
+def _add_document(profile: UsageProfile, doc: RawDocument) -> None:
+    """Add one tree's observations to ``profile`` in place."""
+    elements = profile.elements
+    foreign = profile.foreign
 
     def visit(node: RawNode) -> None:
-        usage = profile.elements.setdefault(node.name, ElementUsage())
+        usage = elements.get(node.name)
+        if usage is None:
+            usage = elements[node.name] = ElementUsage()
         usage.count += 1
-        if node.has_text():
-            usage.text_count += 1
         for name, value in node.attrs.items():
-            usage.attributes.setdefault(name, Counter())[value] += 1
+            values = usage.attributes.get(name)
+            if values is None:
+                values = usage.attributes[name] = Counter()
+            values[value] += 1
+        has_text = False
         seen_here = set()
-        for child in node.element_children():
+        native = []
+        for child in node.children:
+            if isinstance(child, str):
+                has_text = has_text or bool(child.strip())
+                continue
             if child.foreign:
-                profile.foreign[child.name] += 1
+                foreign[child.name] += 1
                 continue
             usage.children[child.name] += 1
             seen_here.add(child.name)
-        for name in seen_here:
-            usage.child_coverage[name] += 1
-        for child in node.element_children():
-            if not child.foreign:
-                visit(child)
+            native.append(child)
+        if has_text:
+            usage.text_count += 1
+        usage.child_coverage.update(seen_here)
+        for child in native:
+            visit(child)
 
+    profile.doc_count += 1
+    profile.roots[doc.root.name] += 1
     if not doc.root.foreign:
         visit(doc.root)
-    return profile
 
 
 def merge_profiles(a: UsageProfile, b: UsageProfile) -> UsageProfile:
@@ -101,7 +118,7 @@ def profile_corpus(docs) -> UsageProfile:
     """Aggregate observations over a collection of parsed trees."""
     profile = UsageProfile()
     for doc in docs:
-        profile = merge_profiles(profile, profile_document(doc))
+        _add_document(profile, doc)
     return profile
 
 

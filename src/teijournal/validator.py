@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import model as m
+from .base import Finding
 from .xmlio import iter_model_paths
 
 
@@ -20,14 +21,6 @@ class Rule:
     id: str
     severity: str
     description: str
-
-
-@dataclass(frozen=True)
-class Finding:
-    rule_id: str
-    severity: str
-    location: str
-    message: str
 
 
 _RULE_LIST = (

@@ -636,6 +636,8 @@ class _Builder:
         listbibl_seen = 0
 
         def harvest(el: RawNode) -> None:
+            """Reference lists directly in back or in its (nested) divs:
+            the ones ``division`` skips.  A list inside a block stays in it."""
             nonlocal listbibl_seen
             for sub in el.element_children():
                 if sub.foreign:
@@ -653,7 +655,7 @@ class _Builder:
                             entries.append(self.biblstruct(entry))
                         else:
                             self.unknown(entry, "listBibl")
-                else:
+                elif sub.name == "div":
                     harvest(sub)
 
         harvest(node)

@@ -1,6 +1,8 @@
 """The command-line surface: exit codes, output shapes, and the records format."""
 
 import json
+import re
+import tempfile
 
 import pytest
 from hypothesis import given, settings
@@ -317,6 +319,50 @@ class TestArbitrate:
         assert code == ExitStatus.FAILURE
         assert "cannot read rules" in err
 
+    def test_in_place_failure_leaves_every_input_untouched(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        directory = tmp_path / "docs"
+        write_corpus(
+            directory,
+            {f"{n}.xml": b'<d><hi rend="italics">x</hi></d>' for n in "abc"},
+        )
+        before = {p.name: p.read_bytes() for p in directory.iterdir()}
+        real_mkstemp = tempfile.mkstemp
+        calls = []
+
+        def mkstemp_failing_second(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == 2:
+                raise OSError(28, "No space left on device")
+            return real_mkstemp(*args, **kwargs)
+
+        monkeypatch.setattr(tempfile, "mkstemp", mkstemp_failing_second)
+        code, out, err = run(
+            capsys,
+            ["arbitrate", str(directory), "--rules", self.rules_file(tmp_path),
+             "--in-place"],
+        )
+        assert code == ExitStatus.FAILURE
+        assert len(calls) == 2
+        assert "cannot write" in err and "No space left on device" in err
+        assert out == ""
+        # every input byte-identical, and no temporary file left behind
+        assert {p.name: p.read_bytes() for p in directory.iterdir()} == before
+
+    def test_in_place_keeps_file_mode(self, schema_corpus, tmp_path, capsys):
+        target = schema_corpus / "one.xml"
+        target.chmod(0o640)
+        code, _, _ = run(
+            capsys,
+            ["arbitrate", str(schema_corpus), "--rules", self.rules_file(tmp_path),
+             "--in-place"],
+        )
+        assert code == ExitStatus.OK
+        assert b"italics" not in target.read_bytes()
+        assert target.stat().st_mode & 0o777 == 0o640
+        assert sorted(p.name for p in schema_corpus.iterdir()) == ["one.xml", "two.xml"]
+
     def test_target_flag_required(self, schema_corpus, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             main(
@@ -539,3 +585,22 @@ class TestParser:
         assert int(ExitStatus.OK) == 0
         assert int(ExitStatus.FINDINGS) == 1
         assert int(ExitStatus.FAILURE) == 2
+
+
+class TestInternalErrors:
+    def test_unexpected_exception_exits_2_with_one_line(self, capsys, monkeypatch):
+        from teijournal import validator
+
+        def broken(rule_id):
+            raise RuntimeError("boom\nsecond line")
+
+        monkeypatch.setattr(validator, "explain", broken)
+        code, out, err = run(capsys, ["explain", "R9"])
+        assert code == ExitStatus.FAILURE
+        assert out == ""
+        # one line, naming where the exception was raised
+        assert re.fullmatch(
+            r"teijournal: internal error: RuntimeError: boom second line"
+            r" \(test_cli\.py:\d+\)\n",
+            err,
+        )

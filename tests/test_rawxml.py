@@ -1,0 +1,326 @@
+"""The raw layer: start-tag spans against a byte-by-byte oracle, the depth
+limit, in-place profiling, and the schema commands' import footprint."""
+
+import json
+import subprocess
+import sys
+from functools import reduce
+from pathlib import Path
+from xml.parsers import expat
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import teijournal
+from teijournal import render, validator, xmlio
+from teijournal.cli import ExitStatus, main
+from teijournal.rawxml import MAX_DEPTH, RawNode, RawXmlError, _resolve_name, parse_raw
+from teijournal.schema import (
+    arbitrate,
+    codify,
+    load_base_schema,
+    merge_profiles,
+    parse_rules,
+    profile_corpus,
+    profile_document,
+    validate_against,
+)
+
+from support import write_corpus
+
+TEI = "http://www.tei-c.org/ns/1.0"
+
+
+# --------------------------------------------------------------------------
+# Oracle: the byte-by-byte start-tag scanner parse_raw used before
+# --------------------------------------------------------------------------
+
+
+def oracle_nodes(data: bytes) -> list:
+    """(name, attrs, start, end, ordinal, foreign, ns_decls) per element, in
+    document order, computed with expat and a byte-by-byte tag scan."""
+    parser = expat.ParserCreate(namespace_separator=" ")
+    parser.ordered_attributes = True
+    out: list = []
+    stack: list = []
+    counters: list = []
+    pending: list = []
+
+    def scan_start_tag(start: int) -> tuple:
+        i = start + 1
+        quote = 0
+        while True:
+            c = data[i]
+            if quote:
+                if c == quote:
+                    quote = 0
+            elif c in (0x22, 0x27):
+                quote = c
+            elif c == 0x3E:
+                return i + 1, data[i - 1] == 0x2F
+            i += 1
+
+    def on_ns(prefix, uri):
+        if prefix:
+            pending.append((prefix, uri or ""))
+
+    def on_start(expat_name, attr_list):
+        name, uri = _resolve_name(expat_name)
+        attrs = {
+            _resolve_name(attr_list[i])[0]: attr_list[i + 1]
+            for i in range(0, len(attr_list), 2)
+        }
+        start = parser.CurrentByteIndex
+        end, closed = scan_start_tag(start)
+        if stack:
+            foreign = uri != out[0][-1] or stack[-1][5]
+            siblings = counters[-1]
+            ordinal = siblings[name] = siblings.get(name, 0) + 1
+        else:
+            foreign, ordinal = False, 1
+        record = [name, attrs, start, end if closed else 0, ordinal, foreign,
+                  tuple(pending), uri]
+        pending.clear()
+        out.append(record)
+        stack.append(record)
+        counters.append({})
+
+    def on_end(expat_name):
+        record = stack.pop()
+        counters.pop()
+        if record[3] == 0:
+            record[3] = data.index(b">", parser.CurrentByteIndex) + 1
+
+    parser.StartNamespaceDeclHandler = on_ns
+    parser.StartElementHandler = on_start
+    parser.EndElementHandler = on_end
+    parser.Parse(data, True)
+    return [tuple(record[:-1]) for record in out]
+
+
+def tree_nodes(node: RawNode) -> list:
+    out = [(node.name, node.attrs, node.start, node.end, node.ordinal,
+            node.foreign, node.ns_decls)]
+    for child in node.element_children():
+        out.extend(tree_nodes(child))
+    return out
+
+
+# --------------------------------------------------------------------------
+# Generated documents: quotes, '>' and '/' in values, odd whitespace,
+# namespaces, comments, PIs and CDATA next to tags
+# --------------------------------------------------------------------------
+
+SPACE = st.sampled_from([" ", "\n", "\t ", " \r\n  "])
+OPTIONAL_SPACE = st.sampled_from(["", " ", "\n", " \n\t"])
+VALUE_CHARS = st.sampled_from(list("ab />'\"\n\t=") + ["&gt;", "&amp;", "&quot;", "&#47;"])
+TEXT = st.lists(
+    st.sampled_from(list("xy />'\"\n=") + ["&lt;", "&amp;", "]]&gt;"]), max_size=6
+).map("".join)
+OUTSIDE = st.sampled_from(["<!-- a > b / ' \" -->", "<?pi a > \"b' /?>", ""])
+MISC = st.one_of(OUTSIDE, st.just("<![CDATA[ <x/> > ' \" ]]>"))
+ELEMENT_NAMES = st.sampled_from(["a", "b", "hi", "x:a", "x:c"])
+ATTR_NAMES = st.sampled_from(["k", "rend", "xml:id", "xml:lang", "x:k", "x:rend"])
+
+
+@st.composite
+def attribute(draw, name: str) -> str:
+    quote = draw(st.sampled_from(['"', "'"]))
+    chars = draw(st.lists(VALUE_CHARS.filter(lambda c: c != quote), max_size=6))
+    eq = draw(st.sampled_from(["=", " = ", "\n=\n"]))
+    return f"{name}{eq}{quote}{''.join(chars)}{quote}"
+
+
+@st.composite
+def element(draw, depth: int = 0) -> str:
+    name = draw(ELEMENT_NAMES)
+    names = draw(st.lists(ATTR_NAMES, max_size=3, unique=True))
+    parts = [draw(attribute(n)) for n in names]
+    decl = draw(st.sampled_from(["", 'xmlns:y="urn:y"', 'xmlns="urn:other"',
+                                 f'xmlns="{TEI}"']))
+    if decl:
+        parts.append(decl)
+    head = name + "".join(draw(SPACE) + part for part in parts) + draw(OPTIONAL_SPACE)
+    if depth >= 4 or draw(st.integers(0, 3)) == 0:
+        return f"<{head}/>"
+    return f"<{head}>{draw(content(depth + 1))}</{name}{draw(OPTIONAL_SPACE)}>"
+
+
+def content(depth: int):
+    """Elements, each after a run of text or a comment, PI or CDATA."""
+    item = st.tuples(st.one_of(TEXT, MISC), st.deferred(lambda: element(depth)))
+    return st.lists(item, max_size=3).map(lambda items: "".join(a + b for a, b in items))
+
+
+@st.composite
+def documents(draw) -> bytes:
+    root_ns = draw(st.sampled_from([f' xmlns="{TEI}"', ""]))
+    body = draw(content(1)) + draw(st.one_of(TEXT, MISC))
+    prolog = draw(st.sampled_from(['<?xml version="1.0"?>\n', ""])) + draw(OUTSIDE)
+    return (
+        f'{prolog}<doc{root_ns} xmlns:x="urn:x">{body}</doc>{draw(OUTSIDE)}'
+    ).encode("utf-8")
+
+
+class TestStartTagScan:
+    @settings(max_examples=120, deadline=None)
+    @given(documents())
+    def test_spans_and_node_fields_match_byte_scan(self, data):
+        assert tree_nodes(parse_raw(data).root) == oracle_nodes(data)
+
+    @settings(max_examples=50, deadline=None)
+    @given(documents(), st.data())
+    def test_truncated_input_raises_only_raw_xml_error(self, data, choices):
+        cut = choices.draw(st.integers(min_value=1, max_value=len(data) - 1))
+        try:
+            parse_raw(data[:cut])
+        except RawXmlError:
+            pass
+
+    def test_quoted_gt_and_slash(self):
+        data = b"""<d><a k='>/' v="/>">x</a><b k="'>'"\n\t/><c/></d>"""
+        root = parse_raw(data).root
+        a, b, c = root.element_children()
+        assert data[a.start : a.end] == b"""<a k='>/' v="/>">x</a>"""
+        assert data[b.start : b.end] == b"""<b k="'>'"\n\t/>"""
+        assert (c.start, c.end) == (len(data) - 8, len(data) - 4)
+
+
+# --------------------------------------------------------------------------
+# Depth limit
+# --------------------------------------------------------------------------
+
+
+def tei_nested_hi(depth: int) -> bytes:
+    """An article whose deepest element is ``depth`` levels down.
+
+    Nested ``hi`` costs the most stack per level in the builder, validator,
+    serializer and renderers.  TEI, text, body, div and p take five levels.
+    """
+    n = depth - 5
+    header = (
+        '<teiHeader><fileDesc><titleStmt><title level="a" type="main">T</title>'
+        "</titleStmt><publicationStmt><authority>A</authority></publicationStmt>"
+        "</fileDesc></teiHeader>"
+    )
+    inner = '<hi rend="i">' * n + "x" + "</hi>" * n
+    return (
+        f'<TEI xmlns="{TEI}">{header}<text><body><div type="s"><p>{inner}</p>'
+        "</div></body></text></TEI>"
+    ).encode("utf-8")
+
+
+def raw_nested(depth: int) -> bytes:
+    return (b'<a k="v">' * depth) + b"x" + (b"</a>" * depth)
+
+
+class TestDepthLimit:
+    def test_every_article_stage_completes_at_the_limit(self):
+        data = tei_nested_hi(MAX_DEPTH)
+        report = xmlio.parse_article(data, "deep.xml")
+        assert report.ok, report.issues
+        article = report.outcome
+        validator.validate(article)
+        serialized = xmlio.serialize_article(article)
+        assert xmlio.serialize_article(xmlio.parse_article(serialized).outcome) == serialized
+        render.render_xhtml(article, render.builtin_style("chicago"))
+        render.render_plaintext(article)
+
+    def test_every_schema_stage_completes_at_the_limit(self):
+        doc = parse_raw(raw_nested(MAX_DEPTH))
+        schema = codify(profile_corpus([doc]))
+        assert validate_against(schema, doc, load_base_schema()) == []
+        rewritten, changes = arbitrate([doc], parse_rules("a k v -> w\n"))
+        assert changes == MAX_DEPTH
+        assert b'k="v"' not in rewritten[0].data
+
+    @pytest.mark.parametrize("depth", [MAX_DEPTH + 1, 10_000])
+    def test_deeper_input_is_refused(self, depth):
+        with pytest.raises(RawXmlError, match=f"nested more than {MAX_DEPTH} deep"):
+            parse_raw(raw_nested(depth))
+        report = xmlio.parse_article(tei_nested_hi(depth), "deep.xml")
+        assert report.outcome is None
+        assert f"nested more than {MAX_DEPTH} deep" in report.issues[0].message
+
+    def test_validate_command_exits_2_not_1(self, tmp_path, capsys):
+        deep = tmp_path / "deep.xml"
+        deep.write_bytes(tei_nested_hi(10_000))
+        assert main(["validate", str(deep)]) == ExitStatus.FAILURE
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert f"cannot parse: elements nested more than {MAX_DEPTH} deep" in err
+
+
+# --------------------------------------------------------------------------
+# Profiling in place
+# --------------------------------------------------------------------------
+
+
+class TestProfileCorpus:
+    @settings(max_examples=25, deadline=None)
+    @given(st.lists(documents(), max_size=5))
+    def test_equals_fold_of_merged_document_profiles(self, datas):
+        docs = [parse_raw(data) for data in datas]
+        folded = reduce(
+            merge_profiles, (profile_document(d) for d in docs), profile_corpus([])
+        )
+        assert profile_corpus(docs) == folded
+        assert profile_corpus(iter(docs)) == folded
+
+    def test_foreign_subtree_is_a_boundary(self):
+        doc = parse_raw(b'<d><e xmlns="urn:other"><f/></e><g/></d>')
+        profile = profile_corpus([doc, doc])
+        assert profile.doc_count == 2
+        assert profile.foreign == {"{urn:other}e": 2}
+        assert sorted(profile.elements) == ["d", "g"]
+
+
+# --------------------------------------------------------------------------
+# The schema commands do not load the TEI stack
+# --------------------------------------------------------------------------
+
+TEI_MODULES = {f"teijournal.{name}" for name in
+               ("model", "xmlio", "validator", "render", "corpus")}
+
+PROBE = """
+import contextlib, io, json, sys
+from teijournal.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("teijournal"))]))
+"""
+
+
+def test_schema_commands_skip_tei_modules(tmp_path):
+    docs = tmp_path / "docs"
+    write_corpus(docs, {"one.xml": b'<d><hi rend="italics">a</hi></d>',
+                        "two.xml": b'<d><hi rend="italic">b</hi></d>'})
+    rules = tmp_path / "rules.txt"
+    rules.write_text("hi rend italics -> italic\n")
+    schema = tmp_path / "schema.json"
+    env = {"PYTHONPATH": str(Path(teijournal.__file__).parents[1])}
+    commands = (
+        ["codify", str(docs), "--out", str(schema)],
+        ["schema-validate", str(docs / "one.xml"), "--schema", str(schema)],
+        ["variants", str(docs)],
+        ["arbitrate", str(docs), "--rules", str(rules), "--out-dir", str(tmp_path / "o")],
+    )
+    for argv in commands:
+        done = subprocess.run([sys.executable, "-c", PROBE, *argv], env=env,
+                              capture_output=True, text=True, check=True)
+        code, loaded = json.loads(done.stdout)
+        assert code == 0, (argv, done.stderr)
+        assert "teijournal.schema" in loaded
+        assert not TEI_MODULES & set(loaded), argv
+
+
+def test_package_exports_resolve_lazily():
+    from teijournal import base
+
+    assert teijournal.parse_article is xmlio.parse_article
+    assert teijournal.validate is validator.validate
+    assert validator.Finding is base.Finding
+    assert set(teijournal.__all__) <= set(dir(teijournal))
+    with pytest.raises(AttributeError):
+        teijournal.no_such_name

@@ -313,6 +313,25 @@ class TestCanonicalSerialization:
         assert b"<listBibl>" in out
         assert b'<div type="bibliography"' not in out
 
+    def test_reference_list_inside_back_paragraph_stays_put(self):
+        # Only lists directly in back or in its divs join the reference list;
+        # one inside a paragraph stays there, so re-parsing adds no entries.
+        data = wrap(
+            text=b'<body/><back><div type="notes"><p>See <listBibl>'
+            b'<biblStruct xml:id="b1"><monogr><title level="m">B</title>'
+            b"</monogr></biblStruct></listBibl></p></div><listBibl>"
+            b'<biblStruct xml:id="b2"><monogr><title level="m">C</title>'
+            b"</monogr></biblStruct></listBibl></back>"
+        )
+        rounds = []
+        for _ in range(3):
+            article = ok(data)
+            data = serialize_article(article)
+            rounds.append((data, len(article.back.reference_list.entries)))
+        assert rounds[0] == rounds[1] == rounds[2]
+        assert rounds[0][1] == 1
+        assert b'<p>See <listBibl><biblStruct xml:id="b1">' in data
+
     def test_empty_body_div_kept(self):
         out = serialize_article(ok(wrap(text=b"<body><div/></body>")))
         assert b'<div type="section"/>' in out
