@@ -7,7 +7,8 @@ function of that snapshot, so products can be rebuilt at any time and two
 runs over the same files always agree.
 
 Locators reuse the canonical model paths from
-:func:`teijournal.xmlio.iter_model_paths`, so index output, validator
+:func:`teijournal.xmlio.model_paths`, the walk each article shares with the
+validator and the renderers, so index output, validator
 findings, and schema findings all address document parts the same way.
 """
 
@@ -26,7 +27,7 @@ from .render import (
     builtin_style,
     format_entry,
 )
-from .xmlio import Issue, ParseReport, iter_model_paths, parse_article
+from .xmlio import Issue, ParseReport, model_paths, parse_article
 
 #: The seven index kinds, in output order.
 INDEX_KINDS = (
@@ -221,7 +222,7 @@ def build_indexes(corpus: Corpus, kinds=None) -> list:
     locators: dict = {}
     for doc_id in sorted(corpus.articles):
         article = corpus.articles[doc_id]
-        for path, node in iter_model_paths(article):
+        for path, node in model_paths(article):
             kind, raw = _mention_kind_and_text(path, node)
             if kind is None or kind not in wanted:
                 continue
@@ -319,7 +320,7 @@ def corrigenda(corpus: Corpus, kind: str = "correction") -> list:
 def _query_nodes(article: m.Article, element_kind: str | None):
     """(path, text) pairs for nodes a query may match."""
     kind = element_kind or "any"
-    for path, node in iter_model_paths(article):
+    for path, node in model_paths(article):
         kinds = _MENTION_KINDS.get(type(node))
         if kinds is not None:
             if kind in ("any", kinds[1]):

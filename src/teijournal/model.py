@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import ClassVar, Union
 
 # --------------------------------------------------------------------------
@@ -503,6 +504,17 @@ class Article:
     def reference_list(self) -> ListBibl | None:
         return self.back.reference_list
 
+    @cached_property
+    def entries_by_id(self) -> dict:
+        """Reference-list entries by ``xml:id``; the first entry wins for a
+        duplicated id.  Built once per instance and shared: do not mutate."""
+        by_id: dict = {}
+        if self.reference_list is not None:
+            for entry in self.reference_list.entries:
+                if entry.xml_id is not None:
+                    by_id.setdefault(entry.xml_id, entry)
+        return by_id
+
 
 # --------------------------------------------------------------------------
 # Whole-document operations
@@ -522,14 +534,7 @@ def resolve_ref(article: Article, target: str) -> BiblStruct | None:
     """
     if not target.startswith("#"):
         raise ValueError(f"not a fragment reference: {target!r}")
-    wanted = target[1:]
-    listbibl = article.reference_list
-    if listbibl is None:
-        return None
-    for entry in listbibl.entries:
-        if entry.xml_id == wanted:
-            return entry
-    return None
+    return article.entries_by_id.get(target[1:])
 
 
 def derive_article_id(source: BiblStruct | None, source_name: str | None) -> str:

@@ -11,6 +11,16 @@ declarations. Only the five built-in character entities and numeric
 character references ever reach the tree. Elements may nest at most
 ``MAX_DEPTH`` deep, so that every recursive walk over the tree, here and
 in the layers above, finishes within Python's default recursion limit.
+
+Every structure a parse builds is free of reference cycles, so it is freed
+as soon as the last reference to it goes, without waiting for the cyclic
+garbage collector.  A node therefore has no ``parent`` attribute.  Instead
+``up`` holds its parent's upward chain, the tuple ``(name, ordinal, up)``
+of the parent, which ends in ``None`` at the document element.
+:func:`source_path` reads a node's path from its own name and ordinal and
+that chain.  One chain tuple is made per element that has element
+children, and all of those children share it.  The expat handlers refer
+back to the parser, so ``parse_raw`` releases them before it returns.
 """
 
 from __future__ import annotations
@@ -44,7 +54,7 @@ class RawNode:
     children: list = field(default_factory=list)  # RawNode | str
     start: int = 0
     end: int = 0
-    parent: "RawNode | None" = field(default=None, repr=False)
+    up: "tuple | None" = field(default=None, repr=False)  # parent's chain
     ordinal: int = 1  # 1-based position among same-named siblings
     ns_decls: tuple = ()  # prefixed declarations carried by this element
     foreign: bool = False  # namespace differs from the document element's
@@ -83,6 +93,8 @@ class RawNode:
 class RawDocument:
     data: bytes
     root: RawNode
+    #: First declaration of each namespace prefix, in document order.
+    ns_decls: tuple = ()
 
     def slice(self, node: RawNode) -> str:
         return self.data[node.start : node.end].decode("utf-8")
@@ -90,11 +102,11 @@ class RawDocument:
 
 def source_path(node: RawNode) -> str:
     """Slash-joined path with 1-based same-name sibling indexes."""
-    parts = []
-    cur: RawNode | None = node
-    while cur is not None:
-        parts.append(f"{cur.name}[{cur.ordinal}]")
-        cur = cur.parent
+    parts = [f"{node.name}[{node.ordinal}]"]
+    up = node.up
+    while up is not None:
+        name, ordinal, up = up
+        parts.append(f"{name}[{ordinal}]")
     return "/".join(reversed(parts))
 
 
@@ -145,7 +157,9 @@ def parse_raw(data: bytes) -> RawDocument:
     root_holder: list[RawNode] = []
     stack: list[RawNode] = []
     counters: list[dict] = []  # same-name sibling counters per open element
+    chains: list = []  # upward chain per open element, made at its first child
     pending_ns: list[tuple] = []
+    first_ns: dict = {}  # prefix -> URI of its first declaration
     names: dict = {}  # expat name -> (name, namespace URI), for this parse
 
     def resolve(expat_name: str) -> tuple[str, str]:
@@ -168,6 +182,7 @@ def parse_raw(data: bytes) -> RawDocument:
     def on_ns_decl(prefix, uri) -> None:
         if prefix:
             pending_ns.append((prefix, uri or ""))
+            first_ns.setdefault(prefix, uri or "")
 
     def on_start(expat_name, attr_list) -> None:
         if len(stack) >= MAX_DEPTH:
@@ -186,22 +201,27 @@ def parse_raw(data: bytes) -> RawDocument:
         pending_ns.clear()
         if stack:
             parent = stack[-1]
+            up = chains[-1]
+            if up is None:
+                up = chains[-1] = (parent.name, parent.ordinal, parent.up)
+            siblings = counters[-1]
+            ordinal = siblings[name] = siblings.get(name, 0) + 1
             # positional for speed: name, ns, attrs, children, start, end,
-            # parent, ordinal, ns_decls, foreign
-            node = RawNode(name, uri, attrs, [], start, end, parent, 1, ns_decls,
+            # up, ordinal, ns_decls, foreign
+            node = RawNode(name, uri, attrs, [], start, end, up, ordinal, ns_decls,
                            parent.foreign or uri != root_holder[0].ns)
             parent.children.append(node)
-            siblings = counters[-1]
-            node.ordinal = siblings[name] = siblings.get(name, 0) + 1
         else:
             node = RawNode(name, uri, attrs, start=start, end=end, ns_decls=ns_decls)
             root_holder.append(node)
         stack.append(node)
         counters.append({})
+        chains.append(None)
 
     def on_end(expat_name) -> None:
         node = stack.pop()
         counters.pop()
+        chains.pop()
         if node.end == 0:  # paired tags; end tags contain no quotes
             node.end = data.index(b">", parser.CurrentByteIndex) + 1
 
@@ -214,19 +234,26 @@ def parse_raw(data: bytes) -> RawDocument:
         else:
             children.append(text)
 
-    parser.EntityDeclHandler = on_entity_decl
-    parser.StartDoctypeDeclHandler = on_doctype
-    parser.StartNamespaceDeclHandler = on_ns_decl
-    parser.StartElementHandler = on_start
-    parser.EndElementHandler = on_end
-    parser.CharacterDataHandler = on_text
-    parser.ExternalEntityRefHandler = lambda *args: 0
-
+    handlers = {
+        "EntityDeclHandler": on_entity_decl,
+        "StartDoctypeDeclHandler": on_doctype,
+        "StartNamespaceDeclHandler": on_ns_decl,
+        "StartElementHandler": on_start,
+        "EndElementHandler": on_end,
+        "CharacterDataHandler": on_text,
+        "ExternalEntityRefHandler": lambda *args: 0,
+    }
+    for event, handler in handlers.items():
+        setattr(parser, event, handler)
     try:
         parser.Parse(data, True)
     except expat.ExpatError as exc:
         raise RawXmlError(f"not well-formed: {exc}") from None
+    finally:
+        # the handlers refer back to the parser: break that cycle
+        for event in handlers:
+            setattr(parser, event, None)
 
     if not root_holder:
         raise RawXmlError("no document element")
-    return RawDocument(data=data, root=root_holder[0])
+    return RawDocument(data, root_holder[0], tuple(first_ns.items()))

@@ -430,27 +430,37 @@ def citation_order(article: Article) -> list:
     """xml:ids of bibliography entries in order of first citation.
 
     Walks the running text in document order; pointers that do not resolve
-    to an entry are skipped.
+    to an entry are skipped.  The order is worked out once per article
+    (kept the way :func:`xmlio.model_paths` keeps the walk); each call
+    returns a new list.
     """
-    from .xmlio import iter_model_paths
+    memo = article.__dict__
+    order = memo.get("_citation_order")
+    if order is None:
+        order = memo["_citation_order"] = _first_citations(article)
+    return list(order)
 
-    known = set()
-    listbibl = article.reference_list
-    if listbibl:
-        known = {e.xml_id for e in listbibl.entries if e.xml_id}
-    seen: list = []
-    for _, node in iter_model_paths(article):
-        target = None
+
+def _first_citations(article: Article) -> tuple:
+    from .xmlio import model_paths
+
+    known = article.entries_by_id
+    order: list = []
+    seen: set = set()
+    for _, node in model_paths(article):
         if isinstance(node, BiblRef):
             target = node.target
         elif isinstance(node, CitBlock) and isinstance(node.source, str):
             target = node.source
+        else:
+            continue
         if not target or not target.startswith("#"):
             continue
         ref_id = target[1:]
-        if ref_id in known and ref_id not in seen:
-            seen.append(ref_id)
-    return seen
+        if ref_id and ref_id in known and ref_id not in seen:
+            seen.add(ref_id)
+            order.append(ref_id)
+    return tuple(order)
 
 
 def _ordered_entries(entries: tuple, style: StyleGuide, cited: list) -> tuple:
@@ -468,8 +478,9 @@ def _ordered_entries(entries: tuple, style: StyleGuide, cited: list) -> tuple:
             continue
         rendered[key] = format_entry(record, style)
     cited_keys = [k for k in dict.fromkeys(cited) if k in rendered]
+    cited_set = set(cited_keys)
     uncited = sorted(
-        (k for k in rendered if k not in set(cited_keys)),
+        (k for k in rendered if k not in cited_set),
         key=lambda k: (rendered[k].sort_key, k),
     )
     numbering_order = cited_keys + uncited
@@ -751,11 +762,11 @@ class _TextContext:
             self.display, self.numbers = _ordered_entries(entries, numeric, cited)
         else:
             self.display, self.numbers = [], {}
-        self.known = {e.ref_id for _, e in self.display if e.ref_id}
+        self.known = article.entries_by_id
 
     def marker(self, target: str, fallback: str) -> str:
         ref_id = target[1:] if target.startswith("#") else None
-        if ref_id in self.known:
+        if ref_id and ref_id in self.known:
             return f"[{self.numbers[ref_id]}]"
         return fallback or target
 
@@ -797,10 +808,16 @@ def bare_entry_text(record: BiblStruct) -> str:
     return " ".join(bits)
 
 
+def _underlined(text: str, underline: str) -> list:
+    """``text`` wrapped when it is wider than the page, then an underline
+    as long as its longest line."""
+    lines = _wrap(text) if len(text) > _WIDTH else []
+    lines = lines or [text]
+    return [*lines, underline * max(max(len(line) for line in lines), 1)]
+
+
 def _heading_lines(text: str, depth: int) -> list:
-    underline = "=" if depth <= 1 else "-"
-    text = " ".join(text.split())
-    return [text, underline * max(len(text), 1)]
+    return _underlined(" ".join(text.split()), "=" if depth <= 1 else "-")
 
 
 def _block_to_text(block, ctx: _TextContext) -> list:
@@ -860,7 +877,7 @@ def render_plaintext(article: Article, style: StyleGuide | None = None) -> str:
     lines: list = []
 
     title = normalize_title(fd.main_title) or article.id or "Untitled"
-    lines.extend([title, "=" * max(len(title), 1), ""])
+    lines.extend([*_underlined(title, "="), ""])
 
     source = fd.source
     authors = source.authors() if source else ()

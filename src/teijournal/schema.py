@@ -57,42 +57,41 @@ def profile_document(doc: RawDocument) -> UsageProfile:
 
 def _add_document(profile: UsageProfile, doc: RawDocument) -> None:
     """Add one tree's observations to ``profile`` in place."""
-    elements = profile.elements
-    foreign = profile.foreign
-
-    def visit(node: RawNode) -> None:
-        usage = elements.get(node.name)
-        if usage is None:
-            usage = elements[node.name] = ElementUsage()
-        usage.count += 1
-        for name, value in node.attrs.items():
-            values = usage.attributes.get(name)
-            if values is None:
-                values = usage.attributes[name] = Counter()
-            values[value] += 1
-        has_text = False
-        seen_here = set()
-        native = []
-        for child in node.children:
-            if isinstance(child, str):
-                has_text = has_text or bool(child.strip())
-                continue
-            if child.foreign:
-                foreign[child.name] += 1
-                continue
-            usage.children[child.name] += 1
-            seen_here.add(child.name)
-            native.append(child)
-        if has_text:
-            usage.text_count += 1
-        usage.child_coverage.update(seen_here)
-        for child in native:
-            visit(child)
-
     profile.doc_count += 1
     profile.roots[doc.root.name] += 1
     if not doc.root.foreign:
-        visit(doc.root)
+        _add_element(profile.elements, profile.foreign, doc.root)
+
+
+def _add_element(elements: dict, foreign: Counter, node: RawNode) -> None:
+    """Record ``node`` and, below it, every element outside foreign subtrees."""
+    usage = elements.get(node.name)
+    if usage is None:
+        usage = elements[node.name] = ElementUsage()
+    usage.count += 1
+    for name, value in node.attrs.items():
+        values = usage.attributes.get(name)
+        if values is None:
+            values = usage.attributes[name] = Counter()
+        values[value] += 1
+    has_text = False
+    seen_here = set()
+    native = []
+    for child in node.children:
+        if isinstance(child, str):
+            has_text = has_text or bool(child.strip())
+            continue
+        if child.foreign:
+            foreign[child.name] += 1
+            continue
+        usage.children[child.name] += 1
+        seen_here.add(child.name)
+        native.append(child)
+    if has_text:
+        usage.text_count += 1
+    usage.child_coverage.update(seen_here)
+    for child in native:
+        _add_element(elements, foreign, child)
 
 
 def merge_profiles(a: UsageProfile, b: UsageProfile) -> UsageProfile:
@@ -295,22 +294,50 @@ def validate_against(
     by ``base`` are downgraded to warnings; absences of required parts
     stay errors.
     """
-    findings: list = []
-
-    def emit(rule_id, node, message, downgrade_if):
-        severity = "warning" if (base is not None and downgrade_if) else "error"
-        findings.append(
-            Finding(rule_id, severity, source_path(node), message)
+    check = _SchemaCheck(schema, base)
+    root = doc.root
+    if root.foreign:
+        check.findings.append(
+            Finding(
+                "S-root",
+                "error",
+                source_path(root),
+                f"document element '{root.name}' is foreign",
+            )
         )
+        return check.findings
+    if schema.root and root.name != schema.root:
+        check.findings.append(
+            Finding(
+                "S-root",
+                "error",
+                source_path(root),
+                f"document element '{root.name}' differs from schema root "
+                f"'{schema.root}'",
+            )
+        )
+    check.visit(root)
+    return check.findings
 
-    def base_rule(name: str) -> ElementRule | None:
-        if base is None:
-            return None
-        return base.elements.get(name)
 
-    def visit(node: RawNode) -> None:
+class _SchemaCheck:
+    """One ``validate_against`` run: the schemas and the findings so far."""
+
+    def __init__(self, schema: RestrictedSchema, base: RestrictedSchema | None):
+        self.schema = schema
+        self.base = base
+        self.findings: list = []
+
+    def emit(self, rule_id, node, message, downgrade_if) -> None:
+        severity = "warning" if (self.base is not None and downgrade_if) else "error"
+        self.findings.append(Finding(rule_id, severity, source_path(node), message))
+
+    def visit(self, node: RawNode) -> None:
+        schema = self.schema
+        base = self.base
+        emit = self.emit
         rule = schema.elements.get(node.name)
-        brule = base_rule(node.name)
+        brule = base.elements.get(node.name) if base is not None else None
         if rule is None:
             emit(
                 "S-element",
@@ -342,7 +369,7 @@ def validate_against(
                     )
             for attr, arule in rule.attributes.items():
                 if arule.required and attr not in node.attrs:
-                    findings.append(
+                    self.findings.append(
                         Finding(
                             "S-required-attribute",
                             "error",
@@ -380,10 +407,10 @@ def validate_against(
                     f"'{node.name}'",
                     base_allows,
                 )
-            visit(child)
+            self.visit(child)
         if rule is not None:
             for required in sorted(rule.required_children - present):
-                findings.append(
+                self.findings.append(
                     Finding(
                         "S-required-child",
                         "error",
@@ -392,30 +419,6 @@ def validate_against(
                         f"'{node.name}'",
                     )
                 )
-
-    root = doc.root
-    if root.foreign:
-        findings.append(
-            Finding(
-                "S-root",
-                "error",
-                source_path(root),
-                f"document element '{root.name}' is foreign",
-            )
-        )
-        return findings
-    if schema.root and root.name != schema.root:
-        findings.append(
-            Finding(
-                "S-root",
-                "error",
-                source_path(root),
-                f"document element '{root.name}' differs from schema root "
-                f"'{schema.root}'",
-            )
-        )
-    visit(root)
-    return findings
 
 
 # --------------------------------------------------------------------------
@@ -609,31 +612,7 @@ def arbitrate(docs, rules) -> tuple:
     changes = 0
     for doc in docs:
         edits: list = []  # (start, end, replacement bytes)
-
-        def visit(node: RawNode) -> None:
-            hits = {
-                attr: lookup(node.name, attr, value)
-                for attr, value in node.attrs.items()
-            }
-            if any(target is not None for target in hits.values()):
-                for raw_name, start, end in _attr_value_spans(doc.data, node):
-                    display = raw_name.split(":")[-1] if ":" in raw_name else raw_name
-                    if raw_name == "xml:id":
-                        display = "xml:id"
-                    target = hits.get(display)
-                    if target is None:
-                        continue
-                    decoded = _decode_entities(
-                        doc.data[start:end].decode("utf-8")
-                    )
-                    if decoded == node.attrs.get(display):
-                        edits.append(
-                            (start, end, _encode_attr(target).encode("utf-8"))
-                        )
-            for child in node.element_children():
-                visit(child)
-
-        visit(doc.root)
+        _collect_edits(doc.data, doc.root, lookup, edits)
         if not edits:
             rewritten.append(doc)
             continue
@@ -643,3 +622,24 @@ def arbitrate(docs, rules) -> tuple:
         changes += len(edits)
         rewritten.append(parse_raw(data))
     return rewritten, changes
+
+
+def _collect_edits(data: bytes, node: RawNode, lookup, edits: list) -> None:
+    """Append ``(start, end, replacement)`` for every attribute value under
+    ``node`` that a rule rewrites."""
+    hits = {
+        attr: lookup(node.name, attr, value) for attr, value in node.attrs.items()
+    }
+    if any(target is not None for target in hits.values()):
+        for raw_name, start, end in _attr_value_spans(data, node):
+            display = raw_name.split(":")[-1] if ":" in raw_name else raw_name
+            if raw_name == "xml:id":
+                display = "xml:id"
+            target = hits.get(display)
+            if target is None:
+                continue
+            decoded = _decode_entities(data[start:end].decode("utf-8"))
+            if decoded == node.attrs.get(display):
+                edits.append((start, end, _encode_attr(target).encode("utf-8")))
+    for child in node.element_children():
+        _collect_edits(data, child, lookup, edits)

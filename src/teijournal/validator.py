@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 from . import model as m
 from .base import Finding
-from .xmlio import iter_model_paths
+from .xmlio import model_paths
 
 
 @dataclass(frozen=True)
@@ -174,7 +174,7 @@ class _Run:
     def __init__(self, article: m.Article, config: ValidatorConfig):
         self.article = article
         self.config = config
-        self.nodes = iter_model_paths(article)
+        self.nodes = model_paths(article)
         self.positions: dict = {}
         for rank, (path, node) in enumerate(self.nodes):
             self.positions.setdefault(id(node), (rank, path))

@@ -633,35 +633,32 @@ class _Builder:
     def back_matter(self, node: RawNode) -> m.BackMatter:
         """Back content: divisions plus the merged reference list."""
         entries: list = []
-        listbibl_seen = 0
-
-        def harvest(el: RawNode) -> None:
-            """Reference lists directly in back or in its (nested) divs:
-            the ones ``division`` skips.  A list inside a block stays in it."""
-            nonlocal listbibl_seen
-            for sub in el.element_children():
-                if sub.foreign:
-                    continue
-                if sub.name in _LISTBIBL_NAMES:
-                    if sub.name == "listBib":
-                        self.warn(sub, "element 'listBib' read as 'listBibl'")
-                    listbibl_seen += 1
-                    if listbibl_seen > 1:
-                        self.warn(
-                            sub, "additional listBibl merged into the first"
-                        )
-                    for entry in sub.element_children():
-                        if entry.name == "biblStruct":
-                            entries.append(self.biblstruct(entry))
-                        else:
-                            self.unknown(entry, "listBibl")
-                elif sub.name == "div":
-                    harvest(sub)
-
-        harvest(node)
+        listbibl_seen = self.harvest(node, entries, 0)
         divisions = self.division_sequence(node, "back", _LISTBIBL_NAMES)
         reference_list = m.ListBibl(tuple(entries)) if listbibl_seen else None
         return m.BackMatter(divisions, reference_list)
+
+    def harvest(self, node: RawNode, entries: list, listbibl_seen: int) -> int:
+        """Add the entries of the reference lists directly in ``node`` or in
+        its (nested) divs, the ones ``division`` skips, to ``entries``.  A
+        list inside a block stays in it.  Returns the count of lists seen."""
+        for sub in node.element_children():
+            if sub.foreign:
+                continue
+            if sub.name in _LISTBIBL_NAMES:
+                if sub.name == "listBib":
+                    self.warn(sub, "element 'listBib' read as 'listBibl'")
+                listbibl_seen += 1
+                if listbibl_seen > 1:
+                    self.warn(sub, "additional listBibl merged into the first")
+                for entry in sub.element_children():
+                    if entry.name == "biblStruct":
+                        entries.append(self.biblstruct(entry))
+                    else:
+                        self.unknown(entry, "listBibl")
+            elif sub.name == "div":
+                listbibl_seen = self.harvest(sub, entries, listbibl_seen)
+        return listbibl_seen
 
 
 def _leading_word(text: str) -> str:
@@ -753,27 +750,13 @@ def parse_article(
         front=front,
         body=body,
         back=back,
-        ns_decls=_collect_ns_decls(root),
+        # Opaque regions are copied verbatim, so a prefix declared on some
+        # ancestor of preserved markup is re-declared on the new root; the
+        # first declaration wins, and verbatim re-declarations deeper down
+        # still shadow it locally.
+        ns_decls=tuple(sorted(doc.ns_decls)),
     )
     return ParseReport(issues=tuple(builder.issues), outcome=article)
-
-
-def _collect_ns_decls(root: RawNode) -> tuple:
-    """All prefixed namespace declarations in the document, hoisted.
-
-    Opaque regions are copied verbatim, so a prefix declared on some
-    ancestor of preserved markup must be re-declared on the new root or
-    the output would not be well-formed.  First declaration of a prefix
-    wins; verbatim re-declarations deeper down still shadow it locally.
-    """
-    seen: dict = {}
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        for prefix, uri in node.ns_decls:
-            seen.setdefault(prefix, uri)
-        stack.extend(reversed(node.element_children()))
-    return tuple(sorted(seen.items()))
 
 
 # --------------------------------------------------------------------------
@@ -1211,108 +1194,11 @@ def iter_model_paths(article: m.Article) -> list:
 
     Paths follow the canonical serialization: slash-separated element
     names with 1-based indexes among same-named siblings. Only dataclass
-    nodes are yielded (never bare rich-text tuples).
+    nodes are yielded (never bare rich-text tuples). Each call walks the
+    article again and returns a new list; :func:`model_paths` is the
+    shared walk.
     """
     out: list = []
-
-    def child_path(parent: str, counters: dict, name: str) -> str:
-        counters[name] = counters.get(name, 0) + 1
-        return f"{parent}/{name}[{counters[name]}]"
-
-    def walk_rich(content: tuple, parent: str, counters: dict) -> None:
-        for node in content:
-            if isinstance(node, m.TextRun):
-                continue
-            name = _element_name(node)
-            path = child_path(parent, counters, name)
-            out.append((path, node))
-            if isinstance(node, m.Emph):
-                walk_rich(node.content, path, {})
-
-    def walk_leaf_rich(content: tuple, parent: str, counters: dict, name: str):
-        """Rich text held by a wrapper element (head, quote, item...)."""
-        path = child_path(parent, counters, name)
-        walk_rich(content, path, {})
-        return path
-
-    def walk_author(author: m.Author, parent: str, counters: dict) -> None:
-        path = child_path(parent, counters, "author")
-        out.append((path, author))
-        if author.affiliation is not None:
-            aff_path = f"{path}/affiliation[1]"
-            out.append((aff_path, author.affiliation))
-            affc: dict = {}
-            for unit in author.affiliation.org_units:
-                unit_path = child_path(aff_path, affc, "orgName")
-                out.append((unit_path, unit))
-
-    def walk_biblstruct(bs: m.BiblStruct, path: str) -> None:
-        out.append((path, bs))
-        counters: dict = {}
-        if bs.analytic is not None:
-            a_path = child_path(path, counters, "analytic")
-            ac: dict = {}
-            for title in bs.analytic.titles:
-                t_path = child_path(a_path, ac, "title")
-                out.append((t_path, title))
-                walk_rich(title.text, t_path, {})
-            for author in bs.analytic.authors:
-                walk_author(author, a_path, ac)
-        m_path = child_path(path, counters, "monogr")
-        mc: dict = {}
-        for author in bs.monogr.authors:
-            walk_author(author, m_path, mc)
-        for title in bs.monogr.titles:
-            t_path = child_path(m_path, mc, "title")
-            out.append((t_path, title))
-            walk_rich(title.text, t_path, {})
-        imprint = bs.monogr.imprint
-        if (
-            imprint.publisher
-            or imprint.pub_place
-            or imprint.date
-            or imprint.scopes
-        ):
-            i_path = child_path(m_path, mc, "imprint")
-            ic: dict = {}
-            for scope in imprint.scopes:
-                s_path = child_path(i_path, ic, "biblScope")
-                out.append((s_path, scope))
-
-    def walk_block(block, parent: str, counters: dict) -> None:
-        name = _element_name(block)
-        path = child_path(parent, counters, name)
-        out.append((path, block))
-        inner: dict = {}
-        if isinstance(block, m.Paragraph):
-            walk_rich(block.content, path, inner)
-        elif isinstance(block, m.CitBlock):
-            walk_leaf_rich(block.quote, path, inner, "quote")
-            if isinstance(block.source, m.BiblStruct):
-                walk_biblstruct(
-                    block.source, child_path(path, inner, "biblStruct")
-                )
-            if block.qualifiers:
-                walk_leaf_rich(block.qualifiers, path, inner, "note")
-        elif isinstance(block, (m.FigureBlock, m.TableBlock)):
-            if block.caption:
-                walk_leaf_rich(block.caption, path, inner, "head")
-        elif isinstance(block, m.ListBlock):
-            for item in block.items:
-                walk_leaf_rich(item, path, inner, "item")
-        elif isinstance(block, m.QuoteBlock):
-            walk_rich(block.content, path, inner)
-
-    def walk_division(division: m.Division, parent: str, counters: dict):
-        path = child_path(parent, counters, "div")
-        out.append((path, division))
-        inner: dict = {}
-        if division.head:
-            walk_leaf_rich(division.head, path, inner, "head")
-        for block in division.blocks:
-            walk_block(block, path, inner)
-        for child in division.children:
-            walk_division(child, path, inner)
 
     # header -------------------------------------------------------------
     header = article.header
@@ -1320,15 +1206,16 @@ def iter_model_paths(article: m.Article) -> list:
     fd_path = "TEI[1]/teiHeader[1]/fileDesc[1]"
     out.append((fd_path, fd))
     if fd.main_title:
-        walk_rich(fd.main_title, f"{fd_path}/titleStmt[1]/title[1]", {})
+        _walk_rich(out, fd.main_title, f"{fd_path}/titleStmt[1]/title[1]", {})
     if fd.availability:
-        walk_rich(
+        _walk_rich(
+            out,
             fd.availability,
             f"{fd_path}/publicationStmt[1]/availability[1]/p[1]",
             {},
         )
     if fd.source is not None:
-        walk_biblstruct(fd.source, f"{fd_path}/sourceDesc[1]/biblStruct[1]")
+        _walk_biblstruct(out, fd.source, f"{fd_path}/sourceDesc[1]/biblStruct[1]")
     pd = header.profile_desc
     if pd.keywords or pd.languages:
         pd_path = "TEI[1]/teiHeader[1]/profileDesc[1]"
@@ -1337,7 +1224,7 @@ def iter_model_paths(article: m.Article) -> list:
             tc_path = f"{pd_path}/textClass[1]"
             tcc: dict = {}
             for _, group in _group_keywords(pd.keywords):
-                kw_path = child_path(tc_path, tcc, "keywords")
+                kw_path = _child_path(tc_path, tcc, "keywords")
                 for i, keyword in enumerate(group, start=1):
                     out.append((f"{kw_path}/list[1]/item[{i}]/term[1]", keyword))
     rd = header.revision_desc
@@ -1353,22 +1240,136 @@ def iter_model_paths(article: m.Article) -> list:
         front_path = f"{text_path}/front[1]"
         frontc: dict = {}
         for division in article.front:
-            walk_division(division, front_path, frontc)
+            _walk_division(out, division, front_path, frontc)
     body_path = f"{text_path}/body[1]"
     bodyc: dict = {}
     for division in article.body:
-        walk_division(division, body_path, bodyc)
+        _walk_division(out, division, body_path, bodyc)
     back = article.back
     if back.divisions or back.reference_list is not None:
         back_path = f"{text_path}/back[1]"
         backc: dict = {}
         for division in back.divisions:
-            walk_division(division, back_path, backc)
+            _walk_division(out, division, back_path, backc)
         if back.reference_list is not None:
-            lb_path = child_path(back_path, backc, "listBibl")
+            lb_path = _child_path(back_path, backc, "listBibl")
             out.append((lb_path, back.reference_list))
             lbc: dict = {}
             for entry in back.reference_list.entries:
-                walk_biblstruct(entry, child_path(lb_path, lbc, "biblStruct"))
+                _walk_biblstruct(out, entry, _child_path(lb_path, lbc, "biblStruct"))
     return out
 
+
+def model_paths(article: m.Article) -> list:
+    """The article's :func:`iter_model_paths` list, shared: do not mutate it.
+
+    The walk runs once per ``Article`` instance.  Its result is kept in the
+    instance's ``__dict__``, the way :func:`functools.cached_property`
+    keeps values, so the frozen fields are untouched and an article made
+    with :func:`dataclasses.replace` gets a walk of its own.
+    """
+    memo = article.__dict__
+    paths = memo.get("_model_paths")
+    if paths is None:
+        paths = memo["_model_paths"] = iter_model_paths(article)
+    return paths
+
+
+def _child_path(parent: str, counters: dict, name: str) -> str:
+    counters[name] = counters.get(name, 0) + 1
+    return f"{parent}/{name}[{counters[name]}]"
+
+
+def _walk_rich(out: list, content: tuple, parent: str, counters: dict) -> None:
+    for node in content:
+        if isinstance(node, m.TextRun):
+            continue
+        name = _element_name(node)
+        path = _child_path(parent, counters, name)
+        out.append((path, node))
+        if isinstance(node, m.Emph):
+            _walk_rich(out, node.content, path, {})
+
+
+def _walk_leaf_rich(
+    out: list, content: tuple, parent: str, counters: dict, name: str
+) -> None:
+    """Rich text held by a wrapper element (head, quote, item...)."""
+    _walk_rich(out, content, _child_path(parent, counters, name), {})
+
+
+def _walk_author(out: list, author: m.Author, parent: str, counters: dict) -> None:
+    path = _child_path(parent, counters, "author")
+    out.append((path, author))
+    if author.affiliation is not None:
+        aff_path = f"{path}/affiliation[1]"
+        out.append((aff_path, author.affiliation))
+        affc: dict = {}
+        for unit in author.affiliation.org_units:
+            out.append((_child_path(aff_path, affc, "orgName"), unit))
+
+
+def _walk_biblstruct(out: list, bs: m.BiblStruct, path: str) -> None:
+    out.append((path, bs))
+    counters: dict = {}
+    if bs.analytic is not None:
+        a_path = _child_path(path, counters, "analytic")
+        ac: dict = {}
+        for title in bs.analytic.titles:
+            t_path = _child_path(a_path, ac, "title")
+            out.append((t_path, title))
+            _walk_rich(out, title.text, t_path, {})
+        for author in bs.analytic.authors:
+            _walk_author(out, author, a_path, ac)
+    m_path = _child_path(path, counters, "monogr")
+    mc: dict = {}
+    for author in bs.monogr.authors:
+        _walk_author(out, author, m_path, mc)
+    for title in bs.monogr.titles:
+        t_path = _child_path(m_path, mc, "title")
+        out.append((t_path, title))
+        _walk_rich(out, title.text, t_path, {})
+    imprint = bs.monogr.imprint
+    if imprint.publisher or imprint.pub_place or imprint.date or imprint.scopes:
+        i_path = _child_path(m_path, mc, "imprint")
+        ic: dict = {}
+        for scope in imprint.scopes:
+            out.append((_child_path(i_path, ic, "biblScope"), scope))
+
+
+def _walk_block(out: list, block, parent: str, counters: dict) -> None:
+    path = _child_path(parent, counters, _element_name(block))
+    out.append((path, block))
+    inner: dict = {}
+    if isinstance(block, m.Paragraph):
+        _walk_rich(out, block.content, path, inner)
+    elif isinstance(block, m.CitBlock):
+        _walk_leaf_rich(out, block.quote, path, inner, "quote")
+        if isinstance(block.source, m.BiblStruct):
+            _walk_biblstruct(
+                out, block.source, _child_path(path, inner, "biblStruct")
+            )
+        if block.qualifiers:
+            _walk_leaf_rich(out, block.qualifiers, path, inner, "note")
+    elif isinstance(block, (m.FigureBlock, m.TableBlock)):
+        if block.caption:
+            _walk_leaf_rich(out, block.caption, path, inner, "head")
+    elif isinstance(block, m.ListBlock):
+        for item in block.items:
+            _walk_leaf_rich(out, item, path, inner, "item")
+    elif isinstance(block, m.QuoteBlock):
+        _walk_rich(out, block.content, path, inner)
+
+
+def _walk_division(
+    out: list, division: m.Division, parent: str, counters: dict
+) -> None:
+    path = _child_path(parent, counters, "div")
+    out.append((path, division))
+    inner: dict = {}
+    if division.head:
+        _walk_leaf_rich(out, division.head, path, inner, "head")
+    for block in division.blocks:
+        _walk_block(out, block, path, inner)
+    for child in division.children:
+        _walk_division(out, child, path, inner)

@@ -15,7 +15,14 @@ from hypothesis import strategies as st
 import teijournal
 from teijournal import render, validator, xmlio
 from teijournal.cli import ExitStatus, main
-from teijournal.rawxml import MAX_DEPTH, RawNode, RawXmlError, _resolve_name, parse_raw
+from teijournal.rawxml import (
+    MAX_DEPTH,
+    RawNode,
+    RawXmlError,
+    _resolve_name,
+    parse_raw,
+    source_path,
+)
 from teijournal.schema import (
     arbitrate,
     codify,
@@ -27,7 +34,7 @@ from teijournal.schema import (
     validate_against,
 )
 
-from support import write_corpus
+from support import article_bytes, write_corpus
 
 TEI = "http://www.tei-c.org/ns/1.0"
 
@@ -185,6 +192,100 @@ class TestStartTagScan:
         assert data[a.start : a.end] == b"""<a k='>/' v="/>">x</a>"""
         assert data[b.start : b.end] == b"""<b k="'>'"\n\t/>"""
         assert (c.start, c.end) == (len(data) - 8, len(data) - 4)
+
+
+def tree_paths(node: RawNode, path: str = "") -> list:
+    """(node, path) per element, with the path built on the way down."""
+    path = f"{path}/{node.name}[{node.ordinal}]" if path else f"{node.name}[1]"
+    out = [(node, path)]
+    for child in node.element_children():
+        out.extend(tree_paths(child, path))
+    return out
+
+
+class TestSourcePath:
+    @settings(max_examples=60, deadline=None)
+    @given(documents())
+    def test_matches_path_built_top_down(self, data):
+        for node, path in tree_paths(parse_raw(data).root):
+            assert source_path(node) == path
+
+    def test_nodes_carry_no_parent(self):
+        root = parse_raw(b"<d><e><f/></e><e/></d>").root
+        first, second = root.element_children()
+        assert not hasattr(first, "parent")
+        assert first.up is second.up == ("d", 1, None)
+        assert source_path(first.children[0]) == "d[1]/e[1]/f[1]"
+
+
+# --------------------------------------------------------------------------
+# Namespace declarations recorded during the parse
+# --------------------------------------------------------------------------
+
+
+def walk_ns_decls(root: RawNode) -> tuple:
+    """Oracle: the walk over every element's declarations that parse_article
+    made before the parse recorded them; first declaration of a prefix wins."""
+    seen: dict = {}
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        for prefix, uri in node.ns_decls:
+            seen.setdefault(prefix, uri)
+        stack.extend(reversed(node.element_children()))
+    return tuple(seen.items())
+
+
+# Each prefix is declared with one of two URIs, so nested elements re-declare
+# prefixes with other URIs; names and attributes use the prefixes in scope.
+NS_CHOICES = {"p": ("urn:p1", "urn:p2"), "q": ("urn:q1", "urn:q2")}
+
+
+@st.composite
+def ns_element(draw, scope: frozenset = frozenset({"x"}), depth: int = 0) -> str:
+    decls = {}
+    for prefix, uris in NS_CHOICES.items():
+        uri = draw(st.sampled_from((None, *uris)))
+        if uri is not None:
+            decls[prefix] = uri
+    scope = scope | set(decls)
+    name = draw(st.sampled_from(["a", *sorted(f"{p}:e" for p in scope)]))
+    head = name + "".join(f' xmlns:{p}="{uri}"' for p, uri in decls.items())
+    if draw(st.booleans()):
+        head += f' {draw(st.sampled_from(sorted(scope)))}:k="v"'
+    if depth >= 3 or draw(st.integers(0, 2)) == 0:
+        return f"<{head}/>"
+    children = draw(st.lists(ns_element(scope, depth + 1), max_size=3))
+    return f"<{head}>t{''.join(children)}</{name}>"
+
+
+class TestNamespaceDeclarations:
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(ns_element(), max_size=3))
+    def test_raw_document_matches_walk(self, children):
+        data = f'<doc xmlns:x="urn:x">{"".join(children)}</doc>'.encode()
+        doc = parse_raw(data)
+        assert doc.ns_decls == walk_ns_decls(doc.root)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(ns_element(), min_size=1, max_size=3), st.booleans())
+    def test_article_hoists_prefixes_of_opaque_markup(self, fragments, block):
+        """Foreign markup inside a paragraph and as a block of its own."""
+        opaque = f'<x:w xmlns:x="urn:x">{"".join(fragments)}</x:w>'
+        body = f'<div type="s"><p>See {opaque}.</p>{opaque if block else ""}</div>'
+        data = article_bytes(title="Opaque", body=body)
+        article = xmlio.parse_article(data, "o.xml").outcome
+        expected = tuple(sorted(walk_ns_decls(parse_raw(data).root)))
+        assert article.ns_decls == expected
+        serialized = xmlio.serialize_article(article)
+        assert xmlio.parse_article(serialized).outcome.ns_decls == expected
+
+    def test_first_declaration_wins_in_document_order(self):
+        data = (b'<d><a xmlns:p="urn:1"><b xmlns:p="urn:2" xmlns:q="urn:3"/></a>'
+                b'<c xmlns:q="urn:4" xmlns:r="urn:5"/></d>')
+        assert parse_raw(data).ns_decls == (
+            ("p", "urn:1"), ("q", "urn:3"), ("r", "urn:5")
+        )
 
 
 # --------------------------------------------------------------------------

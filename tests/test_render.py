@@ -363,6 +363,27 @@ class TestPlaintext:
         assert all(len(line) <= 78 for line in lines)
         assert "–" not in text  # en-dashes downgraded for terminals
 
+    def test_long_title_and_heads_wrap_to_width(self):
+        title = " ".join(["Considerably"] * 11 + ["Long", "Title"])[:150]
+        head = "A Section Head That Runs On " * 4
+        body = (
+            f'<div type="section"><head>{head}</head><p>x.</p>'
+            f'<div type="subsection"><head>{head}</head><p>y.</p></div></div>'
+        )
+        article = parse_article(article_bytes(title=title, body=body), "t.xml").outcome
+        lines = render_plaintext(article).splitlines()
+        assert len(title) == 150
+        assert max(len(line) for line in lines) <= 78
+        assert " ".join(lines[:2]) == title
+        assert lines[2] == "=" * max(len(lines[0]), len(lines[1]))
+        assert lines[3:6] == ["", "Michael Dean", ""]
+        head = " ".join(head.split())
+        for first, mark in ((6, "="), (12, "-")):
+            wrapped = lines[first : first + 2]
+            assert " ".join(wrapped) == head
+            assert lines[first + 2] == mark * max(len(line) for line in wrapped)
+        assert lines[9:12] == ["", "x.", ""]
+
     def test_citations_always_numbered(self):
         article = cited_article()
         for style in (None, builtin_style("apa")):

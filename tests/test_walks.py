@@ -1,0 +1,187 @@
+"""Shared per-article walks, and structures free of reference cycles.
+
+Every per-document structure (raw trees, parse reports, model walks,
+findings, rendered pages, corpus products, schema profiles) must be freed
+by reference counting alone, so a run never leaves work for the cyclic
+garbage collector.  The model walk behind the validator, the renderers and
+the corpus products runs once per ``Article`` instance.
+"""
+
+import dataclasses
+import gc
+
+import pytest
+
+from teijournal import corpus, render, schema, validator, xmlio
+from teijournal import model as m
+from teijournal.rawxml import parse_raw
+
+from support import article_bytes, write_corpus
+
+REFS = "".join(
+    f'<biblStruct xml:id="b{i}" type="book"><monogr><author><persName>'
+    f"<forename>Ann</forename><surname>Writer{i}</surname></persName></author>"
+    f'<title level="m" type="main">Book {i}</title>'
+    f'<imprint><date when="200{i}"/></imprint></monogr></biblStruct>'
+    for i in range(6)
+)
+BODY = (
+    '<div type="section"><head>Methods <hi rend="italic">here</hi></head>'
+    '<p>As <ref target="#b3" type="bibr">shown</ref> by <persName key="p1">Ann'
+    '</persName> in <placeName>Oslo</placeName>, see <ref target="#b1" '
+    'type="bibr"/> and <ref target="#b3" type="bibr"/> with <term type="software">'
+    "Tool</term> and <choice><abbr>TEI</abbr><expan>Text Encoding</expan></choice>."
+    '</p><cit><quote>Quoted</quote><ref target="#b5" type="bibr"/></cit>'
+    '<div type="subsection"><head>Inner</head><p>More <ref target="#nope" '
+    'type="bibr">x</ref> <orgName>Org</orgName>.</p></div></div>'
+)
+
+
+def article_data(n: int = 0) -> bytes:
+    return article_bytes(
+        title=f"Generated Article {n}",
+        doi=f"10.1000/gen.{n}",
+        body=BODY,
+        refs=REFS,
+        changes=f'<change when="2009-0{n + 2}-01" type="correction">Fixed</change>',
+    )
+
+
+def parse(data: bytes) -> m.Article:
+    return xmlio.parse_article(data, "gen.xml").outcome
+
+
+# --------------------------------------------------------------------------
+# No cyclic garbage
+# --------------------------------------------------------------------------
+
+STYLE = render.builtin_style("apa")
+RULES = schema.parse_rules("title type main -> primary\nhi rend italic -> i\n")
+
+
+def _schema_check(data: bytes) -> list:
+    doc = parse_raw(data)
+    plain = parse_raw(article_bytes(title="Plain"))
+    rules = schema.codify(schema.profile_corpus([plain]))
+    return schema.validate_against(rules, doc, schema.load_base_schema())
+
+
+CASES = {
+    "parse_raw": lambda data, paths: parse_raw(data),
+    "parse_article": lambda data, paths: xmlio.parse_article(data, "gen.xml"),
+    "iter_model_paths": lambda data, paths: xmlio.iter_model_paths(parse(data)),
+    "validate": lambda data, paths: validator.validate(parse(data)),
+    "render_xhtml": lambda data, paths: render.render_xhtml(parse(data), STYLE),
+    "render_plaintext": lambda data, paths: render.render_plaintext(parse(data)),
+    "load_corpus": lambda data, paths: corpus.load_corpus(paths),
+    "build_indexes": lambda data, paths: corpus.build_indexes(
+        corpus.load_corpus(paths)
+    ),
+    "query": lambda data, paths: corpus.query(
+        corpus.load_corpus(paths), corpus.Query(text="o")
+    ),
+    "profile_corpus": lambda data, paths: schema.profile_corpus(
+        [parse_raw(data), parse_raw(article_data(1))]
+    ),
+    "validate_against": lambda data, paths: _schema_check(data),
+    "arbitrate": lambda data, paths: schema.arbitrate([parse_raw(data)], RULES),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_no_cyclic_garbage(name, tmp_path):
+    data = article_data()
+    paths = write_corpus(
+        tmp_path, {f"a{n}.xml": article_data(n) for n in range(3)}
+    )
+    run = CASES[name]
+    run(data, paths)  # first use fills module-level caches (styles, regexes)
+    gc.disable()
+    try:
+        gc.collect()
+        result = run(data, paths)
+        assert result
+        del result
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+# --------------------------------------------------------------------------
+# One walk per article
+# --------------------------------------------------------------------------
+
+
+@pytest.fixture
+def walks(monkeypatch) -> list:
+    """The articles ``iter_model_paths`` walks, in call order."""
+    walked: list = []
+    real = xmlio.iter_model_paths
+
+    def counting(article):
+        walked.append(article)
+        return real(article)
+
+    monkeypatch.setattr(xmlio, "iter_model_paths", counting)
+    return walked
+
+
+def test_validate_and_every_rendering_share_one_walk(walks):
+    article = parse(article_data())
+    findings = validator.validate(article)
+    pages = [
+        render.render_xhtml(article, render.builtin_style(style))
+        for style in ("apa", "chicago", "mla")
+    ]
+    text = render.render_plaintext(article)
+    assert len(walks) == 1 and walks[0] is article
+    assert [f.rule_id for f in findings] == ["R9"]
+    assert all('href="#ref-b3"' in page for page in pages)
+    assert "[1]" in text
+
+
+def test_replaced_article_gets_its_own_walk(walks):
+    article = parse(article_data())
+    assert render.citation_order(article) == ["b3", "b1", "b5"]
+    body = article.body[0]
+    changed = dataclasses.replace(
+        article, body=(dataclasses.replace(body, blocks=body.blocks[1:]),)
+    )
+    assert render.citation_order(changed) == ["b5"]
+    assert render.citation_order(article) == ["b3", "b1", "b5"]
+    assert [id(a) for a in walks] == [id(article), id(changed)]
+    assert changed != article
+
+
+def test_public_walks_return_new_lists(walks):
+    article = parse(article_data())
+    shared = xmlio.model_paths(article)
+    fresh = xmlio.iter_model_paths(article)
+    assert fresh == shared and fresh is not shared
+    assert len(walks) == 2  # the public walker always walks
+    order = render.citation_order(article)
+    order.append("mutated")
+    assert render.citation_order(article) == ["b3", "b1", "b5"]
+
+
+def test_corpus_products_share_the_walk(walks, tmp_path):
+    paths = write_corpus(tmp_path, {f"a{n}.xml": article_data(n) for n in range(3)})
+    loaded = corpus.load_corpus(paths)
+    entries = corpus.build_indexes(loaded)
+    hits = corpus.query(loaded, corpus.Query(element_kind="person-mention"))
+    for article in loaded.articles.values():
+        validator.validate(article)
+    assert len(walks) == 3
+    assert {e.display for e in entries if e.kind == "place"} == {"Oslo"}
+    assert [h[2] for h in hits] == ["Ann"] * 3
+
+
+def test_first_reference_entry_wins_for_duplicate_ids():
+    first = m.BiblStruct(xml_id="b1", monogr=m.Monogr(issn="1"))
+    second = m.BiblStruct(xml_id="b1", monogr=m.Monogr(issn="2"))
+    article = m.Article(
+        back=m.BackMatter(reference_list=m.ListBibl((first, second)))
+    )
+    assert m.resolve_ref(article, "#b1") is first
+    assert article.entries_by_id == {"b1": first}
+    assert m.resolve_ref(m.Article(), "#b1") is None
