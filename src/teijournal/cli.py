@@ -27,22 +27,11 @@ from pathlib import Path
 
 from .base import BUILTIN_STYLES, QUERY_KINDS
 from .rawxml import RawXmlError, parse_raw
-from .schema import (
-    CodifyOptions,
-    arbitrate,
-    codify,
-    detect_variants,
-    load_base_schema,
-    parse_rules,
-    profile_corpus,
-    schema_from_json,
-    schema_to_json,
-    validate_against,
-)
 
-# The TEI commands import the model, builder, validator, renderers and
-# corpus code inside their functions, so the schema commands never load
-# them.  Names are looked up in their modules at call time.
+# Each command imports, inside its function, the modules only it needs: the
+# schema commands never load the model, builder, validator, renderers or
+# corpus code, and the TEI commands never load ``schema``.  Names are looked
+# up in their modules at call time.
 
 
 class ExitStatus(IntEnum):
@@ -219,8 +208,10 @@ def _load_corpus_dir(directory: str):
 
 
 def _load_schema_file(path: str):
+    from . import schema as schema_ops
+
     try:
-        return schema_from_json(Path(path).read_text(encoding="utf-8"))
+        return schema_ops.schema_from_json(Path(path).read_text(encoding="utf-8"))
     except (OSError, ValueError, KeyError) as exc:
         raise CliError(f"cannot load schema {path}: {exc}") from None
 
@@ -293,13 +284,15 @@ def cmd_validate(args) -> int:
 
 
 def cmd_schema_validate(args) -> int:
+    from . import schema as schema_ops
+
     schema = _load_schema_file(args.schema)
     if args.no_base:
         base = None
     elif args.base:
         base = _load_schema_file(args.base)
     else:
-        base = load_base_schema()
+        base = schema_ops.load_base_schema()
 
     def check(name: str, data: bytes):
         try:
@@ -307,12 +300,14 @@ def cmd_schema_validate(args) -> int:
         except RawXmlError as exc:
             print(f"{name}: cannot parse: {exc}", file=sys.stderr)
             return None
-        return validate_against(schema, doc, base)
+        return schema_ops.validate_against(schema, doc, base)
 
     return _report_findings(args, check)
 
 
-def _codify_options(args) -> CodifyOptions:
+def _codify_options(args):
+    from .schema import CodifyOptions
+
     kwargs: dict = {}
     if args.enumerable is not None:
         kwargs["enumerable_attributes"] = frozenset(
@@ -327,11 +322,15 @@ def _codify_options(args) -> CodifyOptions:
 
 
 def cmd_codify(args) -> int:
+    from . import schema as schema_ops
+
     docs = _load_raw_dir(args.dir)
     if not docs:
         raise CliError(f"no parseable documents in {args.dir}")
-    schema = codify(profile_corpus(d for _, d in docs), _codify_options(args))
-    _write_text(args.out, schema_to_json(schema))
+    schema = schema_ops.codify(
+        schema_ops.profile_corpus(d for _, d in docs), _codify_options(args)
+    )
+    _write_text(args.out, schema_ops.schema_to_json(schema))
     attr_count = sum(len(rule.attributes) for rule in schema.elements.values())
     print(
         f"codified {len(docs)} documents: {len(schema.elements)} elements, "
@@ -341,8 +340,12 @@ def cmd_codify(args) -> int:
 
 
 def cmd_variants(args) -> int:
+    from . import schema as schema_ops
+
     docs = _load_raw_dir(args.dir)
-    clusters = detect_variants(profile_corpus(d for _, d in docs))
+    clusters = schema_ops.detect_variants(
+        schema_ops.profile_corpus(d for _, d in docs)
+    )
     for cluster in clusters:
         members = ", ".join(f"{value} ({count})" for value, count in cluster.members)
         print(f"{cluster.element} @{cluster.attribute} ~{cluster.key}: {members}")
@@ -352,28 +355,32 @@ def cmd_variants(args) -> int:
 
 
 def cmd_arbitrate(args) -> int:
+    from . import schema as schema_ops
+
     try:
-        rules = parse_rules(Path(args.rules).read_text(encoding="utf-8"))
+        rules = schema_ops.parse_rules(Path(args.rules).read_text(encoding="utf-8"))
     except OSError as exc:
         raise CliError(f"cannot read rules {args.rules}: {exc}") from None
     except ValueError as exc:
         raise CliError(f"bad rules file: {exc}") from None
     named = _load_raw_dir(args.dir)
     try:
-        rewritten, changes = arbitrate([doc for _, doc in named], rules)
+        rewritten, changes = schema_ops.arbitrate(
+            [doc for _, doc in named], rules, parse=False
+        )
     except ValueError as exc:
         raise CliError(str(exc)) from None
     if args.in_place:
         _replace_all(
-            (name, new.data)
-            for (name, old), new in zip(named, rewritten)
-            if new.data != old.data
+            (name, data)
+            for (name, old), data in zip(named, rewritten)
+            if data != old.data
         )
     else:
         out_root = Path(args.out_dir)
         out_root.mkdir(parents=True, exist_ok=True)
-        for (name, _), new in zip(named, rewritten):
-            (out_root / Path(name).name).write_bytes(new.data)
+        for (name, _), data in zip(named, rewritten):
+            (out_root / Path(name).name).write_bytes(data)
     print(f"{changes} attribute values rewritten across {len(named)} documents")
     return ExitStatus.OK
 

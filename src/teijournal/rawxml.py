@@ -1,9 +1,12 @@
 """Low-level XML tree with source byte spans.
 
-Built directly on ``xml.parsers.expat`` so that every element records the
-byte range it occupies in the input. Those spans let higher layers carry
-unrecognized markup through a parse/serialize cycle verbatim, and let the
-rewrite machinery splice attribute values without disturbing anything else.
+Built directly on ``xml.parsers.expat`` so that every element records where
+it starts and where its end tag was reported in the input.
+:meth:`RawDocument.span` turns that into the byte range the element
+occupies, on demand, because only a few nodes ever need it.  Those spans
+let higher layers carry unrecognized markup through a parse/serialize cycle
+verbatim, and let the rewrite machinery splice attribute values without
+disturbing anything else.
 
 Hardening: entity declarations of any kind and external DTD subsets are
 rejected outright, as are UTF-16/32 inputs and non-UTF-8 encoding
@@ -52,8 +55,8 @@ class RawNode:
     ns: str = ""
     attrs: dict = field(default_factory=dict)
     children: list = field(default_factory=list)  # RawNode | str
-    start: int = 0
-    end: int = 0
+    start: int = 0  # offset of the start tag's '<'
+    close: int = 0  # where expat reported the end: see RawDocument.span
     up: "tuple | None" = field(default=None, repr=False)  # parent's chain
     ordinal: int = 1  # 1-based position among same-named siblings
     ns_decls: tuple = ()  # prefixed declarations carried by this element
@@ -89,6 +92,11 @@ class RawNode:
         )
 
 
+# The rest of a start tag after its '<': any run of unquoted bytes and
+# quoted values up to the first unquoted '>' (values may contain '>').
+_START_TAG_REST_RE = re.compile(rb"""(?:[^"'>]|"[^"]*"|'[^']*')*>""")
+
+
 @dataclass
 class RawDocument:
     data: bytes
@@ -96,8 +104,24 @@ class RawDocument:
     #: First declaration of each namespace prefix, in document order.
     ns_decls: tuple = ()
 
+    def span(self, node: RawNode) -> tuple[int, int]:
+        """The ``(start, end)`` byte offsets of ``node``'s markup.
+
+        The parse records only where each element starts and where expat
+        reported its end tag; the end offset is worked out here, for the
+        few nodes that need it.  An empty-element tag ends at its own
+        ``/>``; otherwise the end tag runs to the next ``>`` (end tags
+        contain no quotes).
+        """
+        data = self.data
+        end = _START_TAG_REST_RE.match(data, node.start + 1).end()
+        if data[end - 2] != 0x2F:  # no '/' before the '>': paired tags
+            end = data.index(b">", node.close) + 1
+        return node.start, end
+
     def slice(self, node: RawNode) -> str:
-        return self.data[node.start : node.end].decode("utf-8")
+        start, end = self.span(node)
+        return self.data[start:end].decode("utf-8")
 
 
 def source_path(node: RawNode) -> str:
@@ -139,11 +163,6 @@ def _resolve_name(expat_name: str) -> tuple[str, str]:
     return "{%s}%s" % (uri, local), uri
 
 
-# The rest of a start tag after its '<': any run of unquoted bytes and
-# quoted values up to the first unquoted '>' (values may contain '>').
-_START_TAG_REST_RE = re.compile(rb"""(?:[^"'>]|"[^"]*"|'[^']*')*>""")
-
-
 def parse_raw(data: bytes) -> RawDocument:
     """Parse bytes into a span-annotated tree, or raise ``RawXmlError``."""
     if not data.strip():
@@ -155,9 +174,10 @@ def parse_raw(data: bytes) -> RawDocument:
     parser.buffer_text = True
 
     root_holder: list[RawNode] = []
-    stack: list[RawNode] = []
-    counters: list[dict] = []  # same-name sibling counters per open element
-    chains: list = []  # upward chain per open element, made at its first child
+    # One frame per open element: [node, its children list, same-name
+    # sibling counters, upward chain]; the last two are made at its first
+    # element child.
+    stack: list[list] = []
     pending_ns: list[tuple] = []
     first_ns: dict = {}  # prefix -> URI of its first declaration
     names: dict = {}  # expat name -> (name, namespace URI), for this parse
@@ -193,42 +213,42 @@ def parse_raw(data: bytes) -> RawDocument:
             pairs = iter(attr_list)
             for attr_name, value in zip(pairs, pairs):
                 attrs[(names.get(attr_name) or resolve(attr_name))[0]] = value
-        start = parser.CurrentByteIndex
-        end = _START_TAG_REST_RE.match(data, start + 1).end()
-        if data[end - 2] != 0x2F:  # no '/' before the '>': set by on_end
-            end = 0
-        ns_decls = tuple(pending_ns) if pending_ns else ()
-        pending_ns.clear()
-        if stack:
-            parent = stack[-1]
-            up = chains[-1]
-            if up is None:
-                up = chains[-1] = (parent.name, parent.ordinal, parent.up)
-            siblings = counters[-1]
-            ordinal = siblings[name] = siblings.get(name, 0) + 1
-            # positional for speed: name, ns, attrs, children, start, end,
-            # up, ordinal, ns_decls, foreign
-            node = RawNode(name, uri, attrs, [], start, end, up, ordinal, ns_decls,
-                           parent.foreign or uri != root_holder[0].ns)
-            parent.children.append(node)
+        if pending_ns:
+            ns_decls = tuple(pending_ns)
+            pending_ns.clear()
         else:
-            node = RawNode(name, uri, attrs, start=start, end=end, ns_decls=ns_decls)
+            ns_decls = ()
+        children = []
+        if stack:
+            frame = stack[-1]
+            up = frame[3]
+            if up is None:
+                parent = frame[0]
+                up = frame[3] = (parent.name, parent.ordinal, parent.up)
+                siblings = frame[2] = {name: 1}
+                ordinal = 1
+            else:
+                siblings = frame[2]
+                ordinal = siblings[name] = siblings.get(name, 0) + 1
+            # positional for speed: name, ns, attrs, children, start, close,
+            # up, ordinal, ns_decls, foreign
+            node = RawNode(name, uri, attrs, children, parser.CurrentByteIndex, 0,
+                           up, ordinal, ns_decls,
+                           frame[0].foreign or uri != root_holder[0].ns)
+            frame[1].append(node)
+        else:
+            node = RawNode(name, uri, attrs, children, parser.CurrentByteIndex,
+                           ns_decls=ns_decls)
             root_holder.append(node)
-        stack.append(node)
-        counters.append({})
-        chains.append(None)
+        stack.append([node, children, None, None])
 
     def on_end(expat_name) -> None:
-        node = stack.pop()
-        counters.pop()
-        chains.pop()
-        if node.end == 0:  # paired tags; end tags contain no quotes
-            node.end = data.index(b">", parser.CurrentByteIndex) + 1
+        stack.pop()[0].close = parser.CurrentByteIndex
 
     def on_text(text) -> None:
         if not stack:
             return
-        children = stack[-1].children
+        children = stack[-1][1]
         if children and isinstance(children[-1], str):
             children[-1] += text
         else:

@@ -484,6 +484,12 @@ def detect_variants(
 # --------------------------------------------------------------------------
 
 
+# Any character outside XML 1.0's Char production.
+_NON_XML_CHAR_RE = re.compile(
+    r"[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]"
+)
+
+
 @dataclass(frozen=True)
 class RewriteRule:
     element: str  # element name or "*"
@@ -495,6 +501,12 @@ class RewriteRule:
         if self.from_value == self.to_value:
             raise ValueError(
                 f"rewrite rule maps '{self.from_value}' to itself"
+            )
+        bad = _NON_XML_CHAR_RE.search(self.to_value)
+        if bad:
+            raise ValueError(
+                f"rewrite rule for {self.element} @{self.attribute}: target"
+                f" contains U+{ord(bad.group()):04X}, which XML does not allow"
             )
 
 
@@ -583,12 +595,18 @@ def _attr_value_spans(data: bytes, node: RawNode) -> list:
         i += 1
 
 
-def arbitrate(docs, rules) -> tuple:
+def arbitrate(docs, rules, *, parse: bool = True) -> tuple:
     """Apply rewrite rules across trees; returns (new trees, change count).
 
     Conflicting rules — the same (element, attribute, from) mapped to two
     targets — raise before anything is touched. A rule naming an element
     outranks a "*" rule for the same attribute and value.
+
+    With ``parse=False`` the first item holds each document's bytes instead
+    of a tree, for callers that only write the documents out.  Rewriting
+    cannot make a document ill-formed: a :class:`RewriteRule` target holds
+    only characters XML allows, values are written escaped, and namespace
+    declarations are left alone.
     """
     from .rawxml import parse_raw
 
@@ -614,14 +632,25 @@ def arbitrate(docs, rules) -> tuple:
         edits: list = []  # (start, end, replacement bytes)
         _collect_edits(doc.data, doc.root, lookup, edits)
         if not edits:
-            rewritten.append(doc)
+            rewritten.append(doc if parse else doc.data)
             continue
-        data = doc.data
-        for start, end, replacement in sorted(edits, reverse=True):
-            data = data[:start] + replacement + data[end:]
+        data = _splice(doc.data, edits)
         changes += len(edits)
-        rewritten.append(parse_raw(data))
+        rewritten.append(parse_raw(data) if parse else data)
     return rewritten, changes
+
+
+def _splice(data: bytes, edits: list) -> bytes:
+    """``data`` with each ``(start, end, replacement)`` applied; the spans
+    must not overlap.  Builds the result in one pass."""
+    parts: list = []
+    pos = 0
+    for start, end, replacement in sorted(edits):
+        parts.append(data[pos:start])
+        parts.append(replacement)
+        pos = end
+    parts.append(data[pos:])
+    return b"".join(parts)
 
 
 def _collect_edits(data: bytes, node: RawNode, lookup, edits: list) -> None:
@@ -632,6 +661,8 @@ def _collect_edits(data: bytes, node: RawNode, lookup, edits: list) -> None:
     }
     if any(target is not None for target in hits.values()):
         for raw_name, start, end in _attr_value_spans(data, node):
+            if raw_name == "xmlns" or raw_name.startswith("xmlns:"):
+                continue  # a namespace declaration, not an attribute
             display = raw_name.split(":")[-1] if ":" in raw_name else raw_name
             if raw_name == "xml:id":
                 display = "xml:id"

@@ -305,6 +305,25 @@ class TestArbitrate:
         assert code == ExitStatus.FAILURE
         assert "bad rules file" in err
 
+    @pytest.mark.parametrize("mode", ["--in-place", "--out-dir"])
+    def test_target_xml_forbids_is_a_bad_rules_file(
+        self, schema_corpus, tmp_path, capsys, mode
+    ):
+        before = {p.name: p.read_bytes() for p in schema_corpus.iterdir()}
+        rules = self.rules_file(tmp_path, "hi rend italics -> ital\x01ic\n")
+        argv = ["arbitrate", str(schema_corpus), "--rules", rules, mode]
+        if mode == "--out-dir":
+            argv.append(str(tmp_path / "fixed"))
+        code, out, err = run(capsys, argv)
+        assert code == ExitStatus.FAILURE
+        assert err == (
+            "teijournal: bad rules file: rewrite rule for hi @rend: target"
+            " contains U+0001, which XML does not allow\n"
+        )
+        assert out == ""
+        assert {p.name: p.read_bytes() for p in schema_corpus.iterdir()} == before
+        assert not (tmp_path / "fixed").exists()
+
     def test_missing_rules_file(self, schema_corpus, tmp_path, capsys):
         code, _, err = run(
             capsys,

@@ -1,5 +1,6 @@
-"""The raw layer: start-tag spans against a byte-by-byte oracle, the depth
-limit, in-place profiling, and the schema commands' import footprint."""
+"""The raw layer: start-tag spans against a byte-by-byte oracle, end offsets
+worked out only where they are read, the depth limit, in-place profiling,
+and the import footprint of the schema and TEI commands."""
 
 import json
 import subprocess
@@ -13,10 +14,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import teijournal
-from teijournal import render, validator, xmlio
+from teijournal import rawxml, render, validator, xmlio
 from teijournal.cli import ExitStatus, main
 from teijournal.rawxml import (
     MAX_DEPTH,
+    RawDocument,
     RawNode,
     RawXmlError,
     _resolve_name,
@@ -106,11 +108,11 @@ def oracle_nodes(data: bytes) -> list:
     return [tuple(record[:-1]) for record in out]
 
 
-def tree_nodes(node: RawNode) -> list:
-    out = [(node.name, node.attrs, node.start, node.end, node.ordinal,
+def tree_nodes(doc: RawDocument, node: RawNode) -> list:
+    out = [(node.name, node.attrs, *doc.span(node), node.ordinal,
             node.foreign, node.ns_decls)]
     for child in node.element_children():
-        out.extend(tree_nodes(child))
+        out.extend(tree_nodes(doc, child))
     return out
 
 
@@ -174,7 +176,8 @@ class TestStartTagScan:
     @settings(max_examples=120, deadline=None)
     @given(documents())
     def test_spans_and_node_fields_match_byte_scan(self, data):
-        assert tree_nodes(parse_raw(data).root) == oracle_nodes(data)
+        doc = parse_raw(data)
+        assert tree_nodes(doc, doc.root) == oracle_nodes(data)
 
     @settings(max_examples=50, deadline=None)
     @given(documents(), st.data())
@@ -187,11 +190,76 @@ class TestStartTagScan:
 
     def test_quoted_gt_and_slash(self):
         data = b"""<d><a k='>/' v="/>">x</a><b k="'>'"\n\t/><c/></d>"""
-        root = parse_raw(data).root
-        a, b, c = root.element_children()
-        assert data[a.start : a.end] == b"""<a k='>/' v="/>">x</a>"""
-        assert data[b.start : b.end] == b"""<b k="'>'"\n\t/>"""
-        assert (c.start, c.end) == (len(data) - 8, len(data) - 4)
+        doc = parse_raw(data)
+        a, b, c = doc.root.element_children()
+        assert data[slice(*doc.span(a))] == b"""<a k='>/' v="/>">x</a>"""
+        assert data[slice(*doc.span(b))] == b"""<b k="'>'"\n\t/>"""
+        assert doc.span(c) == (len(data) - 8, len(data) - 4)
+
+
+# --------------------------------------------------------------------------
+# End offsets are worked out only for the nodes whose span is read
+# --------------------------------------------------------------------------
+
+
+class CountingPattern:
+    """Stands in for a compiled pattern and counts its ``match`` calls."""
+
+    def __init__(self, pattern):
+        self.pattern = pattern
+        self.calls = 0
+
+    def match(self, *args):
+        self.calls += 1
+        return self.pattern.match(*args)
+
+
+@pytest.fixture
+def tag_scans(monkeypatch):
+    counter = CountingPattern(rawxml._START_TAG_REST_RE)
+    monkeypatch.setattr(rawxml, "_START_TAG_REST_RE", counter)
+    return counter
+
+
+@pytest.fixture
+def slices(monkeypatch):
+    calls = []
+    real = RawDocument.slice
+
+    def counting_slice(self, node):
+        calls.append(node)
+        return real(self, node)
+
+    monkeypatch.setattr(RawDocument, "slice", counting_slice)
+    return calls
+
+
+OPAQUE_BODY = (
+    '<div type="s"><p>See <x:w xmlns:x="urn:x" k="a>b"><x:v/></x:w> and'
+    ' <x:e xmlns:x="urn:x"\n/>.</p>'
+    "<table><row><cell>1</cell></row></table>"
+    '<formula notation="tex">x</formula><list><head>H</head></list></div>'
+)
+
+
+class TestDeferredSpans:
+    def test_parse_without_opaque_markup_scans_no_start_tag(self, tag_scans, slices):
+        data = article_bytes(title="Plain")
+        report = xmlio.parse_article(data, "plain.xml")
+        assert report.ok and not slices
+        assert tag_scans.calls == 0
+
+    def test_raw_parse_scans_no_start_tag(self, tag_scans):
+        parse_raw(article_bytes(title="Opaque", body=OPAQUE_BODY))
+        parse_raw(b"<d><a k='>'/><b>x</b></d>")
+        assert tag_scans.calls == 0
+
+    def test_parse_article_scans_once_per_sliced_node(self, tag_scans, slices):
+        data = article_bytes(title="Opaque", body=OPAQUE_BODY)
+        report = xmlio.parse_article(data, "opaque.xml")
+        assert report.ok
+        assert len(slices) == 5
+        assert tag_scans.calls <= len(slices)
 
 
 def tree_paths(node: RawNode, path: str = "") -> list:
@@ -378,7 +446,7 @@ class TestProfileCorpus:
 
 
 # --------------------------------------------------------------------------
-# The schema commands do not load the TEI stack
+# The schema commands do not load the TEI stack, nor the TEI commands schema
 # --------------------------------------------------------------------------
 
 TEI_MODULES = {f"teijournal.{name}" for name in
@@ -414,6 +482,30 @@ def test_schema_commands_skip_tei_modules(tmp_path):
         assert code == 0, (argv, done.stderr)
         assert "teijournal.schema" in loaded
         assert not TEI_MODULES & set(loaded), argv
+
+
+def test_tei_commands_skip_schema_module(tmp_path):
+    docs = tmp_path / "docs"
+    write_corpus(docs, {"one.xml": article_bytes(title="One"),
+                        "two.xml": article_bytes(title="Two")})
+    one = str(docs / "one.xml")
+    env = {"PYTHONPATH": str(Path(teijournal.__file__).parents[1])}
+    commands = (
+        ["validate", one, "--format", "records"],
+        ["index", str(docs), "--format", "records"],
+        ["biblio", str(docs)],
+        ["corrigenda", str(docs)],
+        ["query", str(docs), "--text", "one"],
+        ["render", one, "--to", "text"],
+        ["explain", "R9"],
+    )
+    for argv in commands:
+        done = subprocess.run([sys.executable, "-c", PROBE, *argv], env=env,
+                              capture_output=True, text=True, check=True)
+        code, loaded = json.loads(done.stdout)
+        assert code == 0, (argv, done.stderr)
+        assert "teijournal.model" in loaded
+        assert "teijournal.schema" not in loaded, argv
 
 
 def test_package_exports_resolve_lazily():

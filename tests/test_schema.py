@@ -19,6 +19,7 @@ from teijournal.schema import (
     profile_corpus,
     profile_document,
     schema_from_json,
+    _splice,
     schema_to_json,
     validate_against,
 )
@@ -384,3 +385,53 @@ class TestArbitrate:
         rules = parse_rules("hi rend italics -> italic\nhi rend italics -> italic")
         _, changes = arbitrate(docs(*self.CORPUS), rules)
         assert changes == 1
+
+    def test_unparsed_output_is_the_parsed_output_bytes(self):
+        rules = parse_rules("hi rend italics -> italic")
+        parsed, changes = arbitrate(docs(*self.CORPUS), rules)
+        originals = docs(*self.CORPUS)
+        data, same_changes = arbitrate(originals, rules, parse=False)
+        assert data == [d.data for d in parsed]
+        assert same_changes == changes
+        assert data[1] is originals[1].data
+
+    @pytest.mark.parametrize("target", ["w\x01x", "w\ufffe", "w\ud800", "a\x1fb"])
+    def test_targets_xml_forbids_are_rejected(self, target):
+        with pytest.raises(ValueError, match="which XML does not allow"):
+            parse_rules(f"a k v -> {target}")
+        with pytest.raises(ValueError, match="which XML does not allow"):
+            RewriteRule("a", "k", "v", target)
+
+    def test_namespace_declarations_are_not_rewritten(self):
+        data = b'<d><a xmlns:k="v" k="v"/></d>'
+        rules = parse_rules("a k v -> http://www.w3.org/XML/1998/namespace")
+        out, changes = arbitrate(docs(data), rules)
+        assert changes == 1
+        assert out[0].data == data.replace(
+            b' k="v"', b' k="http://www.w3.org/XML/1998/namespace"'
+        )
+
+
+def splice_by_copies(data: bytes, edits: list) -> bytes:
+    """Oracle: the splice arbitrate made before, one whole copy per edit."""
+    for start, end, replacement in sorted(edits, reverse=True):
+        data = data[:start] + replacement + data[end:]
+    return data
+
+
+@st.composite
+def data_and_edits(draw) -> tuple:
+    data = draw(st.binary(max_size=60))
+    cuts = sorted(draw(st.lists(st.integers(0, len(data)), max_size=12)))
+    # consecutive cut pairs are disjoint spans, possibly empty
+    spans = list(zip(cuts[::2], cuts[1::2]))
+    edits = [(start, end, draw(st.binary(max_size=8))) for start, end in spans]
+    return data, draw(st.permutations(edits))
+
+
+class TestSplice:
+    @settings(max_examples=200, deadline=None)
+    @given(data_and_edits())
+    def test_matches_one_copy_per_edit(self, case):
+        data, edits = case
+        assert _splice(data, edits) == splice_by_copies(data, edits)
