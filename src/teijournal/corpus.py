@@ -14,9 +14,10 @@ findings, and schema findings all address document parts the same way.
 
 from __future__ import annotations
 
-import xml.etree.ElementTree as ET
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import groupby
+from operator import attrgetter
 
 from . import model as m
 from .base import MENTION_KINDS, QUERY_KINDS
@@ -25,7 +26,10 @@ from .render import (
     StyleError,
     bare_entry_text,
     builtin_style,
+    element,
+    escape_text,
     format_entry,
+    xhtml_page,
 )
 from .xmlio import Issue, ParseReport, model_paths, parse_article
 
@@ -384,37 +388,18 @@ def query(corpus: Corpus, q: Query) -> list:
 # --------------------------------------------------------------------------
 
 
-def _page(title: str, body_class: str) -> tuple:
-    html = ET.Element("html", {"xmlns": "http://www.w3.org/1999/xhtml"})
-    head = ET.SubElement(html, "head")
-    ET.SubElement(head, "title").text = title
-    body = ET.SubElement(html, "body")
-    ET.SubElement(body, "h1").text = title
-    container = ET.SubElement(body, "div", {"class": body_class})
-    return html, container
-
-
-def _page_markup(html: ET.Element) -> str:
-    return '<?xml version="1.0" encoding="UTF-8"?>\n' + ET.tostring(
-        html, encoding="unicode"
-    ) + "\n"
-
-
 def index_xhtml(entries) -> str:
     """The index as a standalone page (``tj-index``)."""
-    html, container = _page("Index", "tj-index")
-    current_kind = None
-    listing = None
-    for entry in entries:
-        if entry.kind != current_kind:
-            ET.SubElement(container, "h2").text = entry.kind
-            listing = ET.SubElement(container, "ul")
-            current_kind = entry.kind
-        li = ET.SubElement(listing, "li")
-        li.text = f"{entry.display} — "
-        refs = ", ".join(f"{doc_id}:{path}" for doc_id, path in entry.locators)
-        ET.SubElement(li, "span", {"class": "tj-locators"}).text = refs
-    return _page_markup(html)
+    parts = []
+    for kind, group in groupby(entries, key=attrgetter("kind")):
+        items = []
+        for entry in group:
+            refs = ", ".join(f"{doc_id}:{path}" for doc_id, path in entry.locators)
+            locators = element("span", escape_text(refs), {"class": "tj-locators"})
+            items.append(element("li", escape_text(f"{entry.display} — ") + locators))
+        parts.append(element("h2", escape_text(kind)) + element("ul", "".join(items)))
+    body = element("div", "".join(parts), {"class": "tj-index"})
+    return xhtml_page("Index", element("h1", "Index") + body)
 
 
 def _entry_line(record: m.BiblStruct, style: StyleGuide) -> str:
@@ -427,33 +412,33 @@ def _entry_line(record: m.BiblStruct, style: StyleGuide) -> str:
 def unified_bibliography_xhtml(items, style: StyleGuide | None = None) -> str:
     """The pooled bibliography as a standalone page (``tj-unibib``)."""
     style = style or builtin_style("chicago")
-    html, container = _page("Unified Bibliography", "tj-unibib")
-    listing = ET.SubElement(container, "ul")
+    lines = []
     for record, citing in items:
-        li = ET.SubElement(listing, "li")
-        li.text = _entry_line(record, style) + " "
-        cite = ET.SubElement(li, "span", {"class": "tj-citing"})
-        cite.text = f"(cited by: {', '.join(citing)})"
-    return _page_markup(html)
+        entry = escape_text(_entry_line(record, style) + " ")
+        cited_by = escape_text(f"(cited by: {', '.join(citing)})")
+        lines.append(element("li", entry + element("span", cited_by, {"class": "tj-citing"})))
+    body = element("div", element("ul", "".join(lines)), {"class": "tj-unibib"})
+    return xhtml_page("Unified Bibliography", element("h1", "Unified Bibliography") + body)
 
 
 def corrigenda_xhtml(entries) -> str:
     """The corrigenda as a standalone page (``tj-corrigenda``)."""
-    html, container = _page("Corrigenda", "tj-corrigenda")
-    listing = ET.SubElement(container, "ul")
-    for entry in entries:
-        li = ET.SubElement(listing, "li")
-        li.text = f"{entry.when.iso()} — {entry.article_id}: {entry.description}"
-    return _page_markup(html)
+    lines = "".join(
+        element("li", escape_text(f"{e.when.iso()} — {e.article_id}: {e.description}"))
+        for e in entries
+    )
+    body = element("div", element("ul", lines), {"class": "tj-corrigenda"})
+    return xhtml_page("Corrigenda", element("h1", "Corrigenda") + body)
 
 
 def query_xhtml(hits) -> str:
     """Query hits as a standalone page (``tj-query``)."""
-    html, container = _page("Query results", "tj-query")
-    listing = ET.SubElement(container, "ul")
-    for doc_id, path, snippet in hits:
-        ET.SubElement(listing, "li").text = f"{doc_id}:{path} — {snippet}"
-    return _page_markup(html)
+    lines = "".join(
+        element("li", escape_text(f"{doc_id}:{path} — {snippet}"))
+        for doc_id, path, snippet in hits
+    )
+    body = element("div", element("ul", lines), {"class": "tj-query"})
+    return xhtml_page("Query results", element("h1", "Query results") + body)
 
 
 def index_records(entries) -> list:

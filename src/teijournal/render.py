@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import json
 import textwrap
-import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 from importlib import resources
 
@@ -512,15 +511,46 @@ def format_reference_list(
 # --------------------------------------------------------------------------
 # XHTML
 # --------------------------------------------------------------------------
+#
+# Pages are written as strings, byte for byte as ``xml.etree.ElementTree``
+# would write the same tree: text escapes ``& < >``; attribute values also
+# escape ``"`` and write CR, LF and TAB as character references, in the
+# order given; an element with no content is ``<tag />``.  (``xmlio``
+# writes TEI by its own rules, which the canonical fixpoint needs.)
 
 
-def _append_text(element: ET.Element, text: str) -> None:
-    if not text:
-        return
-    if len(element):
-        element[-1].tail = (element[-1].tail or "") + text
-    else:
-        element.text = (element.text or "") + text
+def escape_text(text: str) -> str:
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
+def _escape_attr(value: str) -> str:
+    return (
+        escape_text(value).replace('"', "&quot;")
+        .replace("\r", "&#13;").replace("\n", "&#10;").replace("\t", "&#09;")
+    )
+
+
+def element(tag: str, content: str = "", attrs: dict | None = None) -> str:
+    """One element around ``content``, markup that is already escaped."""
+    start = tag
+    for name, value in (attrs or {}).items():
+        start += f' {name}="{_escape_attr(value)}"'
+    return f"<{start}>{content}</{tag}>" if content else f"<{start} />"
+
+
+def xhtml_page(title: str, body_markup: str) -> str:
+    """A standalone XHTML page: XML declaration, ``head/title`` and ``body``."""
+    head = element("head", element("title", escape_text(title)))
+    start = f'<?xml version="1.0" encoding="UTF-8"?>\n<html xmlns="{XHTML_NS}">{head}'
+    # one copy of the body, which can run to megabytes, not one per wrapper
+    if not body_markup:
+        return f"{start}<body /></html>\n"
+    return f"{start}<body>{body_markup}</body></html>\n"
+
+
+#: Mention class -> the CSS class of its ``span``.
+_MENTION_CSS = {PersonMention: "tj-person", OrgMention: "tj-org",
+                PlaceMention: "tj-place", TermMention: "tj-term"}
 
 
 class _HtmlContext:
@@ -535,118 +565,103 @@ class _HtmlContext:
         )
         self.entry_by_id = {e.ref_id: e for _, e in self.display if e.ref_id}
 
-    def marker(self, target: str, fallback: str) -> ET.Element | str:
+    def marker(self, target: str, fallback: str) -> str:
         ref_id = target[1:] if target.startswith("#") else None
         entry = self.entry_by_id.get(ref_id) if ref_id else None
         if entry is None:
-            span = ET.Element("span", {"class": "tj-ref"})
-            span.text = fallback or target
-            return span
-        link = ET.Element("a", {"class": "tj-ref", "href": f"#ref-{ref_id}"})
+            return element("span", escape_text(fallback or target), {"class": "tj-ref"})
         if self.style.marker_scheme == "numeric-bracket":
-            link.text = f"[{self.numbers[ref_id]}]"
+            text = f"[{self.numbers[ref_id]}]"
         else:
-            link.text = f"({entry.cite_text})"
-        return link
+            text = f"({entry.cite_text})"
+        return element("a", escape_text(text), {"class": "tj-ref", "href": f"#ref-{ref_id}"})
 
 
-def _rich_to_html(parent: ET.Element, content: RichText, ctx: _HtmlContext) -> None:
+def _rich_to_html(content: RichText, ctx: _HtmlContext) -> str:
+    parts = []
     for node in content:
         if isinstance(node, TextRun):
-            _append_text(parent, node.text)
+            parts.append(escape_text(node.text))
         elif isinstance(node, Emph):
             tag = "b" if "bold" in node.rend else "i"
-            child = ET.SubElement(parent, tag)
-            _rich_to_html(child, node.content, ctx)
+            parts.append(element(tag, _rich_to_html(node.content, ctx)))
         elif isinstance(node, BiblRef):
-            parent.append(ctx.marker(node.target, node.text))
+            parts.append(ctx.marker(node.target, node.text))
         elif isinstance(node, Link):
-            a = ET.SubElement(parent, "a", {"href": node.target})
-            a.text = node.text or node.target
-        elif isinstance(node, PersonMention):
-            ET.SubElement(parent, "span", {"class": "tj-person"}).text = node.text
-        elif isinstance(node, OrgMention):
-            ET.SubElement(parent, "span", {"class": "tj-org"}).text = node.text
-        elif isinstance(node, PlaceMention):
-            ET.SubElement(parent, "span", {"class": "tj-place"}).text = node.text
-        elif isinstance(node, TermMention):
-            ET.SubElement(parent, "span", {"class": "tj-term"}).text = node.text
+            text = escape_text(node.text or node.target)
+            parts.append(element("a", text, {"href": node.target}))
+        elif type(node) in _MENTION_CSS:
+            css = _MENTION_CSS[type(node)]
+            parts.append(element("span", escape_text(node.text), {"class": css}))
         elif isinstance(node, AbbrMention):
-            attrs = {"title": node.expansion} if node.expansion else {}
-            ET.SubElement(parent, "abbr", attrs).text = node.abbr
+            attrs = {"title": node.expansion} if node.expansion else None
+            parts.append(element("abbr", escape_text(node.abbr), attrs))
         elif isinstance(node, OpaqueInline):
-            code = ET.SubElement(parent, "code", {"class": "tj-opaque"})
-            code.text = node.markup
+            parts.append(element("code", escape_text(node.markup), {"class": "tj-opaque"}))
+    return "".join(parts)
 
 
-def _spans_to_html(parent: ET.Element, entry: RenderedEntry) -> None:
+def _spans_to_html(entry: RenderedEntry) -> str:
+    parts = []
     for span in entry.spans:
         if span.typography == "italic":
-            ET.SubElement(parent, "i").text = span.text
+            parts.append(element("i", escape_text(span.text)))
         elif span.typography == "quoted":
-            _append_text(parent, f'"{span.text}"')
+            parts.append(escape_text(f'"{span.text}"'))
         else:
-            _append_text(parent, span.text)
+            parts.append(escape_text(span.text))
+    return "".join(parts)
 
 
-def _block_to_html(parent: ET.Element, block, ctx: _HtmlContext) -> None:
+def _block_to_html(block, ctx: _HtmlContext) -> str:
     if isinstance(block, Paragraph):
-        p = ET.SubElement(parent, "p")
-        _rich_to_html(p, block.content, ctx)
-    elif isinstance(block, CitBlock):
-        quote = ET.SubElement(parent, "blockquote", {"class": "tj-cit"})
-        p = ET.SubElement(quote, "p")
-        _rich_to_html(p, block.quote, ctx)
+        return element("p", _rich_to_html(block.content, ctx))
+    if isinstance(block, CitBlock):
+        quote = _rich_to_html(block.quote, ctx)
         if isinstance(block.source, str):
-            _append_text(p, " ")
-            p.append(ctx.marker(block.source, block.source))
-        elif isinstance(block.source, BiblStruct):
-            src = ET.SubElement(quote, "p", {"class": "tj-cit-source"})
+            quote += " " + ctx.marker(block.source, block.source)
+        parts = [element("p", quote)]
+        if isinstance(block.source, BiblStruct):
             try:
-                _spans_to_html(src, format_entry(block.source, ctx.style))
+                source = _spans_to_html(format_entry(block.source, ctx.style))
             except StyleError:
-                _append_text(src, bare_entry_text(block.source))
+                source = escape_text(bare_entry_text(block.source))
+            parts.append(element("p", source, {"class": "tj-cit-source"}))
         if block.qualifiers:
-            q = ET.SubElement(quote, "p", {"class": "tj-cit-note"})
-            _rich_to_html(q, block.qualifiers, ctx)
-    elif isinstance(block, FigureBlock):
-        figure = ET.SubElement(parent, "div", {"class": "tj-figure"})
+            note = _rich_to_html(block.qualifiers, ctx)
+            parts.append(element("p", note, {"class": "tj-cit-note"}))
+        return element("blockquote", "".join(parts), {"class": "tj-cit"})
+    if isinstance(block, FigureBlock):
+        parts = []
         if block.graphic_url:
-            ET.SubElement(figure, "img", {"alt": "", "src": block.graphic_url})
+            parts.append(element("img", "", {"alt": "", "src": block.graphic_url}))
         if block.caption:
-            cap = ET.SubElement(figure, "p")
-            _rich_to_html(cap, block.caption, ctx)
-    elif isinstance(block, TableBlock):
-        div = ET.SubElement(parent, "div", {"class": "tj-table"})
-        if block.caption:
-            cap = ET.SubElement(div, "p")
-            _rich_to_html(cap, block.caption, ctx)
-        ET.SubElement(div, "pre").text = block.markup
-    elif isinstance(block, FormulaBlock):
-        ET.SubElement(parent, "pre", {"class": "tj-formula"}).text = block.markup
-    elif isinstance(block, ListBlock):
-        ul = ET.SubElement(parent, "ul")
-        for item in block.items:
-            li = ET.SubElement(ul, "li")
-            _rich_to_html(li, item, ctx)
-    elif isinstance(block, QuoteBlock):
-        quote = ET.SubElement(parent, "blockquote")
-        p = ET.SubElement(quote, "p")
-        _rich_to_html(p, block.content, ctx)
-    elif isinstance(block, OpaqueBlock):
-        ET.SubElement(parent, "pre", {"class": "tj-opaque"}).text = block.markup
+            parts.append(element("p", _rich_to_html(block.caption, ctx)))
+        return element("div", "".join(parts), {"class": "tj-figure"})
+    if isinstance(block, TableBlock):
+        caption = element("p", _rich_to_html(block.caption, ctx)) if block.caption else ""
+        table = caption + element("pre", escape_text(block.markup))
+        return element("div", table, {"class": "tj-table"})
+    if isinstance(block, FormulaBlock):
+        return element("pre", escape_text(block.markup), {"class": "tj-formula"})
+    if isinstance(block, ListBlock):
+        items = "".join(element("li", _rich_to_html(item, ctx)) for item in block.items)
+        return element("ul", items)
+    if isinstance(block, QuoteBlock):
+        return element("blockquote", element("p", _rich_to_html(block.content, ctx)))
+    if isinstance(block, OpaqueBlock):
+        return element("pre", escape_text(block.markup), {"class": "tj-opaque"})
+    return ""
 
 
-def _division_to_html(parent: ET.Element, division: Division, depth: int, ctx) -> None:
-    css = "tj-abstract" if division.kind == "abstract" else "tj-section"
-    section = ET.SubElement(parent, "section", {"class": css})
+def _division_to_html(division: Division, depth: int, ctx) -> str:
+    parts = []
     if division.head:
-        heading = ET.SubElement(section, f"h{min(depth + 1, 6)}")
-        _rich_to_html(heading, division.head, ctx)
-    for block in division.blocks:
-        _block_to_html(section, block, ctx)
-    for child in division.children:
-        _division_to_html(section, child, depth + 1, ctx)
+        parts.append(element(f"h{min(depth + 1, 6)}", _rich_to_html(division.head, ctx)))
+    parts.extend(_block_to_html(block, ctx) for block in division.blocks)
+    parts.extend(_division_to_html(child, depth + 1, ctx) for child in division.children)
+    css = "tj-abstract" if division.kind == "abstract" else "tj-section"
+    return element("section", "".join(parts), {"class": css})
 
 
 def _affiliation_text(author: Author) -> str:
@@ -672,54 +687,41 @@ def render_xhtml(article: Article, style: StyleGuide) -> str:
     fd = article.header.file_desc
     title_text = normalize_title(fd.main_title) or article.id or "Untitled"
 
-    html = ET.Element("html", {"xmlns": XHTML_NS})
-    head = ET.SubElement(html, "head")
-    ET.SubElement(head, "title").text = title_text
-    body = ET.SubElement(html, "body")
-
-    h1 = ET.SubElement(body, "h1", {"class": "tj-title"})
     if fd.main_title:
-        _rich_to_html(h1, fd.main_title, ctx)
+        title = _rich_to_html(fd.main_title, ctx)
     else:
-        h1.text = title_text
+        title = escape_text(title_text)
+    parts = [element("h1", title, {"class": "tj-title"})]
 
     source = fd.source
     for author in source.authors() if source else ():
         name = " ".join([*author.forenames, author.surname]).strip() or author.surname
-        p = ET.SubElement(body, "p", {"class": "tj-author"})
-        p.text = name
+        parts.append(element("p", escape_text(name), {"class": "tj-author"}))
         affiliation = _affiliation_text(author)
         if affiliation:
-            ET.SubElement(body, "p", {"class": "tj-affiliation"}).text = affiliation
+            parts.append(element("p", escape_text(affiliation), {"class": "tj-affiliation"}))
 
     keywords = article.header.profile_desc.keywords
     if keywords:
-        ul = ET.SubElement(body, "ul", {"class": "tj-keywords"})
-        for kw in keywords:
-            ET.SubElement(ul, "li").text = kw.term
+        items = "".join(element("li", escape_text(kw.term)) for kw in keywords)
+        parts.append(element("ul", items, {"class": "tj-keywords"}))
 
-    for division in article.front:
-        _division_to_html(body, division, 1, ctx)
-    for division in article.body:
-        _division_to_html(body, division, 1, ctx)
-    for division in article.back.divisions:
-        _division_to_html(body, division, 1, ctx)
+    for division in (*article.front, *article.body, *article.back.divisions):
+        parts.append(_division_to_html(division, 1, ctx))
 
     if ctx.display:
-        section = ET.SubElement(body, "section", {"class": "tj-biblio"})
-        ET.SubElement(section, "h2").text = "References"
-        ul = ET.SubElement(section, "ul")
+        items = []
+        numbered = style.marker_scheme == "numeric-bracket"
         for key, entry in ctx.display:
             attrs = {"class": "tj-biblio-entry"}
             if entry.ref_id:
                 attrs["id"] = f"ref-{entry.ref_id}"
-            li = ET.SubElement(ul, "li", attrs)
-            if style.marker_scheme == "numeric-bracket":
-                _append_text(li, f"[{ctx.numbers[key]}] ")
-            _spans_to_html(li, entry)
+            label = f"[{ctx.numbers[key]}] " if numbered else ""
+            items.append(element("li", label + _spans_to_html(entry), attrs))
+        references = element("h2", "References") + element("ul", "".join(items))
+        parts.append(element("section", references, {"class": "tj-biblio"}))
 
-    markup = ET.tostring(html, encoding="unicode")
-    return f'<?xml version="1.0" encoding="UTF-8"?>\n{markup}\n'
+    return xhtml_page(title_text, "".join(parts))
 
 
 # --------------------------------------------------------------------------

@@ -18,7 +18,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .rawxml import RawDocument, RawNode, source_path
+from .rawxml import XML_NS, RawDocument, RawNode, _resolve_name, source_path
 from .base import Finding
 
 DEFAULT_ENUMERABLE_ATTRIBUTES = frozenset({"type", "level", "rend", "unit"})
@@ -510,24 +510,30 @@ class RewriteRule:
             )
 
 
+# XML's whitespace: the only characters that separate rule fields.
+_XML_SPACE = " \t\r\n"
+_XML_SPACE_RE = re.compile(r"[ \t\r\n]+")
+
+
 def parse_rules(text: str) -> list:
-    """Read rules, one per line: ``element attribute from -> to``."""
+    """Read rules, one per line: ``element attribute from -> to``.  Lines
+    end at LF; only XML whitespace separates or surrounds fields."""
     rules: list = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        line = line.strip(_XML_SPACE)
         if not line or line.startswith("#"):
             continue
         if " -> " not in line:
             raise ValueError(f"line {lineno}: missing ' -> ' separator")
         left, to_value = line.split(" -> ", 1)
-        parts = left.split(None, 2)
+        parts = _XML_SPACE_RE.split(left, 2)
         if len(parts) != 3:
             raise ValueError(
                 f"line {lineno}: expected 'element attribute from -> to'"
             )
         element, attribute, from_value = parts
         rules.append(
-            RewriteRule(element, attribute, from_value, to_value.strip())
+            RewriteRule(element, attribute, from_value, to_value.strip(_XML_SPACE))
         )
     return rules
 
@@ -630,7 +636,7 @@ def arbitrate(docs, rules, *, parse: bool = True) -> tuple:
     changes = 0
     for doc in docs:
         edits: list = []  # (start, end, replacement bytes)
-        _collect_edits(doc.data, doc.root, lookup, edits)
+        _collect_edits(doc.data, doc.root, lookup, edits, {"xml": XML_NS})
         if not edits:
             rewritten.append(doc if parse else doc.data)
             continue
@@ -653,24 +659,27 @@ def _splice(data: bytes, edits: list) -> bytes:
     return b"".join(parts)
 
 
-def _collect_edits(data: bytes, node: RawNode, lookup, edits: list) -> None:
+def _collect_edits(data: bytes, node: RawNode, lookup, edits: list, scope: dict) -> None:
     """Append ``(start, end, replacement)`` for every attribute value under
-    ``node`` that a rule rewrites."""
+    ``node`` that a rule rewrites.  ``scope`` maps the prefixes declared
+    above ``node`` to their namespaces."""
+    if node.ns_decls:
+        scope = {**scope, **dict(node.ns_decls)}
     hits = {
         attr: lookup(node.name, attr, value) for attr, value in node.attrs.items()
     }
     if any(target is not None for target in hits.values()):
         for raw_name, start, end in _attr_value_spans(data, node):
-            if raw_name == "xmlns" or raw_name.startswith("xmlns:"):
+            prefix, _, local = raw_name.rpartition(":")
+            if raw_name == "xmlns" or prefix == "xmlns":
                 continue  # a namespace declaration, not an attribute
-            display = raw_name.split(":")[-1] if ":" in raw_name else raw_name
-            if raw_name == "xml:id":
-                display = "xml:id"
-            target = hits.get(display)
+            # the key rawxml gave this attribute: ``{uri}k``, ``xml:lang``
+            key = _resolve_name(f"{scope[prefix]} {local}")[0] if prefix else raw_name
+            target = hits.get(key)
             if target is None:
                 continue
             decoded = _decode_entities(data[start:end].decode("utf-8"))
-            if decoded == node.attrs.get(display):
+            if decoded == node.attrs[key]:
                 edits.append((start, end, _encode_attr(target).encode("utf-8")))
     for child in node.element_children():
-        _collect_edits(data, child, lookup, edits)
+        _collect_edits(data, child, lookup, edits, scope)

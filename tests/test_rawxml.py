@@ -447,6 +447,7 @@ class TestProfileCorpus:
 
 # --------------------------------------------------------------------------
 # The schema commands do not load the TEI stack, nor the TEI commands schema
+# or ElementTree
 # --------------------------------------------------------------------------
 
 TEI_MODULES = {f"teijournal.{name}" for name in
@@ -457,7 +458,8 @@ import contextlib, io, json, sys
 from teijournal.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
     code = main(sys.argv[1:])
-print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("teijournal"))]))
+print(json.dumps([code, sorted(m for m in sys.modules
+                                if m.startswith(("teijournal", "xml.etree")))]))
 """
 
 
@@ -497,6 +499,8 @@ def test_tei_commands_skip_schema_module(tmp_path):
         ["corrigenda", str(docs)],
         ["query", str(docs), "--text", "one"],
         ["render", one, "--to", "text"],
+        ["render", one, "--to", "xhtml"],
+        ["biblio", str(docs), "--format", "xhtml"],
         ["explain", "R9"],
     )
     for argv in commands:
@@ -506,6 +510,7 @@ def test_tei_commands_skip_schema_module(tmp_path):
         assert code == 0, (argv, done.stderr)
         assert "teijournal.model" in loaded
         assert "teijournal.schema" not in loaded, argv
+        assert "xml.etree.ElementTree" not in loaded, argv
 
 
 def test_package_exports_resolve_lazily():

@@ -5,6 +5,8 @@ import json
 import xml.etree.ElementTree as ET
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from teijournal import model as m
 from teijournal.render import (
@@ -16,7 +18,9 @@ from teijournal.render import (
     bare_entry_text,
     builtin_style,
     citation_order,
+    element,
     entry_sort_key,
+    escape_text,
     format_authors,
     format_entry,
     format_reference_list,
@@ -24,6 +28,7 @@ from teijournal.render import (
     render_plaintext,
     render_xhtml,
     style_from_dict,
+    xhtml_page,
 )
 from teijournal.xmlio import parse_article
 
@@ -342,6 +347,68 @@ class TestXhtml:
         assert "tj-affiliation" in page
         assert "foetal development" in page
         ET.fromstring(page)
+
+
+# --------------------------------------------------------------------------
+# The XHTML writer against ElementTree's serializer, kept here as the oracle
+# --------------------------------------------------------------------------
+
+TEXTS = st.text(
+    alphabet=st.sampled_from(list("&<>\"'\t\r\n a\u00e9\u20ac\U0001d11e\u2028"))
+    | st.characters(),
+    max_size=6,
+)
+
+
+@st.composite
+def trees(draw, depth=0):
+    """(tag, attrs, text, children, tail); text and tail may be None."""
+    tag = draw(st.sampled_from(["p", "i", "span", "li", "h2"]))
+    attrs = draw(st.dictionaries(st.sampled_from(["class", "href", "id", "title"]),
+                                 TEXTS, max_size=3))
+    text = draw(st.none() | TEXTS)
+    children = draw(st.lists(trees(depth + 1), max_size=3)) if depth < 2 else []
+    return tag, attrs, text, children, draw(st.none() | TEXTS)
+
+
+def to_etree(tree) -> ET.Element:
+    tag, attrs, text, children, tail = tree
+    node = ET.Element(tag, attrs)
+    node.text, node.tail = text, tail
+    node.extend(to_etree(child) for child in children)
+    return node
+
+
+def written(tree) -> str:
+    tag, attrs, text, children, tail = tree
+    content = escape_text(text or "") + "".join(written(child) for child in children)
+    return element(tag, content, attrs) + escape_text(tail or "")
+
+
+class TestXhtmlWriter:
+    @settings(max_examples=150, deadline=None)
+    @given(trees())
+    def test_element_matches_elementtree(self, tree):
+        assert written(tree) == ET.tostring(to_etree(tree), encoding="unicode")
+
+    @settings(max_examples=50, deadline=None)
+    @given(TEXTS, trees())
+    def test_page_matches_elementtree(self, title, tree):
+        html = ET.Element("html", {"xmlns": XHTML_NS})
+        ET.SubElement(ET.SubElement(html, "head"), "title").text = title
+        ET.SubElement(html, "body").append(to_etree(tree))
+        expected = ET.tostring(html, encoding="unicode")
+        assert xhtml_page(title, written(tree)) == (
+            f'<?xml version="1.0" encoding="UTF-8"?>\n{expected}\n'
+        )
+
+    def test_empty_content_is_a_self_closed_tag(self):
+        assert element("p") == "<p />"
+        assert element("img", "", {"alt": "", "src": "a\tb"}) == '<img alt="" src="a&#09;b" />'
+        assert xhtml_page("", "") == (
+            '<?xml version="1.0" encoding="UTF-8"?>\n'
+            f'<html xmlns="{XHTML_NS}"><head><title /></head><body /></html>\n'
+        )
 
 
 class TestPlaintext:

@@ -322,6 +322,20 @@ class TestRules:
         assert rule.to_value == "even more words"
 
 
+    @pytest.mark.parametrize("mark", ["\x85", "\u2028", "\u2029"])
+    def test_unicode_line_breaks_stay_in_the_target(self, mark):
+        (rule,) = parse_rules(f"a k v -> w{mark}x\r\n")
+        assert rule.to_value == f"w{mark}x"
+
+    def test_only_xml_whitespace_is_stripped(self):
+        (rule,) = parse_rules("a k v -> \u00a0w\u00a0\t")
+        assert rule.to_value == "\u00a0w\u00a0"
+
+    def test_forbidden_character_at_the_end_is_refused_not_stripped(self):
+        with pytest.raises(ValueError, match="U\\+001F, which XML does not allow"):
+            parse_rules("a k v -> \x1fw")
+
+
 class TestArbitrate:
     CORPUS = (
         b'<?xml version="1.0"?>\n<!-- keep me -->\n'
@@ -411,6 +425,29 @@ class TestArbitrate:
             b' k="v"', b' k="http://www.w3.org/XML/1998/namespace"'
         )
 
+
+    def test_prefixed_attribute_is_matched_by_its_namespace(self):
+        data = b'<d xmlns:x="urn:x"><a k="v" x:k="v"/></d>'
+        out, changes = arbitrate(docs(data), parse_rules("a k v -> w"))
+        assert changes == 1
+        assert out[0].data == data.replace(b' k="v"', b' k="w"')
+        out, changes = arbitrate(docs(data), parse_rules("a {urn:x}k v -> w"))
+        assert changes == 1
+        assert out[0].data == data.replace(b'x:k="v"', b'x:k="w"')
+
+    def test_xml_lang_is_matched(self):
+        data = b'<d><p xml:lang="en">t</p></d>'
+        out, changes = arbitrate(docs(data), parse_rules("p xml:lang en -> fr"))
+        assert changes == 1
+        assert out[0].data == b'<d><p xml:lang="fr">t</p></d>'
+
+    def test_tei_prefixed_attribute_does_not_shift_the_match(self):
+        # t:k and k both become the key "k", so the tree holds one attribute
+        # fewer than the start tag
+        data = b'<d xmlns:t="http://www.tei-c.org/ns/1.0"><a t:k="y" k="y" z="y"/></d>'
+        out, changes = arbitrate(docs(data), parse_rules("a z y -> q"))
+        assert changes == 1
+        assert out[0].data == data.replace(b'z="y"', b'z="q"')
 
 def splice_by_copies(data: bytes, edits: list) -> bytes:
     """Oracle: the splice arbitrate made before, one whole copy per edit."""
