@@ -23,12 +23,10 @@ from . import model as m
 from .base import MENTION_KINDS, QUERY_KINDS
 from .render import (
     StyleGuide,
-    StyleError,
-    bare_entry_text,
     builtin_style,
     element,
+    entry_or_fallback,
     escape_text,
-    format_entry,
     xhtml_page,
 )
 from .xmlio import Issue, ParseReport, model_paths, parse_article
@@ -402,19 +400,12 @@ def index_xhtml(entries) -> str:
     return xhtml_page("Index", element("h1", "Index") + body)
 
 
-def _entry_line(record: m.BiblStruct, style: StyleGuide) -> str:
-    try:
-        return format_entry(record, style).plain()
-    except StyleError:
-        return bare_entry_text(record) or "(unciteable record)"
-
-
 def unified_bibliography_xhtml(items, style: StyleGuide | None = None) -> str:
     """The pooled bibliography as a standalone page (``tj-unibib``)."""
     style = style or builtin_style("chicago")
     lines = []
     for record, citing in items:
-        entry = escape_text(_entry_line(record, style) + " ")
+        entry = escape_text(entry_or_fallback(record, style).plain() + " ")
         cited_by = escape_text(f"(cited by: {', '.join(citing)})")
         lines.append(element("li", entry + element("span", cited_by, {"class": "tj-citing"})))
     body = element("div", element("ul", "".join(lines)), {"class": "tj-unibib"})
@@ -455,7 +446,7 @@ def biblio_records(items, style: StyleGuide | None = None) -> list:
     out = []
     for record, citing in items:
         key = "/".join(_dedup_key(record))
-        out.append(("biblio", ",".join(citing), "", key, _entry_line(record, style)))
+        out.append(("biblio", ",".join(citing), "", key, entry_or_fallback(record, style).plain()))
     return out
 
 

@@ -11,9 +11,78 @@ instead of the constructor refusing them.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass, field, fields
+from functools import cache, cached_property
 from typing import ClassVar, Union
+
+# --------------------------------------------------------------------------
+# Equality and repr for nodes that nest
+# --------------------------------------------------------------------------
+#
+# ``Emph`` content holds more ``Emph`` and ``Division`` children hold more
+# divisions, up to the parser's depth limit.  The methods dataclasses
+# generate recurse a few frames per level, which runs out of stack there;
+# these two walk the nodes with a list instead and give the same results.
+
+
+@cache
+def _field_names(cls: type, flag: str) -> tuple:
+    """Names of ``cls``'s dataclass fields that have ``flag`` (compare, repr)."""
+    return tuple(f.name for f in fields(cls) if getattr(f, flag))
+
+
+def _nested_eq(self, other):
+    if other.__class__ is not self.__class__:
+        return NotImplemented
+    pending = [(self, other)]
+    while pending:
+        a, b = pending.pop()
+        if a is b:
+            continue
+        kind = a.__class__
+        if kind is not b.__class__:
+            if not a == b:
+                return False
+        elif kind is tuple:
+            if len(a) != len(b):
+                return False
+            pending.extend(zip(a, b))
+        elif hasattr(kind, "__dataclass_fields__"):
+            pending.extend(
+                (getattr(a, name), getattr(b, name))
+                for name in _field_names(kind, "compare")
+            )
+        elif not a == b:
+            return False
+    return True
+
+
+def _nested_repr(self) -> str:
+    parts: list = []
+    pending: list = [(False, self)]  # (is literal text, item)
+    while pending:
+        literal, item = pending.pop()
+        kind = item.__class__
+        if literal:
+            parts.append(item)
+        elif kind is tuple:
+            pending.append((True, ",)" if len(item) == 1 else ")"))
+            for i in range(len(item) - 1, -1, -1):
+                pending.append((False, item[i]))
+                if i:
+                    pending.append((True, ", "))
+            pending.append((True, "("))
+        elif hasattr(kind, "__dataclass_fields__"):
+            names = _field_names(kind, "repr")
+            pending.append((True, ")"))
+            for i in range(len(names) - 1, -1, -1):
+                pending.append((False, getattr(item, names[i])))
+                pending.append((True, f"{', ' if i else ''}{names[i]}="))
+            pending.append((True, f"{kind.__qualname__}("))
+        else:
+            parts.append(repr(item))
+    return "".join(parts)
+
 
 # --------------------------------------------------------------------------
 # Dates
@@ -103,6 +172,9 @@ class Emph:
 
     rend: str
     content: "RichText"
+
+    __eq__ = _nested_eq
+    __repr__ = _nested_repr
 
 
 @dataclass(frozen=True)
@@ -478,6 +550,9 @@ class Division:
     head: RichText = ()
     blocks: tuple = ()
     children: tuple = ()
+
+    __eq__ = _nested_eq
+    __repr__ = _nested_repr
 
 
 @dataclass(frozen=True)

@@ -23,13 +23,24 @@ of the parent, which ends in ``None`` at the document element.
 :func:`source_path` reads a node's path from its own name and ordinal and
 that chain.  One chain tuple is made per element that has element
 children, and all of those children share it.  The expat handlers refer
-back to the parser, so ``parse_raw`` releases them before it returns.
+back to the parser, so every pass releases them before it returns.
+
+:func:`parse_tree` is the cheaper reader the TEI builder uses.  One expat
+pass with no element handler makes every refusal above; then the C
+ElementTree parser builds the tree, and only ever sees accepted bytes.  Its
+elements carry ``parse_raw``'s names, and the byte spans and source paths
+that cost a Python call per element are worked out only for documents that
+ask for them (:class:`TreeDocument`).
 """
 
 from __future__ import annotations
 
 import re
+from collections import deque
 from dataclasses import dataclass, field
+from functools import lru_cache
+from itertools import chain, compress, repeat
+from operator import attrgetter
 from xml.parsers import expat
 
 TEI_NS = "http://www.tei-c.org/ns/1.0"
@@ -65,17 +76,6 @@ class RawNode:
     def element_children(self) -> list:
         return [c for c in self.children if isinstance(c, RawNode)]
 
-    def find(self, name: str) -> "RawNode | None":
-        for child in self.children:
-            if isinstance(child, RawNode) and child.name == name:
-                return child
-        return None
-
-    def find_all(self, name: str) -> list:
-        return [
-            c for c in self.children if isinstance(c, RawNode) and c.name == name
-        ]
-
     def text_content(self) -> str:
         parts = []
         for child in self.children:
@@ -95,6 +95,14 @@ class RawNode:
 # The rest of a start tag after its '<': any run of unquoted bytes and
 # quoted values up to the first unquoted '>' (values may contain '>').
 _START_TAG_REST_RE = re.compile(rb"""(?:[^"'>]|"[^"]*"|'[^']*')*>""")
+
+# Content after an element's last child, or after its start tag when it has
+# none, up to and including its end tag: element content that holds no
+# element is character data, comments, CDATA sections and processing
+# instructions, any of which may contain '>' and the text of an end tag.
+_TAIL_RE = re.compile(
+    rb"(?:[^<]|<!--.*?-->|<!\[CDATA\[.*?\]\]>|<\?.*?\?>)*</[^>]*>", re.S
+)
 
 
 @dataclass
@@ -118,10 +126,6 @@ class RawDocument:
         if data[end - 2] != 0x2F:  # no '/' before the '>': paired tags
             end = data.index(b">", node.close) + 1
         return node.start, end
-
-    def slice(self, node: RawNode) -> str:
-        start, end = self.span(node)
-        return self.data[start:end].decode("utf-8")
 
 
 def source_path(node: RawNode) -> str:
@@ -163,16 +167,58 @@ def _resolve_name(expat_name: str) -> tuple[str, str]:
     return "{%s}%s" % (uri, local), uri
 
 
-def parse_raw(data: bytes) -> RawDocument:
-    """Parse bytes into a span-annotated tree, or raise ``RawXmlError``."""
+def _run(parser, data: bytes, handlers: dict) -> None:
+    """Parse ``data`` with ``handlers`` and the refusals every pass makes.
+
+    Those are: empty input, a wrong encoding, entity declarations, external
+    DTDs and input that is not well-formed.  The handlers refer back to the
+    parser, so they are released before this returns.
+    """
     if not data.strip():
         raise RawXmlError("empty input")
     _check_prolog(data)
 
+    def on_entity_decl(*args) -> None:
+        _fail(parser, "entity declarations are not allowed")
+
+    def on_doctype(name, sysid, pubid, has_internal) -> None:
+        if sysid or pubid:
+            _fail(parser, "external DTD references are not allowed")
+
+    handlers = {
+        "EntityDeclHandler": on_entity_decl,
+        "StartDoctypeDeclHandler": on_doctype,
+        "ExternalEntityRefHandler": lambda *args: 0,
+        **handlers,
+    }
+    for event, handler in handlers.items():
+        setattr(parser, event, handler)
+    try:
+        parser.Parse(data, True)
+    except expat.ExpatError as exc:
+        raise RawXmlError(f"not well-formed: {exc}") from None
+    finally:
+        for event in handlers:
+            setattr(parser, event, None)
+
+
+def _new_parser():
     parser = expat.ParserCreate(namespace_separator=" ")
     parser.ordered_attributes = True
     parser.buffer_text = True
+    return parser
 
+
+def _fail(parser, message: str) -> None:
+    raise RawXmlError(
+        f"{message} (line {parser.CurrentLineNumber},"
+        f" column {parser.CurrentColumnNumber + 1})"
+    )
+
+
+def parse_raw(data: bytes) -> RawDocument:
+    """Parse bytes into a span-annotated tree, or raise ``RawXmlError``."""
+    parser = _new_parser()
     root_holder: list[RawNode] = []
     # One frame per open element: [node, its children list, same-name
     # sibling counters, upward chain]; the last two are made at its first
@@ -186,19 +232,6 @@ def parse_raw(data: bytes) -> RawDocument:
         resolved = names[expat_name] = _resolve_name(expat_name)
         return resolved
 
-    def fail(message: str) -> None:
-        raise RawXmlError(
-            f"{message} (line {parser.CurrentLineNumber},"
-            f" column {parser.CurrentColumnNumber + 1})"
-        )
-
-    def on_entity_decl(*args) -> None:
-        fail("entity declarations are not allowed")
-
-    def on_doctype(name, sysid, pubid, has_internal) -> None:
-        if sysid or pubid:
-            fail("external DTD references are not allowed")
-
     def on_ns_decl(prefix, uri) -> None:
         if prefix:
             pending_ns.append((prefix, uri or ""))
@@ -206,7 +239,7 @@ def parse_raw(data: bytes) -> RawDocument:
 
     def on_start(expat_name, attr_list) -> None:
         if len(stack) >= MAX_DEPTH:
-            fail(f"elements nested more than {MAX_DEPTH} deep")
+            _fail(parser, f"elements nested more than {MAX_DEPTH} deep")
         name, uri = names.get(expat_name) or resolve(expat_name)
         attrs = {}
         if attr_list:
@@ -254,26 +287,235 @@ def parse_raw(data: bytes) -> RawDocument:
         else:
             children.append(text)
 
-    handlers = {
-        "EntityDeclHandler": on_entity_decl,
-        "StartDoctypeDeclHandler": on_doctype,
+    _run(parser, data, {
         "StartNamespaceDeclHandler": on_ns_decl,
         "StartElementHandler": on_start,
         "EndElementHandler": on_end,
         "CharacterDataHandler": on_text,
-        "ExternalEntityRefHandler": lambda *args: 0,
-    }
-    for event, handler in handlers.items():
-        setattr(parser, event, handler)
-    try:
-        parser.Parse(data, True)
-    except expat.ExpatError as exc:
-        raise RawXmlError(f"not well-formed: {exc}") from None
-    finally:
-        # the handlers refer back to the parser: break that cycle
-        for event in handlers:
-            setattr(parser, event, None)
-
+    })
     if not root_holder:
         raise RawXmlError("no document element")
     return RawDocument(data, root_holder[0], tuple(first_ns.items()))
+
+
+# --------------------------------------------------------------------------
+# The ElementTree reader
+# --------------------------------------------------------------------------
+
+
+class TreeDocument:
+    """A document read by :func:`parse_tree`: an ElementTree ``root`` whose
+    tags and attribute names are the ones :func:`parse_raw` gives.
+
+    TEI names lose their namespace and XML-namespace element names read
+    ``xml:*``.  Attribute keys keep ElementTree's form (``xml:id`` is
+    ``{http://www.w3.org/XML/1998/namespace}id``), except that a key in the
+    TEI namespace is stripped to its local name, as ``parse_raw`` does.
+    ``foreign`` holds every element that is, or lies inside, an element
+    whose namespace differs from the document element's.  Byte spans and
+    source paths are worked out the first time one is asked for.
+    """
+
+    __slots__ = ("data", "root", "root_ns", "ns_decls", "foreign", "_starts",
+                 "_parents", "_ordinals")
+
+    def __init__(self, data: bytes, root, root_ns: str, ns_decls: tuple, foreign: set):
+        self.data = data
+        self.root = root
+        self.root_ns = root_ns
+        #: First declaration of each namespace prefix, in document order.
+        self.ns_decls = ns_decls
+        self.foreign = foreign
+        self._starts = None  # element -> start offset, from one more pass
+        self._parents = None  # element -> parent element
+        self._ordinals: dict = {}  # element -> ordinal, filled per parent
+
+    def span(self, element) -> tuple[int, int]:
+        """The ``(start, end)`` byte offsets of ``element``'s markup.
+
+        Only start offsets are recorded, by one expat pass the first time a
+        span is asked for.  The end is found from the last descendant up:
+        a childless element ends at its own ``/>`` or at the end tag after
+        its content, and each element around it ends at the end tag after
+        its last child's tail (see ``_TAIL_RE``).
+        """
+        starts = self._starts
+        if starts is None:
+            # expat reports start tags in the order ``iter`` walks the tree
+            starts = self._starts = dict(
+                zip(self.root.iter(), _element_starts(self.data))
+            )
+        data = self.data
+        enclosing = [element]
+        while len(enclosing[-1]):
+            enclosing.append(enclosing[-1][-1])
+        end = _START_TAG_REST_RE.match(data, starts[enclosing.pop()] + 1).end()
+        if data[end - 2] != 0x2F:  # no '/' before the '>': paired tags
+            end = _TAIL_RE.match(data, end).end()
+        for _ in enclosing:
+            end = _TAIL_RE.match(data, end).end()
+        return starts[element], end
+
+    def slice(self, element) -> str:
+        start, end = self.span(element)
+        return self.data[start:end].decode("utf-8")
+
+    def source_path(self, element) -> str:
+        """Slash-joined path with 1-based same-name sibling indexes."""
+        parents = self._parents
+        if parents is None:
+            parents = self._parents = {
+                child: parent for parent in self.root.iter() for child in parent
+            }
+        ordinals = self._ordinals
+        parts = []
+        while element is not self.root:
+            parent = parents[element]
+            if element not in ordinals:
+                counters: dict = {}
+                for child in parent:
+                    name = child.tag
+                    ordinals[child] = counters[name] = counters.get(name, 0) + 1
+            parts.append(f"{element.tag}[{ordinals[element]}]")
+            element = parent
+        parts.append(f"{element.tag}[1]")
+        return "/".join(reversed(parts))
+
+
+def parse_tree(data: bytes) -> TreeDocument:
+    """Read bytes into a :class:`TreeDocument`, or raise ``RawXmlError``.
+
+    Refuses exactly what :func:`parse_raw` refuses, with the same message:
+    an expat pass with no element handler checks everything but the depth;
+    the depth is measured on the built tree, and only a refused document
+    is read once more, depth-checked, for the first refusal in document
+    order and its line and column.
+    """
+    from xml.etree.ElementTree import XMLParser
+
+    try:
+        ns_decls, skipped, tei_prefixed = _prescan(data, limit_depth=False)
+    except RawXmlError:
+        _prescan(data, limit_depth=True)  # an element too deep may come first
+        raise
+    parser = XMLParser()
+    # expat skips an undeclared entity when the DTD refers to a parameter
+    # entity; parse_raw then drops the reference, and so does this parser
+    parser.entity.update(dict.fromkeys(skipped, ""))
+    parser.feed(data)
+    root = parser.close()
+    if _deeper_than_limit(root):
+        _prescan(data, limit_depth=True)  # raises at the first too-deep element
+        raise RawXmlError(f"elements nested more than {MAX_DEPTH} deep")
+    root_ns, foreign = _adopt_names(root, tei_prefixed)
+    return TreeDocument(data, root, root_ns, ns_decls, foreign)
+
+
+def _prescan(data: bytes, limit_depth: bool) -> tuple:
+    """Check ``data`` as :func:`parse_raw` does, building nothing.
+
+    Returns the first declaration of each namespace prefix, the general
+    entities expat skipped, and whether any prefix is bound to the TEI
+    namespace.  Only with ``limit_depth`` are element handlers set, to
+    refuse nesting deeper than ``MAX_DEPTH`` where ``parse_raw`` does.
+    """
+    parser = _new_parser()
+    first_ns: dict = {}
+    skipped: list = []
+    tei_prefixed = False
+    depth = 0
+
+    def on_ns_decl(prefix, uri) -> None:
+        nonlocal tei_prefixed
+        if prefix:
+            first_ns.setdefault(prefix, uri or "")
+            tei_prefixed = tei_prefixed or uri == TEI_NS
+
+    def on_skipped(name, is_parameter_entity) -> None:
+        if not is_parameter_entity:
+            skipped.append(name)
+
+    def on_start(name, attrs) -> None:
+        nonlocal depth
+        if depth >= MAX_DEPTH:
+            _fail(parser, f"elements nested more than {MAX_DEPTH} deep")
+        depth += 1
+
+    def on_end(name) -> None:
+        nonlocal depth
+        depth -= 1
+
+    handlers = {
+        "StartNamespaceDeclHandler": on_ns_decl,
+        "SkippedEntityHandler": on_skipped,
+    }
+    if limit_depth:
+        handlers.update(StartElementHandler=on_start, EndElementHandler=on_end)
+    _run(parser, data, handlers)
+    return tuple(first_ns.items()), skipped, tei_prefixed
+
+
+@lru_cache(maxsize=1024)
+def _tree_name(tag: str) -> tuple[str, str]:
+    """Map ElementTree's ``{uri}local`` form to parse_raw's name and URI."""
+    if tag[:1] != "{":
+        return tag, ""
+    uri, _, local = tag[1:].rpartition("}")  # a local name holds no '}'
+    return _resolve_name(f"{uri} {local}")
+
+
+_TEI_KEY = "{%s}" % TEI_NS
+_TAG = attrgetter("tag")
+
+
+def _adopt_names(root, tei_prefixed: bool) -> tuple:
+    """Rename every element of ``root`` to parse_raw's name for it, and strip
+    the TEI namespace from attribute keys when a prefix is bound to it.
+
+    Returns the document element's namespace and the set of foreign
+    elements.  The per-element steps run in C (``map``, ``compress``, a
+    ``deque`` that keeps nothing); Python runs once per distinct tag and
+    once per element whose own namespace is foreign.
+    """
+    elements = list(root.iter())
+    tags = list(map(_TAG, elements))
+    resolved = {tag: _tree_name(tag) for tag in set(tags)}
+    root_ns = resolved[root.tag][1]
+    foreign_tags = {tag for tag, (_, uri) in resolved.items() if uri != root_ns}
+    foreign: set = set()
+    for element in compress(elements, map(foreign_tags.__contains__, tags)):
+        if element not in foreign:  # in document order, an outer one came first
+            foreign.update(element.iter())
+    names = {tag: name for tag, (name, _) in resolved.items()}
+    deque(map(setattr, elements, repeat("tag"), map(names.__getitem__, tags)), maxlen=0)
+    if tei_prefixed:
+        for element in elements:
+            if any(key.startswith(_TEI_KEY) for key in element.keys()):
+                element.attrib = {
+                    key.removeprefix(_TEI_KEY): value for key, value in element.items()
+                }
+    return root_ns, foreign
+
+
+def _deeper_than_limit(root) -> bool:
+    """True when elements nest more than ``MAX_DEPTH`` deep.  Walks the tree
+    level by level, keeping only the elements that have children."""
+    level = [root] if len(root) else []
+    for _ in range(MAX_DEPTH - 1):
+        level = list(filter(len, chain.from_iterable(level)))
+        if not level:
+            return False
+    return bool(level)
+
+
+def _element_starts(data: bytes) -> list:
+    """The offset of every start tag's ``<``, in document order."""
+    parser = expat.ParserCreate()  # accepted bytes: names need no resolving
+    parser.ordered_attributes = True
+    starts: list = []
+
+    def on_start(name, attrs) -> None:
+        starts.append(parser.CurrentByteIndex)
+
+    _run(parser, data, {"StartElementHandler": on_start})
+    return starts

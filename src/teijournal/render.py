@@ -395,6 +395,19 @@ def format_entry(record: BiblStruct, style: StyleGuide) -> RenderedEntry:
     )
 
 
+def entry_or_fallback(record: BiblStruct, style: StyleGuide) -> RenderedEntry:
+    """:func:`format_entry`, or for a record it cannot format, one plain
+    span of :func:`bare_entry_text` (``(unciteable record)`` when even that
+    is empty), so that no reference list or corpus page fails on it."""
+    try:
+        return format_entry(record, style)
+    except StyleError:
+        text = bare_entry_text(record) or "(unciteable record)"
+        return RenderedEntry(
+            record.xml_id, (Span(text),), entry_sort_key(record), _cite_text(record)
+        )
+
+
 def _tidy_spans(spans: list) -> list:
     """Trim outer whitespace, drop empties, merge adjacent plain runs."""
     merged: list[Span] = []
@@ -475,7 +488,7 @@ def _ordered_entries(entries: tuple, style: StyleGuide, cited: list) -> tuple:
         key = record.xml_id if record.xml_id else f"\x00{i}"
         if key in rendered:
             continue
-        rendered[key] = format_entry(record, style)
+        rendered[key] = entry_or_fallback(record, style)
     cited_keys = [k for k in dict.fromkeys(cited) if k in rendered]
     cited_set = set(cited_keys)
     uncited = sorted(

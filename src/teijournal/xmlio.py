@@ -20,14 +20,7 @@ import re
 from dataclasses import dataclass
 
 from . import model as m
-from .rawxml import (
-    TEI_NS,
-    RawDocument,
-    RawNode,
-    RawXmlError,
-    parse_raw,
-    source_path,
-)
+from .rawxml import TEI_NS, XML_NS, RawXmlError, TreeDocument, parse_tree
 
 # --------------------------------------------------------------------------
 # Report types
@@ -115,33 +108,58 @@ _INLINE_BLOCKISH = {"p", "div", "list", "table", "figure", "cit", "formula"}
 _LISTBIBL_NAMES = frozenset({"listBibl", "listBib"})
 
 
+_XML_ID = "{%s}id" % XML_NS
+
+
+def _text_content(node) -> str:
+    return "".join(node.itertext())
+
+
+def _mixed(node) -> list:
+    """``node``'s text runs and child elements, in document order."""
+    out = [node.text] if node.text else []
+    for child in node:
+        out.append(child)
+        if child.tail:
+            out.append(child.tail)
+    return out
+
+
 class _Builder:
-    def __init__(self, doc: RawDocument):
+    """Maps the elements of a :class:`TreeDocument` to model nodes.
+
+    Elements are ``xml.etree.ElementTree`` elements renamed by
+    :func:`parse_tree`: ``tag`` is the element's name, ``get`` reads an
+    attribute, and the C ``find``, ``findall`` and ``itertext`` do the
+    searching.
+    """
+
+    def __init__(self, doc: TreeDocument):
         self.doc = doc
+        self.foreign = doc.foreign
         self.issues: list[Issue] = []
 
     # -- issue helpers ----------------------------------------------------
 
-    def warn(self, node: RawNode, message: str) -> None:
-        self.issues.append(Issue("warning", source_path(node), message))
+    def warn(self, node, message: str) -> None:
+        self.issues.append(Issue("warning", self.doc.source_path(node), message))
 
-    def error(self, node: RawNode | None, message: str) -> None:
-        path = source_path(node) if node is not None else ""
-        self.issues.append(Issue("error", path, message))
+    def error(self, node, message: str) -> None:
+        self.issues.append(Issue("error", self.doc.source_path(node), message))
 
-    def unknown(self, node: RawNode, context: str) -> None:
-        self.warn(node, f"unknown element '{node.name}' in {context} dropped")
+    def unknown(self, node, context: str) -> None:
+        self.warn(node, f"unknown element '{node.tag}' in {context} dropped")
 
     # -- generic helpers --------------------------------------------------
 
-    def text(self, node: RawNode) -> str:
-        return _collapse(node.text_content())
+    def text(self, node) -> str:
+        return " ".join("".join(node.itertext()).split())
 
-    def slice(self, node: RawNode) -> str:
+    def slice(self, node) -> str:
         return self.doc.slice(node)
 
-    def date_from(self, node: RawNode, context: str) -> m.CalendarDate | None:
-        value = node.attrs.get("when") or node.text_content().strip()
+    def date_from(self, node, context: str) -> m.CalendarDate | None:
+        value = node.get("when") or _text_content(node).strip()
         if not value:
             self.warn(node, f"{context} date has no usable value; dropped")
             return None
@@ -153,32 +171,31 @@ class _Builder:
 
     # -- inline content ---------------------------------------------------
 
-    def rich(self, node: RawNode) -> tuple:
-        out: list = []
-        for child in node.children:
-            if isinstance(child, str):
-                out.append(m.TextRun(child))
-                continue
+    def rich(self, node) -> tuple:
+        out: list = [m.TextRun(node.text)] if node.text else []
+        for child in node:
             out.append(self.inline(child))
+            if child.tail:
+                out.append(m.TextRun(child.tail))
         return tuple(out)
 
-    def inline(self, node: RawNode):
-        if node.foreign:
+    def inline(self, node):
+        if node in self.foreign:
             return m.OpaqueInline(self.slice(node))
-        name = node.name
+        name = node.tag
         if name == "hi":
-            return m.Emph(node.attrs.get("rend", ""), self.rich(node))
+            return m.Emph(node.get("rend", ""), self.rich(node))
         if name == "ref":
-            target = node.attrs.get("target", "")
-            if node.attrs.get("type") == "bibr" or target.startswith("#"):
-                return m.BiblRef(target, node.text_content())
-            return m.Link(target, node.text_content())
+            target = node.get("target", "")
+            if node.get("type") == "bibr" or target.startswith("#"):
+                return m.BiblRef(target, _text_content(node))
+            return m.Link(target, _text_content(node))
         if name == "ptr":
-            return m.Link(node.attrs.get("target", ""), "")
+            return m.Link(node.get("target", ""), "")
         mention = _MENTION_CLASSES.get(name)
         if mention is not None:
             attr, _ = _MENTION_ATTRS[mention]
-            return mention(self.text(node), node.attrs.get(attr))
+            return mention(self.text(node), node.get(attr))
         if name == "abbr":
             return m.AbbrMention(self.text(node), None)
         if name == "choice":
@@ -191,11 +208,11 @@ class _Builder:
 
     # -- running text blocks ----------------------------------------------
 
-    def block(self, node: RawNode):
+    def block(self, node):
         """Map one non-div element inside a division to a Block."""
-        if node.foreign:
+        if node in self.foreign:
             return m.OpaqueBlock(self.slice(node))
-        name = node.name
+        name = node.tag
         if name == "p":
             return m.Paragraph(self.rich(node))
         if name == "cit":
@@ -207,48 +224,46 @@ class _Builder:
             caption = self.rich(head) if head is not None else ()
             return m.TableBlock(self.slice(node), caption)
         if name == "formula":
-            return m.FormulaBlock(self.slice(node), node.attrs.get("notation"))
+            return m.FormulaBlock(self.slice(node), node.get("notation"))
         if name == "list":
-            if all(c.name == "item" for c in node.element_children()):
-                return m.ListBlock(
-                    tuple(self.rich(item) for item in node.find_all("item"))
-                )
+            if all(c.tag == "item" for c in node):
+                return m.ListBlock(tuple(self.rich(item) for item in node))
             return m.OpaqueBlock(self.slice(node))
         if name == "quote":
-            blockish = any(
-                c.name in _INLINE_BLOCKISH for c in node.element_children()
-            )
+            blockish = any(c.tag in _INLINE_BLOCKISH for c in node)
             if not blockish:
                 return m.QuoteBlock(self.rich(node))
         return m.OpaqueBlock(self.slice(node))
 
-    def cit(self, node: RawNode):
+    def cit(self, node):
         quote: tuple = ()
         source: m.BiblStruct | str | None = None
         qualifiers: tuple = ()
-        for child in node.element_children():
-            if child.name == "quote" and not quote:
+        for child in node:
+            name = child.tag
+            if name == "quote" and not quote:
                 quote = self.rich(child)
-            elif child.name == "biblStruct" and source is None:
+            elif name == "biblStruct" and source is None:
                 source = self.biblstruct(child)
-            elif child.name == "ref" and source is None:
-                source = child.attrs.get("target", "")
-            elif child.name == "note" and not qualifiers:
+            elif name == "ref" and source is None:
+                source = child.get("target", "")
+            elif name == "note" and not qualifiers:
                 qualifiers = self.rich(child)
             else:
                 return m.OpaqueBlock(self.slice(node))
         return m.CitBlock(quote, source, qualifiers)
 
-    def figure(self, node: RawNode):
+    def figure(self, node):
         url = None
         caption: tuple = ()
         table = None
-        for child in node.element_children():
-            if child.name == "head" and not caption:
+        for child in node:
+            name = child.tag
+            if name == "head" and not caption:
                 caption = self.rich(child)
-            elif child.name == "graphic" and url is None and table is None:
-                url = child.attrs.get("url", "")
-            elif child.name == "table" and table is None and url is None:
+            elif name == "graphic" and url is None and table is None:
+                url = child.get("url", "")
+            elif name == "table" and table is None and url is None:
                 table = child
             else:
                 return m.OpaqueBlock(self.slice(node))
@@ -259,23 +274,23 @@ class _Builder:
         return m.FigureBlock(url, caption)
 
     def division(
-        self, node: RawNode, consumed: frozenset = frozenset()
+        self, node, consumed: frozenset = frozenset()
     ) -> m.Division | None:
         """One div. In back matter, ``consumed`` names the reference lists
         already harvested: they are skipped, and a div left empty, such as a
         shell that only wrapped them, is dropped by returning None."""
-        kind = node.attrs.get("type") or "section"
+        kind = node.get("type") or "section"
         head: tuple = ()
         blocks: list = []
         children: list = []
         seen_head = False
-        for child in node.children:
+        for child in _mixed(node):
             if isinstance(child, str):
                 if child.strip():
                     self.warn(node, "stray text inside div wrapped as paragraph")
                     blocks.append(m.Paragraph((m.TextRun(child),)))
                 continue
-            name = None if child.foreign else child.name
+            name = None if child in self.foreign else child.tag
             if name in consumed:
                 continue
             if name == "head" and not seen_head:
@@ -292,11 +307,11 @@ class _Builder:
         return m.Division(kind, head, tuple(blocks), tuple(children))
 
     def division_sequence(
-        self, node: RawNode, context: str, consumed: frozenset = frozenset()
+        self, node, context: str, consumed: frozenset = frozenset()
     ) -> tuple:
         """Children of front/body/back: divs, with stray blocks wrapped."""
         out: list = []
-        for child in node.children:
+        for child in _mixed(node):
             if isinstance(child, str):
                 if child.strip():
                     self.warn(node, f"stray text in {context} wrapped in div")
@@ -304,7 +319,7 @@ class _Builder:
                         m.Division(blocks=(m.Paragraph((m.TextRun(child),)),))
                     )
                 continue
-            name = None if child.foreign else child.name
+            name = None if child in self.foreign else child.tag
             if name in consumed:
                 continue
             if name == "div":
@@ -314,63 +329,63 @@ class _Builder:
             else:
                 self.warn(
                     child,
-                    f"element '{child.name}' in {context} wrapped in div",
+                    f"element '{child.tag}' in {context} wrapped in div",
                 )
                 out.append(m.Division(blocks=(self.block(child),)))
         return tuple(out)
 
     # -- bibliographic records --------------------------------------------
 
-    def biblstruct(self, node: RawNode) -> m.BiblStruct:
+    def biblstruct(self, node) -> m.BiblStruct:
         analytic = None
         monogr = m.Monogr()
         identifiers: list = []
-        for child in node.element_children():
-            name = child.name
+        for child in node:
+            name = child.tag
             if name == "analytic" and analytic is None:
                 analytic = self.analytic(child)
             elif name == "monogr":
                 monogr = self.monogr(child, identifiers)
             elif name == "idno":
                 identifiers.append(
-                    m.Identifier(child.attrs.get("type", ""), self.text(child))
+                    m.Identifier(child.get("type", ""), self.text(child))
                 )
             else:
                 self.unknown(child, "biblStruct")
-        doc_type = node.attrs.get("type") or _infer_doc_type(analytic, monogr)
+        doc_type = node.get("type") or _infer_doc_type(analytic, monogr)
         return m.BiblStruct(
             doc_type=m.DocumentType(doc_type),
             analytic=analytic,
             monogr=monogr,
             identifiers=tuple(identifiers),
-            xml_id=node.attrs.get("xml:id"),
+            xml_id=node.get(_XML_ID),
         )
 
-    def analytic(self, node: RawNode) -> m.Analytic:
+    def analytic(self, node) -> m.Analytic:
         titles: list = []
         authors: list = []
-        for child in node.element_children():
-            if child.name == "title":
+        for child in node:
+            if child.tag == "title":
                 titles.append(self.title(child, "a"))
-            elif child.name == "author":
+            elif child.tag == "author":
                 authors.append(self.author(child))
             else:
                 self.unknown(child, "analytic")
         return m.Analytic(tuple(titles), tuple(authors))
 
-    def monogr(self, node: RawNode, identifiers: list) -> m.Monogr:
+    def monogr(self, node, identifiers: list) -> m.Monogr:
         titles: list = []
         authors: list = []
         issn = None
         imprint = m.Imprint()
-        for child in node.element_children():
-            name = child.name
+        for child in node:
+            name = child.tag
             if name == "title":
                 titles.append(self.title(child, "m"))
             elif name == "author":
                 authors.append(self.author(child))
             elif name == "idno":
-                kind = child.attrs.get("type", "")
+                kind = child.get("type", "")
                 if kind.casefold() == "issn" and issn is None:
                     issn = self.text(child)
                 else:
@@ -384,29 +399,29 @@ class _Builder:
                 self.unknown(child, "monogr")
         return m.Monogr(tuple(titles), tuple(authors), issn, imprint)
 
-    def title(self, node: RawNode, default_level: str) -> m.Title:
+    def title(self, node, default_level: str) -> m.Title:
         return m.Title(
             text=self.rich(node),
-            level=node.attrs.get("level", default_level),
-            type=node.attrs.get("type", "main"),
+            level=node.get("level", default_level),
+            type=node.get("type", "main"),
         )
 
-    def imprint(self, node: RawNode) -> m.Imprint:
+    def imprint(self, node) -> m.Imprint:
         publisher = None
         pub_place = None
         date = None
         role = "published"
         scopes: list = []
-        for child in node.element_children():
-            name = child.name
+        for child in node:
+            name = child.tag
             if name == "publisher":
                 publisher = self.text(child)
             elif name == "pubPlace":
                 pub_place = self.text(child)
             elif name == "date":
-                attr_role = child.attrs.get("type")
-                if attr_role is None and "typ" in child.attrs:
-                    attr_role = child.attrs["typ"]
+                attr_role = child.get("type")
+                if attr_role is None and child.get("typ") is not None:
+                    attr_role = child.get("typ")
                     self.warn(
                         child, "attribute 'typ' on date read as 'type'"
                     )
@@ -414,7 +429,7 @@ class _Builder:
                     role = attr_role.lower()
                 date = self.date_from(child, "imprint")
             elif name == "biblScope":
-                kind = child.attrs.get("type") or child.attrs.get("unit", "")
+                kind = child.get("type") or child.get("unit", "")
                 scopes.append(m.Scope(kind, self.text(child)))
             else:
                 self.unknown(child, "imprint")
@@ -422,28 +437,28 @@ class _Builder:
             role = "published"  # a role without a date cannot be carried
         return m.Imprint(publisher, pub_place, date, role, tuple(scopes))
 
-    def author(self, node: RawNode) -> m.Author:
+    def author(self, node) -> m.Author:
         surname = ""
         forenames: list = []
         identifiers: list = []
         affiliation = None
         email = None
-        for child in node.element_children():
-            name = child.name
+        for child in node:
+            name = child.tag
             if name == "persName":
-                surnames = [self.text(s) for s in child.find_all("surname")]
+                surnames = [self.text(s) for s in child.findall("surname")]
                 surname = " ".join(s for s in surnames if s)
                 forenames = [
                     self.text(f)
-                    for f in child.find_all("forename")
+                    for f in child.findall("forename")
                     if self.text(f)
                 ]
-                for sub in child.element_children():
-                    if sub.name not in ("surname", "forename"):
+                for sub in child:
+                    if sub.tag not in ("surname", "forename"):
                         self.unknown(sub, "persName")
             elif name == "idno":
                 identifiers.append(
-                    m.Identifier(child.attrs.get("type", ""), self.text(child))
+                    m.Identifier(child.get("type", ""), self.text(child))
                 )
             elif name == "affiliation":
                 affiliation = self.affiliation(child)
@@ -457,33 +472,33 @@ class _Builder:
         return m.Author(
             surname=surname,
             forenames=tuple(forenames),
-            corresponding=node.attrs.get("type") == "corresp",
+            corresponding=node.get("type") == "corresp",
             identifiers=tuple(identifiers),
             affiliation=affiliation,
             email=email,
         )
 
-    def affiliation(self, node: RawNode) -> m.Affiliation:
+    def affiliation(self, node) -> m.Affiliation:
         org_units: list = []
         address = None
-        for child in node.element_children():
-            if child.name == "orgName":
+        for child in node:
+            if child.tag == "orgName":
                 org_units.append(
-                    m.OrgUnit(child.attrs.get("type", ""), self.text(child))
+                    m.OrgUnit(child.get("type", ""), self.text(child))
                 )
-            elif child.name == "address":
+            elif child.tag == "address":
                 address = self.address(child)
             else:
                 self.unknown(child, "affiliation")
         return m.Affiliation(tuple(org_units), address)
 
-    def address(self, node: RawNode) -> m.Address:
+    def address(self, node) -> m.Address:
         settlement = None
         post_code = None
         country = None
         lines: list = []
-        for child in node.element_children():
-            name = child.name
+        for child in node:
+            name = child.tag
             text = self.text(child)
             if name == "settlement" and settlement is None:
                 settlement = text
@@ -492,7 +507,7 @@ class _Builder:
             elif name == "country" and country is None:
                 country = text
             elif name == "addrLine":
-                lines.append(m.AddressLine(text, child.attrs.get("type")))
+                lines.append(m.AddressLine(text, child.get("type")))
             elif text:
                 # other address parts survive as typed lines
                 lines.append(m.AddressLine(text, name))
@@ -502,29 +517,29 @@ class _Builder:
 
     # -- header ------------------------------------------------------------
 
-    def file_desc(self, node: RawNode) -> m.FileDesc:
+    def file_desc(self, node) -> m.FileDesc:
         main_title: tuple = ()
         availability: tuple = ()
         publication_date = None
         authority = None
         source = None
-        for child in node.element_children():
-            name = child.name
+        for child in node:
+            name = child.tag
             if name == "titleStmt":
-                titles = child.find_all("title")
+                titles = child.findall("title")
                 if titles:
                     main_title = self.rich(titles[0])
                 for extra in titles[1:]:
                     self.warn(extra, "additional titleStmt title dropped")
-                for sub in child.element_children():
-                    if sub.name != "title":
+                for sub in child:
+                    if sub.tag != "title":
                         self.unknown(sub, "titleStmt")
             elif name == "publicationStmt":
                 availability, publication_date, authority = (
                     self.publication_stmt(child)
                 )
             elif name == "sourceDesc":
-                structs = child.find_all("biblStruct")
+                structs = child.findall("biblStruct")
                 if structs:
                     source = self.biblstruct(structs[0])
                 for extra in structs[1:]:
@@ -532,8 +547,8 @@ class _Builder:
                         extra,
                         "additional sourceDesc biblStruct dropped; first kept",
                     )
-                for sub in child.element_children():
-                    if sub.name != "biblStruct":
+                for sub in child:
+                    if sub.tag != "biblStruct":
                         self.unknown(sub, "sourceDesc")
             else:
                 self.unknown(child, "fileDesc")
@@ -541,21 +556,21 @@ class _Builder:
             main_title, availability, publication_date, authority, source
         )
 
-    def publication_stmt(self, node: RawNode):
+    def publication_stmt(self, node):
         availability: tuple = ()
         date = None
         authority = None
-        for child in node.element_children():
-            name = child.name
+        for child in node:
+            name = child.tag
             if name == "availability":
-                paras = child.find_all("p")
+                paras = child.findall("p")
                 if paras:
                     availability = self.rich(paras[0])
                     for extra in paras[1:]:
                         self.warn(
                             extra, "additional availability paragraph dropped"
                         )
-                elif child.has_text():
+                elif any(isinstance(c, str) and c.strip() for c in _mixed(child)):
                     availability = self.rich(child)
             elif name == "date":
                 date = self.date_from(child, "publication")
@@ -565,56 +580,56 @@ class _Builder:
                 self.unknown(child, "publicationStmt")
         return availability, date, authority
 
-    def profile_desc(self, node: RawNode) -> m.ProfileDesc:
+    def profile_desc(self, node) -> m.ProfileDesc:
         keywords: list = []
         languages: list = []
-        for child in node.element_children():
-            name = child.name
+        for child in node:
+            name = child.tag
             if name == "langUsage":
-                for lang in child.find_all("language"):
-                    ident = lang.attrs.get("ident", "").strip()
+                for lang in child.findall("language"):
+                    ident = lang.get("ident", "").strip()
                     if ident:
                         languages.append(ident)
             elif name == "textClass":
-                for kw in child.find_all("keywords"):
+                for kw in child.findall("keywords"):
                     self.keywords(kw, keywords)
-                for sub in child.element_children():
-                    if sub.name != "keywords":
+                for sub in child:
+                    if sub.tag != "keywords":
                         self.unknown(sub, "textClass")
             else:
                 self.unknown(child, "profileDesc")
         return m.ProfileDesc(tuple(keywords), tuple(languages))
 
-    def keywords(self, node: RawNode, out: list) -> None:
-        scheme = node.attrs.get("scheme")
+    def keywords(self, node, out: list) -> None:
+        scheme = node.get("scheme")
 
         def add(term_text: str) -> None:
             term_text = _collapse(term_text)
             if term_text:
                 out.append(m.Keyword(term_text, scheme))
 
-        for child in node.element_children():
-            if child.name == "term":
-                add(child.text_content())
-            elif child.name == "list":
-                for item in child.find_all("item"):
-                    terms = item.find_all("term")
+        for child in node:
+            if child.tag == "term":
+                add(_text_content(child))
+            elif child.tag == "list":
+                for item in child.findall("item"):
+                    terms = item.findall("term")
                     if terms:
                         for term in terms:
-                            add(term.text_content())
+                            add(_text_content(term))
                     else:
-                        add(item.text_content())
+                        add(_text_content(item))
                 # a list head such as "Keywords" is presentation, not content
             else:
                 self.unknown(child, "keywords")
 
-    def revision_desc(self, node: RawNode) -> m.RevisionDesc:
+    def revision_desc(self, node) -> m.RevisionDesc:
         changes: list = []
-        for child in node.element_children():
-            if child.name != "change":
+        for child in node:
+            if child.tag != "change":
                 self.unknown(child, "revisionDesc")
                 continue
-            when_value = child.attrs.get("when", "")
+            when_value = child.get("when", "")
             try:
                 when = m.CalendarDate.parse(when_value)
             except ValueError:
@@ -623,14 +638,14 @@ class _Builder:
                     f"change with unparseable date {when_value!r} dropped",
                 )
                 continue
-            description = _collapse(child.text_content())
-            kind = child.attrs.get("type") or _leading_word(description)
+            description = _collapse(_text_content(child))
+            kind = child.get("type") or _leading_word(description)
             changes.append(m.Change(when, kind, description))
         return m.RevisionDesc(tuple(changes))
 
     # -- text division ------------------------------------------------------
 
-    def back_matter(self, node: RawNode) -> m.BackMatter:
+    def back_matter(self, node) -> m.BackMatter:
         """Back content: divisions plus the merged reference list."""
         entries: list = []
         listbibl_seen = self.harvest(node, entries, 0)
@@ -638,25 +653,25 @@ class _Builder:
         reference_list = m.ListBibl(tuple(entries)) if listbibl_seen else None
         return m.BackMatter(divisions, reference_list)
 
-    def harvest(self, node: RawNode, entries: list, listbibl_seen: int) -> int:
+    def harvest(self, node, entries: list, listbibl_seen: int) -> int:
         """Add the entries of the reference lists directly in ``node`` or in
         its (nested) divs, the ones ``division`` skips, to ``entries``.  A
         list inside a block stays in it.  Returns the count of lists seen."""
-        for sub in node.element_children():
-            if sub.foreign:
+        for sub in node:
+            if sub in self.foreign:
                 continue
-            if sub.name in _LISTBIBL_NAMES:
-                if sub.name == "listBib":
+            if sub.tag in _LISTBIBL_NAMES:
+                if sub.tag == "listBib":
                     self.warn(sub, "element 'listBib' read as 'listBibl'")
                 listbibl_seen += 1
                 if listbibl_seen > 1:
                     self.warn(sub, "additional listBibl merged into the first")
-                for entry in sub.element_children():
-                    if entry.name == "biblStruct":
+                for entry in sub:
+                    if entry.tag == "biblStruct":
                         entries.append(self.biblstruct(entry))
                     else:
                         self.unknown(entry, "listBibl")
-            elif sub.name == "div":
+            elif sub.tag == "div":
                 listbibl_seen = self.harvest(sub, entries, listbibl_seen)
         return listbibl_seen
 
@@ -684,17 +699,17 @@ def parse_article(
 ) -> ParseReport:
     """Parse one file's bytes; outcome is present iff no error was found."""
     try:
-        doc = parse_raw(data)
+        doc = parse_tree(data)
     except RawXmlError as exc:
         return ParseReport(issues=(Issue("error", "", str(exc)),))
 
     builder = _Builder(doc)
     root = doc.root
-    if root.name != "TEI" or root.ns != TEI_NS:
+    if root.tag != "TEI" or doc.root_ns != TEI_NS:
         builder.error(
             root,
             f"document element must be TEI in namespace {TEI_NS}, "
-            f"got '{root.name}'",
+            f"got '{root.tag}'",
         )
         return ParseReport(issues=tuple(builder.issues))
 
@@ -707,19 +722,19 @@ def parse_article(
     if header_node is None or text_node is None:
         return ParseReport(issues=tuple(builder.issues))
 
-    for child in root.element_children():
-        if child not in (header_node, text_node):
+    for child in root:
+        if child is not header_node and child is not text_node:
             builder.unknown(child, "TEI")
 
     file_desc = m.FileDesc()
     profile_desc = m.ProfileDesc()
     revision_desc = m.RevisionDesc()
-    for child in header_node.element_children():
-        if child.name == "fileDesc":
+    for child in header_node:
+        if child.tag == "fileDesc":
             file_desc = builder.file_desc(child)
-        elif child.name == "profileDesc":
+        elif child.tag == "profileDesc":
             profile_desc = builder.profile_desc(child)
-        elif child.name == "revisionDesc":
+        elif child.tag == "revisionDesc":
             revision_desc = builder.revision_desc(child)
         else:
             builder.unknown(child, "teiHeader")
@@ -728,16 +743,18 @@ def parse_article(
     body: tuple = ()
     back = m.BackMatter()
     strays: list = []
-    for child in text_node.element_children():
-        if child.name == "front" and not child.foreign:
+    foreign = doc.foreign
+    for child in text_node:
+        name = None if child in foreign else child.tag
+        if name == "front":
             front = builder.division_sequence(child, "front")
-        elif child.name == "body" and not child.foreign:
+        elif name == "body":
             body = builder.division_sequence(child, "body")
-        elif child.name == "back" and not child.foreign:
+        elif name == "back":
             back = builder.back_matter(child)
         else:
             builder.warn(
-                child, f"element '{child.name}' in text wrapped into body"
+                child, f"element '{child.tag}' in text wrapped into body"
             )
             strays.append(m.Division(blocks=(builder.block(child),)))
     if strays:

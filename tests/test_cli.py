@@ -1,5 +1,6 @@
 """The command-line surface: exit codes, output shapes, and the records format."""
 
+import gc
 import json
 import re
 import tempfile
@@ -433,6 +434,24 @@ class TestRender:
         assert code == ExitStatus.FAILURE
         assert "cannot parse" in err
 
+    @pytest.mark.parametrize("to", ["xhtml", "text"])
+    def test_entry_without_main_title_falls_back(self, tmp_path, capsys, to):
+        """A reference entry whose only title is not a main one is listed by
+        its bare text, as on the corpus pages, instead of failing."""
+        entry = (
+            '<biblStruct xml:id="b1" type="book"><monogr><author><persName>'
+            "<surname>Writer</surname></persName></author>"
+            '<title level="m" type="primary">Untyped Book</title>'
+            '<imprint><date when="2001"/></imprint></monogr></biblStruct>'
+        )
+        body = '<div type="section"><p>See <ref target="#b1" type="bibr"/>.</p></div>'
+        path = tmp_path / "untitled.xml"
+        path.write_bytes(article_bytes(title="Untitled Entry", body=body, refs=entry))
+        code, out, err = run(capsys, ["render", str(path), "--to", to])
+        assert (code, err) == (ExitStatus.OK, "")
+        assert "Writer. 2001." in out
+        assert "Untyped Book" not in out  # a non-main title is not cited
+
 
 @pytest.fixture
 def product_corpus(tmp_path):
@@ -604,6 +623,25 @@ class TestParser:
         assert int(ExitStatus.OK) == 0
         assert int(ExitStatus.FINDINGS) == 1
         assert int(ExitStatus.FAILURE) == 2
+
+
+class TestCollectorSettings:
+    def test_command_runs_frozen_and_restores_the_collector(self, capsys, monkeypatch):
+        from teijournal import validator
+
+        seen = []
+        real = validator.explain
+
+        def recording(rule_id):
+            seen.append((gc.get_freeze_count() > 0, gc.get_threshold()[0]))
+            return real(rule_id)
+
+        monkeypatch.setattr(validator, "explain", recording)
+        before = (gc.get_threshold(), gc.get_freeze_count())
+        assert run(capsys, ["explain", "R9"])[0] == ExitStatus.OK
+        assert run(capsys, ["explain", "R99"])[0] == ExitStatus.FAILURE
+        assert seen == [(True, cli._GC_THRESHOLD)] * 2
+        assert (gc.get_threshold(), gc.get_freeze_count()) == before
 
 
 class TestInternalErrors:

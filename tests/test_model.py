@@ -191,3 +191,71 @@ class TestImmutability:
     def test_structural_equality(self):
         assert _record() == _record()
         assert _record() != dataclasses.replace(_record(), xml_id="zz")
+
+
+# Copies of the model classes that keep the methods dataclasses generate:
+# the oracle for the iterative equality and repr of the nesting classes.
+GENERATED = {
+    cls: dataclasses.make_dataclass(
+        cls.__name__,
+        [(f.name, f.type, dataclasses.field(default=f.default))
+         for f in dataclasses.fields(cls)],
+        frozen=True,
+    )
+    for cls in (m.Emph, m.Division)
+}
+
+
+def rebuilt(node, classes: dict = GENERATED):
+    """A structurally equal copy of ``node`` made of new objects, with the
+    classes in ``classes`` swapped for their copies."""
+    if isinstance(node, tuple):
+        return tuple(rebuilt(item, classes) for item in node)
+    if dataclasses.is_dataclass(node):
+        values = {f.name: rebuilt(getattr(node, f.name), classes)
+                  for f in dataclasses.fields(node)}
+        return classes.get(type(node), type(node))(**values)
+    return node
+
+
+WORDS = st.sampled_from(["", "a", "it's"])
+INLINE = st.recursive(
+    st.builds(m.TextRun, WORDS) | st.builds(m.OpaqueInline, WORDS),
+    lambda inner: st.builds(
+        m.Emph, st.sampled_from(["", "i"]), st.lists(inner, max_size=3).map(tuple)
+    ),
+    max_leaves=10,
+)
+RICH = st.lists(INLINE, max_size=2).map(tuple)
+DIVISION = st.recursive(
+    st.builds(m.Division, st.sampled_from(["s", "t"]), RICH),
+    lambda inner: st.builds(
+        m.Division,
+        st.sampled_from(["s", "t"]),
+        RICH,
+        st.lists(st.builds(m.Paragraph, RICH), max_size=2).map(tuple),
+        st.lists(inner, max_size=2).map(tuple),
+    ),
+    max_leaves=6,
+)
+
+
+class TestNestedEqualityAndRepr:
+    @given(DIVISION, DIVISION)
+    def test_match_the_generated_methods(self, a, b):
+        assert repr(a) == repr(rebuilt(a))
+        assert (a == b) == (rebuilt(a) == rebuilt(b))
+        assert (a != b) == (rebuilt(a) != rebuilt(b))
+        copy = rebuilt(a, {})
+        assert copy == a and copy is not a
+        assert hash(copy) == hash(a)
+
+    def test_other_types_compare_unequal(self):
+        emph = m.Emph("i", (m.TextRun("x"),))
+        assert emph != m.TextRun("x")
+        assert emph != ("i", (m.TextRun("x"),))
+        assert m.Division() != m.Paragraph()
+        assert dataclasses.replace(emph, rend="b") == m.Emph("b", emph.content)
+        assert [f.name for f in dataclasses.fields(m.Division)] == [
+            "kind", "head", "blocks", "children"
+        ]

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import teijournal
+from teijournal import model as m
 from teijournal import rawxml, render, validator, xmlio
 from teijournal.cli import ExitStatus, main
 from teijournal.rawxml import (
@@ -21,6 +22,7 @@ from teijournal.rawxml import (
     RawDocument,
     RawNode,
     RawXmlError,
+    TreeDocument,
     _resolve_name,
     parse_raw,
     source_path,
@@ -224,13 +226,27 @@ def tag_scans(monkeypatch):
 @pytest.fixture
 def slices(monkeypatch):
     calls = []
-    real = RawDocument.slice
+    real = TreeDocument.slice
 
     def counting_slice(self, node):
         calls.append(node)
         return real(self, node)
 
-    monkeypatch.setattr(RawDocument, "slice", counting_slice)
+    monkeypatch.setattr(TreeDocument, "slice", counting_slice)
+    return calls
+
+
+@pytest.fixture
+def offset_passes(monkeypatch):
+    """Counts the expat passes that record start offsets for slicing."""
+    calls = []
+    real = rawxml._element_starts
+
+    def counting_starts(data):
+        calls.append(data)
+        return real(data)
+
+    monkeypatch.setattr(rawxml, "_element_starts", counting_starts)
     return calls
 
 
@@ -243,23 +259,29 @@ OPAQUE_BODY = (
 
 
 class TestDeferredSpans:
-    def test_parse_without_opaque_markup_scans_no_start_tag(self, tag_scans, slices):
+    def test_parse_without_opaque_markup_scans_no_start_tag(
+        self, tag_scans, slices, offset_passes
+    ):
         data = article_bytes(title="Plain")
         report = xmlio.parse_article(data, "plain.xml")
         assert report.ok and not slices
         assert tag_scans.calls == 0
+        assert not offset_passes
 
     def test_raw_parse_scans_no_start_tag(self, tag_scans):
         parse_raw(article_bytes(title="Opaque", body=OPAQUE_BODY))
         parse_raw(b"<d><a k='>'/><b>x</b></d>")
         assert tag_scans.calls == 0
 
-    def test_parse_article_scans_once_per_sliced_node(self, tag_scans, slices):
+    def test_parse_article_scans_once_per_sliced_node(
+        self, tag_scans, slices, offset_passes
+    ):
         data = article_bytes(title="Opaque", body=OPAQUE_BODY)
         report = xmlio.parse_article(data, "opaque.xml")
         assert report.ok
         assert len(slices) == 5
         assert tag_scans.calls <= len(slices)
+        assert offset_passes == [data]
 
 
 def tree_paths(node: RawNode, path: str = "") -> list:
@@ -284,6 +306,75 @@ class TestSourcePath:
         assert not hasattr(first, "parent")
         assert first.up is second.up == ("d", 1, None)
         assert source_path(first.children[0]) == "d[1]/e[1]/f[1]"
+
+
+# --------------------------------------------------------------------------
+# The ElementTree reader against parse_raw
+# --------------------------------------------------------------------------
+
+
+def raw_fields(doc: RawDocument) -> list:
+    """Per element in document order: name, attributes, span, foreign flag,
+    source path and text runs, as parse_raw gives them."""
+    out, stack = [], [doc.root]
+    while stack:
+        node = stack.pop()
+        texts = [c for c in node.children if isinstance(c, str)]
+        out.append((node.name, node.attrs, doc.span(node), node.foreign,
+                    source_path(node), texts))
+        stack.extend(reversed(node.element_children()))
+    return out
+
+
+def tree_fields(doc: TreeDocument) -> list:
+    """The same fields read from a TreeDocument; attribute keys are mapped
+    the way parse_raw names them."""
+    return [
+        (element.tag,
+         {rawxml._tree_name(key)[0]: value for key, value in element.items()},
+         doc.span(element), element in doc.foreign, doc.source_path(element),
+         [t for t in (element.text, *(child.tail for child in element)) if t])
+        for element in doc.root.iter()
+    ]
+
+
+def with_tei_prefix(data: bytes) -> bytes:
+    """Bind the generated documents' ``x`` prefix to the TEI namespace, so
+    that ``x:k`` attributes and ``x:a`` elements are TEI names."""
+    return data.replace(b'xmlns:x="urn:x"', f'xmlns:x="{TEI}"'.encode(), 1)
+
+
+class TestParseTree:
+    @settings(max_examples=120, deadline=None)
+    @given(documents(), st.booleans())
+    def test_names_spans_paths_and_text_match_parse_raw(self, data, tei_prefix):
+        if tei_prefix:
+            data = with_tei_prefix(data)
+        raw = parse_raw(data)
+        tree = rawxml.parse_tree(data)
+        assert tree_fields(tree) == raw_fields(raw)
+        assert tree.ns_decls == raw.ns_decls
+        assert tree.root_ns == raw.root.ns
+
+    def test_tei_prefixed_attribute_is_read_by_its_local_name(self):
+        body = (
+            '<div type="s" xmlns:t="http://www.tei-c.org/ns/1.0">'
+            '<p><hi t:rend="b">x</hi> <hi rend="a" t:rend="b">y</hi>'
+            ' <hi t:rend="b" rend="a">z</hi></p></div>'
+        )
+        article = xmlio.parse_article(article_bytes(title="T", body=body)).outcome
+        hi = [node for node in article.body[0].blocks[0].content
+              if isinstance(node, m.Emph)]
+        assert [node.rend for node in hi] == ["b", "b", "a"]  # the later one wins
+
+    def test_skipped_entity_reference_is_dropped_as_parse_raw_drops_it(self):
+        data = article_bytes(title="T", body='<div><p>a&undeclared;b</p></div>')
+        data = data.replace(b"<TEI ", b"<!DOCTYPE TEI [%pe;]>\n<TEI ", 1)
+        report = xmlio.parse_article(data)
+        assert report.ok, report.issues
+        assert report.outcome.body[0].blocks[0].content == (m.TextRun("ab"),)
+        paragraphs = [f for f in raw_fields(parse_raw(data)) if f[0] == "p"]
+        assert paragraphs[-1][5] == ["ab"]
 
 
 # --------------------------------------------------------------------------
@@ -361,6 +452,13 @@ class TestNamespaceDeclarations:
 # --------------------------------------------------------------------------
 
 
+DEEP_HEADER = (
+    '<teiHeader><fileDesc><titleStmt><title level="a" type="main">T</title>'
+    "</titleStmt><publicationStmt><authority>A</authority></publicationStmt>"
+    "</fileDesc></teiHeader>"
+)
+
+
 def tei_nested_hi(depth: int) -> bytes:
     """An article whose deepest element is ``depth`` levels down.
 
@@ -368,15 +466,22 @@ def tei_nested_hi(depth: int) -> bytes:
     serializer and renderers.  TEI, text, body, div and p take five levels.
     """
     n = depth - 5
-    header = (
-        '<teiHeader><fileDesc><titleStmt><title level="a" type="main">T</title>'
-        "</titleStmt><publicationStmt><authority>A</authority></publicationStmt>"
-        "</fileDesc></teiHeader>"
-    )
     inner = '<hi rend="i">' * n + "x" + "</hi>" * n
     return (
-        f'<TEI xmlns="{TEI}">{header}<text><body><div type="s"><p>{inner}</p>'
+        f'<TEI xmlns="{TEI}">{DEEP_HEADER}<text><body><div type="s"><p>{inner}</p>'
         "</div></body></text></TEI>"
+    ).encode("utf-8")
+
+
+def tei_nested_divs(depth: int) -> bytes:
+    """An article whose paragraph is ``depth`` levels down, in nested divs.
+
+    TEI, text, body and p take four levels.
+    """
+    n = depth - 4
+    inner = '<div type="s">' * n + "<p>x</p>" + "</div>" * n
+    return (
+        f'<TEI xmlns="{TEI}">{DEEP_HEADER}<text><body>{inner}</body></text></TEI>'
     ).encode("utf-8")
 
 
@@ -395,6 +500,18 @@ class TestDepthLimit:
         assert xmlio.serialize_article(xmlio.parse_article(serialized).outcome) == serialized
         render.render_xhtml(article, render.builtin_style("chicago"))
         render.render_plaintext(article)
+
+    @pytest.mark.parametrize("make", [tei_nested_hi, tei_nested_divs])
+    def test_equality_and_repr_at_the_limit(self, make):
+        data = make(MAX_DEPTH)
+        first = xmlio.parse_article(data, "deep.xml").outcome
+        second = xmlio.parse_article(data, "deep.xml").outcome
+        other = xmlio.parse_article(data.replace(b">x<", b">y<"), "deep.xml").outcome
+        assert first == second and first is not second
+        assert first != other
+        assert repr(first) == repr(second) != repr(other)
+        assert hash(first) == hash(second)
+        assert xmlio.parse_article(make(MAX_DEPTH + 1)).outcome is None
 
     def test_every_schema_stage_completes_at_the_limit(self):
         doc = parse_raw(raw_nested(MAX_DEPTH))
@@ -422,6 +539,66 @@ class TestDepthLimit:
 
 
 # --------------------------------------------------------------------------
+# parse_article refuses exactly what parse_raw refuses
+# --------------------------------------------------------------------------
+
+PARITY_BASES = (
+    article_bytes(title="Opaque", body=OPAQUE_BODY),
+    article_bytes(
+        title="Marked",
+        body='<div type="s"><p>a<!-- c -->b<?pi x?><![CDATA[<c>]]> <hi rend="i">'
+             'd</hi> &amp; e</p><list><item>f</item></list></div>',
+        refs='<biblStruct xml:id="b1" type="book"><monogr><title level="m">'
+             "B</title></monogr></biblStruct>",
+    ),
+)
+MUTATION_BYTES = st.sampled_from(list(b"<>&;\"'/=!?[]- x") + [0, 0xFF, 0xC3])
+
+
+@st.composite
+def damaged_documents(draw) -> bytes:
+    """Truncated or byte-mutated articles, and articles nested 250 to 300
+    deep, which may also be truncated after the deep part."""
+    kind = draw(st.sampled_from(["truncated", "mutated", "deep"]))
+    if kind == "deep":
+        make = draw(st.sampled_from([tei_nested_hi, tei_nested_divs]))
+        data = make(draw(st.integers(250, 300)))
+        if draw(st.booleans()):
+            data = data[: draw(st.integers(len(data) // 2, len(data) - 1))]
+        return data
+    data = draw(st.sampled_from(PARITY_BASES))
+    if kind == "truncated":
+        return data[: draw(st.integers(0, len(data) - 1))]
+    for _ in range(draw(st.integers(1, 4))):
+        at = draw(st.integers(0, len(data) - 1))
+        byte = bytes([draw(MUTATION_BYTES)])
+        edit = draw(st.sampled_from(["replace", "insert", "delete"]))
+        tail = data[at + 1:] if edit != "insert" else data[at:]
+        data = data[:at] + (b"" if edit == "delete" else byte) + tail
+    return data
+
+
+class TestParserParity:
+    @settings(max_examples=150, deadline=None)
+    @given(damaged_documents())
+    def test_refusals_agree_and_accepted_articles_reach_a_fixpoint(self, data):
+        try:
+            parse_raw(data)
+            refusal = None
+        except RawXmlError as exc:
+            refusal = str(exc)
+        report = xmlio.parse_article(data, "damaged.xml")
+        if refusal is not None:
+            assert report.issues == (xmlio.Issue("error", "", refusal),)
+            return
+        assert all(issue.location for issue in report.issues)
+        if report.ok:
+            once = xmlio.serialize_article(report.outcome)
+            again = xmlio.parse_article(once, "damaged.xml")
+            assert xmlio.serialize_article(again.outcome) == once
+
+
+# --------------------------------------------------------------------------
 # Profiling in place
 # --------------------------------------------------------------------------
 
@@ -446,8 +623,8 @@ class TestProfileCorpus:
 
 
 # --------------------------------------------------------------------------
-# The schema commands do not load the TEI stack, nor the TEI commands schema
-# or ElementTree
+# The schema commands load neither the TEI stack nor ElementTree, and the
+# TEI commands do not load schema
 # --------------------------------------------------------------------------
 
 TEI_MODULES = {f"teijournal.{name}" for name in
@@ -484,6 +661,7 @@ def test_schema_commands_skip_tei_modules(tmp_path):
         assert code == 0, (argv, done.stderr)
         assert "teijournal.schema" in loaded
         assert not TEI_MODULES & set(loaded), argv
+        assert "xml.etree.ElementTree" not in loaded, argv
 
 
 def test_tei_commands_skip_schema_module(tmp_path):
@@ -510,7 +688,6 @@ def test_tei_commands_skip_schema_module(tmp_path):
         assert code == 0, (argv, done.stderr)
         assert "teijournal.model" in loaded
         assert "teijournal.schema" not in loaded, argv
-        assert "xml.etree.ElementTree" not in loaded, argv
 
 
 def test_package_exports_resolve_lazily():
