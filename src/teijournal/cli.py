@@ -187,12 +187,13 @@ def _xml_files(directory: str) -> list:
 
 
 def _load_raw_dir(directory: str) -> list:
-    """(name, RawDocument) pairs for each parseable file; notes the rest."""
+    """(name, TreeDocument) pairs for each readable, parseable file; notes
+    the rest."""
     docs = []
     for name in _xml_files(directory):
         try:
             docs.append((name, parse_raw(_read_bytes(name))))
-        except RawXmlError as exc:
+        except (CliError, RawXmlError) as exc:
             print(f"skipping {name}: {exc}", file=sys.stderr)
     return docs
 
@@ -235,13 +236,20 @@ def _report_findings(args, check) -> int:
     """Print or record the findings of ``check(name, data)`` for each file.
 
     ``check`` returns a file's findings, or None when the file cannot be
-    parsed (having said why on stderr).
+    parsed (having said why on stderr).  A file that cannot be read is
+    skipped in the same way.
     """
     failed = False
     any_error_finding = False
     records = []
     for name in args.files:
-        findings = check(name, _read_bytes(name))
+        try:
+            data = _read_bytes(name)
+        except CliError as exc:
+            print(f"teijournal: {exc}", file=sys.stderr)
+            failed = True
+            continue
+        findings = check(name, data)
         if findings is None:
             failed = True
             continue
@@ -366,9 +374,7 @@ def cmd_arbitrate(args) -> int:
         raise CliError(f"bad rules file: {exc}") from None
     named = _load_raw_dir(args.dir)
     try:
-        rewritten, changes = schema_ops.arbitrate(
-            [doc for _, doc in named], rules, parse=False
-        )
+        rewritten, changes = schema_ops.arbitrate([doc for _, doc in named], rules)
     except ValueError as exc:
         raise CliError(str(exc)) from None
     if args.in_place:

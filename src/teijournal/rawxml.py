@@ -1,9 +1,13 @@
-"""Low-level XML tree with source byte spans.
+"""The one XML reader: an ElementTree tree with source byte spans on demand.
 
-Built directly on ``xml.parsers.expat`` so that every element records where
-it starts and where its end tag was reported in the input.
-:meth:`RawDocument.span` turns that into the byte range the element
-occupies, on demand, because only a few nodes ever need it.  Those spans
+:func:`parse_raw` makes every refusal but the depth limit in one expat pass
+with no element handler, a chunk at a time; the C ElementTree parser builds
+the tree from each chunk that pass has accepted, and the depth is checked
+as it goes.  Elements
+carry display names: TEI names lose their namespace, and other qualified
+names read ``{uri}local``, or ``xml:local`` in the XML namespace.  The byte
+spans and source paths that cost a Python call per element are worked out
+only for documents that ask for them (:class:`TreeDocument`).  Those spans
 let higher layers carry unrecognized markup through a parse/serialize cycle
 verbatim, and let the rewrite machinery splice attribute values without
 disturbing anything else.
@@ -14,30 +18,14 @@ declarations. Only the five built-in character entities and numeric
 character references ever reach the tree. Elements may nest at most
 ``MAX_DEPTH`` deep, so that every recursive walk over the tree, here and
 in the layers above, finishes within Python's default recursion limit.
-
-Every structure a parse builds is free of reference cycles, so it is freed
-as soon as the last reference to it goes, without waiting for the cyclic
-garbage collector.  A node therefore has no ``parent`` attribute.  Instead
-``up`` holds its parent's upward chain, the tuple ``(name, ordinal, up)``
-of the parent, which ends in ``None`` at the document element.
-:func:`source_path` reads a node's path from its own name and ordinal and
-that chain.  One chain tuple is made per element that has element
-children, and all of those children share it.  The expat handlers refer
-back to the parser, so every pass releases them before it returns.
-
-:func:`parse_tree` is the cheaper reader the TEI builder uses.  One expat
-pass with no element handler makes every refusal above; then the C
-ElementTree parser builds the tree, and only ever sees accepted bytes.  Its
-elements carry ``parse_raw``'s names, and the byte spans and source paths
-that cost a Python call per element are worked out only for documents that
-ask for them (:class:`TreeDocument`).
+The expat handlers refer back to the parser, so every pass releases them
+before it returns.
 """
 
 from __future__ import annotations
 
 import re
 from collections import deque
-from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain, compress, repeat
 from operator import attrgetter
@@ -49,47 +37,12 @@ XML_NS = "http://www.w3.org/XML/1998/namespace"
 #: Deepest element nesting accepted, counting the document element as 1.
 MAX_DEPTH = 256
 
+#: Bytes the C parser reads between two depth checks.
+_CHUNK = 1 << 16
+
 
 class RawXmlError(Exception):
     """Input rejected: not well-formed, wrong encoding, or unsafe."""
-
-
-@dataclass(eq=False, slots=True)
-class RawNode:
-    """One element: resolved name, attributes, children, and byte span.
-
-    Identity equality: nodes are positions in one parsed document, not
-    values.
-    """
-
-    name: str
-    ns: str = ""
-    attrs: dict = field(default_factory=dict)
-    children: list = field(default_factory=list)  # RawNode | str
-    start: int = 0  # offset of the start tag's '<'
-    close: int = 0  # where expat reported the end: see RawDocument.span
-    up: "tuple | None" = field(default=None, repr=False)  # parent's chain
-    ordinal: int = 1  # 1-based position among same-named siblings
-    ns_decls: tuple = ()  # prefixed declarations carried by this element
-    foreign: bool = False  # namespace differs from the document element's
-
-    def element_children(self) -> list:
-        return [c for c in self.children if isinstance(c, RawNode)]
-
-    def text_content(self) -> str:
-        parts = []
-        for child in self.children:
-            if isinstance(child, str):
-                parts.append(child)
-            else:
-                parts.append(child.text_content())
-        return "".join(parts)
-
-    def has_text(self) -> bool:
-        """True when any direct text child is more than whitespace."""
-        return any(
-            isinstance(c, str) and c.strip() for c in self.children
-        )
 
 
 # The rest of a start tag after its '<': any run of unquoted bytes and
@@ -103,39 +56,6 @@ _START_TAG_REST_RE = re.compile(rb"""(?:[^"'>]|"[^"]*"|'[^']*')*>""")
 _TAIL_RE = re.compile(
     rb"(?:[^<]|<!--.*?-->|<!\[CDATA\[.*?\]\]>|<\?.*?\?>)*</[^>]*>", re.S
 )
-
-
-@dataclass
-class RawDocument:
-    data: bytes
-    root: RawNode
-    #: First declaration of each namespace prefix, in document order.
-    ns_decls: tuple = ()
-
-    def span(self, node: RawNode) -> tuple[int, int]:
-        """The ``(start, end)`` byte offsets of ``node``'s markup.
-
-        The parse records only where each element starts and where expat
-        reported its end tag; the end offset is worked out here, for the
-        few nodes that need it.  An empty-element tag ends at its own
-        ``/>``; otherwise the end tag runs to the next ``>`` (end tags
-        contain no quotes).
-        """
-        data = self.data
-        end = _START_TAG_REST_RE.match(data, node.start + 1).end()
-        if data[end - 2] != 0x2F:  # no '/' before the '>': paired tags
-            end = data.index(b">", node.close) + 1
-        return node.start, end
-
-
-def source_path(node: RawNode) -> str:
-    """Slash-joined path with 1-based same-name sibling indexes."""
-    parts = [f"{node.name}[{node.ordinal}]"]
-    up = node.up
-    while up is not None:
-        name, ordinal, up = up
-        parts.append(f"{name}[{ordinal}]")
-    return "/".join(reversed(parts))
 
 
 _ENC_DECL_RE = re.compile(
@@ -167,12 +87,14 @@ def _resolve_name(expat_name: str) -> tuple[str, str]:
     return "{%s}%s" % (uri, local), uri
 
 
-def _run(parser, data: bytes, handlers: dict) -> None:
+def _run(parser, data: bytes, handlers: dict, after_chunk=None) -> None:
     """Parse ``data`` with ``handlers`` and the refusals every pass makes.
 
     Those are: empty input, a wrong encoding, entity declarations, external
-    DTDs and input that is not well-formed.  The handlers refer back to the
-    parser, so they are released before this returns.
+    DTDs and input that is not well-formed.  ``data`` is read ``_CHUNK`` at
+    a time, and ``after_chunk`` is called with each chunk the pass has
+    accepted.  The handlers refer back to the parser, so they are released
+    before this returns.
     """
     if not data.strip():
         raise RawXmlError("empty input")
@@ -194,7 +116,12 @@ def _run(parser, data: bytes, handlers: dict) -> None:
     for event, handler in handlers.items():
         setattr(parser, event, handler)
     try:
-        parser.Parse(data, True)
+        for at in range(0, len(data), _CHUNK):
+            chunk = data[at:at + _CHUNK]
+            parser.Parse(chunk, False)
+            if after_chunk is not None:
+                after_chunk(chunk)
+        parser.Parse(b"", True)
     except expat.ExpatError as exc:
         raise RawXmlError(f"not well-formed: {exc}") from None
     finally:
@@ -205,7 +132,6 @@ def _run(parser, data: bytes, handlers: dict) -> None:
 def _new_parser():
     parser = expat.ParserCreate(namespace_separator=" ")
     parser.ordered_attributes = True
-    parser.buffer_text = True
     return parser
 
 
@@ -216,108 +142,21 @@ def _fail(parser, message: str) -> None:
     )
 
 
-def parse_raw(data: bytes) -> RawDocument:
-    """Parse bytes into a span-annotated tree, or raise ``RawXmlError``."""
-    parser = _new_parser()
-    root_holder: list[RawNode] = []
-    # One frame per open element: [node, its children list, same-name
-    # sibling counters, upward chain]; the last two are made at its first
-    # element child.
-    stack: list[list] = []
-    pending_ns: list[tuple] = []
-    first_ns: dict = {}  # prefix -> URI of its first declaration
-    names: dict = {}  # expat name -> (name, namespace URI), for this parse
-
-    def resolve(expat_name: str) -> tuple[str, str]:
-        resolved = names[expat_name] = _resolve_name(expat_name)
-        return resolved
-
-    def on_ns_decl(prefix, uri) -> None:
-        if prefix:
-            pending_ns.append((prefix, uri or ""))
-            first_ns.setdefault(prefix, uri or "")
-
-    def on_start(expat_name, attr_list) -> None:
-        if len(stack) >= MAX_DEPTH:
-            _fail(parser, f"elements nested more than {MAX_DEPTH} deep")
-        name, uri = names.get(expat_name) or resolve(expat_name)
-        attrs = {}
-        if attr_list:
-            pairs = iter(attr_list)
-            for attr_name, value in zip(pairs, pairs):
-                attrs[(names.get(attr_name) or resolve(attr_name))[0]] = value
-        if pending_ns:
-            ns_decls = tuple(pending_ns)
-            pending_ns.clear()
-        else:
-            ns_decls = ()
-        children = []
-        if stack:
-            frame = stack[-1]
-            up = frame[3]
-            if up is None:
-                parent = frame[0]
-                up = frame[3] = (parent.name, parent.ordinal, parent.up)
-                siblings = frame[2] = {name: 1}
-                ordinal = 1
-            else:
-                siblings = frame[2]
-                ordinal = siblings[name] = siblings.get(name, 0) + 1
-            # positional for speed: name, ns, attrs, children, start, close,
-            # up, ordinal, ns_decls, foreign
-            node = RawNode(name, uri, attrs, children, parser.CurrentByteIndex, 0,
-                           up, ordinal, ns_decls,
-                           frame[0].foreign or uri != root_holder[0].ns)
-            frame[1].append(node)
-        else:
-            node = RawNode(name, uri, attrs, children, parser.CurrentByteIndex,
-                           ns_decls=ns_decls)
-            root_holder.append(node)
-        stack.append([node, children, None, None])
-
-    def on_end(expat_name) -> None:
-        stack.pop()[0].close = parser.CurrentByteIndex
-
-    def on_text(text) -> None:
-        if not stack:
-            return
-        children = stack[-1][1]
-        if children and isinstance(children[-1], str):
-            children[-1] += text
-        else:
-            children.append(text)
-
-    _run(parser, data, {
-        "StartNamespaceDeclHandler": on_ns_decl,
-        "StartElementHandler": on_start,
-        "EndElementHandler": on_end,
-        "CharacterDataHandler": on_text,
-    })
-    if not root_holder:
-        raise RawXmlError("no document element")
-    return RawDocument(data, root_holder[0], tuple(first_ns.items()))
-
-
-# --------------------------------------------------------------------------
-# The ElementTree reader
-# --------------------------------------------------------------------------
-
-
 class TreeDocument:
-    """A document read by :func:`parse_tree`: an ElementTree ``root`` whose
-    tags and attribute names are the ones :func:`parse_raw` gives.
+    """A document read by :func:`parse_raw`: an ElementTree ``root`` whose
+    tags are display names.
 
-    TEI names lose their namespace and XML-namespace element names read
-    ``xml:*``.  Attribute keys keep ElementTree's form (``xml:id`` is
+    Attribute keys keep ElementTree's form (``xml:id`` is
     ``{http://www.w3.org/XML/1998/namespace}id``), except that a key in the
-    TEI namespace is stripped to its local name, as ``parse_raw`` does.
-    ``foreign`` holds every element that is, or lies inside, an element
-    whose namespace differs from the document element's.  Byte spans and
-    source paths are worked out the first time one is asked for.
+    TEI namespace is stripped to its local name; :func:`attribute_name`
+    gives a key's display name.  ``foreign`` holds every element that is,
+    or lies inside, an element whose namespace differs from the document
+    element's; the document element itself never is.  Byte spans, start
+    tags and source paths are worked out the first time one is asked for.
     """
 
     __slots__ = ("data", "root", "root_ns", "ns_decls", "foreign", "_starts",
-                 "_parents", "_ordinals")
+                 "_tags", "_parents", "_ordinals")
 
     def __init__(self, data: bytes, root, root_ns: str, ns_decls: tuple, foreign: set):
         self.data = data
@@ -326,9 +165,25 @@ class TreeDocument:
         #: First declaration of each namespace prefix, in document order.
         self.ns_decls = ns_decls
         self.foreign = foreign
-        self._starts = None  # element -> start offset, from one more pass
+        # expat reports start tags in the order ``iter`` walks the tree
+        self._starts = None  # element -> start offset
+        self._tags = None  # element -> (start offset, expat attribute names)
         self._parents = None  # element -> parent element
         self._ordinals: dict = {}  # element -> ordinal, filled per parent
+
+    def start_tag(self, element) -> tuple[int, list]:
+        """The offset of ``element``'s start tag, and the display names of
+        the attributes it specifies, in start-tag order.  Namespace
+        declarations are not attributes.  A TEI-prefixed name and its
+        unprefixed twin both read as the local name, so this list can be
+        longer than ``element.keys()``."""
+        tags = self._tags
+        if tags is None:
+            tags = self._tags = dict(
+                zip(self.root.iter(), _start_tags(self.data, attributes=True))
+            )
+        start, names = tags[element]
+        return start, [_resolve_name(name)[0] for name in names]
 
     def span(self, element) -> tuple[int, int]:
         """The ``(start, end)`` byte offsets of ``element``'s markup.
@@ -341,10 +196,7 @@ class TreeDocument:
         """
         starts = self._starts
         if starts is None:
-            # expat reports start tags in the order ``iter`` walks the tree
-            starts = self._starts = dict(
-                zip(self.root.iter(), _element_starts(self.data))
-            )
+            starts = self._starts = dict(zip(self.root.iter(), _start_tags(self.data)))
         data = self.data
         enclosing = [element]
         while len(enclosing[-1]):
@@ -382,48 +234,61 @@ class TreeDocument:
         return "/".join(reversed(parts))
 
 
-def parse_tree(data: bytes) -> TreeDocument:
+class _TooDeep(Exception):
+    """The tree read so far nests deeper than ``MAX_DEPTH``."""
+
+
+def parse_raw(data: bytes) -> TreeDocument:
     """Read bytes into a :class:`TreeDocument`, or raise ``RawXmlError``.
 
-    Refuses exactly what :func:`parse_raw` refuses, with the same message:
-    an expat pass with no element handler checks everything but the depth;
-    the depth is measured on the built tree, and only a refused document
-    is read once more, depth-checked, for the first refusal in document
-    order and its line and column.
+    One expat pass with no element handler checks everything but the
+    depth, ``_CHUNK`` bytes at a time, and the C parser reads each chunk
+    once that pass has accepted it.  After each chunk the path of last
+    children down from the document element, which holds every open
+    element, is measured, so a document nested far too deep is dropped
+    after its first chunks; the whole tree is measured once at the end.
+    Only a refused document is read once more, depth-checked, for the
+    first refusal in document order and its line and column.
     """
-    from xml.etree.ElementTree import XMLParser
+    from xml.etree.ElementTree import TreeBuilder, XMLParser
+
+    builder = TreeBuilder()
+    parser = XMLParser(target=builder)
+
+    def build(chunk: bytes) -> None:
+        parser.feed(chunk)
+        # the C builder's ``close`` hands back the document element built so
+        # far and leaves the parse open (pinned by a test)
+        if _last_path_too_deep(builder.close()):
+            raise _TooDeep
 
     try:
-        ns_decls, skipped, tei_prefixed = _prescan(data, limit_depth=False)
+        ns_decls, tei_prefixed = _prescan(data, parser.entity, build)
+        root = parser.close()
+        if not _deeper_than_limit(root):
+            root_ns, foreign = _adopt_names(root, tei_prefixed)
+            return TreeDocument(data, root, root_ns, ns_decls, foreign)
     except RawXmlError:
-        _prescan(data, limit_depth=True)  # an element too deep may come first
+        _depth_scan(data)  # an element too deep may come first
         raise
-    parser = XMLParser()
-    # expat skips an undeclared entity when the DTD refers to a parameter
-    # entity; parse_raw then drops the reference, and so does this parser
-    parser.entity.update(dict.fromkeys(skipped, ""))
-    parser.feed(data)
-    root = parser.close()
-    if _deeper_than_limit(root):
-        _prescan(data, limit_depth=True)  # raises at the first too-deep element
-        raise RawXmlError(f"elements nested more than {MAX_DEPTH} deep")
-    root_ns, foreign = _adopt_names(root, tei_prefixed)
-    return TreeDocument(data, root, root_ns, ns_decls, foreign)
+    except _TooDeep:
+        pass
+    _depth_scan(data)  # raises at the first too-deep element
+    raise RawXmlError(f"elements nested more than {MAX_DEPTH} deep")
 
 
-def _prescan(data: bytes, limit_depth: bool) -> tuple:
-    """Check ``data`` as :func:`parse_raw` does, building nothing.
+def _prescan(data: bytes, entities: dict, after_chunk) -> tuple:
+    """Make every refusal but the depth limit, building nothing.
 
-    Returns the first declaration of each namespace prefix, the general
-    entities expat skipped, and whether any prefix is bound to the TEI
-    namespace.  Only with ``limit_depth`` are element handlers set, to
-    refuse nesting deeper than ``MAX_DEPTH`` where ``parse_raw`` does.
+    Returns the first declaration of each namespace prefix and whether any
+    prefix is bound to the TEI namespace.  A general entity expat skips,
+    which happens when the DTD refers to a parameter entity, is added to
+    ``entities`` as the empty string before ``after_chunk`` sees the chunk
+    that refers to it.
     """
     parser = _new_parser()
     first_ns: dict = {}
-    skipped: list = []
     tei_prefixed = False
-    depth = 0
 
     def on_ns_decl(prefix, uri) -> None:
         nonlocal tei_prefixed
@@ -433,7 +298,19 @@ def _prescan(data: bytes, limit_depth: bool) -> tuple:
 
     def on_skipped(name, is_parameter_entity) -> None:
         if not is_parameter_entity:
-            skipped.append(name)
+            entities[name] = ""
+
+    _run(parser, data, {
+        "StartNamespaceDeclHandler": on_ns_decl,
+        "SkippedEntityHandler": on_skipped,
+    }, after_chunk)
+    return tuple(first_ns.items()), tei_prefixed
+
+
+def _depth_scan(data: bytes) -> None:
+    """Raise at the first refusal, too-deep elements included."""
+    parser = _new_parser()
+    depth = 0
 
     def on_start(name, attrs) -> None:
         nonlocal depth
@@ -445,23 +322,23 @@ def _prescan(data: bytes, limit_depth: bool) -> tuple:
         nonlocal depth
         depth -= 1
 
-    handlers = {
-        "StartNamespaceDeclHandler": on_ns_decl,
-        "SkippedEntityHandler": on_skipped,
-    }
-    if limit_depth:
-        handlers.update(StartElementHandler=on_start, EndElementHandler=on_end)
-    _run(parser, data, handlers)
-    return tuple(first_ns.items()), skipped, tei_prefixed
+    _run(parser, data, {"StartElementHandler": on_start, "EndElementHandler": on_end})
 
 
 @lru_cache(maxsize=1024)
 def _tree_name(tag: str) -> tuple[str, str]:
-    """Map ElementTree's ``{uri}local`` form to parse_raw's name and URI."""
+    """Map ElementTree's ``{uri}local`` form to a display name and URI."""
     if tag[:1] != "{":
         return tag, ""
     uri, _, local = tag[1:].rpartition("}")  # a local name holds no '}'
     return _resolve_name(f"{uri} {local}")
+
+
+@lru_cache(maxsize=1024)
+def attribute_name(key: str) -> str:
+    """The display name of an attribute key of a :class:`TreeDocument`
+    element: ``xml:lang``, ``{uri}local``, or the key itself."""
+    return _tree_name(key)[0]
 
 
 _TEI_KEY = "{%s}" % TEI_NS
@@ -469,8 +346,8 @@ _TAG = attrgetter("tag")
 
 
 def _adopt_names(root, tei_prefixed: bool) -> tuple:
-    """Rename every element of ``root`` to parse_raw's name for it, and strip
-    the TEI namespace from attribute keys when a prefix is bound to it.
+    """Rename every element of ``root`` to its display name, and strip the
+    TEI namespace from attribute keys when a prefix is bound to it.
 
     Returns the document element's namespace and the set of foreign
     elements.  The per-element steps run in C (``map``, ``compress``, a
@@ -497,6 +374,16 @@ def _adopt_names(root, tei_prefixed: bool) -> tuple:
     return root_ns, foreign
 
 
+def _last_path_too_deep(element) -> bool:
+    """True when the path of last children down from ``element`` is more
+    than ``MAX_DEPTH`` long; ``None``, no document element yet, is not."""
+    for _ in range(MAX_DEPTH):
+        if element is None or not len(element):
+            return False
+        element = element[-1]
+    return True
+
+
 def _deeper_than_limit(root) -> bool:
     """True when elements nest more than ``MAX_DEPTH`` deep.  Walks the tree
     level by level, keeping only the elements that have children."""
@@ -508,14 +395,19 @@ def _deeper_than_limit(root) -> bool:
     return bool(level)
 
 
-def _element_starts(data: bytes) -> list:
-    """The offset of every start tag's ``<``, in document order."""
-    parser = expat.ParserCreate()  # accepted bytes: names need no resolving
-    parser.ordered_attributes = True
-    starts: list = []
-
-    def on_start(name, attrs) -> None:
-        starts.append(parser.CurrentByteIndex)
+def _start_tags(data: bytes, attributes: bool = False) -> list:
+    """The offset of every start tag's ``<``, in document order.  With
+    ``attributes``, each is paired with the expanded (``uri local``) names
+    of the attributes the tag specifies; ``span`` needs only offsets, and
+    keeping every tag's names would cost it time and memory."""
+    parser = _new_parser()
+    tags: list = []
+    if attributes:
+        def on_start(name, attrs) -> None:
+            tags.append((parser.CurrentByteIndex, attrs[::2]))
+    else:
+        def on_start(name, attrs) -> None:
+            tags.append(parser.CurrentByteIndex)
 
     _run(parser, data, {"StartElementHandler": on_start})
-    return starts
+    return tags

@@ -18,7 +18,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .rawxml import XML_NS, RawDocument, RawNode, _resolve_name, source_path
+from .rawxml import TreeDocument, attribute_name
 from .base import Finding
 
 DEFAULT_ENUMERABLE_ATTRIBUTES = frozenset({"type", "level", "rend", "unit"})
@@ -48,50 +48,48 @@ class UsageProfile:
     foreign: Counter = field(default_factory=Counter)  # boundary names
 
 
-def profile_document(doc: RawDocument) -> UsageProfile:
+def profile_document(doc: TreeDocument) -> UsageProfile:
     """Profile a single tree; foreign subtrees are recorded as boundaries."""
-    profile = UsageProfile()
-    _add_document(profile, doc)
-    return profile
+    return profile_corpus([doc])
 
 
-def _add_document(profile: UsageProfile, doc: RawDocument) -> None:
-    """Add one tree's observations to ``profile`` in place."""
-    profile.doc_count += 1
-    profile.roots[doc.root.name] += 1
-    if not doc.root.foreign:
-        _add_element(profile.elements, profile.foreign, doc.root)
-
-
-def _add_element(elements: dict, foreign: Counter, node: RawNode) -> None:
-    """Record ``node`` and, below it, every element outside foreign subtrees."""
-    usage = elements.get(node.name)
+def _add_element(profile: UsageProfile, foreign: set, element) -> None:
+    """Record ``element`` and, below it, every element outside the
+    ``foreign`` subtrees."""
+    usage = profile.elements.get(element.tag)
     if usage is None:
-        usage = elements[node.name] = ElementUsage()
+        usage = profile.elements[element.tag] = ElementUsage()
     usage.count += 1
-    for name, value in node.attrs.items():
+    for key, value in element.items():
+        name = attribute_name(key)
         values = usage.attributes.get(name)
         if values is None:
             values = usage.attributes[name] = Counter()
         values[value] += 1
-    has_text = False
+    if _has_text(element):
+        usage.text_count += 1
     seen_here = set()
     native = []
-    for child in node.children:
-        if isinstance(child, str):
-            has_text = has_text or bool(child.strip())
+    for child in element:
+        if child in foreign:
+            profile.foreign[child.tag] += 1
             continue
-        if child.foreign:
-            foreign[child.name] += 1
-            continue
-        usage.children[child.name] += 1
-        seen_here.add(child.name)
+        usage.children[child.tag] += 1
+        seen_here.add(child.tag)
         native.append(child)
-    if has_text:
-        usage.text_count += 1
     usage.child_coverage.update(seen_here)
     for child in native:
-        _add_element(elements, foreign, child)
+        _add_element(profile, foreign, child)
+
+
+def _has_text(element) -> bool:
+    """True when any direct text run of ``element`` is more than whitespace."""
+    if element.text and element.text.strip():
+        return True
+    for child in element:
+        if child.tail and child.tail.strip():
+            return True
+    return False
 
 
 def merge_profiles(a: UsageProfile, b: UsageProfile) -> UsageProfile:
@@ -117,7 +115,9 @@ def profile_corpus(docs) -> UsageProfile:
     """Aggregate observations over a collection of parsed trees."""
     profile = UsageProfile()
     for doc in docs:
-        _add_document(profile, doc)
+        profile.doc_count += 1
+        profile.roots[doc.root.tag] += 1
+        _add_element(profile, doc.foreign, doc.root)
     return profile
 
 
@@ -285,7 +285,7 @@ def schema_from_json(text: str) -> RestrictedSchema:
 
 def validate_against(
     schema: RestrictedSchema,
-    doc: RawDocument,
+    doc: TreeDocument,
     base: RestrictedSchema | None = None,
 ) -> list:
     """Report constructs the schema does not permit, in document order.
@@ -294,25 +294,15 @@ def validate_against(
     by ``base`` are downgraded to warnings; absences of required parts
     stay errors.
     """
-    check = _SchemaCheck(schema, base)
+    check = _SchemaCheck(schema, base, doc)
     root = doc.root
-    if root.foreign:
+    if schema.root and root.tag != schema.root:
         check.findings.append(
             Finding(
                 "S-root",
                 "error",
-                source_path(root),
-                f"document element '{root.name}' is foreign",
-            )
-        )
-        return check.findings
-    if schema.root and root.name != schema.root:
-        check.findings.append(
-            Finding(
-                "S-root",
-                "error",
-                source_path(root),
-                f"document element '{root.name}' differs from schema root "
+                doc.source_path(root),
+                f"document element '{root.tag}' differs from schema root "
                 f"'{schema.root}'",
             )
         )
@@ -321,39 +311,46 @@ def validate_against(
 
 
 class _SchemaCheck:
-    """One ``validate_against`` run: the schemas and the findings so far."""
+    """One ``validate_against`` run: the schemas, the document and the
+    findings so far."""
 
-    def __init__(self, schema: RestrictedSchema, base: RestrictedSchema | None):
+    def __init__(self, schema: RestrictedSchema, base: RestrictedSchema | None,
+                 doc: TreeDocument):
         self.schema = schema
         self.base = base
+        self.doc = doc
         self.findings: list = []
 
     def emit(self, rule_id, node, message, downgrade_if) -> None:
         severity = "warning" if (self.base is not None and downgrade_if) else "error"
-        self.findings.append(Finding(rule_id, severity, source_path(node), message))
+        self.findings.append(
+            Finding(rule_id, severity, self.doc.source_path(node), message)
+        )
 
-    def visit(self, node: RawNode) -> None:
+    def visit(self, node) -> None:
         schema = self.schema
         base = self.base
         emit = self.emit
-        rule = schema.elements.get(node.name)
-        brule = base.elements.get(node.name) if base is not None else None
+        name = node.tag
+        rule = schema.elements.get(name)
+        brule = base.elements.get(name) if base is not None else None
         if rule is None:
             emit(
                 "S-element",
                 node,
-                f"element '{node.name}' not in the schema",
+                f"element '{name}' not in the schema",
                 brule is not None,
             )
         else:
-            for attr, value in node.attrs.items():
+            attrs = {attribute_name(key): value for key, value in node.items()}
+            for attr, value in attrs.items():
                 arule = rule.attributes.get(attr)
                 battr = brule.attributes.get(attr) if brule else None
                 if arule is None:
                     emit(
                         "S-attribute",
                         node,
-                        f"attribute '{attr}' not allowed on '{node.name}'",
+                        f"attribute '{attr}' not allowed on '{name}'",
                         battr is not None,
                     )
                 elif arule.values is not None and value not in arule.values:
@@ -363,48 +360,50 @@ class _SchemaCheck:
                     emit(
                         "S-value",
                         node,
-                        f"value '{value}' of '{node.name}/@{attr}' outside "
+                        f"value '{value}' of '{name}/@{attr}' outside "
                         f"the closed list {sorted(arule.values)}",
                         base_allows,
                     )
             for attr, arule in rule.attributes.items():
-                if arule.required and attr not in node.attrs:
+                if arule.required and attr not in attrs:
                     self.findings.append(
                         Finding(
                             "S-required-attribute",
                             "error",
-                            source_path(node),
+                            self.doc.source_path(node),
                             f"required attribute '{attr}' missing on "
-                            f"'{node.name}'",
+                            f"'{name}'",
                         )
                     )
-            if node.has_text() and not rule.text:
+            if not rule.text and _has_text(node):
                 emit(
                     "S-text",
                     node,
-                    f"text content not allowed in '{node.name}'",
+                    f"text content not allowed in '{name}'",
                     brule is not None and brule.text,
                 )
         present = set()
-        for child in node.element_children():
-            if child.foreign:
-                if child.name in schema.foreign:
+        foreign = self.doc.foreign
+        for child in node:
+            child_name = child.tag
+            if child in foreign:
+                if child_name in schema.foreign:
                     continue
                 emit(
                     "S-element",
                     child,
-                    f"foreign element '{child.name}' not in the schema",
-                    base is not None and child.name in base.foreign,
+                    f"foreign element '{child_name}' not in the schema",
+                    base is not None and child_name in base.foreign,
                 )
                 continue
-            present.add(child.name)
-            if rule is not None and child.name not in rule.children:
-                base_allows = brule is not None and child.name in brule.children
+            present.add(child_name)
+            if rule is not None and child_name not in rule.children:
+                base_allows = brule is not None and child_name in brule.children
                 emit(
                     "S-child",
                     child,
-                    f"element '{child.name}' not permitted inside "
-                    f"'{node.name}'",
+                    f"element '{child_name}' not permitted inside "
+                    f"'{name}'",
                     base_allows,
                 )
             self.visit(child)
@@ -414,9 +413,9 @@ class _SchemaCheck:
                     Finding(
                         "S-required-child",
                         "error",
-                        source_path(node),
+                        self.doc.source_path(node),
                         f"required child '{required}' missing in "
-                        f"'{node.name}'",
+                        f"'{name}'",
                     )
                 )
 
@@ -570,10 +569,11 @@ def _encode_attr(value: str) -> str:
     )
 
 
-def _attr_value_spans(data: bytes, node: RawNode) -> list:
-    """Lexical (name, value_start, value_end) triples for a start tag."""
+def _attr_value_spans(data: bytes, start: int) -> list:
+    """Lexical ``(value_start, value_end)`` of each attribute the start tag
+    at ``start`` specifies, in order; namespace declarations are left out."""
     spans: list = []
-    i = node.start + 1
+    i = start + 1
     # skip the element qname
     while data[i] not in (0x20, 0x09, 0x0A, 0x0D, 0x3E, 0x2F):
         i += 1
@@ -585,7 +585,9 @@ def _attr_value_spans(data: bytes, node: RawNode) -> list:
         name_start = i
         while data[i] not in (0x3D, 0x20, 0x09, 0x0A, 0x0D):
             i += 1
-        name = data[name_start:i].decode("utf-8")
+        declaration = data[name_start:i] == b"xmlns" or data.startswith(
+            b"xmlns:", name_start, i
+        )
         while data[i] in (0x20, 0x09, 0x0A, 0x0D):
             i += 1
         assert data[i] == 0x3D  # '='
@@ -597,25 +599,23 @@ def _attr_value_spans(data: bytes, node: RawNode) -> list:
         value_start = i
         while data[i] != quote:
             i += 1
-        spans.append((name, value_start, i))
+        if not declaration:
+            spans.append((value_start, i))
         i += 1
 
 
-def arbitrate(docs, rules, *, parse: bool = True) -> tuple:
-    """Apply rewrite rules across trees; returns (new trees, change count).
+def arbitrate(docs, rules) -> tuple:
+    """Apply rewrite rules across trees; returns (new bytes per document,
+    change count).
 
     Conflicting rules — the same (element, attribute, from) mapped to two
     targets — raise before anything is touched. A rule naming an element
-    outranks a "*" rule for the same attribute and value.
-
-    With ``parse=False`` the first item holds each document's bytes instead
-    of a tree, for callers that only write the documents out.  Rewriting
-    cannot make a document ill-formed: a :class:`RewriteRule` target holds
-    only characters XML allows, values are written escaped, and namespace
+    outranks a "*" rule for the same attribute and value.  An untouched
+    document's bytes are returned as they are.  Rewriting cannot make a
+    document ill-formed: a :class:`RewriteRule` target holds only
+    characters XML allows, values are written escaped, and namespace
     declarations are left alone.
     """
-    from .rawxml import parse_raw
-
     table: dict = {}
     for rule in rules:
         key = (rule.element, rule.attribute, rule.from_value)
@@ -635,14 +635,9 @@ def arbitrate(docs, rules, *, parse: bool = True) -> tuple:
     rewritten: list = []
     changes = 0
     for doc in docs:
-        edits: list = []  # (start, end, replacement bytes)
-        _collect_edits(doc.data, doc.root, lookup, edits, {"xml": XML_NS})
-        if not edits:
-            rewritten.append(doc if parse else doc.data)
-            continue
-        data = _splice(doc.data, edits)
+        edits = _collect_edits(doc, lookup)
         changes += len(edits)
-        rewritten.append(parse_raw(data) if parse else data)
+        rewritten.append(_splice(doc.data, edits) if edits else doc.data)
     return rewritten, changes
 
 
@@ -659,27 +654,27 @@ def _splice(data: bytes, edits: list) -> bytes:
     return b"".join(parts)
 
 
-def _collect_edits(data: bytes, node: RawNode, lookup, edits: list, scope: dict) -> None:
-    """Append ``(start, end, replacement)`` for every attribute value under
-    ``node`` that a rule rewrites.  ``scope`` maps the prefixes declared
-    above ``node`` to their namespaces."""
-    if node.ns_decls:
-        scope = {**scope, **dict(node.ns_decls)}
-    hits = {
-        attr: lookup(node.name, attr, value) for attr, value in node.attrs.items()
-    }
-    if any(target is not None for target in hits.values()):
-        for raw_name, start, end in _attr_value_spans(data, node):
-            prefix, _, local = raw_name.rpartition(":")
-            if raw_name == "xmlns" or prefix == "xmlns":
-                continue  # a namespace declaration, not an attribute
-            # the key rawxml gave this attribute: ``{uri}k``, ``xml:lang``
-            key = _resolve_name(f"{scope[prefix]} {local}")[0] if prefix else raw_name
-            target = hits.get(key)
-            if target is None:
+def _collect_edits(doc: TreeDocument, lookup) -> list:
+    """``(start, end, replacement)`` for every attribute value of ``doc``
+    that a rule rewrites."""
+    data = doc.data
+    edits: list = []
+    for element in doc.root.iter():
+        hits: dict = {}  # display name -> (value, target)
+        for key, value in element.items():
+            name = attribute_name(key)
+            target = lookup(element.tag, name, value)
+            if target is not None:
+                hits[name] = (value, target)
+        if not hits:
+            continue
+        start, names = doc.start_tag(element)
+        for (value_start, value_end), name in zip(_attr_value_spans(data, start), names):
+            hit = hits.get(name)
+            if hit is None:
                 continue
-            decoded = _decode_entities(data[start:end].decode("utf-8"))
-            if decoded == node.attrs[key]:
-                edits.append((start, end, _encode_attr(target).encode("utf-8")))
-    for child in node.element_children():
-        _collect_edits(data, child, lookup, edits, scope)
+            # a TEI-prefixed twin of the name may carry another value
+            value, target = hit
+            if _decode_entities(data[value_start:value_end].decode("utf-8")) == value:
+                edits.append((value_start, value_end, _encode_attr(target).encode("utf-8")))
+    return edits

@@ -20,7 +20,7 @@ import re
 from dataclasses import dataclass
 
 from . import model as m
-from .rawxml import TEI_NS, XML_NS, RawXmlError, TreeDocument, parse_tree
+from .rawxml import TEI_NS, XML_NS, RawXmlError, TreeDocument, parse_raw
 
 # --------------------------------------------------------------------------
 # Report types
@@ -129,7 +129,7 @@ class _Builder:
     """Maps the elements of a :class:`TreeDocument` to model nodes.
 
     Elements are ``xml.etree.ElementTree`` elements renamed by
-    :func:`parse_tree`: ``tag`` is the element's name, ``get`` reads an
+    :func:`parse_raw`: ``tag`` is the element's name, ``get`` reads an
     attribute, and the C ``find``, ``findall`` and ``itertext`` do the
     searching.
     """
@@ -699,7 +699,7 @@ def parse_article(
 ) -> ParseReport:
     """Parse one file's bytes; outcome is present iff no error was found."""
     try:
-        doc = parse_tree(data)
+        doc = parse_raw(data)
     except RawXmlError as exc:
         return ParseReport(issues=(Issue("error", "", str(exc)),))
 

@@ -4,11 +4,13 @@ plus builders the suites use to derive corpora and mutations from it."""
 from __future__ import annotations
 
 import dataclasses
+from xml.parsers import expat
 
 from teijournal import model as m
 from teijournal.xmlio import parse_article, serialize_article
 
 TEI_NS = "http://www.tei-c.org/ns/1.0"
+XML_NS = "http://www.w3.org/XML/1998/namespace"
 
 # A complete article: header with all publication details, source record
 # with volume/issue/pages/DOI, one body division citing the single
@@ -281,3 +283,139 @@ def write_corpus(directory, files: dict) -> list:
         target.write_bytes(data)
         paths.append(str(target))
     return sorted(paths)
+
+
+# --------------------------------------------------------------------------
+# Reference reader: a plain expat tree builder that shares no code with
+# teijournal.rawxml, for the suites that check the reader or its users
+# --------------------------------------------------------------------------
+
+
+def display_name(expat_name: str) -> tuple:
+    """(name, namespace URI) for an expat ``uri local`` name: TEI names
+    lose their namespace, XML-namespace names read ``xml:local`` and
+    others ``{uri}local``."""
+    uri, _, local = expat_name.rpartition(" ")
+    if uri in ("", TEI_NS):
+        return local, uri
+    if uri == XML_NS:
+        return f"xml:{local}", uri
+    return "{%s}%s" % (uri, local), uri
+
+
+@dataclasses.dataclass(eq=False)
+class RefElement:
+    """One element: its display name and attributes, the byte span of its
+    markup, its source path, whether it is foreign (its namespace, or an
+    ancestor's, differs from the document element's), the prefixed
+    namespace declarations on its start tag, and its children (elements
+    and joined text runs)."""
+
+    name: str
+    ns: str
+    attrs: dict
+    start: int
+    path: str
+    foreign: bool
+    ns_decls: tuple
+    end: int = 0
+    children: list = dataclasses.field(default_factory=list)
+
+    def element_children(self) -> list:
+        return [c for c in self.children if isinstance(c, RefElement)]
+
+    def text_runs(self) -> list:
+        return [c for c in self.children if isinstance(c, str)]
+
+    def text_content(self) -> str:
+        return "".join(
+            c if isinstance(c, str) else c.text_content() for c in self.children
+        )
+
+    def iter(self):
+        """This element and every element below it, in document order."""
+        stack = [self]
+        while stack:
+            element = stack.pop()
+            yield element
+            stack.extend(reversed(element.element_children()))
+
+
+@dataclasses.dataclass
+class RefDocument:
+    root: RefElement
+    ns_decls: tuple  # first declaration of each prefix, in document order
+
+
+def reference_tree(data: bytes) -> RefDocument:
+    """Read well-formed ``data``; spans come from a byte-by-byte scan."""
+    parser = expat.ParserCreate(namespace_separator=" ")
+    parser.ordered_attributes = True
+    stack: list = []  # (element, same-name sibling counters)
+    pending: list = []
+    first_ns: dict = {}
+    roots: list = []
+
+    def start_tag_end(start: int) -> tuple:
+        """Offset after the start tag's '>', and whether it ends in '/>'."""
+        i = start + 1
+        quote = 0
+        while True:
+            c = data[i]
+            if quote:
+                if c == quote:
+                    quote = 0
+            elif c in (0x22, 0x27):
+                quote = c
+            elif c == 0x3E:
+                return i + 1, data[i - 1] == 0x2F
+            i += 1
+
+    def on_ns(prefix, uri):
+        if prefix:
+            pending.append((prefix, uri or ""))
+            first_ns.setdefault(prefix, uri or "")
+
+    def on_start(expat_name, attr_list):
+        name, uri = display_name(expat_name)
+        attrs = {
+            display_name(attr_list[i])[0]: attr_list[i + 1]
+            for i in range(0, len(attr_list), 2)
+        }
+        start = parser.CurrentByteIndex
+        end, empty = start_tag_end(start)
+        if stack:
+            parent, counters = stack[-1]
+            counters[name] = counters.get(name, 0) + 1
+            path = f"{parent.path}/{name}[{counters[name]}]"
+            foreign = parent.foreign or uri != roots[0].ns
+        else:
+            path, foreign = f"{name}[1]", False
+        element = RefElement(name, uri, attrs, start, path, foreign,
+                             tuple(pending), end if empty else 0)
+        pending.clear()
+        if stack:
+            stack[-1][0].children.append(element)
+        else:
+            roots.append(element)
+        stack.append((element, {}))
+
+    def on_end(expat_name):
+        element = stack.pop()[0]
+        if not element.end:
+            element.end = data.index(b">", parser.CurrentByteIndex) + 1
+
+    def on_text(text):
+        if stack:
+            children = stack[-1][0].children
+            if children and isinstance(children[-1], str):
+                children[-1] += text
+            else:
+                children.append(text)
+
+    parser.StartNamespaceDeclHandler = on_ns
+    parser.StartElementHandler = on_start
+    parser.EndElementHandler = on_end
+    parser.CharacterDataHandler = on_text
+    parser.Parse(data, True)
+    return RefDocument(roots[0], tuple(first_ns.items()))

@@ -594,6 +594,56 @@ class TestCorpusProducts:
         assert "not a directory" in err
 
 
+def argv_with_a_bad_member(command: str, directory, scratch) -> list:
+    """A run of ``command`` over ``directory``, which holds ``good.xml``
+    and a ``bad.xml`` that the command cannot use."""
+    good, bad = directory / "good.xml", directory / "bad.xml"
+    return {
+        "validate": ["validate", bad, good],
+        "schema-validate": ["schema-validate", bad, good, "--schema", scratch / "s.json"],
+        "codify": ["codify", directory, "--out", scratch / "codified.json"],
+        "variants": ["variants", directory],
+        "arbitrate": ["arbitrate", directory, "--rules", scratch / "rules.txt",
+                      "--out-dir", scratch / "out"],
+        "index": ["index", directory, "--format", "records"],
+        "biblio": ["biblio", directory],
+        "corrigenda": ["corrigenda", directory],
+        "query": ["query", directory, "--text", "prose"],
+    }[command]
+
+
+class TestUnreadableFiles:
+    """A file that cannot be read (here a directory named like one) is
+    noted on stderr and skipped, exactly as one that cannot be parsed."""
+
+    @pytest.mark.parametrize("command", [
+        "validate", "schema-validate", "codify", "variants", "arbitrate",
+        "index", "biblio", "corrigenda", "query",
+    ])
+    def test_skipped_like_an_unparseable_file(self, command, tmp_path, capsys):
+        scratch = tmp_path / "scratch"
+        scratch.mkdir()
+        (scratch / "s.json").write_text('{"root": "TEI", "elements": {}}')
+        (scratch / "rules.txt").write_text("title type main -> primary\n")
+        runs = []
+        for kind in ("unparseable", "unreadable"):
+            directory = tmp_path / kind
+            write_corpus(directory, {"good.xml": article_bytes(title="Good")})
+            if kind == "unparseable":
+                (directory / "bad.xml").write_bytes(b"<TEI unclosed")
+            else:
+                (directory / "bad.xml").mkdir()
+            argv = argv_with_a_bad_member(command, directory, scratch)
+            code, out, err = run(capsys, [str(arg) for arg in argv])
+            runs.append((code, out.replace(str(directory), "DIR"), err))
+        (parse_code, parse_out, parse_err), (code, out, err) = runs
+        assert (code, out) == (parse_code, parse_out)
+        assert out  # the good file was used
+        assert code == (ExitStatus.FAILURE if "validate" in command else ExitStatus.OK)
+        assert parse_err.count("\n") == err.count("\n") == 1
+        assert "cannot read" in err and "bad" in err
+
+
 class TestExplain:
     def test_known_rule(self, capsys):
         code, out, _ = run(capsys, ["explain", "R9"])

@@ -476,7 +476,7 @@ class TestModelPaths:
                 for step in steps:
                     name, _, index = step.partition("[")
                     wanted = int(index.rstrip("]"))
-                    found = [c for c in node.element_children() if c.name == name]
+                    found = [c for c in node if c.tag == name]
                     if len(found) < wanted:
                         return False
                     node = found[wanted - 1]
