@@ -130,18 +130,12 @@ def with_tei_prefix(data: bytes) -> bytes:
 
 class TestStartTagScan:
     @settings(max_examples=120, deadline=None)
-    @given(documents(), st.booleans(), st.sampled_from([rawxml._CHUNK, 1, 7]))
-    def test_spans_and_node_fields_match_byte_scan(self, data, tei_prefix, chunk):
-        """Also with the ``x`` prefix bound to TEI, and with the C parser
-        fed a few bytes at a time."""
-        if tei_prefix:
-            data = with_tei_prefix(data)
+    @given(documents(), st.sampled_from([rawxml._CHUNK, 1, 7]))
+    def test_spans_and_node_fields_match_byte_scan(self, data, chunk):
+        """Also with the C parser fed a few bytes at a time."""
         with mock.patch.object(rawxml, "_CHUNK", chunk):
             doc = parse_raw(data)
-        reference = reference_tree(data)
         assert tree_fields(doc) == reference_fields(data)
-        assert doc.ns_decls == reference.ns_decls
-        assert doc.root_ns == reference.root.ns
 
     @settings(max_examples=50, deadline=None)
     @given(documents(), st.data())
@@ -278,6 +272,19 @@ class TestSourcePath:
 
 
 class TestParseTree:
+    @settings(max_examples=120, deadline=None)
+    @given(documents(), st.booleans())
+    def test_names_spans_paths_and_text_match_parse_raw(self, data, tei_prefix):
+        """Also with the ``x`` prefix bound to TEI; the reference reader is
+        the oracle for what parse_raw returns."""
+        if tei_prefix:
+            data = with_tei_prefix(data)
+        doc = parse_raw(data)
+        reference = reference_tree(data)
+        assert tree_fields(doc) == reference_fields(data)
+        assert doc.ns_decls == reference.ns_decls
+        assert doc.root_ns == reference.root.ns
+
     def test_tei_prefixed_attribute_is_read_by_its_local_name(self):
         body = (
             '<div type="s" xmlns:t="http://www.tei-c.org/ns/1.0">'
