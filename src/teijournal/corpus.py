@@ -15,12 +15,11 @@ findings, and schema findings all address document parts the same way.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from itertools import groupby
 from operator import attrgetter
 
 from . import model as m
-from .base import MENTION_KINDS, QUERY_KINDS
+from .base import MENTION_KINDS, QUERY_KINDS, Record, factory
 from .render import (
     StyleGuide,
     builtin_style,
@@ -48,39 +47,35 @@ _SOURCE_PREFIX = "TEI[1]/teiHeader[1]/fileDesc[1]/sourceDesc[1]/"
 _MENTION_KINDS = {getattr(m, name): kinds for name, kinds in MENTION_KINDS.items()}
 
 
-@dataclass(frozen=True)
-class Corpus:
+class Corpus(Record):
     """Parsed articles keyed by document id, plus per-file load reports.
 
     Files that failed to parse (or were rejected as id duplicates) appear
     in ``load_reports`` under their file-derived key with no article.
     """
 
-    articles: dict = field(default_factory=dict)  # id -> Article
-    load_reports: dict = field(default_factory=dict)  # id -> ParseReport
-    paths: dict = field(default_factory=dict)  # id -> source path
+    articles: dict = factory(dict)  # id -> Article
+    load_reports: dict = factory(dict)  # id -> ParseReport
+    paths: dict = factory(dict)  # id -> source path
 
     def ids(self) -> list:
         return sorted(self.articles)
 
 
-@dataclass(frozen=True)
-class IndexEntry:
+class IndexEntry(Record):
     kind: str
     key: str
     display: str
     locators: tuple  # tuple[(article id, model path), ...] deduplicated, sorted
 
 
-@dataclass(frozen=True)
-class CorrigendaEntry:
+class CorrigendaEntry(Record):
     article_id: str
     when: m.CalendarDate
     description: str
 
 
-@dataclass(frozen=True)
-class Query:
+class Query(Record):
     """Conjunctive structural search filters; at least one must be set.
 
     ``element_kind`` restricts which nodes can match (``person-mention``,

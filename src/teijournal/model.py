@@ -1,7 +1,10 @@
 """Typed, immutable document model for TEI-encoded journal articles.
 
-Every node is a frozen dataclass whose sequence-valued fields are tuples, so
-two documents compare equal exactly when they are structurally identical.
+Every node is a frozen :class:`~teijournal.base.Record` whose
+sequence-valued fields are tuples, so two documents compare equal exactly
+when they are structurally identical.  ``Emph`` content holds more ``Emph``
+and ``Division`` children hold more divisions, up to the parser's depth
+limit; ``Record``'s equality and ``repr`` walk them without recursing.
 The model is deliberately permissive: it can represent documents that break
 editorial rules (a missing source description, an out-of-vocabulary scope
 kind, duplicate identifiers) so that the validator can report on them
@@ -11,78 +14,10 @@ instead of the constructor refusing them.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, fields
-from functools import cache, cached_property
+from functools import cached_property
 from typing import ClassVar, Union
 
-# --------------------------------------------------------------------------
-# Equality and repr for nodes that nest
-# --------------------------------------------------------------------------
-#
-# ``Emph`` content holds more ``Emph`` and ``Division`` children hold more
-# divisions, up to the parser's depth limit.  The methods dataclasses
-# generate recurse a few frames per level, which runs out of stack there;
-# these two walk the nodes with a list instead and give the same results.
-
-
-@cache
-def _field_names(cls: type, flag: str) -> tuple:
-    """Names of ``cls``'s dataclass fields that have ``flag`` (compare, repr)."""
-    return tuple(f.name for f in fields(cls) if getattr(f, flag))
-
-
-def _nested_eq(self, other):
-    if other.__class__ is not self.__class__:
-        return NotImplemented
-    pending = [(self, other)]
-    while pending:
-        a, b = pending.pop()
-        if a is b:
-            continue
-        kind = a.__class__
-        if kind is not b.__class__:
-            if not a == b:
-                return False
-        elif kind is tuple:
-            if len(a) != len(b):
-                return False
-            pending.extend(zip(a, b))
-        elif hasattr(kind, "__dataclass_fields__"):
-            pending.extend(
-                (getattr(a, name), getattr(b, name))
-                for name in _field_names(kind, "compare")
-            )
-        elif not a == b:
-            return False
-    return True
-
-
-def _nested_repr(self) -> str:
-    parts: list = []
-    pending: list = [(False, self)]  # (is literal text, item)
-    while pending:
-        literal, item = pending.pop()
-        kind = item.__class__
-        if literal:
-            parts.append(item)
-        elif kind is tuple:
-            pending.append((True, ",)" if len(item) == 1 else ")"))
-            for i in range(len(item) - 1, -1, -1):
-                pending.append((False, item[i]))
-                if i:
-                    pending.append((True, ", "))
-            pending.append((True, "("))
-        elif hasattr(kind, "__dataclass_fields__"):
-            names = _field_names(kind, "repr")
-            pending.append((True, ")"))
-            for i in range(len(names) - 1, -1, -1):
-                pending.append((False, getattr(item, names[i])))
-                pending.append((True, f"{', ' if i else ''}{names[i]}="))
-            pending.append((True, f"{kind.__qualname__}("))
-        else:
-            parts.append(repr(item))
-    return "".join(parts)
-
+from .base import Record, factory
 
 # --------------------------------------------------------------------------
 # Dates
@@ -93,8 +28,7 @@ _DATE_RE = re.compile(r"^(\d{4})(?:-(\d{2})(?:-(\d{2}))?)?$")
 _DAYS_IN_MONTH = (31, 29, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31)
 
 
-@dataclass(frozen=True)
-class CalendarDate:
+class CalendarDate(Record):
     """A date of year, year-month, or year-month-day precision."""
 
     year: int
@@ -161,70 +95,57 @@ class CalendarDate:
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TextRun:
+class TextRun(Record):
     text: str
 
 
-@dataclass(frozen=True)
-class Emph:
+class Emph(Record):
     """Typographically highlighted span (``rend`` is the rendition token)."""
 
     rend: str
     content: "RichText"
 
-    __eq__ = _nested_eq
-    __repr__ = _nested_repr
 
-
-@dataclass(frozen=True)
-class BiblRef:
+class BiblRef(Record):
     """Pointer at a bibliography entry, e.g. target ``#b3``."""
 
     target: str
     text: str = ""
 
 
-@dataclass(frozen=True)
-class PersonMention:
+class PersonMention(Record):
     text: str
     key: str | None = None
 
 
-@dataclass(frozen=True)
-class OrgMention:
+class OrgMention(Record):
     text: str
     key: str | None = None
 
 
-@dataclass(frozen=True)
-class PlaceMention:
+class PlaceMention(Record):
     text: str
     key: str | None = None
 
 
-@dataclass(frozen=True)
-class TermMention:
+class TermMention(Record):
     """A flagged term; ``kind`` distinguishes e.g. software from topics."""
 
     text: str
     kind: str | None = None
 
 
-@dataclass(frozen=True)
-class AbbrMention:
+class AbbrMention(Record):
     abbr: str
     expansion: str | None = None
 
 
-@dataclass(frozen=True)
-class Link:
+class Link(Record):
     target: str
     text: str = ""
 
 
-@dataclass(frozen=True)
-class OpaqueInline:
+class OpaqueInline(Record):
     """Verbatim markup carried through parse and serialize untouched."""
 
     markup: str
@@ -280,8 +201,7 @@ def normalize_title(title: "RichText | str") -> str:
 SCOPE_KINDS = ("vol", "issue", "fpage", "lpage", "pp")
 
 
-@dataclass(frozen=True)
-class DocumentType:
+class DocumentType(Record):
     """Free-form document genre with a closed-set classification."""
 
     value: str
@@ -306,8 +226,7 @@ class DocumentType:
         return self.value if self.value in self.KNOWN else "unknown"
 
 
-@dataclass(frozen=True)
-class Title:
+class Title(Record):
     """A title with bibliographic level (a/m/j/u) and a type token."""
 
     text: RichText
@@ -315,40 +234,34 @@ class Title:
     type: str = "main"
 
 
-@dataclass(frozen=True)
-class Identifier:
+class Identifier(Record):
     kind: str
     value: str
 
 
-@dataclass(frozen=True)
-class OrgUnit:
+class OrgUnit(Record):
     kind: str
     name: str
 
 
-@dataclass(frozen=True)
-class AddressLine:
+class AddressLine(Record):
     text: str
     kind: str | None = None
 
 
-@dataclass(frozen=True)
-class Address:
+class Address(Record):
     settlement: str | None = None
     post_code: str | None = None
     country: str | None = None
     lines: tuple = ()
 
 
-@dataclass(frozen=True)
-class Affiliation:
+class Affiliation(Record):
     org_units: tuple = ()
     address: Address | None = None
 
 
-@dataclass(frozen=True)
-class Author:
+class Author(Record):
     surname: str = ""
     forenames: tuple = ()
     corresponding: bool = False
@@ -357,16 +270,14 @@ class Author:
     email: str | None = None
 
 
-@dataclass(frozen=True)
-class Scope:
+class Scope(Record):
     """One bibliographic extent: volume, issue, page bounds, or page range."""
 
     kind: str
     value: str
 
 
-@dataclass(frozen=True)
-class Imprint:
+class Imprint(Record):
     publisher: str | None = None
     pub_place: str | None = None
     date: CalendarDate | None = None
@@ -374,29 +285,26 @@ class Imprint:
     scopes: tuple = ()
 
 
-@dataclass(frozen=True)
-class Analytic:
+class Analytic(Record):
     """The contained item (article or chapter) of a two-level record."""
 
     titles: tuple = ()
     authors: tuple = ()
 
 
-@dataclass(frozen=True)
-class Monogr:
+class Monogr(Record):
     """The container item: the journal, book, or proceedings volume."""
 
     titles: tuple = ()
     authors: tuple = ()
     issn: str | None = None
-    imprint: Imprint = field(default_factory=Imprint)
+    imprint: Imprint = factory(Imprint)
 
 
-@dataclass(frozen=True)
-class BiblStruct:
+class BiblStruct(Record):
     doc_type: DocumentType = DocumentType("unknown")
     analytic: Analytic | None = None
-    monogr: Monogr = field(default_factory=Monogr)
+    monogr: Monogr = factory(Monogr)
     identifiers: tuple = ()
     xml_id: str | None = None
 
@@ -432,8 +340,7 @@ class BiblStruct:
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FileDesc:
+class FileDesc(Record):
     main_title: RichText = ()
     availability: RichText = ()
     publication_date: CalendarDate | None = None
@@ -441,35 +348,30 @@ class FileDesc:
     source: BiblStruct | None = None
 
 
-@dataclass(frozen=True)
-class Keyword:
+class Keyword(Record):
     term: str
     scheme: str | None = None
 
 
-@dataclass(frozen=True)
-class ProfileDesc:
+class ProfileDesc(Record):
     keywords: tuple = ()
     languages: tuple = ()
 
 
-@dataclass(frozen=True)
-class Change:
+class Change(Record):
     when: CalendarDate
     kind: str
     description: str = ""
 
 
-@dataclass(frozen=True)
-class RevisionDesc:
+class RevisionDesc(Record):
     changes: tuple = ()
 
 
-@dataclass(frozen=True)
-class Header:
-    file_desc: FileDesc = field(default_factory=FileDesc)
-    profile_desc: ProfileDesc = field(default_factory=ProfileDesc)
-    revision_desc: RevisionDesc = field(default_factory=RevisionDesc)
+class Header(Record):
+    file_desc: FileDesc = factory(FileDesc)
+    profile_desc: ProfileDesc = factory(ProfileDesc)
+    revision_desc: RevisionDesc = factory(RevisionDesc)
 
 
 # --------------------------------------------------------------------------
@@ -477,13 +379,11 @@ class Header:
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Paragraph:
+class Paragraph(Record):
     content: RichText = ()
 
 
-@dataclass(frozen=True)
-class CitBlock:
+class CitBlock(Record):
     """A block quotation tied to its bibliographic source.
 
     ``source`` is either an embedded record or a ``#id`` reference string
@@ -495,38 +395,32 @@ class CitBlock:
     qualifiers: RichText = ()
 
 
-@dataclass(frozen=True)
-class FigureBlock:
+class FigureBlock(Record):
     graphic_url: str | None = None
     caption: RichText = ()
 
 
-@dataclass(frozen=True)
-class TableBlock:
+class TableBlock(Record):
     """A table kept as verbatim markup, with its caption extracted."""
 
     markup: str
     caption: RichText = ()
 
 
-@dataclass(frozen=True)
-class FormulaBlock:
+class FormulaBlock(Record):
     markup: str
     notation: str | None = None
 
 
-@dataclass(frozen=True)
-class ListBlock:
+class ListBlock(Record):
     items: tuple = ()  # tuple of RichText
 
 
-@dataclass(frozen=True)
-class QuoteBlock:
+class QuoteBlock(Record):
     content: RichText = ()
 
 
-@dataclass(frozen=True)
-class OpaqueBlock:
+class OpaqueBlock(Record):
     markup: str
 
 
@@ -542,8 +436,7 @@ Block = Union[
 ]
 
 
-@dataclass(frozen=True)
-class Division:
+class Division(Record):
     """A ``div``: heading, block sequence, then nested divisions."""
 
     kind: str = "section"
@@ -551,28 +444,22 @@ class Division:
     blocks: tuple = ()
     children: tuple = ()
 
-    __eq__ = _nested_eq
-    __repr__ = _nested_repr
 
-
-@dataclass(frozen=True)
-class ListBibl:
+class ListBibl(Record):
     entries: tuple = ()
 
 
-@dataclass(frozen=True)
-class BackMatter:
+class BackMatter(Record):
     divisions: tuple = ()
     reference_list: ListBibl | None = None
 
 
-@dataclass(frozen=True)
-class Article:
+class Article(Record):
     id: str = ""
-    header: Header = field(default_factory=Header)
+    header: Header = factory(Header)
     front: tuple = ()  # tuple[Division, ...]
     body: tuple = ()  # tuple[Division, ...]
-    back: BackMatter = field(default_factory=BackMatter)
+    back: BackMatter = factory(BackMatter)
     ns_decls: tuple = ()  # extra (prefix, uri) bindings needed by opaque markup
 
     @property

@@ -16,10 +16,9 @@ from __future__ import annotations
 
 import json
 import textwrap
-from dataclasses import dataclass, field
 from importlib import resources
 
-from .base import BUILTIN_STYLES
+from .base import BUILTIN_STYLES, Record, factory
 from .model import (
     AbbrMention,
     Article,
@@ -79,8 +78,7 @@ class StyleError(ValueError):
     """A style table is malformed or references unknown fields."""
 
 
-@dataclass(frozen=True)
-class Segment:
+class Segment(Record):
     """One field of an entry layout: where the value comes from and how it
     is dressed.  ``prefix`` and ``suffix`` are emitted as plain text around
     the (possibly italicised or quoted) value."""
@@ -92,29 +90,26 @@ class Segment:
     omit_if_absent: bool = True
 
 
-@dataclass(frozen=True)
-class StyleGuide:
+class StyleGuide(Record):
     id: str
     marker_scheme: str
     list_order: str
     author_name_format: str
-    layouts: dict = field(default_factory=dict)  # doc type -> tuple[Segment, ...]
+    layouts: dict = factory(dict)  # doc type -> tuple[Segment, ...]
 
     def layout_for(self, doc_type: str) -> tuple:
         """The segment list for a record type, falling back to ``unknown``."""
         return self.layouts.get(doc_type, self.layouts["unknown"])
 
 
-@dataclass(frozen=True)
-class Span:
+class Span(Record):
     """A run of entry text with one typography applied."""
 
     text: str
     typography: str = "plain"
 
 
-@dataclass(frozen=True)
-class RenderedEntry:
+class RenderedEntry(Record):
     """A formatted bibliography entry.
 
     ``spans`` carry the typography; :meth:`plain` flattens them and

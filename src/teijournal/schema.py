@@ -16,10 +16,9 @@ from __future__ import annotations
 import json
 import re
 from collections import Counter
-from dataclasses import dataclass, field
 
 from .rawxml import TreeDocument, attribute_name
-from .base import Finding
+from .base import Finding, Record, factory
 
 DEFAULT_ENUMERABLE_ATTRIBUTES = frozenset({"type", "level", "rend", "unit"})
 
@@ -29,23 +28,21 @@ DEFAULT_ENUMERABLE_ATTRIBUTES = frozenset({"type", "level", "rend", "unit"})
 # --------------------------------------------------------------------------
 
 
-@dataclass
-class ElementUsage:
+class ElementUsage(Record, mutable=True):
     """Aggregated observations for one element name."""
 
     count: int = 0
-    children: Counter = field(default_factory=Counter)
-    child_coverage: Counter = field(default_factory=Counter)
-    attributes: dict = field(default_factory=dict)  # name -> Counter(values)
+    children: Counter = factory(Counter)
+    child_coverage: Counter = factory(Counter)
+    attributes: dict = factory(dict)  # name -> Counter(values)
     text_count: int = 0  # instances with non-whitespace direct text
 
 
-@dataclass
-class UsageProfile:
+class UsageProfile(Record, mutable=True):
     doc_count: int = 0
-    roots: Counter = field(default_factory=Counter)
-    elements: dict = field(default_factory=dict)  # name -> ElementUsage
-    foreign: Counter = field(default_factory=Counter)  # boundary names
+    roots: Counter = factory(Counter)
+    elements: dict = factory(dict)  # name -> ElementUsage
+    foreign: Counter = factory(Counter)  # boundary names
 
 
 def profile_document(doc: TreeDocument) -> UsageProfile:
@@ -126,8 +123,7 @@ def profile_corpus(docs) -> UsageProfile:
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CodifyOptions:
+class CodifyOptions(Record):
     enumerable_attributes: frozenset = DEFAULT_ENUMERABLE_ATTRIBUTES
     enumeration_cap: int = 20
     required_child_threshold: float = 1.0
@@ -144,24 +140,21 @@ class CodifyOptions:
             raise ValueError("required_child_threshold must be in (0, 1]")
 
 
-@dataclass(frozen=True)
-class AttributeRule:
+class AttributeRule(Record):
     required: bool = False
     values: tuple | None = None  # sorted closed list, or None when open
 
 
-@dataclass(frozen=True)
-class ElementRule:
+class ElementRule(Record):
     children: frozenset = frozenset()
     required_children: frozenset = frozenset()
-    attributes: dict = field(default_factory=dict)  # name -> AttributeRule
+    attributes: dict = factory(dict)  # name -> AttributeRule
     text: bool = False
 
 
-@dataclass(frozen=True)
-class RestrictedSchema:
+class RestrictedSchema(Record):
     root: str = ""
-    elements: dict = field(default_factory=dict)  # name -> ElementRule
+    elements: dict = factory(dict)  # name -> ElementRule
     foreign: frozenset = frozenset()
 
 
@@ -425,8 +418,7 @@ class _SchemaCheck:
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class VariantCluster:
+class VariantCluster(Record):
     element: str
     attribute: str
     key: str
@@ -489,8 +481,7 @@ _NON_XML_CHAR_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class RewriteRule:
+class RewriteRule(Record):
     element: str  # element name or "*"
     attribute: str
     from_value: str
@@ -538,9 +529,13 @@ def parse_rules(text: str) -> list:
 
 
 _ENTITY_RE = re.compile(r"&(amp|lt|gt|quot|apos|#x?[0-9A-Fa-f]+);")
+_LITERAL_SPACE_RE = re.compile(r"\r\n?|[\t\n]")
 
 
-def _decode_entities(raw: str) -> str:
+def _attribute_value(raw: str) -> str:
+    """The value XML gives the lexical attribute value ``raw``: a literal
+    TAB, LF, CR or CR LF becomes one space, references are replaced."""
+
     def sub(match):
         token = match.group(1)
         if token == "amp":
@@ -557,7 +552,7 @@ def _decode_entities(raw: str) -> str:
             return chr(int(token[2:], 16))
         return chr(int(token[1:]))
 
-    return _ENTITY_RE.sub(sub, raw)
+    return _ENTITY_RE.sub(sub, _LITERAL_SPACE_RE.sub(" ", raw))
 
 
 def _encode_attr(value: str) -> str:
@@ -675,6 +670,6 @@ def _collect_edits(doc: TreeDocument, lookup) -> list:
                 continue
             # a TEI-prefixed twin of the name may carry another value
             value, target = hit
-            if _decode_entities(data[value_start:value_end].decode("utf-8")) == value:
+            if _attribute_value(data[value_start:value_end].decode("utf-8")) == value:
                 edits.append((value_start, value_end, _encode_attr(target).encode("utf-8")))
     return edits

@@ -9,15 +9,12 @@ under repeated runs and diffs cleanly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from . import model as m
-from .base import Finding
+from .base import Finding, Record, factory
 from .xmlio import model_paths
 
 
-@dataclass(frozen=True)
-class Rule:
+class Rule(Record):
     id: str
     severity: str
     description: str
@@ -134,12 +131,11 @@ _RATIONALE = {
 }
 
 
-@dataclass(frozen=True)
-class ValidatorConfig:
+class ValidatorConfig(Record):
     org_unit_vocabulary: frozenset = frozenset(
         {"laboratory", "department", "institution"}
     )
-    severity_overrides: dict = field(default_factory=dict)
+    severity_overrides: dict = factory(dict)
 
     def __post_init__(self) -> None:
         object.__setattr__(

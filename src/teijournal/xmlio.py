@@ -17,9 +17,9 @@ document element to survive re-serialization.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from . import model as m
+from .base import Record
 from .rawxml import TEI_NS, XML_NS, RawXmlError, TreeDocument, parse_raw
 
 # --------------------------------------------------------------------------
@@ -27,15 +27,13 @@ from .rawxml import TEI_NS, XML_NS, RawXmlError, TreeDocument, parse_raw
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Issue:
+class Issue(Record):
     severity: str  # "error" | "warning"
     location: str  # slash path with 1-based sibling indexes, "" if global
     message: str
 
 
-@dataclass(frozen=True)
-class ParseReport:
+class ParseReport(Record):
     issues: tuple = ()
     outcome: m.Article | None = None
 
@@ -1210,7 +1208,7 @@ def iter_model_paths(article: m.Article) -> list:
     """Document-ordered (path, node) pairs for addressable model nodes.
 
     Paths follow the canonical serialization: slash-separated element
-    names with 1-based indexes among same-named siblings. Only dataclass
+    names with 1-based indexes among same-named siblings. Only record
     nodes are yielded (never bare rich-text tuples). Each call walks the
     article again and returns a new list; :func:`model_paths` is the
     shared walk.
@@ -1282,8 +1280,8 @@ def model_paths(article: m.Article) -> list:
 
     The walk runs once per ``Article`` instance.  Its result is kept in the
     instance's ``__dict__``, the way :func:`functools.cached_property`
-    keeps values, so the frozen fields are untouched and an article made
-    with :func:`dataclasses.replace` gets a walk of its own.
+    keeps values, so the frozen fields are untouched and each new article,
+    one made with :func:`dataclasses.replace` too, gets a walk of its own.
     """
     memo = article.__dict__
     paths = memo.get("_model_paths")

@@ -3,10 +3,12 @@
 import dataclasses
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from teijournal import corpus, render, schema, validator, xmlio
 from teijournal import model as m
+from teijournal.base import Record, factory
 
 
 class TestCalendarDate:
@@ -259,3 +261,149 @@ class TestNestedEqualityAndRepr:
         assert [f.name for f in dataclasses.fields(m.Division)] == [
             "kind", "head", "blocks", "children"
         ]
+
+
+# Every model class against a copy made by ``make_dataclass``: the oracle
+# for equality, hash and repr of every record.
+MODEL_CLASSES = tuple(
+    cls for cls in vars(m).values()
+    if isinstance(cls, type) and issubclass(cls, Record) and cls.__module__ == m.__name__
+)
+ALL_GENERATED = {
+    cls: dataclasses.make_dataclass(
+        cls.__name__,
+        [(f.name, f.type, dataclasses.field(default=f.default,
+                                            default_factory=f.default_factory))
+         for f in dataclasses.fields(cls)],
+        frozen=True,
+    )
+    for cls in MODEL_CLASSES
+}
+TUPLE_ITEM = st.one_of(
+    WORDS,
+    st.builds(m.TextRun, WORDS),
+    st.builds(m.Emph, WORDS, st.lists(st.builds(m.TextRun, WORDS), max_size=2).map(tuple)),
+    st.lists(st.builds(m.TextRun, WORDS), max_size=1).map(tuple),
+)
+
+
+def field_values(hint: str):
+    """Values for a model field, drawn from its annotation."""
+    options = []
+    for name in hint.strip("'").split(" | "):
+        if name == "None":
+            options.append(st.none())
+        elif name == "str":
+            options.append(WORDS)
+        elif name == "bool":
+            options.append(st.booleans())
+        elif name in ("tuple", "RichText"):
+            options.append(st.lists(TUPLE_ITEM, max_size=2).map(tuple))
+        else:
+            options.append(nodes(getattr(m, name)))
+    return st.one_of(options)
+
+
+def nodes(cls: type):
+    if cls is m.CalendarDate:
+        return st.builds(cls, st.integers(2000, 2001), st.sampled_from([None, 1, 12]))
+    return st.builds(cls, **{f.name: field_values(f.type) for f in dataclasses.fields(cls)})
+
+
+NODE_PAIRS = st.sampled_from(MODEL_CLASSES).flatmap(lambda cls: st.tuples(nodes(cls), nodes(cls)))
+
+
+class TestEveryModelClassMatchesTheGeneratedMethods:
+    def test_oracle_covers_the_whole_model(self):
+        assert len(MODEL_CLASSES) == 42
+        assert {m.Emph, m.Division, m.Article, m.CalendarDate} <= set(MODEL_CLASSES)
+
+    @settings(max_examples=300, deadline=None)
+    @given(NODE_PAIRS)
+    def test_eq_ne_hash_and_repr(self, pair):
+        a, b = pair
+        generated_a, generated_b = rebuilt(a, ALL_GENERATED), rebuilt(b, ALL_GENERATED)
+        assert repr(a) == repr(generated_a)
+        assert (a == b) == (generated_a == generated_b)
+        assert (a != b) == (generated_a != generated_b)
+        assert hash(a) == hash(generated_a)
+        copy = rebuilt(a, {})
+        assert copy == a and not copy != a and hash(copy) == hash(a)
+
+
+RECORD_CLASSES = [cls for cls in Record.__subclasses__()
+                  if cls.__module__.startswith("teijournal.")]
+MUTABLE_RECORDS = (schema.ElementUsage, schema.UsageProfile)
+
+
+class TestRecordContract:
+    def test_every_module_defines_records(self):
+        modules = {cls.__module__ for cls in RECORD_CLASSES}
+        assert modules == {f"teijournal.{name}" for name in (
+            "base", "model", "xmlio", "validator", "render", "corpus", "schema")}
+        assert len(RECORD_CLASSES) == 63
+
+    @pytest.mark.parametrize("cls", RECORD_CLASSES, ids=lambda cls: cls.__qualname__)
+    def test_fields_defaults_and_assignment(self, cls):
+        declared = [name for name, hint in cls.__annotations__.items()
+                    if not hint.startswith("ClassVar")]
+        assert dataclasses.is_dataclass(cls)
+        assert [f.name for f in dataclasses.fields(cls)] == declared
+        required = {}
+        for f in dataclasses.fields(cls):
+            default = cls.__dict__.get(f.name, dataclasses.MISSING)
+            if isinstance(default, factory):
+                assert (f.default, f.default_factory) == (dataclasses.MISSING, default.make)
+            else:
+                assert (f.default, f.default_factory) == (default, dataclasses.MISSING)
+                if default is dataclasses.MISSING:
+                    required[f.name] = "x"
+        made = [f.name for f in dataclasses.fields(cls)
+                if f.default_factory is not dataclasses.MISSING]
+        if made:
+            one, two = cls(**required), cls(**required)
+            for name in made:
+                assert getattr(one, name) == getattr(two, name)
+                assert getattr(one, name) is not getattr(two, name)
+        if cls not in MUTABLE_RECORDS:
+            # a bare instance: the frozen guard needs no valid field values
+            node = object.__new__(cls)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(node, declared[0], None)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(node, declared[0])
+
+    def test_mutable_schema_records_accept_assignment_and_are_unhashable(self):
+        for cls in MUTABLE_RECORDS:
+            record, name = cls(), dataclasses.fields(cls)[0].name
+            setattr(record, name, 5)
+            assert getattr(record, name) == 5
+            assert cls.__hash__ is None
+            with pytest.raises(TypeError):
+                hash(record)
+        usage = schema.ElementUsage()
+        usage.count += 2
+        assert usage == schema.ElementUsage(count=2)
+
+    def test_replace_runs_post_init_again(self):
+        date = m.CalendarDate(2009, 6)
+        with pytest.raises(ValueError, match="month out of range: 13"):
+            dataclasses.replace(date, month=13)
+        assert dataclasses.replace(date, month=7, raw="") == m.CalendarDate(2009, 7)
+        with pytest.raises(ValueError, match="at least one filter"):
+            dataclasses.replace(corpus.Query(text="a"), text=None)
+        with pytest.raises(ValueError, match="enumeration_cap"):
+            dataclasses.replace(schema.CodifyOptions(), enumeration_cap=0)
+        with pytest.raises(ValueError, match="unknown rules"):
+            dataclasses.replace(validator.ValidatorConfig(), severity_overrides={"R0": "error"})
+        with pytest.raises(ValueError, match="to itself"):
+            dataclasses.replace(schema.RewriteRule("a", "k", "v", "w"), to_value="v")
+
+    def test_positional_and_keyword_construction(self):
+        assert render.Span("t") == render.Span(text="t", typography="plain")
+        assert xmlio.Issue("error", "", "m") == xmlio.Issue(
+            severity="error", location="", message="m")
+        with pytest.raises(TypeError):
+            xmlio.Issue("error", "")
+        assert m.Monogr().imprint == m.Imprint() and m.BiblStruct().doc_type.value == "unknown"
+

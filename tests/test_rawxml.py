@@ -632,6 +632,35 @@ class TestCommandsOnDamagedBytes:
                 if code == ExitStatus.FINDINGS:
                     assert printed_error_finding(argv, out), (argv, out)
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(damaged_documents(), min_size=1, max_size=3), st.booleans())
+    def test_render_and_corpus_commands_never_fail_inside(self, datas, with_intact):
+        # only validate and schema-validate may exit 1
+        files = {f"damaged{i}.xml": data for i, data in enumerate(datas)}
+        if with_intact:
+            files["intact.xml"] = PARITY_BASES[1]
+        with tempfile.TemporaryDirectory() as scratch:
+            docs = Path(scratch) / "docs"
+            write_corpus(docs, files)
+            damaged = docs / "damaged0.xml"
+            commands = (
+                ["render", damaged, "--to", "text"],
+                ["render", damaged, "--to", "xhtml"],
+                ["index", docs],
+                ["index", docs, "--format", "records"],
+                ["biblio", docs],
+                ["biblio", docs, "--style", "apa", "--format", "records"],
+                ["corrigenda", docs],
+                ["corrigenda", docs, "--format", "records"],
+                ["query", docs, "--text", "b"],
+                ["query", docs, "--in", "any", "--from", "2000", "--format", "xhtml"],
+                ["query", docs, "--cites-surname", "B"],
+            )
+            for argv in commands:
+                code, _, err = run_in_process(argv)
+                assert "internal error" not in err, (argv, err)
+                assert code in (0, 2), (argv, code, err)
+
 
 # --------------------------------------------------------------------------
 # Profiling in place
@@ -671,7 +700,8 @@ from teijournal.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
     code = main(sys.argv[1:])
 print(json.dumps([code, sorted(m for m in sys.modules
-                                if m.startswith(("teijournal", "xml.etree")))]))
+                                if m.startswith(("teijournal", "xml.etree"))
+                                or m in ("dataclasses", "inspect"))]))
 """
 
 
@@ -696,6 +726,7 @@ def test_schema_commands_skip_tei_modules(tmp_path):
         assert code == 0, (argv, done.stderr)
         assert "teijournal.schema" in loaded
         assert not TEI_MODULES & set(loaded), argv
+        assert not {"dataclasses", "inspect"} & set(loaded), argv
 
 
 def test_tei_commands_skip_schema_module(tmp_path):
@@ -722,6 +753,7 @@ def test_tei_commands_skip_schema_module(tmp_path):
         assert code == 0, (argv, done.stderr)
         assert "teijournal.model" in loaded
         assert "teijournal.schema" not in loaded, argv
+        assert not {"dataclasses", "inspect"} & set(loaded), argv
 
 
 def test_package_exports_resolve_lazily():

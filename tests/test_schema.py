@@ -455,6 +455,18 @@ class TestArbitrate:
         assert out[0] == data.replace(b'k="z"', b'k="q"')
         assert arbitrate(docs(data), parse_rules("a k y -> q"))[1] == 0
 
+    def test_literal_whitespace_in_a_value_matches_as_a_space(self):
+        # XML reads a literal TAB, LF, CR or CR LF in a value as one space;
+        # a character reference keeps its character
+        data = b'<d><a k="x\ty"/><a k="x y"/><a k="x\r\ny"/><a k="x&#9;y"/></d>'
+        rules = parse_rules("a k x y -> z")
+        once, changes = arbitrate(docs(data), rules)
+        assert changes == 3
+        assert once[0] == b'<d><a k="z"/><a k="z"/><a k="z"/><a k="x&#9;y"/></d>'
+        assert arbitrate(docs(*once), rules) == (once, 0)
+        _, changes = arbitrate(docs(data), [RewriteRule("a", "k", "x\ty", "z")])
+        assert changes == 1
+
 def splice_by_copies(data: bytes, edits: list) -> bytes:
     """Oracle: the splice arbitrate made before, one whole copy per edit."""
     for start, end, replacement in sorted(edits, reverse=True):
