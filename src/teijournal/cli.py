@@ -600,9 +600,12 @@ def main(argv=None) -> int:
     # would only rescan live objects.  For the length of the command, what
     # exists now is frozen out of its scans and young collections are rare;
     # both settings are restored, for callers that run commands in process.
+    # Python 3.12 can start with objects frozen; then nothing is frozen
+    # here, as it could not be unfrozen without thawing those too.
     threshold = gc.get_threshold()
     frozen_before = gc.get_freeze_count()
-    gc.freeze()
+    if not frozen_before:
+        gc.freeze()
     gc.set_threshold(_GC_THRESHOLD, *threshold[1:])
     try:
         return int(args.func(args))

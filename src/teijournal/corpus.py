@@ -112,11 +112,6 @@ class Query(Record):
 # --------------------------------------------------------------------------
 
 
-def _file_key(path: str) -> str:
-    stem = path.replace("\\", "/").rsplit("/", 1)[-1]
-    return stem.rsplit(".", 1)[0] if "." in stem else stem
-
-
 def _free_key(reports: dict, preferred: str, fallback: str) -> str:
     if preferred and preferred not in reports:
         return preferred
@@ -139,19 +134,19 @@ def load_corpus(paths) -> Corpus:
             with open(name, "rb") as handle:
                 data = handle.read()
         except OSError as exc:
-            key = _free_key(reports, _file_key(name), name)
+            key = _free_key(reports, m.derive_article_id(None, name), name)
             reports[key] = ParseReport(
                 issues=(Issue("error", "", f"cannot read {name}: {exc}"),)
             )
             continue
         report = parse_article(data, name)
         if not report.ok:
-            key = _free_key(reports, _file_key(name), name)
+            key = _free_key(reports, m.derive_article_id(None, name), name)
             reports[key] = report
             continue
         article = report.outcome
         if article.id in articles:
-            key = _free_key(reports, _file_key(name), name)
+            key = _free_key(reports, m.derive_article_id(None, name), name)
             reports[key] = ParseReport(
                 issues=(
                     Issue(

@@ -167,23 +167,27 @@ class TreeDocument:
         self.foreign = foreign
         # expat reports start tags in the order ``iter`` walks the tree
         self._starts = None  # element -> start offset
-        self._tags = None  # element -> (start offset, expat attribute names)
+        self._tags = None  # element -> (start offset, expat attribute list)
         self._parents = None  # element -> parent element
         self._ordinals: dict = {}  # element -> ordinal, filled per parent
 
     def start_tag(self, element) -> tuple[int, list]:
-        """The offset of ``element``'s start tag, and the display names of
-        the attributes it specifies, in start-tag order.  Namespace
-        declarations are not attributes.  A TEI-prefixed name and its
-        unprefixed twin both read as the local name, so this list can be
-        longer than ``element.keys()``."""
+        """The offset of ``element``'s start tag, and the ``(display name,
+        value)`` of each attribute it specifies, in start-tag order, with
+        the value as expat reports it.  Namespace declarations are not
+        attributes.  A TEI-prefixed name and its unprefixed twin both read
+        as the local name, so this list can be longer than
+        ``element.keys()``."""
         tags = self._tags
         if tags is None:
             tags = self._tags = dict(
                 zip(self.root.iter(), _start_tags(self.data, attributes=True))
             )
-        start, names = tags[element]
-        return start, [_resolve_name(name)[0] for name in names]
+        start, attrs = tags[element]
+        return start, [
+            (_resolve_name(name)[0], value)
+            for name, value in zip(attrs[::2], attrs[1::2])
+        ]
 
     def span(self, element) -> tuple[int, int]:
         """The ``(start, end)`` byte offsets of ``element``'s markup.
@@ -397,14 +401,15 @@ def _deeper_than_limit(root) -> bool:
 
 def _start_tags(data: bytes, attributes: bool = False) -> list:
     """The offset of every start tag's ``<``, in document order.  With
-    ``attributes``, each is paired with the expanded (``uri local``) names
-    of the attributes the tag specifies; ``span`` needs only offsets, and
-    keeping every tag's names would cost it time and memory."""
+    ``attributes``, each is paired with expat's flat list of the expanded
+    (``uri local``) names and values of the attributes the tag specifies;
+    ``span`` needs only offsets, and keeping every tag's attributes would
+    cost it time and memory."""
     parser = _new_parser()
     tags: list = []
     if attributes:
         def on_start(name, attrs) -> None:
-            tags.append((parser.CurrentByteIndex, attrs[::2]))
+            tags.append((parser.CurrentByteIndex, attrs))
     else:
         def on_start(name, attrs) -> None:
             tags.append(parser.CurrentByteIndex)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import textwrap
-from importlib import resources
+from pathlib import Path
 
 from .base import BUILTIN_STYLES, Record, factory
 from .model import (
@@ -194,7 +194,9 @@ def builtin_style(style_id: str) -> StyleGuide:
     """One of the shipped styles: ``apa``, ``chicago``, or ``mla``."""
     if style_id not in BUILTIN_STYLES:
         raise StyleError(f"no built-in style {style_id!r} (have {', '.join(BUILTIN_STYLES)})")
-    data = resources.files(__package__).joinpath(f"styles/{style_id}.json").read_text("utf-8")
+    # A path beside the module, not importlib.resources: on Python 3.12+
+    # that imports inspect, which no command should load.
+    data = (Path(__file__).parent / "styles" / f"{style_id}.json").read_text("utf-8")
     return style_from_dict(json.loads(data))
 
 

@@ -65,16 +65,16 @@ def _add_element(profile: UsageProfile, foreign: set, element) -> None:
         values[value] += 1
     if _has_text(element):
         usage.text_count += 1
-    seen_here = set()
     native = []
     for child in element:
         if child in foreign:
             profile.foreign[child.tag] += 1
             continue
         usage.children[child.tag] += 1
-        seen_here.add(child.tag)
         native.append(child)
-    usage.child_coverage.update(seen_here)
+    # Each child name once, in first-seen order: a set's order would follow
+    # the string hash seed, and with it the profile's repr.
+    usage.child_coverage.update(dict.fromkeys([child.tag for child in native], 1))
     for child in native:
         _add_element(profile, foreign, child)
 
@@ -233,13 +233,10 @@ def schema_to_json(schema: RestrictedSchema) -> str:
 
 def load_base_schema() -> RestrictedSchema:
     """The shipped permissive superset used as the escape hatch."""
-    from importlib import resources
+    from pathlib import Path
 
-    text = (
-        resources.files("teijournal")
-        .joinpath("data/base_schema.json")
-        .read_text("utf-8")
-    )
+    # Read beside the module, as render reads its styles.
+    text = (Path(__file__).parent / "data" / "base_schema.json").read_text("utf-8")
     return schema_from_json(text)
 
 
@@ -528,33 +525,6 @@ def parse_rules(text: str) -> list:
     return rules
 
 
-_ENTITY_RE = re.compile(r"&(amp|lt|gt|quot|apos|#x?[0-9A-Fa-f]+);")
-_LITERAL_SPACE_RE = re.compile(r"\r\n?|[\t\n]")
-
-
-def _attribute_value(raw: str) -> str:
-    """The value XML gives the lexical attribute value ``raw``: a literal
-    TAB, LF, CR or CR LF becomes one space, references are replaced."""
-
-    def sub(match):
-        token = match.group(1)
-        if token == "amp":
-            return "&"
-        if token == "lt":
-            return "<"
-        if token == "gt":
-            return ">"
-        if token == "quot":
-            return '"'
-        if token == "apos":
-            return "'"
-        if token.startswith("#x") or token.startswith("#X"):
-            return chr(int(token[2:], 16))
-        return chr(int(token[1:]))
-
-    return _ENTITY_RE.sub(sub, _LITERAL_SPACE_RE.sub(" ", raw))
-
-
 def _encode_attr(value: str) -> str:
     return (
         value.replace("&", "&amp;")
@@ -655,21 +625,19 @@ def _collect_edits(doc: TreeDocument, lookup) -> list:
     data = doc.data
     edits: list = []
     for element in doc.root.iter():
-        hits: dict = {}  # display name -> (value, target)
+        hits: dict = {}  # (display name, value) -> target
         for key, value in element.items():
             name = attribute_name(key)
             target = lookup(element.tag, name, value)
             if target is not None:
-                hits[name] = (value, target)
+                hits[name, value] = target
         if not hits:
             continue
-        start, names = doc.start_tag(element)
-        for (value_start, value_end), name in zip(_attr_value_spans(data, start), names):
-            hit = hits.get(name)
-            if hit is None:
-                continue
-            # a TEI-prefixed twin of the name may carry another value
-            value, target = hit
-            if _attribute_value(data[value_start:value_end].decode("utf-8")) == value:
+        start, attributes = doc.start_tag(element)
+        spans = _attr_value_spans(data, start)
+        # a TEI-prefixed twin of a name may carry another value
+        for (value_start, value_end), attribute in zip(spans, attributes):
+            target = hits.get(attribute)
+            if target is not None:
                 edits.append((value_start, value_end, _encode_attr(target).encode("utf-8")))
     return edits

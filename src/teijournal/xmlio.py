@@ -6,7 +6,9 @@ represented is dropped with a warning, and running-text markup outside the
 recognized subset is carried as opaque verbatim slices so body content is
 never lost. Serialization emits one canonical form: UTF-8, alphabetical
 attributes, two-space indentation for element-only content, and opaque
-regions byte-for-byte as captured.
+regions byte-for-byte as captured. The serializer's element calls are the
+only description of that form: :func:`iter_model_paths` makes the same
+calls to name the element that holds each model node.
 
 Known limits, all deliberate: attribute order and insignificant whitespace
 are not preserved; unmodeled attributes on recognized elements are dropped
@@ -56,7 +58,7 @@ def _collapse(text: str) -> str:
 # Node kinds
 # --------------------------------------------------------------------------
 
-# TEI element of each model class whose element name is fixed; see
+# TEI element of each inline model class whose element name is fixed; see
 # _element_name for the classes whose name depends on their values.
 _ELEMENT_NAMES = {
     m.Emph: "hi",
@@ -65,11 +67,6 @@ _ELEMENT_NAMES = {
     m.OrgMention: "orgName",
     m.PlaceMention: "placeName",
     m.TermMention: "term",
-    m.Paragraph: "p",
-    m.CitBlock: "cit",
-    m.FigureBlock: "figure",
-    m.ListBlock: "list",
-    m.QuoteBlock: "quote",
 }
 
 # Mentions are text plus one optional attribute: (TEI attribute, model field).
@@ -81,11 +78,9 @@ _MENTION_ATTRS = {
 }
 _MENTION_CLASSES = {_ELEMENT_NAMES[cls]: cls for cls in _MENTION_ATTRS}
 
-_OPAQUE_CLASSES = (m.OpaqueInline, m.TableBlock, m.FormulaBlock, m.OpaqueBlock)
-
 
 def _element_name(node) -> str:
-    """Canonical TEI element name of an inline or block model node."""
+    """Canonical TEI element name of an inline model node."""
     name = _ELEMENT_NAMES.get(type(node))
     if name is not None:
         return name
@@ -93,9 +88,9 @@ def _element_name(node) -> str:
         return "ref" if node.text else "ptr"
     if isinstance(node, m.AbbrMention):
         return "abbr" if node.expansion is None else "choice"
-    if isinstance(node, _OPAQUE_CLASSES):
+    if isinstance(node, m.OpaqueInline):
         return opaque_root_name(node.markup)
-    raise TypeError(f"not an inline or block node: {node!r}")
+    raise TypeError(f"not an inline node: {node!r}")
 
 
 # --------------------------------------------------------------------------
@@ -775,7 +770,7 @@ def parse_article(
 
 
 # --------------------------------------------------------------------------
-# Serialization
+# Serialization and canonical model paths
 # --------------------------------------------------------------------------
 
 
@@ -869,410 +864,126 @@ def _inline_markup(content: tuple) -> str:
 
 
 class _Writer:
+    """Writes the canonical serialization, one line per element.
+
+    The ``_write_*`` functions are the only description of the canonical
+    tree; they make the same calls on a :class:`_PathWriter` to list the
+    model's paths.  ``node=`` names the addressable model node an element
+    holds, which only the path writer reads.
+    """
+
     def __init__(self) -> None:
-        self.lines: list[str] = []
+        self.lines: list[str] = ['<?xml version="1.0" encoding="UTF-8"?>']
+        self.open_names: list[str] = []
+        self.indent = ""
 
-    def line(self, depth: int, text: str) -> None:
-        self.lines.append("  " * depth + text)
+    def line(self, text: str) -> None:
+        self.lines.append(self.indent + text)
 
-    def leaf(self, depth: int, name: str, attrs: dict, content: str) -> None:
-        """One-line element; content is already-escaped markup."""
-        if content:
-            self.line(depth, _tag(name, attrs) + content + f"</{name}>")
+    def _leaf(self, name: str, attrs: dict, markup: str) -> None:
+        if markup:
+            self.line(_tag(name, attrs) + markup + f"</{name}>")
         else:
-            self.line(depth, _tag(name, attrs, close=True))
+            self.line(_tag(name, attrs, close=True))
 
-    def text_leaf(self, depth: int, name: str, attrs: dict, text: str) -> None:
-        self.leaf(depth, name, attrs, _esc(text))
+    def empty(self, name: str, attrs: dict, node=None) -> None:
+        self.line(_tag(name, attrs, close=True))
 
-    def open(self, depth: int, name: str, attrs: dict | None = None) -> None:
-        self.line(depth, _tag(name, attrs or {}))
+    def text(self, name: str, attrs: dict, value: str, node=None) -> None:
+        self._leaf(name, attrs, _esc(value))
 
-    def close(self, depth: int, name: str) -> None:
-        self.line(depth, f"</{name}>")
+    def rich(self, name: str, attrs: dict, content: tuple, node=None) -> None:
+        self._leaf(name, attrs, _inline_markup(content))
+
+    def term_item(self, term: str, node) -> None:
+        # One line, so the term is not indented inside its item.
+        self.line("<item><term>" + _esc(term) + "</term></item>")
+
+    def verbatim(self, markup: str, node, caption: tuple = ()) -> None:
+        self.line(markup)  # a table's caption is inside its markup
+
+    def open(self, name: str, attrs: dict | None = None, node=None) -> None:
+        self.line(_tag(name, attrs or {}))
+        self.open_names.append(name)
+        self.indent += "  "
+
+    def close(self) -> None:
+        self.indent = self.indent[:-2]
+        self.line(f"</{self.open_names.pop()}>")
+
+
+class _PathWriter:
+    """Takes :class:`_Writer`'s calls and records ``(path, node)`` pairs.
+
+    A path is the slash-separated element names of the canonical
+    serialization, with 1-based indexes among same-named siblings.
+    """
+
+    def __init__(self) -> None:
+        self.out: list = []
+        # (path prefix, child-name counts) of each open element
+        self.open_paths: list = [("", {})]
+
+    def _path(self, name: str, node) -> str:
+        prefix, counts = self.open_paths[-1]
+        count = counts[name] = counts.get(name, 0) + 1
+        path = f"{prefix}{name}[{count}]"
+        if node is not None:
+            self.out.append((path, node))
+        return path
+
+    def empty(self, name: str, attrs: dict, node=None) -> None:
+        self._path(name, node)
+
+    def text(self, name: str, attrs: dict, value: str, node=None) -> None:
+        self._path(name, node)
+
+    def rich(self, name: str, attrs: dict, content: tuple, node=None) -> None:
+        _walk_rich(self.out, content, self._path(name, node), {})
+
+    def term_item(self, term: str, node) -> None:
+        self.out.append((self._path("item", None) + "/term[1]", node))
+
+    def verbatim(self, markup: str, node, caption: tuple = ()) -> None:
+        path = self._path(opaque_root_name(markup), node)
+        if caption:
+            _walk_rich(self.out, caption, path + "/head[1]", {})
+
+    def open(self, name: str, attrs: dict | None = None, node=None) -> None:
+        self.open_paths.append((self._path(name, node) + "/", {}))
+
+    def close(self) -> None:
+        self.open_paths.pop()
+
+
+def _walk_rich(out: list, content: tuple, parent: str, counts: dict) -> None:
+    for node in content:
+        if isinstance(node, m.TextRun):
+            continue
+        name = _element_name(node)
+        count = counts[name] = counts.get(name, 0) + 1
+        path = f"{parent}/{name}[{count}]"
+        out.append((path, node))
+        if isinstance(node, m.Emph):
+            _walk_rich(out, node.content, path, {})
 
 
 def serialize_article(article: m.Article) -> bytes:
     """Render the model to canonical UTF-8 TEI XML."""
-    w = _Writer()
-    w.lines.append('<?xml version="1.0" encoding="UTF-8"?>')
-    root_attrs = {"xmlns": TEI_NS}
-    for prefix, uri in article.ns_decls:
-        root_attrs[f"xmlns:{prefix}"] = uri
-    w.open(0, "TEI", root_attrs)
-    _write_header(w, 1, article.header)
-    _write_text(w, 1, article)
-    w.close(0, "TEI")
-    return ("\n".join(w.lines) + "\n").encode("utf-8")
-
-
-def _write_header(w: _Writer, depth: int, header: m.Header) -> None:
-    w.open(depth, "teiHeader")
-    _write_file_desc(w, depth + 1, header.file_desc)
-    _write_profile_desc(w, depth + 1, header.profile_desc)
-    _write_revision_desc(w, depth + 1, header.revision_desc)
-    w.close(depth, "teiHeader")
-
-
-def _write_file_desc(w: _Writer, depth: int, fd: m.FileDesc) -> None:
-    has_pub = fd.availability or fd.publication_date or fd.authority
-    if not (fd.main_title or has_pub or fd.source):
-        w.leaf(depth, "fileDesc", {}, "")
-        return
-    w.open(depth, "fileDesc")
-    if fd.main_title:
-        w.open(depth + 1, "titleStmt")
-        w.leaf(
-            depth + 2,
-            "title",
-            {"level": "a", "type": "main"},
-            _inline_markup(fd.main_title),
-        )
-        w.close(depth + 1, "titleStmt")
-    if has_pub:
-        w.open(depth + 1, "publicationStmt")
-        if fd.availability:
-            w.open(depth + 2, "availability")
-            w.leaf(depth + 3, "p", {}, _inline_markup(fd.availability))
-            w.close(depth + 2, "availability")
-        if fd.publication_date:
-            w.leaf(
-                depth + 2, "date", {"when": fd.publication_date.iso()}, ""
-            )
-        if fd.authority:
-            w.text_leaf(depth + 2, "authority", {}, fd.authority)
-        w.close(depth + 1, "publicationStmt")
-    if fd.source is not None:
-        w.open(depth + 1, "sourceDesc")
-        _write_biblstruct(w, depth + 2, fd.source)
-        w.close(depth + 1, "sourceDesc")
-    w.close(depth, "fileDesc")
-
-
-def _write_profile_desc(w: _Writer, depth: int, pd: m.ProfileDesc) -> None:
-    if not (pd.keywords or pd.languages):
-        return
-    w.open(depth, "profileDesc")
-    if pd.languages:
-        w.open(depth + 1, "langUsage")
-        for ident in pd.languages:
-            w.leaf(depth + 2, "language", {"ident": ident}, "")
-        w.close(depth + 1, "langUsage")
-    if pd.keywords:
-        w.open(depth + 1, "textClass")
-        for scheme, group in _group_keywords(pd.keywords):
-            attrs = {"scheme": scheme} if scheme else {}
-            w.open(depth + 2, "keywords", attrs)
-            w.open(depth + 3, "list")
-            for keyword in group:
-                w.leaf(
-                    depth + 4,
-                    "item",
-                    {},
-                    "<term>" + _esc(keyword.term) + "</term>",
-                )
-            w.close(depth + 3, "list")
-            w.close(depth + 2, "keywords")
-        w.close(depth + 1, "textClass")
-    w.close(depth, "profileDesc")
-
-
-def _group_keywords(keywords: tuple) -> list:
-    """Group by scheme, keeping first-appearance order of schemes."""
-    order: list = []
-    groups: dict = {}
-    for keyword in keywords:
-        if keyword.scheme not in groups:
-            groups[keyword.scheme] = []
-            order.append(keyword.scheme)
-        groups[keyword.scheme].append(keyword)
-    return [(scheme, groups[scheme]) for scheme in order]
-
-
-def _write_revision_desc(w: _Writer, depth: int, rd: m.RevisionDesc) -> None:
-    if not rd.changes:
-        return
-    w.open(depth, "revisionDesc")
-    for change in rd.changes:
-        attrs = {"when": change.when.iso()}
-        if change.kind != _leading_word(change.description):
-            attrs["type"] = change.kind
-        w.text_leaf(depth + 1, "change", attrs, change.description)
-    w.close(depth, "revisionDesc")
-
-
-def _write_text(w: _Writer, depth: int, article: m.Article) -> None:
-    w.open(depth, "text")
-    if article.front:
-        w.open(depth + 1, "front")
-        for division in article.front:
-            _write_division(w, depth + 2, division)
-        w.close(depth + 1, "front")
-    if article.body:
-        w.open(depth + 1, "body")
-        for division in article.body:
-            _write_division(w, depth + 2, division)
-        w.close(depth + 1, "body")
-    else:
-        w.leaf(depth + 1, "body", {}, "")
-    back = article.back
-    if back.divisions or back.reference_list is not None:
-        w.open(depth + 1, "back")
-        for division in back.divisions:
-            _write_division(w, depth + 2, division)
-        if back.reference_list is not None:
-            _write_listbibl(w, depth + 2, back.reference_list)
-        w.close(depth + 1, "back")
-    w.close(depth, "text")
-
-
-def _write_division(w: _Writer, depth: int, division: m.Division) -> None:
-    attrs = {"type": division.kind}
-    if not (division.head or division.blocks or division.children):
-        w.leaf(depth, "div", attrs, "")
-        return
-    w.open(depth, "div", attrs)
-    if division.head:
-        w.leaf(depth + 1, "head", {}, _inline_markup(division.head))
-    for block in division.blocks:
-        _write_block(w, depth + 1, block)
-    for child in division.children:
-        _write_division(w, depth + 1, child)
-    w.close(depth, "div")
-
-
-def _write_block(w: _Writer, depth: int, block) -> None:
-    if isinstance(block, m.Paragraph):
-        w.leaf(depth, "p", {}, _inline_markup(block.content))
-    elif isinstance(block, m.CitBlock):
-        w.open(depth, "cit")
-        w.leaf(depth + 1, "quote", {}, _inline_markup(block.quote))
-        if isinstance(block.source, m.BiblStruct):
-            _write_biblstruct(w, depth + 1, block.source)
-        elif isinstance(block.source, str):
-            w.leaf(
-                depth + 1,
-                "ref",
-                {"target": block.source, "type": "bibr"},
-                "",
-            )
-        if block.qualifiers:
-            w.leaf(depth + 1, "note", {}, _inline_markup(block.qualifiers))
-        w.close(depth, "cit")
-    elif isinstance(block, m.FigureBlock):
-        w.open(depth, "figure")
-        if block.caption:
-            w.leaf(depth + 1, "head", {}, _inline_markup(block.caption))
-        if block.graphic_url is not None:
-            w.leaf(depth + 1, "graphic", {"url": block.graphic_url}, "")
-        w.close(depth, "figure")
-    elif isinstance(block, (m.TableBlock, m.FormulaBlock, m.OpaqueBlock)):
-        w.line(depth, block.markup)
-    elif isinstance(block, m.ListBlock):
-        w.open(depth, "list")
-        for item in block.items:
-            w.leaf(depth + 1, "item", {}, _inline_markup(item))
-        w.close(depth, "list")
-    elif isinstance(block, m.QuoteBlock):
-        w.leaf(depth, "quote", {}, _inline_markup(block.content))
-    else:
-        raise TypeError(f"not a block node: {block!r}")
-
-
-def _write_listbibl(w: _Writer, depth: int, listbibl: m.ListBibl) -> None:
-    if not listbibl.entries:
-        w.leaf(depth, "listBibl", {}, "")
-        return
-    w.open(depth, "listBibl")
-    for entry in listbibl.entries:
-        _write_biblstruct(w, depth + 1, entry)
-    w.close(depth, "listBibl")
-
-
-def _write_biblstruct(w: _Writer, depth: int, bs: m.BiblStruct) -> None:
-    attrs = {"type": bs.doc_type.value}
-    if bs.xml_id:
-        attrs["xml:id"] = bs.xml_id
-    w.open(depth, "biblStruct", attrs)
-    if bs.analytic is not None:
-        w.open(depth + 1, "analytic")
-        for title in bs.analytic.titles:
-            _write_title(w, depth + 2, title)
-        for author in bs.analytic.authors:
-            _write_author(w, depth + 2, author)
-        w.close(depth + 1, "analytic")
-    _write_monogr(w, depth + 1, bs.monogr)
-    for ident in bs.identifiers:
-        w.text_leaf(depth + 1, "idno", {"type": ident.kind}, ident.value)
-    w.close(depth, "biblStruct")
-
-
-def _write_title(w: _Writer, depth: int, title: m.Title) -> None:
-    w.leaf(
-        depth,
-        "title",
-        {"level": title.level, "type": title.type},
-        _inline_markup(title.text),
-    )
-
-
-def _write_monogr(w: _Writer, depth: int, monogr: m.Monogr) -> None:
-    imprint = monogr.imprint
-    has_imprint = (
-        imprint.publisher
-        or imprint.pub_place
-        or imprint.date
-        or imprint.scopes
-    )
-    if not (monogr.titles or monogr.authors or monogr.issn or has_imprint):
-        w.leaf(depth, "monogr", {}, "")
-        return
-    w.open(depth, "monogr")
-    for author in monogr.authors:
-        _write_author(w, depth + 1, author)
-    for title in monogr.titles:
-        _write_title(w, depth + 1, title)
-    if monogr.issn:
-        w.text_leaf(depth + 1, "idno", {"type": "ISSN"}, monogr.issn)
-    if has_imprint:
-        w.open(depth + 1, "imprint")
-        if imprint.publisher:
-            w.text_leaf(depth + 2, "publisher", {}, imprint.publisher)
-        if imprint.pub_place:
-            w.text_leaf(depth + 2, "pubPlace", {}, imprint.pub_place)
-        if imprint.date:
-            attrs = {"when": imprint.date.iso()}
-            if imprint.date_role != "published":
-                attrs["type"] = imprint.date_role
-            w.leaf(depth + 2, "date", attrs, "")
-        for scope in imprint.scopes:
-            w.text_leaf(
-                depth + 2, "biblScope", {"type": scope.kind}, scope.value
-            )
-        w.close(depth + 1, "imprint")
-    w.close(depth, "monogr")
-
-
-def _write_author(w: _Writer, depth: int, author: m.Author) -> None:
-    attrs = {"type": "corresp"} if author.corresponding else {}
-    has_name = author.surname or author.forenames
-    if not (has_name or author.identifiers or author.affiliation or author.email):
-        w.leaf(depth, "author", attrs, "")
-        return
-    w.open(depth, "author", attrs)
-    for ident in author.identifiers:
-        w.text_leaf(depth + 1, "idno", {"type": ident.kind}, ident.value)
-    if has_name:
-        w.open(depth + 1, "persName")
-        for forename in author.forenames:
-            w.text_leaf(depth + 2, "forename", {}, forename)
-        if author.surname:
-            w.text_leaf(depth + 2, "surname", {}, author.surname)
-        w.close(depth + 1, "persName")
-    if author.affiliation is not None:
-        _write_affiliation(w, depth + 1, author.affiliation)
-    if author.email:
-        w.text_leaf(depth + 1, "email", {}, author.email)
-    w.close(depth, "author")
-
-
-def _write_affiliation(w: _Writer, depth: int, aff: m.Affiliation) -> None:
-    if not (aff.org_units or aff.address):
-        w.leaf(depth, "affiliation", {}, "")
-        return
-    w.open(depth, "affiliation")
-    for unit in aff.org_units:
-        w.text_leaf(depth + 1, "orgName", {"type": unit.kind}, unit.name)
-    if aff.address is not None:
-        address = aff.address
-        w.open(depth + 1, "address")
-        if address.settlement:
-            w.text_leaf(depth + 2, "settlement", {}, address.settlement)
-        if address.post_code:
-            w.text_leaf(depth + 2, "postCode", {}, address.post_code)
-        if address.country:
-            w.text_leaf(depth + 2, "country", {}, address.country)
-        for line in address.lines:
-            attrs = {"type": line.kind} if line.kind else {}
-            w.text_leaf(depth + 2, "addrLine", attrs, line.text)
-        w.close(depth + 1, "address")
-    w.close(depth, "affiliation")
-
-
-# --------------------------------------------------------------------------
-# Canonical model paths
-# --------------------------------------------------------------------------
+    lines = _write_article(_Writer(), article).lines
+    return ("\n".join(lines) + "\n").encode("utf-8")
 
 
 def iter_model_paths(article: m.Article) -> list:
     """Document-ordered (path, node) pairs for addressable model nodes.
 
-    Paths follow the canonical serialization: slash-separated element
-    names with 1-based indexes among same-named siblings. Only record
-    nodes are yielded (never bare rich-text tuples). Each call walks the
-    article again and returns a new list; :func:`model_paths` is the
-    shared walk.
+    Paths follow the canonical serialization, because they are made by its
+    own ``_write_*`` calls: slash-separated element names with 1-based
+    indexes among same-named siblings. Only record nodes are yielded (never
+    bare rich-text tuples). Each call walks the article again and returns a
+    new list; :func:`model_paths` is the shared walk.
     """
-    out: list = []
-
-    # header -------------------------------------------------------------
-    header = article.header
-    fd = header.file_desc
-    fd_path = "TEI[1]/teiHeader[1]/fileDesc[1]"
-    out.append((fd_path, fd))
-    if fd.main_title:
-        _walk_rich(out, fd.main_title, f"{fd_path}/titleStmt[1]/title[1]", {})
-    if fd.availability:
-        _walk_rich(
-            out,
-            fd.availability,
-            f"{fd_path}/publicationStmt[1]/availability[1]/p[1]",
-            {},
-        )
-    if fd.source is not None:
-        _walk_biblstruct(out, fd.source, f"{fd_path}/sourceDesc[1]/biblStruct[1]")
-    pd = header.profile_desc
-    if pd.keywords or pd.languages:
-        pd_path = "TEI[1]/teiHeader[1]/profileDesc[1]"
-        out.append((pd_path, pd))
-        if pd.keywords:
-            tc_path = f"{pd_path}/textClass[1]"
-            tcc: dict = {}
-            for _, group in _group_keywords(pd.keywords):
-                kw_path = _child_path(tc_path, tcc, "keywords")
-                for i, keyword in enumerate(group, start=1):
-                    out.append((f"{kw_path}/list[1]/item[{i}]/term[1]", keyword))
-    rd = header.revision_desc
-    if rd.changes:
-        rd_path = "TEI[1]/teiHeader[1]/revisionDesc[1]"
-        out.append((rd_path, rd))
-        for i, change in enumerate(rd.changes, start=1):
-            out.append((f"{rd_path}/change[{i}]", change))
-
-    # text ---------------------------------------------------------------
-    text_path = "TEI[1]/text[1]"
-    if article.front:
-        front_path = f"{text_path}/front[1]"
-        frontc: dict = {}
-        for division in article.front:
-            _walk_division(out, division, front_path, frontc)
-    body_path = f"{text_path}/body[1]"
-    bodyc: dict = {}
-    for division in article.body:
-        _walk_division(out, division, body_path, bodyc)
-    back = article.back
-    if back.divisions or back.reference_list is not None:
-        back_path = f"{text_path}/back[1]"
-        backc: dict = {}
-        for division in back.divisions:
-            _walk_division(out, division, back_path, backc)
-        if back.reference_list is not None:
-            lb_path = _child_path(back_path, backc, "listBibl")
-            out.append((lb_path, back.reference_list))
-            lbc: dict = {}
-            for entry in back.reference_list.entries:
-                _walk_biblstruct(out, entry, _child_path(lb_path, lbc, "biblStruct"))
-    return out
+    return _write_article(_PathWriter(), article).out
 
 
 def model_paths(article: m.Article) -> list:
@@ -1290,101 +1001,280 @@ def model_paths(article: m.Article) -> list:
     return paths
 
 
-def _child_path(parent: str, counters: dict, name: str) -> str:
-    counters[name] = counters.get(name, 0) + 1
-    return f"{parent}/{name}[{counters[name]}]"
+def _write_article(w, article: m.Article):
+    root_attrs = {"xmlns": TEI_NS}
+    for prefix, uri in article.ns_decls:
+        root_attrs[f"xmlns:{prefix}"] = uri
+    w.open("TEI", root_attrs)
+    header = article.header
+    w.open("teiHeader")
+    _write_file_desc(w, header.file_desc)
+    _write_profile_desc(w, header.profile_desc)
+    _write_revision_desc(w, header.revision_desc)
+    w.close()
+    _write_text(w, article)
+    w.close()
+    return w
 
 
-def _walk_rich(out: list, content: tuple, parent: str, counters: dict) -> None:
-    for node in content:
-        if isinstance(node, m.TextRun):
-            continue
-        name = _element_name(node)
-        path = _child_path(parent, counters, name)
-        out.append((path, node))
-        if isinstance(node, m.Emph):
-            _walk_rich(out, node.content, path, {})
+def _write_file_desc(w, fd: m.FileDesc) -> None:
+    has_pub = fd.availability or fd.publication_date or fd.authority
+    if not (fd.main_title or has_pub or fd.source):
+        w.empty("fileDesc", {}, node=fd)
+        return
+    w.open("fileDesc", node=fd)
+    if fd.main_title:
+        w.open("titleStmt")
+        w.rich("title", {"level": "a", "type": "main"}, fd.main_title)
+        w.close()
+    if has_pub:
+        w.open("publicationStmt")
+        if fd.availability:
+            w.open("availability")
+            w.rich("p", {}, fd.availability)
+            w.close()
+        if fd.publication_date:
+            w.empty("date", {"when": fd.publication_date.iso()})
+        if fd.authority:
+            w.text("authority", {}, fd.authority)
+        w.close()
+    if fd.source is not None:
+        w.open("sourceDesc")
+        _write_biblstruct(w, fd.source)
+        w.close()
+    w.close()
 
 
-def _walk_leaf_rich(
-    out: list, content: tuple, parent: str, counters: dict, name: str
-) -> None:
-    """Rich text held by a wrapper element (head, quote, item...)."""
-    _walk_rich(out, content, _child_path(parent, counters, name), {})
+def _write_profile_desc(w, pd: m.ProfileDesc) -> None:
+    if not (pd.keywords or pd.languages):
+        return
+    w.open("profileDesc", node=pd)
+    if pd.languages:
+        w.open("langUsage")
+        for ident in pd.languages:
+            w.empty("language", {"ident": ident})
+        w.close()
+    if pd.keywords:
+        w.open("textClass")
+        for scheme, group in _group_keywords(pd.keywords):
+            w.open("keywords", {"scheme": scheme} if scheme else {})
+            w.open("list")
+            for keyword in group:
+                w.term_item(keyword.term, keyword)
+            w.close()
+            w.close()
+        w.close()
+    w.close()
 
 
-def _walk_author(out: list, author: m.Author, parent: str, counters: dict) -> None:
-    path = _child_path(parent, counters, "author")
-    out.append((path, author))
-    if author.affiliation is not None:
-        aff_path = f"{path}/affiliation[1]"
-        out.append((aff_path, author.affiliation))
-        affc: dict = {}
-        for unit in author.affiliation.org_units:
-            out.append((_child_path(aff_path, affc, "orgName"), unit))
+def _group_keywords(keywords: tuple) -> list:
+    """Group by scheme, keeping first-appearance order of schemes."""
+    order: list = []
+    groups: dict = {}
+    for keyword in keywords:
+        if keyword.scheme not in groups:
+            groups[keyword.scheme] = []
+            order.append(keyword.scheme)
+        groups[keyword.scheme].append(keyword)
+    return [(scheme, groups[scheme]) for scheme in order]
 
 
-def _walk_biblstruct(out: list, bs: m.BiblStruct, path: str) -> None:
-    out.append((path, bs))
-    counters: dict = {}
-    if bs.analytic is not None:
-        a_path = _child_path(path, counters, "analytic")
-        ac: dict = {}
-        for title in bs.analytic.titles:
-            t_path = _child_path(a_path, ac, "title")
-            out.append((t_path, title))
-            _walk_rich(out, title.text, t_path, {})
-        for author in bs.analytic.authors:
-            _walk_author(out, author, a_path, ac)
-    m_path = _child_path(path, counters, "monogr")
-    mc: dict = {}
-    for author in bs.monogr.authors:
-        _walk_author(out, author, m_path, mc)
-    for title in bs.monogr.titles:
-        t_path = _child_path(m_path, mc, "title")
-        out.append((t_path, title))
-        _walk_rich(out, title.text, t_path, {})
-    imprint = bs.monogr.imprint
-    if imprint.publisher or imprint.pub_place or imprint.date or imprint.scopes:
-        i_path = _child_path(m_path, mc, "imprint")
-        ic: dict = {}
-        for scope in imprint.scopes:
-            out.append((_child_path(i_path, ic, "biblScope"), scope))
+def _write_revision_desc(w, rd: m.RevisionDesc) -> None:
+    if not rd.changes:
+        return
+    w.open("revisionDesc", node=rd)
+    for change in rd.changes:
+        attrs = {"when": change.when.iso()}
+        if change.kind != _leading_word(change.description):
+            attrs["type"] = change.kind
+        w.text("change", attrs, change.description, node=change)
+    w.close()
 
 
-def _walk_block(out: list, block, parent: str, counters: dict) -> None:
-    path = _child_path(parent, counters, _element_name(block))
-    out.append((path, block))
-    inner: dict = {}
-    if isinstance(block, m.Paragraph):
-        _walk_rich(out, block.content, path, inner)
-    elif isinstance(block, m.CitBlock):
-        _walk_leaf_rich(out, block.quote, path, inner, "quote")
-        if isinstance(block.source, m.BiblStruct):
-            _walk_biblstruct(
-                out, block.source, _child_path(path, inner, "biblStruct")
-            )
-        if block.qualifiers:
-            _walk_leaf_rich(out, block.qualifiers, path, inner, "note")
-    elif isinstance(block, (m.FigureBlock, m.TableBlock)):
-        if block.caption:
-            _walk_leaf_rich(out, block.caption, path, inner, "head")
-    elif isinstance(block, m.ListBlock):
-        for item in block.items:
-            _walk_leaf_rich(out, item, path, inner, "item")
-    elif isinstance(block, m.QuoteBlock):
-        _walk_rich(out, block.content, path, inner)
+def _write_text(w, article: m.Article) -> None:
+    w.open("text")
+    if article.front:
+        w.open("front")
+        for division in article.front:
+            _write_division(w, division)
+        w.close()
+    if article.body:
+        w.open("body")
+        for division in article.body:
+            _write_division(w, division)
+        w.close()
+    else:
+        w.empty("body", {})
+    back = article.back
+    if back.divisions or back.reference_list is not None:
+        w.open("back")
+        for division in back.divisions:
+            _write_division(w, division)
+        if back.reference_list is not None:
+            _write_listbibl(w, back.reference_list)
+        w.close()
+    w.close()
 
 
-def _walk_division(
-    out: list, division: m.Division, parent: str, counters: dict
-) -> None:
-    path = _child_path(parent, counters, "div")
-    out.append((path, division))
-    inner: dict = {}
+def _write_division(w, division: m.Division) -> None:
+    attrs = {"type": division.kind}
+    if not (division.head or division.blocks or division.children):
+        w.empty("div", attrs, node=division)
+        return
+    w.open("div", attrs, node=division)
     if division.head:
-        _walk_leaf_rich(out, division.head, path, inner, "head")
+        w.rich("head", {}, division.head)
     for block in division.blocks:
-        _walk_block(out, block, path, inner)
+        _write_block(w, block)
     for child in division.children:
-        _walk_division(out, child, path, inner)
+        _write_division(w, child)
+    w.close()
+
+
+def _write_block(w, block) -> None:
+    if isinstance(block, m.Paragraph):
+        w.rich("p", {}, block.content, node=block)
+    elif isinstance(block, m.CitBlock):
+        w.open("cit", node=block)
+        w.rich("quote", {}, block.quote)
+        if isinstance(block.source, m.BiblStruct):
+            _write_biblstruct(w, block.source)
+        elif isinstance(block.source, str):
+            w.empty("ref", {"target": block.source, "type": "bibr"})
+        if block.qualifiers:
+            w.rich("note", {}, block.qualifiers)
+        w.close()
+    elif isinstance(block, m.FigureBlock):
+        w.open("figure", node=block)
+        if block.caption:
+            w.rich("head", {}, block.caption)
+        if block.graphic_url is not None:
+            w.empty("graphic", {"url": block.graphic_url})
+        w.close()
+    elif isinstance(block, m.TableBlock):
+        w.verbatim(block.markup, block, block.caption)
+    elif isinstance(block, (m.FormulaBlock, m.OpaqueBlock)):
+        w.verbatim(block.markup, block)
+    elif isinstance(block, m.ListBlock):
+        w.open("list", node=block)
+        for item in block.items:
+            w.rich("item", {}, item)
+        w.close()
+    elif isinstance(block, m.QuoteBlock):
+        w.rich("quote", {}, block.content, node=block)
+    else:
+        raise TypeError(f"not a block node: {block!r}")
+
+
+def _write_listbibl(w, listbibl: m.ListBibl) -> None:
+    if not listbibl.entries:
+        w.empty("listBibl", {}, node=listbibl)
+        return
+    w.open("listBibl", node=listbibl)
+    for entry in listbibl.entries:
+        _write_biblstruct(w, entry)
+    w.close()
+
+
+def _write_biblstruct(w, bs: m.BiblStruct) -> None:
+    attrs = {"type": bs.doc_type.value}
+    if bs.xml_id:
+        attrs["xml:id"] = bs.xml_id
+    w.open("biblStruct", attrs, node=bs)
+    if bs.analytic is not None:
+        w.open("analytic")
+        for title in bs.analytic.titles:
+            _write_title(w, title)
+        for author in bs.analytic.authors:
+            _write_author(w, author)
+        w.close()
+    _write_monogr(w, bs.monogr)
+    for ident in bs.identifiers:
+        w.text("idno", {"type": ident.kind}, ident.value)
+    w.close()
+
+
+def _write_title(w, title: m.Title) -> None:
+    attrs = {"level": title.level, "type": title.type}
+    w.rich("title", attrs, title.text, node=title)
+
+
+def _write_monogr(w, monogr: m.Monogr) -> None:
+    imprint = monogr.imprint
+    has_imprint = (
+        imprint.publisher
+        or imprint.pub_place
+        or imprint.date
+        or imprint.scopes
+    )
+    if not (monogr.titles or monogr.authors or monogr.issn or has_imprint):
+        w.empty("monogr", {})
+        return
+    w.open("monogr")
+    for author in monogr.authors:
+        _write_author(w, author)
+    for title in monogr.titles:
+        _write_title(w, title)
+    if monogr.issn:
+        w.text("idno", {"type": "ISSN"}, monogr.issn)
+    if has_imprint:
+        w.open("imprint")
+        if imprint.publisher:
+            w.text("publisher", {}, imprint.publisher)
+        if imprint.pub_place:
+            w.text("pubPlace", {}, imprint.pub_place)
+        if imprint.date:
+            attrs = {"when": imprint.date.iso()}
+            if imprint.date_role != "published":
+                attrs["type"] = imprint.date_role
+            w.empty("date", attrs)
+        for scope in imprint.scopes:
+            w.text("biblScope", {"type": scope.kind}, scope.value, node=scope)
+        w.close()
+    w.close()
+
+
+def _write_author(w, author: m.Author) -> None:
+    attrs = {"type": "corresp"} if author.corresponding else {}
+    has_name = author.surname or author.forenames
+    if not (has_name or author.identifiers or author.affiliation or author.email):
+        w.empty("author", attrs, node=author)
+        return
+    w.open("author", attrs, node=author)
+    for ident in author.identifiers:
+        w.text("idno", {"type": ident.kind}, ident.value)
+    if has_name:
+        w.open("persName")
+        for forename in author.forenames:
+            w.text("forename", {}, forename)
+        if author.surname:
+            w.text("surname", {}, author.surname)
+        w.close()
+    if author.affiliation is not None:
+        _write_affiliation(w, author.affiliation)
+    if author.email:
+        w.text("email", {}, author.email)
+    w.close()
+
+
+def _write_affiliation(w, aff: m.Affiliation) -> None:
+    if not (aff.org_units or aff.address):
+        w.empty("affiliation", {}, node=aff)
+        return
+    w.open("affiliation", node=aff)
+    for unit in aff.org_units:
+        w.text("orgName", {"type": unit.kind}, unit.name, node=unit)
+    if aff.address is not None:
+        address = aff.address
+        w.open("address")
+        if address.settlement:
+            w.text("settlement", {}, address.settlement)
+        if address.post_code:
+            w.text("postCode", {}, address.post_code)
+        if address.country:
+            w.text("country", {}, address.country)
+        for line in address.lines:
+            attrs = {"type": line.kind} if line.kind else {}
+            w.text("addrLine", attrs, line.text)
+        w.close()
+    w.close()

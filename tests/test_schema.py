@@ -1,9 +1,14 @@
 """Profiling, codification, variant handling, and corpus arbitration."""
 
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import teijournal
 from teijournal.rawxml import parse_raw
 from teijournal.schema import (
     CodifyOptions,
@@ -61,6 +66,29 @@ class TestProfiling:
         profile = profile_document(parse_raw(data))
         assert sorted(profile.elements["p"].attributes) == ["xml:lang", "{urn:x}k"]
         assert validate_against(codify(profile), parse_raw(data)) == []
+
+    def test_profile_repr_does_not_depend_on_the_hash_seed(self):
+        children = b"".join(b"<c%d/>" % i for i in reversed(range(24)))
+        script = (
+            "import sys\n"
+            "from teijournal.rawxml import parse_raw\n"
+            "from teijournal.schema import profile_document\n"
+            "print(repr(profile_document(parse_raw(sys.stdin.buffer.read()))))\n"
+        )
+        reprs = []
+        for seed in ("1", "2"):
+            env = {
+                "PYTHONPATH": str(Path(teijournal.__file__).parents[1]),
+                "PYTHONHASHSEED": seed,
+            }
+            done = subprocess.run(
+                [sys.executable, "-c", script],
+                input=b"<doc><sec>" + children + b"</sec></doc>",
+                env=env, capture_output=True, check=True,
+            )
+            reprs.append(done.stdout)
+        assert reprs[0] == reprs[1]
+        assert b"'c23': 1, 'c22': 1" in reprs[0]  # first-seen order
 
     def test_merge_is_commutative(self):
         a = profile_document(parse_raw(DOC_A))
@@ -466,6 +494,20 @@ class TestArbitrate:
         assert arbitrate(docs(*once), rules) == (once, 0)
         _, changes = arbitrate(docs(data), [RewriteRule("a", "k", "x\ty", "z")])
         assert changes == 1
+
+    def test_value_normalized_by_a_declared_type_matches(self):
+        # a DTD-declared NMTOKENS value is read with its spaces collapsed,
+        # so the profile that variants and codify read holds "x y" twice
+        data = (
+            b"<!DOCTYPE d [<!ATTLIST a k NMTOKENS #IMPLIED>]>"
+            b'<d><a k="  x   y "/><a k="x y"/></d>'
+        )
+        assert profile_corpus(docs(data)).elements["a"].attributes["k"] == {"x y": 2}
+        rules = parse_rules("a k x y -> z")
+        once, changes = arbitrate(docs(data), rules)
+        assert changes == 2
+        assert once[0].endswith(b'<d><a k="z"/><a k="z"/></d>')
+        assert arbitrate(docs(*once), rules) == (once, 0)
 
 def splice_by_copies(data: bytes, edits: list) -> bytes:
     """Oracle: the splice arbitrate made before, one whole copy per edit."""

@@ -465,25 +465,28 @@ class TestModelPaths:
         assert any(isinstance(n, m.BiblStruct) for n in nodes)
         assert any(isinstance(n, m.Change) for n in nodes)
 
-    def test_paths_match_serialized_tree(self):
-        # Walker paths must name real elements of the canonical output.
-        for article in (parse_skeleton(), ok(EVERY_CLASS)):
-            raw = parse_raw(serialize_article(article))
+    @settings(max_examples=30, deadline=None)
+    @given(_articles())
+    def test_paths_match_serialized_tree(self, generated):
+        # Paths name real elements of the canonical output, in document order.
+        for article in (parse_skeleton(), ok(EVERY_CLASS), generated):
+            root = parse_raw(serialize_article(article)).root
+            order = {element: i for i, element in enumerate(root.iter())}
 
-            def exists(path: str) -> bool:
-                node = raw.root
-                steps = path.split("/")[1:]
-                for step in steps:
+            def resolve(path: str):
+                node = root
+                for step in path.split("/")[1:]:
                     name, _, index = step.partition("[")
                     wanted = int(index.rstrip("]"))
                     found = [c for c in node if c.tag == name]
                     if len(found) < wanted:
-                        return False
+                        return None
                     node = found[wanted - 1]
-                return True
+                return node
 
-            pairs = iter_model_paths(article)
-            missing = [p for p, _ in pairs if not exists(p)]
-            assert missing == []
+            resolved = [resolve(p) for p, _ in iter_model_paths(article)]
+            assert None not in resolved
+            positions = [order[element] for element in resolved]
+            assert positions == sorted(set(positions))
         walked = {type(n) for _, n in iter_model_paths(ok(EVERY_CLASS))}
         assert walked >= EVERY_CLASS_TYPES
