@@ -590,23 +590,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# Allocations between young collections while a command runs (default 700).
-_GC_THRESHOLD = 100_000
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     # Parses and walks leave no reference cycles, so the cyclic collector
-    # would only rescan live objects.  For the length of the command, what
-    # exists now is frozen out of its scans and young collections are rare;
-    # both settings are restored, for callers that run commands in process.
-    # Python 3.12 can start with objects frozen; then nothing is frozen
-    # here, as it could not be unfrozen without thawing those too.
-    threshold = gc.get_threshold()
-    frozen_before = gc.get_freeze_count()
-    if not frozen_before:
-        gc.freeze()
-    gc.set_threshold(_GC_THRESHOLD, *threshold[1:])
+    # would only rescan live objects: it is off for the length of the
+    # command, and back on afterwards if it was on, for callers that run
+    # commands in process.
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         return int(args.func(args))
     except CliError as exc:
@@ -622,9 +613,8 @@ def main(argv=None) -> int:
             file=sys.stderr,
         )
     finally:
-        gc.set_threshold(*threshold)
-        if not frozen_before:
-            gc.unfreeze()
+        if collecting:
+            gc.enable()
     return int(ExitStatus.FAILURE)
 
 

@@ -25,6 +25,7 @@ from .render import (
     builtin_style,
     element,
     entry_or_fallback,
+    entry_sort_key,
     escape_text,
     xhtml_page,
 )
@@ -248,13 +249,8 @@ def _dedup_key(record: m.BiblStruct) -> tuple:
     doi = record.identifier("doi")
     if doi:
         return ("doi", doi.casefold())
-    authors = record.authors()
-    surname = authors[0].surname.casefold() if authors else ""
-    date = record.monogr.imprint.date
-    year = f"{date.year:04d}" if date else ""
-    title = record.main_title()
-    title_text = m.normalize_title(title.text).casefold() if title else ""
-    return ("meta", surname, year, title_text)
+    surname, year, title_text = entry_sort_key(record)  # year 0: undated
+    return ("meta", surname, f"{year:04d}" if year else "", title_text)
 
 
 def unified_bibliography(corpus: Corpus) -> list:

@@ -334,9 +334,8 @@ def entry_sort_key(record: BiblStruct) -> tuple:
 
 def _cite_text(record: BiblStruct) -> str:
     """Author-date in-text form, without parentheses."""
-    authors = record.authors()
-    if authors:
-        surnames = [a.surname for a in authors if a.surname]
+    surnames = [a.surname for a in record.authors() if a.surname]
+    if surnames:
         if len(surnames) == 1:
             who = surnames[0]
         elif len(surnames) == 2:
@@ -472,50 +471,51 @@ def _first_citations(article: Article) -> tuple:
     return tuple(order)
 
 
-def _ordered_entries(entries: tuple, style: StyleGuide, cited: list) -> tuple:
-    """Shared ordering/numbering for reference lists.
+def format_reference_list(
+    entries, style: StyleGuide, citation_order: list | tuple = ()
+) -> list:
+    """Format a whole reference list; the one place that orders and numbers one.
 
-    Returns ``(display_order, numbers)`` where ``display_order`` is a list of
-    (key, RenderedEntry) in list order and ``numbers`` maps entry key to its
-    1-based citation number (first-appearance order, uncited entries after
-    the cited ones in alphabetical order).
+    Returns ``(label, RenderedEntry)`` pairs in display order.  Entries are
+    numbered by first citation, uncited entries after the cited ones in
+    alphabetical order, and a repeated id keeps its first entry.  Labels are
+    ``[n]`` strings for numeric marker schemes and ``None`` for author-date
+    schemes.
     """
     rendered: dict = {}
     for i, record in enumerate(entries):
         key = record.xml_id if record.xml_id else f"\x00{i}"
-        if key in rendered:
-            continue
-        rendered[key] = entry_or_fallback(record, style)
-    cited_keys = [k for k in dict.fromkeys(cited) if k in rendered]
-    cited_set = set(cited_keys)
-    uncited = sorted(
-        (k for k in rendered if k not in cited_set),
-        key=lambda k: (rendered[k].sort_key, k),
-    )
-    numbering_order = cited_keys + uncited
-    numbers = {k: n for n, k in enumerate(numbering_order, start=1)}
-    if style.list_order == "alphabetical":
-        display = sorted(rendered, key=lambda k: (rendered[k].sort_key, k))
-    else:
-        display = numbering_order
-    return [(k, rendered[k]) for k in display], numbers
+        if key not in rendered:
+            rendered[key] = entry_or_fallback(record, style)
+    alphabetical = sorted(rendered, key=lambda k: (rendered[k].sort_key, k))
+    cited = [k for k in dict.fromkeys(citation_order) if k in rendered]
+    cited_set = set(cited)
+    numbering = cited + [k for k in alphabetical if k not in cited_set]
+    display = alphabetical if style.list_order == "alphabetical" else numbering
+    if style.marker_scheme != "numeric-bracket":
+        return [(None, rendered[k]) for k in display]
+    numbers = {k: n for n, k in enumerate(numbering, start=1)}
+    return [(f"[{numbers[k]}]", rendered[k]) for k in display]
 
 
-def format_reference_list(
-    entries, style: StyleGuide, citation_order: list | tuple = ()
-) -> list:
-    """Format a whole reference list.
+class _PageContext:
+    """What one page's text and reference list share: the style, the
+    reference list as :func:`format_reference_list` numbers it, and the
+    in-text markers read off that list."""
 
-    Returns ``(label, RenderedEntry)`` pairs in display order.  Labels are
-    ``[n]`` strings for numeric marker schemes (numbered by first citation,
-    uncited entries appended) and ``None`` for author-date schemes.
-    """
-    display, numbers = _ordered_entries(tuple(entries), style, list(citation_order))
-    out = []
-    for key, entry in display:
-        label = f"[{numbers[key]}]" if style.marker_scheme == "numeric-bracket" else None
-        out.append((label, entry))
-    return out
+    def __init__(self, article: Article, style: StyleGuide):
+        self.style = style
+        entries = article.reference_list.entries if article.reference_list else ()
+        self.references = format_reference_list(entries, style, citation_order(article))
+        self.by_id = {e.ref_id: (label, e) for label, e in self.references if e.ref_id}
+
+    def marker(self, target: str) -> str | None:
+        """``[n]`` or ``(cite_text)`` for a pointer to an entry, else ``None``."""
+        found = self.by_id.get(target[1:]) if target.startswith("#") else None
+        if found is None:
+            return None
+        label, entry = found
+        return label or f"({entry.cite_text})"
 
 
 # --------------------------------------------------------------------------
@@ -563,31 +563,14 @@ _MENTION_CSS = {PersonMention: "tj-person", OrgMention: "tj-org",
                 PlaceMention: "tj-place", TermMention: "tj-term"}
 
 
-class _HtmlContext:
-    """Marker resolution shared across the page: entry lookup + numbering."""
-
-    def __init__(self, article: Article, style: StyleGuide):
-        self.style = style
-        entries = article.reference_list.entries if article.reference_list else ()
-        self.cited = citation_order(article)
-        self.display, self.numbers = (
-            _ordered_entries(entries, style, self.cited) if entries else ([], {})
-        )
-        self.entry_by_id = {e.ref_id: e for _, e in self.display if e.ref_id}
-
-    def marker(self, target: str, fallback: str) -> str:
-        ref_id = target[1:] if target.startswith("#") else None
-        entry = self.entry_by_id.get(ref_id) if ref_id else None
-        if entry is None:
-            return element("span", escape_text(fallback or target), {"class": "tj-ref"})
-        if self.style.marker_scheme == "numeric-bracket":
-            text = f"[{self.numbers[ref_id]}]"
-        else:
-            text = f"({entry.cite_text})"
-        return element("a", escape_text(text), {"class": "tj-ref", "href": f"#ref-{ref_id}"})
+def _html_marker(ctx: _PageContext, target: str, fallback: str) -> str:
+    text = ctx.marker(target)
+    if text is None:
+        return element("span", escape_text(fallback or target), {"class": "tj-ref"})
+    return element("a", escape_text(text), {"class": "tj-ref", "href": f"#ref-{target[1:]}"})
 
 
-def _rich_to_html(content: RichText, ctx: _HtmlContext) -> str:
+def _rich_to_html(content: RichText, ctx: _PageContext) -> str:
     parts = []
     for node in content:
         if isinstance(node, TextRun):
@@ -596,7 +579,7 @@ def _rich_to_html(content: RichText, ctx: _HtmlContext) -> str:
             tag = "b" if "bold" in node.rend else "i"
             parts.append(element(tag, _rich_to_html(node.content, ctx)))
         elif isinstance(node, BiblRef):
-            parts.append(ctx.marker(node.target, node.text))
+            parts.append(_html_marker(ctx, node.target, node.text))
         elif isinstance(node, Link):
             text = escape_text(node.text or node.target)
             parts.append(element("a", text, {"href": node.target}))
@@ -623,13 +606,13 @@ def _spans_to_html(entry: RenderedEntry) -> str:
     return "".join(parts)
 
 
-def _block_to_html(block, ctx: _HtmlContext) -> str:
+def _block_to_html(block, ctx: _PageContext) -> str:
     if isinstance(block, Paragraph):
         return element("p", _rich_to_html(block.content, ctx))
     if isinstance(block, CitBlock):
         quote = _rich_to_html(block.quote, ctx)
         if isinstance(block.source, str):
-            quote += " " + ctx.marker(block.source, block.source)
+            quote += " " + _html_marker(ctx, block.source, block.source)
         parts = [element("p", quote)]
         if isinstance(block.source, BiblStruct):
             try:
@@ -693,7 +676,7 @@ def render_xhtml(article: Article, style: StyleGuide) -> str:
     ``tj-author``, ``tj-affiliation``, ``tj-keywords``, ``tj-abstract``,
     ``tj-section``, ``tj-cit``, ``tj-ref``, ``tj-biblio-entry``.
     """
-    ctx = _HtmlContext(article, style)
+    ctx = _PageContext(article, style)
     fd = article.header.file_desc
     title_text = normalize_title(fd.main_title) or article.id or "Untitled"
 
@@ -719,15 +702,14 @@ def render_xhtml(article: Article, style: StyleGuide) -> str:
     for division in (*article.front, *article.body, *article.back.divisions):
         parts.append(_division_to_html(division, 1, ctx))
 
-    if ctx.display:
+    if ctx.references:
         items = []
-        numbered = style.marker_scheme == "numeric-bracket"
-        for key, entry in ctx.display:
+        for label, entry in ctx.references:
             attrs = {"class": "tj-biblio-entry"}
             if entry.ref_id:
                 attrs["id"] = f"ref-{entry.ref_id}"
-            label = f"[{ctx.numbers[key]}] " if numbered else ""
-            items.append(element("li", label + _spans_to_html(entry), attrs))
+            text = f"{label} " if label else ""
+            items.append(element("li", text + _spans_to_html(entry), attrs))
         references = element("h2", "References") + element("ul", "".join(items))
         parts.append(element("section", references, {"class": "tj-biblio"}))
 
@@ -755,35 +737,7 @@ def _wrap(text: str, indent: str = "", hang: str = "") -> list:
     )
 
 
-class _TextContext:
-    """Numbering for plain-text output: citations are always ``[n]``."""
-
-    def __init__(self, article: Article, style: StyleGuide | None):
-        self.style = style or builtin_style("chicago")
-        entries = article.reference_list.entries if article.reference_list else ()
-        cited = citation_order(article)
-        if entries:
-            # Plain text always numbers; order entries by citation number.
-            numeric = StyleGuide(
-                id=self.style.id,
-                marker_scheme="numeric-bracket",
-                list_order="citation-order",
-                author_name_format=self.style.author_name_format,
-                layouts=self.style.layouts,
-            )
-            self.display, self.numbers = _ordered_entries(entries, numeric, cited)
-        else:
-            self.display, self.numbers = [], {}
-        self.known = article.entries_by_id
-
-    def marker(self, target: str, fallback: str) -> str:
-        ref_id = target[1:] if target.startswith("#") else None
-        if ref_id and ref_id in self.known:
-            return f"[{self.numbers[ref_id]}]"
-        return fallback or target
-
-
-def _rich_to_text(content: RichText, ctx: _TextContext) -> str:
+def _rich_to_text(content: RichText, ctx: _PageContext) -> str:
     parts = []
     for node in content:
         if isinstance(node, TextRun):
@@ -791,7 +745,7 @@ def _rich_to_text(content: RichText, ctx: _TextContext) -> str:
         elif isinstance(node, Emph):
             parts.append(_rich_to_text(node.content, ctx))
         elif isinstance(node, BiblRef):
-            parts.append(ctx.marker(node.target, node.text))
+            parts.append(ctx.marker(node.target) or node.text or node.target)
         elif isinstance(node, (PersonMention, OrgMention, PlaceMention, TermMention)):
             parts.append(node.text)
         elif isinstance(node, AbbrMention):
@@ -832,14 +786,14 @@ def _heading_lines(text: str, depth: int) -> list:
     return _underlined(" ".join(text.split()), "=" if depth <= 1 else "-")
 
 
-def _block_to_text(block, ctx: _TextContext) -> list:
+def _block_to_text(block, ctx: _PageContext) -> list:
     lines: list = []
     if isinstance(block, Paragraph):
         lines.extend(_wrap(_rich_to_text(block.content, ctx)))
     elif isinstance(block, CitBlock):
         quote = _rich_to_text(block.quote, ctx)
         if isinstance(block.source, str):
-            quote = f"{quote} {ctx.marker(block.source, block.source)}"
+            quote = f"{quote} {ctx.marker(block.source) or block.source}"
         lines.extend(_wrap(quote, indent="    "))
         if isinstance(block.source, BiblStruct):
             lines.extend(_wrap("-- " + bare_entry_text(block.source), indent="    "))
@@ -860,7 +814,7 @@ def _block_to_text(block, ctx: _TextContext) -> list:
     return lines
 
 
-def _division_to_text(division: Division, depth: int, ctx: _TextContext) -> list:
+def _division_to_text(division: Division, depth: int, ctx: _PageContext) -> list:
     lines: list = []
     head = _rich_to_text(division.head, ctx).strip()
     if head:
@@ -884,7 +838,11 @@ def render_plaintext(article: Article, style: StyleGuide | None = None) -> str:
     style is given the reference entries use the built-in ``chicago``
     layout.
     """
-    ctx = _TextContext(article, style)
+    style = style or builtin_style("chicago")
+    # Plain text always numbers, and lists entries by number.
+    numeric = StyleGuide(style.id, "numeric-bracket", "citation-order",
+                         style.author_name_format, style.layouts)
+    ctx = _PageContext(article, numeric)
     fd = article.header.file_desc
     lines: list = []
 
@@ -903,12 +861,11 @@ def render_plaintext(article: Article, style: StyleGuide | None = None) -> str:
     for division in (*article.front, *article.body, *article.back.divisions):
         lines.extend(_division_to_text(division, 1, ctx))
 
-    if ctx.display:
+    if ctx.references:
         lines.extend(_heading_lines("References", 1))
         lines.append("")
-        for key, entry in ctx.display:
-            text = f"[{ctx.numbers[key]}] {entry.plain()}"
-            lines.extend(_wrap(text, hang="    "))
+        for label, entry in ctx.references:
+            lines.extend(_wrap(f"{label} {entry.plain()}", hang="    "))
         lines.append("")
 
     while lines and lines[-1] == "":

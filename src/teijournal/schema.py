@@ -287,14 +287,12 @@ def validate_against(
     check = _SchemaCheck(schema, base, doc)
     root = doc.root
     if schema.root and root.tag != schema.root:
-        check.findings.append(
-            Finding(
-                "S-root",
-                "error",
-                doc.source_path(root),
-                f"document element '{root.tag}' differs from schema root "
-                f"'{schema.root}'",
-            )
+        check.emit(
+            "S-root",
+            root,
+            f"document element '{root.tag}' differs from schema root "
+            f"'{schema.root}'",
+            False,
         )
     check.visit(root)
     return check.findings
@@ -356,14 +354,11 @@ class _SchemaCheck:
                     )
             for attr, arule in rule.attributes.items():
                 if arule.required and attr not in attrs:
-                    self.findings.append(
-                        Finding(
-                            "S-required-attribute",
-                            "error",
-                            self.doc.source_path(node),
-                            f"required attribute '{attr}' missing on "
-                            f"'{name}'",
-                        )
+                    emit(
+                        "S-required-attribute",
+                        node,
+                        f"required attribute '{attr}' missing on '{name}'",
+                        False,
                     )
             if not rule.text and _has_text(node):
                 emit(
@@ -399,14 +394,11 @@ class _SchemaCheck:
             self.visit(child)
         if rule is not None:
             for required in sorted(rule.required_children - present):
-                self.findings.append(
-                    Finding(
-                        "S-required-child",
-                        "error",
-                        self.doc.source_path(node),
-                        f"required child '{required}' missing in "
-                        f"'{name}'",
-                    )
+                emit(
+                    "S-required-child",
+                    node,
+                    f"required child '{required}' missing in '{name}'",
+                    False,
                 )
 
 
@@ -431,17 +423,13 @@ def normalize_variant(value: str) -> str:
     return re.sub(r"[-_ ]+", "-", value)
 
 
-def detect_variants(
-    profile: UsageProfile, enumerable_attributes=None
-) -> list:
+def detect_variants(profile: UsageProfile) -> list:
     """Find attribute values that are competing spellings of one key."""
-    if enumerable_attributes is None:
-        enumerable_attributes = DEFAULT_ENUMERABLE_ATTRIBUTES
     clusters: list = []
     for element in profile.elements:
         usage = profile.elements[element]
         for attr, values in usage.attributes.items():
-            if attr not in enumerable_attributes:
+            if attr not in DEFAULT_ENUMERABLE_ATTRIBUTES:
                 continue
             by_key: dict = {}
             for value, count in values.items():

@@ -316,6 +316,12 @@ def validate(
                     f"organization unit kind '{node.kind}' outside the "
                     "configured vocabulary",
                 )
+        elif isinstance(node, m.Division):
+            in_front = path.startswith("TEI[1]/text[1]/front[1]/")
+            if node.kind == "abstract" and not in_front:
+                run.emit(
+                    node, "R8", "abstract division outside the front matter"
+                )
         elif isinstance(node, m.BiblRef):
             _check_pointer(run, node, node.target)
         elif isinstance(node, m.CitBlock):
@@ -333,16 +339,13 @@ def validate(
                 f"first page {fpage} exceeds last page {lpage}",
             )
 
-    # R8: non-empty body; abstracts live in front
+    # R8: non-empty body (abstracts outside front are flagged in the walk)
     if not article.body:
         run.emit(
             (run.text_boundary - 0.25, "TEI[1]/text[1]/body[1]"),
             "R8",
             "body is empty",
         )
-    for divisions in (article.body, article.back.divisions):
-        for division in divisions:
-            _check_abstract(run, division)
 
     # R10: revision changes in non-decreasing date order
     changes = article.header.revision_desc.changes
@@ -400,17 +403,6 @@ def _check_pointer(run: _Run, node, target: str) -> None:
             "R9",
             f"reference target {target!r} matches no reference-list entry",
         )
-
-
-def _check_abstract(run: _Run, division: m.Division) -> None:
-    if division.kind == "abstract":
-        run.emit(
-            division,
-            "R8",
-            "abstract division outside the front matter",
-        )
-    for child in division.children:
-        _check_abstract(run, child)
 
 
 def _as_int(value: str | None) -> int | None:

@@ -676,22 +676,52 @@ class TestParser:
 
 
 class TestCollectorSettings:
-    def test_command_runs_frozen_and_restores_the_collector(self, capsys, monkeypatch):
+    def explain_twice(self, capsys, monkeypatch) -> list:
+        """Run ``explain`` to exit 0 and to exit 2; whether the collector
+        was on inside each command."""
         from teijournal import validator
 
         seen = []
         real = validator.explain
 
         def recording(rule_id):
-            seen.append((gc.get_freeze_count() > 0, gc.get_threshold()[0]))
+            seen.append(gc.isenabled())
             return real(rule_id)
 
         monkeypatch.setattr(validator, "explain", recording)
-        before = (gc.get_threshold(), gc.get_freeze_count())
         assert run(capsys, ["explain", "R9"])[0] == ExitStatus.OK
         assert run(capsys, ["explain", "R99"])[0] == ExitStatus.FAILURE
-        assert seen == [(True, cli._GC_THRESHOLD)] * 2
-        assert (gc.get_threshold(), gc.get_freeze_count()) == before
+        return seen
+
+    def test_command_runs_with_the_collector_off_and_turns_it_back_on(
+        self, capsys, monkeypatch
+    ):
+        assert gc.isenabled()
+        assert self.explain_twice(capsys, monkeypatch) == [False, False]
+        assert gc.isenabled()
+
+    def test_collector_stays_off_when_the_caller_turned_it_off(self, capsys, monkeypatch):
+        gc.disable()
+        try:
+            assert self.explain_twice(capsys, monkeypatch) == [False, False]
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
+
+    def test_validate_leaves_the_same_garbage_for_one_file_and_five(self, tmp_path, capsys):
+        paths = [clean_file(tmp_path, f"a{i}.xml", body=BROKEN_BODY) for i in range(5)]
+        run(capsys, ["validate", *paths])  # first use fills module-level caches
+
+        def cyclic_garbage(argv) -> int:
+            gc.disable()
+            try:
+                gc.collect()
+                assert run(capsys, argv)[0] == ExitStatus.FINDINGS
+                return gc.collect()
+            finally:
+                gc.enable()
+
+        assert cyclic_garbage(["validate", paths[0]]) == cyclic_garbage(["validate", *paths])
 
 
 class TestInternalErrors:

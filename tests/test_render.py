@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import re
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -19,6 +20,7 @@ from teijournal.render import (
     builtin_style,
     citation_order,
     element,
+    entry_or_fallback,
     entry_sort_key,
     escape_text,
     format_authors,
@@ -229,6 +231,19 @@ class TestEntryBasics:
             "Fassungen und Materialien. 1981."
         )
 
+    def test_authors_without_surnames_cite_by_title(self):
+        record = m.BiblStruct(
+            doc_type=m.DocumentType("book"),
+            monogr=m.Monogr(
+                titles=(m.Title((m.TextRun("Nameless Work Here Too"),), "m"),),
+                authors=(author("", "Ann"), author("", "Bo")),
+                imprint=m.Imprint(date=m.CalendarDate(1999)),
+            ),
+        )
+        assert format_entry(record, builtin_style("apa")).cite_text == (
+            "Nameless Work Here 1999"
+        )
+
 
 def ref(xml_id, surname, year, title):
     return (
@@ -312,6 +327,112 @@ class TestReferenceLists:
         entries = (dataclasses.replace(brecht_book_record(), xml_id=None),)
         pairs = format_reference_list(entries, builtin_style("chicago"))
         assert [(label, e.ref_id) for label, e in pairs] == [("[1]", None)]
+
+
+def two_step_reference_list(entries, style, cited=()) -> list:
+    """The reference list worked out in two steps, ordering and then labels,
+    written independently of :func:`format_reference_list` as its oracle."""
+    rendered: dict = {}
+    for i, record in enumerate(entries):
+        key = record.xml_id if record.xml_id else f"\x00{i}"
+        if key in rendered:
+            continue
+        rendered[key] = entry_or_fallback(record, style)
+    cited_keys = [k for k in dict.fromkeys(cited) if k in rendered]
+    cited_set = set(cited_keys)
+    uncited = sorted(
+        (k for k in rendered if k not in cited_set),
+        key=lambda k: (rendered[k].sort_key, k),
+    )
+    numbering_order = cited_keys + uncited
+    numbers = {k: n for n, k in enumerate(numbering_order, start=1)}
+    if style.list_order == "alphabetical":
+        display = sorted(rendered, key=lambda k: (rendered[k].sort_key, k))
+    else:
+        display = numbering_order
+    numbered = style.marker_scheme == "numeric-bracket"
+    return [(f"[{numbers[k]}]" if numbered else None, rendered[k]) for k in display]
+
+
+@st.composite
+def reference_records(draw) -> m.BiblStruct:
+    """A book record from small pools, so that ids repeat, sort keys tie and
+    some records have no title (and take the fallback entry) or no surname."""
+    title = draw(st.sampled_from(("", "Alpha", "Beta")))
+    year = draw(st.sampled_from((None, 1990, 2001)))
+    return m.BiblStruct(
+        doc_type=m.DocumentType("book"),
+        monogr=m.Monogr(
+            titles=(m.Title((m.TextRun(title),), "m"),) if title else (),
+            authors=(author(draw(st.sampled_from(("Ames", "Berg", ""))), "C"),),
+            imprint=m.Imprint(date=m.CalendarDate(year) if year else None),
+        ),
+        xml_id=draw(st.sampled_from((None, "", "a", "b", "c", "d"))),
+    )
+
+
+class TestReferenceListOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(reference_records(), max_size=8),
+        # known, unknown and empty ids, each possibly repeated, and a "#" left on
+        st.lists(st.sampled_from(("a", "b", "c", "d", "e", "", "#a")), max_size=10),
+        st.sampled_from(("numeric-bracket", "author-date")),
+        st.sampled_from(("alphabetical", "citation-order")),
+    )
+    def test_matches_the_two_step_oracle(self, entries, cited, scheme, order):
+        style = minimal_style(marker_scheme=scheme, list_order=order)
+        assert format_reference_list(entries, style, cited) == two_step_reference_list(
+            entries, style, cited
+        )
+
+
+def one_citation_per_paragraph(cited: tuple) -> m.Article:
+    body = "".join(
+        f'<p>On {ref_id}: <ref type="bibr" target="#{ref_id}">x</ref>.</p>'
+        for ref_id in cited
+    )
+    data = article_bytes(
+        title="Citing Things", body=f'<div type="section">{body}</div>', refs=REFS
+    )
+    report = parse_article(data, "cited.xml")
+    assert report.ok, report.issues
+    return report.outcome
+
+
+class TestOneNumbering:
+    def test_xhtml_markers_list_labels_and_plain_text_agree(self):
+        cited = ("b3", "b1", "b3", "b2", "b1")
+        article = one_citation_per_paragraph(cited)
+        page = ET.fromstring(render_xhtml(article, builtin_style("chicago")))
+        ns = {"h": XHTML_NS}
+        markers: dict = {}
+        for a in page.iterfind(".//h:a[@class='tj-ref']", ns):
+            markers.setdefault(a.get("href")[len("#ref-"):], set()).add(a.text)
+        labels = {
+            li.get("id")[len("ref-"):]: li.text.split(" ", 1)[0]
+            for li in page.iterfind(".//h:li[@class='tj-biblio-entry']", ns)
+        }
+        text_markers: dict = {}
+        for ref_id, label in re.findall(r"On (\w+): (\[\d+\])", render_plaintext(article)):
+            text_markers.setdefault(ref_id, set()).add(label)
+        assert markers == {"b3": {"[1]"}, "b1": {"[2]"}, "b2": {"[3]"}}
+        for ref_id in set(cited):
+            assert markers[ref_id] == text_markers[ref_id] == {labels[ref_id]}
+
+    def test_an_empty_id_gets_no_marker_and_a_repeated_id_its_first_entry(self):
+        entries = (
+            dataclasses.replace(brecht_book_record(), xml_id=""),
+            dataclasses.replace(dean_article_record(), xml_id="b1"),
+            dataclasses.replace(schmidt_chapter_record(), xml_id="b1"),
+        )
+        body = (m.Division(blocks=(m.Paragraph((m.BiblRef("#", "hash"), m.BiblRef("#b1"))),)),)
+        article = m.Article(body=body, back=m.BackMatter(reference_list=m.ListBibl(entries)))
+        page = render_xhtml(article, builtin_style("apa"))
+        assert '<span class="tj-ref">hash</span>' in page
+        assert '<a class="tj-ref" href="#ref-b1">(Dean 2009)</a>' in page
+        assert page.count('id="ref-b1"') == 1
+        assert "hash[1]\n" in render_plaintext(article)
 
 
 class TestXhtml:

@@ -265,7 +265,7 @@ class TestLinearGrowth:
         def order(n):
             article = cited_article(n)
             entries = article.reference_list.entries
-            render._ordered_entries(entries, style, [f"b{i}" for i in range(0, n, 2)])
+            render.format_reference_list(entries, style, [f"b{i}" for i in range(0, n, 2)])
 
         assert grows_linearly(order)
 
