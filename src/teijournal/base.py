@@ -41,9 +41,9 @@ class _LazyFields:
 
 
 class Record:
-    """A record whose fields are its class annotations (``ClassVar`` ones
-    left out; modules that define records use ``from __future__ import
-    annotations``), with defaults taken from class attributes.
+    """A record whose fields are its class annotations, with defaults taken
+    from class attributes; a class attribute with no annotation is not a
+    field.
 
     Each subclass gets an ``__init__`` that takes the fields in order, sets
     them with ``object.__setattr__`` and then calls ``__post_init__`` if the
@@ -57,8 +57,7 @@ class Record:
     __dataclass_fields__ = _LazyFields()
 
     def __init_subclass__(cls, mutable: bool = False) -> None:
-        cls.__fields = tuple(name for name, hint in cls.__annotations__.items()
-                             if not hint.startswith("ClassVar"))
+        cls.__fields = tuple(cls.__annotations__)
         params, lines, env = [], [], {"_set": object.__setattr__}
         for name in cls.__fields:
             env[f"_d_{name}"] = default = getattr(cls, name, _REQUIRED)

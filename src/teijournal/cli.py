@@ -20,6 +20,7 @@ import argparse
 import gc
 import json
 import os
+import re
 import shutil
 import sys
 import tempfile
@@ -61,19 +62,14 @@ def _escape_field(value: str) -> str:
     )
 
 
+_ESCAPE_RE = re.compile(r"\\(.)", re.S)
+_UNESCAPED = {"t": "\t", "n": "\n", "r": "\r"}
+
+
 def _unescape_field(value: str) -> str:
-    out = []
-    i = 0
-    while i < len(value):
-        ch = value[i]
-        if ch == "\\" and i + 1 < len(value):
-            nxt = value[i + 1]
-            out.append({"\\": "\\", "t": "\t", "n": "\n", "r": "\r"}.get(nxt, nxt))
-            i += 2
-        else:
-            out.append(ch)
-            i += 1
-    return "".join(out)
+    # An unknown escape stands for its own character; a lone final
+    # backslash is kept.
+    return _ESCAPE_RE.sub(lambda m: _UNESCAPED.get(m[1], m[1]), value)
 
 
 def write_records(records) -> str:

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import re
 from functools import cached_property
-from typing import ClassVar, Union
 
 from .base import Record, factory
 
@@ -151,20 +150,7 @@ class OpaqueInline(Record):
     markup: str
 
 
-Inline = Union[
-    TextRun,
-    Emph,
-    BiblRef,
-    PersonMention,
-    OrgMention,
-    PlaceMention,
-    TermMention,
-    AbbrMention,
-    Link,
-    OpaqueInline,
-]
-
-RichText = tuple  # tuple[Inline, ...]; kept loose for 3.10 ergonomics
+RichText = tuple  # of the inline nodes above
 
 
 def plain_text(content: RichText) -> str:
@@ -206,7 +192,7 @@ class DocumentType(Record):
 
     value: str
 
-    KNOWN: ClassVar[frozenset] = frozenset(
+    KNOWN = frozenset(
         {
             "article",
             "journalArticle",
@@ -422,18 +408,6 @@ class QuoteBlock(Record):
 
 class OpaqueBlock(Record):
     markup: str
-
-
-Block = Union[
-    Paragraph,
-    CitBlock,
-    FigureBlock,
-    TableBlock,
-    FormulaBlock,
-    ListBlock,
-    QuoteBlock,
-    OpaqueBlock,
-]
 
 
 class Division(Record):

@@ -522,39 +522,25 @@ def _encode_attr(value: str) -> str:
     )
 
 
+_TAG_NAME_RE = re.compile(rb"<[^ \t\n\r/>]*")
+# A name cannot hold "/" or ">", so character data after the tag never reads
+# as one more attribute.
+_ATTRIBUTE_RE = re.compile(
+    rb"[ \t\n\r]+([^ \t\n\r=/>]+)[ \t\n\r]*=[ \t\n\r]*(?:\"([^\"]*)\"|'([^']*)')"
+)
+
+
 def _attr_value_spans(data: bytes, start: int) -> list:
     """Lexical ``(value_start, value_end)`` of each attribute the start tag
     at ``start`` specifies, in order; namespace declarations are left out."""
     spans: list = []
-    i = start + 1
-    # skip the element qname
-    while data[i] not in (0x20, 0x09, 0x0A, 0x0D, 0x3E, 0x2F):
-        i += 1
-    while True:
-        while data[i] in (0x20, 0x09, 0x0A, 0x0D):
-            i += 1
-        if data[i] == 0x3E or (data[i] == 0x2F and data[i + 1] == 0x3E):
-            return spans
-        name_start = i
-        while data[i] not in (0x3D, 0x20, 0x09, 0x0A, 0x0D):
-            i += 1
-        declaration = data[name_start:i] == b"xmlns" or data.startswith(
-            b"xmlns:", name_start, i
-        )
-        while data[i] in (0x20, 0x09, 0x0A, 0x0D):
-            i += 1
-        assert data[i] == 0x3D  # '='
-        i += 1
-        while data[i] in (0x20, 0x09, 0x0A, 0x0D):
-            i += 1
-        quote = data[i]
-        i += 1
-        value_start = i
-        while data[i] != quote:
-            i += 1
-        if not declaration:
-            spans.append((value_start, i))
-        i += 1
+    pos = _TAG_NAME_RE.match(data, start).end()
+    while match := _ATTRIBUTE_RE.match(data, pos):
+        name = match[1]
+        if name != b"xmlns" and not name.startswith(b"xmlns:"):
+            spans.append(match.span(match.lastindex))
+        pos = match.end()
+    return spans
 
 
 def arbitrate(docs, rules) -> tuple:

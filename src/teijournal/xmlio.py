@@ -1069,14 +1069,10 @@ def _write_profile_desc(w, pd: m.ProfileDesc) -> None:
 
 def _group_keywords(keywords: tuple) -> list:
     """Group by scheme, keeping first-appearance order of schemes."""
-    order: list = []
     groups: dict = {}
     for keyword in keywords:
-        if keyword.scheme not in groups:
-            groups[keyword.scheme] = []
-            order.append(keyword.scheme)
-        groups[keyword.scheme].append(keyword)
-    return [(scheme, groups[scheme]) for scheme in order]
+        groups.setdefault(keyword.scheme, []).append(keyword)
+    return list(groups.items())
 
 
 def _write_revision_desc(w, rd: m.RevisionDesc) -> None:
