@@ -166,9 +166,14 @@ def _load_validator_config(args):
         raise CliError(f"config {path} has unknown keys: {', '.join(sorted(unknown))}")
     kwargs: dict = {}
     if "org_unit_vocabulary" in raw:
-        kwargs["org_unit_vocabulary"] = frozenset(raw["org_unit_vocabulary"])
+        vocabulary = raw["org_unit_vocabulary"]
+        if not isinstance(vocabulary, list) or not all(isinstance(v, str) for v in vocabulary):
+            raise CliError(f"bad config {path}: org_unit_vocabulary must be a list of strings")
+        kwargs["org_unit_vocabulary"] = frozenset(vocabulary)
     if "severity_overrides" in raw:
-        kwargs["severity_overrides"] = dict(raw["severity_overrides"])
+        if not isinstance(raw["severity_overrides"], dict):
+            raise CliError(f"bad config {path}: severity_overrides must be a JSON object")
+        kwargs["severity_overrides"] = raw["severity_overrides"]
     try:
         return ValidatorConfig(**kwargs)
     except (TypeError, ValueError) as exc:
@@ -380,10 +385,14 @@ def cmd_arbitrate(args) -> int:
             if data != old.data
         )
     else:
-        out_root = Path(args.out_dir)
-        out_root.mkdir(parents=True, exist_ok=True)
-        for (name, _), data in zip(named, rewritten):
-            (out_root / Path(name).name).write_bytes(data)
+        target = out_root = Path(args.out_dir)
+        try:
+            out_root.mkdir(parents=True, exist_ok=True)
+            for (name, _), data in zip(named, rewritten):
+                target = out_root / Path(name).name
+                target.write_bytes(data)
+        except OSError as exc:
+            raise CliError(f"cannot write {target}: {exc}") from None
     print(f"{changes} attribute values rewritten across {len(named)} documents")
     return ExitStatus.OK
 

@@ -24,7 +24,14 @@ from .base import Record, factory
 
 _DATE_RE = re.compile(r"^(\d{4})(?:-(\d{2})(?:-(\d{2}))?)?$")
 
-_DAYS_IN_MONTH = (31, 29, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31)
+_DAYS_IN_MONTH = (31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31)
+
+
+def _days_in_month(year: int, month: int) -> int:
+    """Gregorian: February has 29 days in years divisible by 4, except
+    centuries not divisible by 400."""
+    leap = month == 2 and year % 4 == 0 and (year % 100 != 0 or year % 400 == 0)
+    return _DAYS_IN_MONTH[month - 1] + leap
 
 
 class CalendarDate(Record):
@@ -43,7 +50,7 @@ class CalendarDate(Record):
         if self.month is not None and not 1 <= self.month <= 12:
             raise ValueError(f"month out of range: {self.month}")
         if self.day is not None:
-            if not 1 <= self.day <= _DAYS_IN_MONTH[self.month - 1]:
+            if not 1 <= self.day <= _days_in_month(self.year, self.month):
                 raise ValueError(f"day out of range: {self.day}")
         if not self.raw:
             object.__setattr__(self, "raw", self.iso())
@@ -86,7 +93,7 @@ class CalendarDate(Record):
         if self.day is not None:
             return (self.year, self.month, self.day)
         month = self.month or 12
-        return (self.year, month, _DAYS_IN_MONTH[month - 1])
+        return (self.year, month, _days_in_month(self.year, month))
 
 
 # --------------------------------------------------------------------------

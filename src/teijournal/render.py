@@ -145,6 +145,8 @@ class RenderedEntry(Record):
 
 def style_from_dict(raw: dict) -> StyleGuide:
     """Build and validate a :class:`StyleGuide` from parsed JSON."""
+    if not isinstance(raw, dict):
+        raise StyleError("style table must be a JSON object")
     try:
         style_id = raw["id"]
         scheme = raw["marker_scheme"]
@@ -159,12 +161,21 @@ def style_from_dict(raw: dict) -> StyleGuide:
         raise StyleError(f"unknown list order {order!r}")
     if name_format not in NAME_FORMATS:
         raise StyleError(f"unknown author name format {name_format!r}")
+    if not isinstance(layouts_raw, dict):
+        raise StyleError("style table's layouts must be a JSON object")
     if "unknown" not in layouts_raw:
         raise StyleError("style table must provide an 'unknown' layout")
     layouts = {}
     for doc_type, segments_raw in layouts_raw.items():
+        if not isinstance(segments_raw, list):
+            raise StyleError(f"layout {doc_type!r} must be a list of segments")
         segments = []
         for seg in segments_raw:
+            if not isinstance(seg, dict):
+                raise StyleError(f"layout {doc_type!r} has a segment that is not an object")
+            for key in ("path", "typography", "prefix", "suffix"):
+                if not isinstance(seg.get(key, ""), str):
+                    raise StyleError(f"layout {doc_type!r} has a non-string {key}")
             path = seg.get("path", "")
             if path not in SEGMENT_PATHS and not path.startswith("identifiers."):
                 raise StyleError(f"layout {doc_type!r} addresses unknown field {path!r}")

@@ -240,31 +240,49 @@ def load_base_schema() -> RestrictedSchema:
     return schema_from_json(text)
 
 
+def _json_object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise ValueError(f"{what} must be a JSON object")
+    return value
+
+
+def _json_strings(value, what: str) -> list:
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise ValueError(f"{what} must be a list of strings")
+    return value
+
+
 def schema_from_json(text: str) -> RestrictedSchema:
-    payload = json.loads(text)
+    payload = _json_object(json.loads(text), "a schema")
     elements: dict = {}
-    for name, entry in payload.get("elements", {}).items():
-        attributes = {
-            attr: AttributeRule(
-                required=bool(arule.get("required", False)),
-                values=(
-                    tuple(arule["values"])
-                    if arule.get("values") is not None
-                    else None
-                ),
+    for name, entry in _json_object(payload.get("elements", {}), "elements").items():
+        entry = _json_object(entry, f"element {name!r}")
+        attributes = {}
+        for attr, arule in _json_object(
+            entry.get("attributes", {}), f"attributes of {name!r}"
+        ).items():
+            arule = _json_object(arule, f"attribute {name}@{attr}")
+            values = arule.get("values")
+            if values is not None:
+                values = tuple(_json_strings(values, f"values of {name}@{attr}"))
+            attributes[attr] = AttributeRule(
+                required=bool(arule.get("required", False)), values=values
             )
-            for attr, arule in entry.get("attributes", {}).items()
-        }
         elements[name] = ElementRule(
-            children=frozenset(entry.get("children", ())),
-            required_children=frozenset(entry.get("required_children", ())),
+            children=frozenset(_json_strings(entry.get("children", []), f"children of {name!r}")),
+            required_children=frozenset(
+                _json_strings(entry.get("required_children", []), f"required_children of {name!r}")
+            ),
             attributes=attributes,
             text=bool(entry.get("text", False)),
         )
+    root = payload.get("root", "")
+    if not isinstance(root, str):
+        raise ValueError("root must be a string")
     return RestrictedSchema(
-        root=payload.get("root", ""),
+        root=root,
         elements=elements,
-        foreign=frozenset(payload.get("foreign", ())),
+        foreign=frozenset(_json_strings(payload.get("foreign", []), "foreign")),
     )
 
 

@@ -45,11 +45,33 @@ class TestRecordsFormat:
     def test_round_trip_property(self, records):
         assert read_records(write_records(records)) == records
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(st.sampled_from("\\tnrx\t\n\u00e9\u2028"), max_size=12), st.booleans())
+    def test_unescape_matches_the_index_loop(self, text, trailing_backslash):
+        text += "\\" if trailing_backslash else ""
+        assert cli._unescape_field(text) == unescape_by_index(text)
+
     def test_wrong_arity_rejected(self):
         with pytest.raises(ValueError, match="5 fields"):
             write_records([("only", "four", "fields", "here")])
         with pytest.raises(ValueError, match="malformed"):
             read_records("a\tb\n")
+
+
+def unescape_by_index(value: str) -> str:
+    """Oracle: the index loop read_records used before."""
+    out = []
+    i = 0
+    while i < len(value):
+        ch = value[i]
+        if ch == "\\" and i + 1 < len(value):
+            nxt = value[i + 1]
+            out.append({"\\": "\\", "t": "\t", "n": "\n", "r": "\r"}.get(nxt, nxt))
+            i += 2
+        else:
+            out.append(ch)
+            i += 1
+    return "".join(out)
 
 
 class TestValidate:
@@ -383,6 +405,21 @@ class TestArbitrate:
         assert target.stat().st_mode & 0o777 == 0o640
         assert sorted(p.name for p in schema_corpus.iterdir()) == ["one.xml", "two.xml"]
 
+    @pytest.mark.parametrize("below", ["", "sub"])
+    def test_out_dir_write_failure_is_reported(self, schema_corpus, tmp_path, capsys, below):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("a file, not a directory")
+        out_dir = blocker / below if below else blocker
+        code, out, err = run(
+            capsys,
+            ["arbitrate", str(schema_corpus), "--rules", self.rules_file(tmp_path),
+             "--out-dir", str(out_dir)],
+        )
+        assert code == ExitStatus.FAILURE
+        assert err.startswith(f"teijournal: cannot write {out_dir}: ")
+        assert "internal error" not in err
+        assert out == ""
+
     def test_target_flag_required(self, schema_corpus, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             main(
@@ -451,6 +488,44 @@ class TestRender:
         assert (code, err) == (ExitStatus.OK, "")
         assert "Writer. 2001." in out
         assert "Untyped Book" not in out  # a non-main title is not cited
+
+
+STYLE = {"id": "s", "marker_scheme": "numeric-bracket", "list_order": "citation-order",
+         "author_name_format": "as-encoded"}
+
+
+@pytest.mark.parametrize(
+    "command, payload, message",
+    [
+        ("render", [STYLE], "cannot load style"),
+        ("render", {**STYLE, "layouts": {"unknown": [5]}}, "cannot load style"),
+        ("render", {**STYLE, "layouts": {"unknown": [{"path": "title", "prefix": 5}]}},
+         "cannot load style"),
+        ("schema-validate", [], "cannot load schema"),
+        ("schema-validate", {"elements": {"d": 5}}, "cannot load schema"),
+        ("schema-validate", {"elements": {"d": {"attributes": {"k": 5}}}}, "cannot load schema"),
+        ("schema-validate", {"elements": {"d": {"children": 5}}}, "cannot load schema"),
+        ("schema-validate", {"elements": {"d": {"attributes": {"k": {"values": 7}}}}},
+         "cannot load schema"),
+        ("schema-validate", {"root": 5}, "cannot load schema"),
+        ("validate", {"org_unit_vocabulary": 5}, "bad config"),
+        ("validate", {"org_unit_vocabulary": "department"}, "bad config"),
+        ("validate", {"severity_overrides": [1, 2]}, "bad config"),
+    ],
+    ids=["style-list", "style-segment", "style-prefix", "schema-list", "schema-element",
+         "schema-attribute", "schema-children", "schema-values", "schema-root",
+         "config-vocabulary-number", "config-vocabulary-string", "config-overrides-list"],
+)
+def test_json_input_of_the_wrong_shape_is_refused(tmp_path, capsys, command, payload, message):
+    article = clean_file(tmp_path)
+    given_file = tmp_path / "given.json"
+    given_file.write_text(json.dumps(payload))
+    flag = {"render": "--style", "schema-validate": "--schema", "validate": "--config"}[command]
+    code, out, err = run(capsys, [command, article, flag, str(given_file)])
+    assert code == ExitStatus.FAILURE
+    assert err.startswith(f"teijournal: {message}")
+    assert "internal error" not in err
+    assert out == ""
 
 
 @pytest.fixture

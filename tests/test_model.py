@@ -1,9 +1,10 @@
 """Value objects: dates, rich text, bibliographic records, references."""
 
 import dataclasses
+import datetime
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from teijournal import corpus, render, schema, validator, xmlio
@@ -59,6 +60,36 @@ class TestCalendarDate:
     def test_sort_key_never_after_end_key(self, year, month):
         date = m.CalendarDate(year, month)
         assert date.sort_key() <= date.end_key()
+
+    @settings(max_examples=300)
+    @given(st.integers(1, 9999), st.integers(1, 12), st.integers(1, 31))
+    @example(2009, 2, 29)
+    @example(2008, 2, 29)
+    @example(1900, 2, 29)
+    @example(2000, 2, 29)
+    def test_days_follow_the_gregorian_calendar(self, year, month, day):
+        try:
+            expected = datetime.date(year, month, day)
+        except ValueError:
+            with pytest.raises(ValueError, match="day out of range"):
+                m.CalendarDate(year, month, day)
+            return
+        assert m.CalendarDate(year, month, day).iso() == expected.isoformat()
+
+    @given(st.one_of(st.integers(1, 9999), st.sampled_from([1900, 2000, 2008, 2009, 2100])),
+           st.integers(1, 12))
+    def test_month_end_key_is_its_last_day(self, year, month):
+        last = max(day for day in range(28, 32) if _is_date(year, month, day))
+        assert m.CalendarDate(year, month).end_key() == (year, month, last)
+        assert m.CalendarDate.parse(f"{year:04d}-{month:02d}").end_key() == (year, month, last)
+
+
+def _is_date(year: int, month: int, day: int) -> bool:
+    try:
+        datetime.date(year, month, day)
+    except ValueError:
+        return False
+    return True
 
 
 class TestRichText:

@@ -701,7 +701,7 @@ with contextlib.redirect_stdout(io.StringIO()):
     code = main(sys.argv[1:])
 print(json.dumps([code, sorted(m for m in sys.modules
                                 if m.startswith(("teijournal", "xml.etree"))
-                                or m in ("dataclasses", "inspect"))]))
+                                or m in ("dataclasses", "inspect", "typing"))]))
 """
 
 
@@ -747,13 +747,14 @@ def test_tei_commands_skip_schema_module(tmp_path):
         ["explain", "R9"],
     )
     for argv in commands:
-        done = subprocess.run([sys.executable, "-c", PROBE, *argv], env=env,
+        # -S: a site .pth file may import typing before the probe starts
+        done = subprocess.run([sys.executable, "-S", "-c", PROBE, *argv], env=env,
                               capture_output=True, text=True, check=True)
         code, loaded = json.loads(done.stdout)
         assert code == 0, (argv, done.stderr)
         assert "teijournal.model" in loaded
         assert "teijournal.schema" not in loaded, argv
-        assert not {"dataclasses", "inspect"} & set(loaded), argv
+        assert not {"dataclasses", "inspect", "typing"} & set(loaded), argv
 
 
 def test_package_exports_resolve_lazily():

@@ -24,6 +24,7 @@ from teijournal.schema import (
     profile_corpus,
     profile_document,
     schema_from_json,
+    _attr_value_spans,
     _splice,
     schema_to_json,
     validate_against,
@@ -532,3 +533,76 @@ class TestSplice:
     def test_matches_one_copy_per_edit(self, case):
         data, edits = case
         assert _splice(data, edits) == splice_by_copies(data, edits)
+
+
+def attr_value_spans_by_bytes(data: bytes, start: int) -> list:
+    """Oracle: the byte-at-a-time scanner arbitrate used before."""
+    spans: list = []
+    i = start + 1
+    while data[i] not in (0x20, 0x09, 0x0A, 0x0D, 0x3E, 0x2F):
+        i += 1
+    while True:
+        while data[i] in (0x20, 0x09, 0x0A, 0x0D):
+            i += 1
+        if data[i] == 0x3E or (data[i] == 0x2F and data[i + 1] == 0x3E):
+            return spans
+        name_start = i
+        while data[i] not in (0x3D, 0x20, 0x09, 0x0A, 0x0D):
+            i += 1
+        declaration = data[name_start:i] == b"xmlns" or data.startswith(
+            b"xmlns:", name_start, i
+        )
+        while data[i] in (0x20, 0x09, 0x0A, 0x0D):
+            i += 1
+        assert data[i] == 0x3D  # '='
+        i += 1
+        while data[i] in (0x20, 0x09, 0x0A, 0x0D):
+            i += 1
+        quote = data[i]
+        i += 1
+        value_start = i
+        while data[i] != quote:
+            i += 1
+        if not declaration:
+            spans.append((value_start, i))
+        i += 1
+
+
+_SPACE = st.text(" \t\n\r", max_size=3)
+_NAME = st.from_regex(r"[A-Za-z_\u00e9][A-Za-z0-9_.\-\u00e9]{0,4}", fullmatch=True)
+_QNAME = st.one_of(_NAME, st.tuples(_NAME, _NAME).map(":".join))
+_ATTRIBUTE_NAME = st.one_of(_QNAME, st.just("xmlns"), _NAME.map("xmlns:".__add__))
+_VALUE = st.lists(
+    st.sampled_from([">", "/>", '="q"', "'", '"', "=", "a", " ", "\t", "\u00e9", "&amp;"]),
+    max_size=5,
+).map("".join)
+_AFTER_TAG = st.one_of(
+    st.sampled_from(['="x"', " b='y'", ' ="x"', '/>="x"', ">", '<f a="1"/>']),
+    st.text(max_size=8),
+)
+
+
+@st.composite
+def start_tags(draw) -> tuple:
+    """(data, offset of a start tag in it), with character data after the tag."""
+    lead = draw(st.sampled_from(["", "<r>", "x "]))
+    parts = [lead, "<", draw(_QNAME)]
+    for _ in range(draw(st.integers(0, 4))):
+        quote = draw(st.sampled_from("\"'"))
+        value = draw(_VALUE).replace(quote, "")
+        parts += [draw(_SPACE.filter(bool)), draw(_ATTRIBUTE_NAME), draw(_SPACE), "=",
+                  draw(_SPACE), quote, value, quote]
+    parts += [draw(_SPACE), draw(st.sampled_from([">", "/>"])), draw(_AFTER_TAG)]
+    return "".join(parts).encode("utf-8"), len(lead)
+
+
+class TestAttributeValueSpans:
+    @settings(max_examples=400, deadline=None)
+    @given(start_tags())
+    def test_matches_the_byte_scanner(self, case):
+        data, start = case
+        assert _attr_value_spans(data, start) == attr_value_spans_by_bytes(data, start)
+
+    @pytest.mark.parametrize("data", [b'<e a="1" />="x"', b'<e a="1" >="x"', b"<e a='1'> b='y'"])
+    def test_character_data_after_the_tag_is_not_an_attribute(self, data):
+        assert _attr_value_spans(data, 0) == [(6, 7)]

@@ -348,6 +348,61 @@ class TestCanonicalSerialization:
         assert data.endswith(b"\n")
 
 
+_PARA = (m.Paragraph((m.TextRun("x"),)),)
+_BOOK = (m.Title((m.TextRun("T"),), level="m"),)
+
+
+def _with_entry(entry: m.BiblStruct) -> m.Article:
+    return m.Article(body=(m.Division(blocks=_PARA),),
+                     back=m.BackMatter(reference_list=m.ListBibl((entry,))))
+
+
+def _with_author(author: m.Author) -> m.Article:
+    return _with_entry(m.BiblStruct(xml_id="b1", monogr=m.Monogr(titles=_BOOK, authors=(author,))))
+
+
+# Every element the serializer can write with no content, and its exact form:
+# seven are self-closed, four are a start and an end tag on two lines.
+EMPTY_FORMS = {
+    "fileDesc": (m.Article(body=(m.Division(blocks=_PARA),)),
+                 b"\n  <teiHeader>\n    <fileDesc/>\n  </teiHeader>\n"),
+    "body": (m.Article(), b"\n  <text>\n    <body/>\n  </text>\n"),
+    "div": (m.Article(body=(m.Division(),)), b'\n    <body>\n      <div type="section"/>\n'),
+    "listBibl": (m.Article(body=(m.Division(blocks=_PARA),),
+                           back=m.BackMatter(reference_list=m.ListBibl())),
+                 b"\n    <back>\n      <listBibl/>\n    </back>\n"),
+    "monogr": (_with_entry(m.BiblStruct(xml_id="b1", analytic=m.Analytic(titles=_BOOK))),
+               b"\n          </analytic>\n          <monogr/>\n        </biblStruct>\n"),
+    "author": (_with_author(m.Author()), b"\n          <monogr>\n            <author/>\n"),
+    "affiliation": (_with_author(m.Author(surname="S", affiliation=m.Affiliation())),
+                    b"\n              </persName>\n              <affiliation/>\n"
+                    b"            </author>\n"),
+    "analytic": (_with_entry(m.BiblStruct(xml_id="b1", analytic=m.Analytic(),
+                                          monogr=m.Monogr(titles=_BOOK))),
+                 b"\n          <analytic>\n          </analytic>\n"),
+    "figure": (m.Article(body=(m.Division(blocks=(m.FigureBlock(),)),)),
+               b"\n        <figure>\n        </figure>\n"),
+    "list": (m.Article(body=(m.Division(blocks=(m.ListBlock(),)),)),
+             b"\n        <list>\n        </list>\n"),
+    "address": (_with_author(m.Author(surname="S",
+                                      affiliation=m.Affiliation(address=m.Address()))),
+                b"\n              <affiliation>\n                <address>\n"
+                b"                </address>\n              </affiliation>\n"),
+}
+
+
+class TestEmptyForms:
+    @pytest.mark.parametrize("name", sorted(EMPTY_FORMS))
+    def test_exact_bytes_and_fixpoint(self, name):
+        article, form = EMPTY_FORMS[name]
+        data = serialize_article(article)
+        assert form in data
+        report = parse_article(data, None)
+        assert report.ok and not report.issues, report.issues
+        assert report.outcome == article
+        assert serialize_article(report.outcome) == data
+
+
 class TestRoundTrip:
     @pytest.mark.parametrize(
         "fixture", [SKELETON, IMPRINT_REPAIR, TestCitFixture.CIT], ids=["skeleton", "imprint", "cit"]
