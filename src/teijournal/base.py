@@ -1,11 +1,12 @@
 """Definitions at the bottom of the package's import graph.
 
 :class:`Record`, the base of every record type in the package; the
-:class:`Finding` record shared by the validator and the schema checks; and
-the names the command line offers as choices: the built-in styles and the
-query kinds.  This module imports nothing from the package, so the schema
-subcommands can build the command line and report findings without
-loading the TEI model, the builder, the renderers or the corpus code.
+:class:`Finding` record shared by the validator and the schema checks; the
+shape checks for JSON read from the user's files; and the names the command
+line offers as choices: the built-in styles and the query kinds.  This
+module imports nothing from the package, so the schema subcommands can
+build the command line and report findings without loading the TEI model,
+the builder, the renderers or the corpus code.
 """
 
 from __future__ import annotations
@@ -134,6 +135,20 @@ class Record:
             else:
                 parts.append(repr(item))
         return "".join(parts)
+
+
+def json_object(value, what: str) -> dict:
+    """``value`` read from a JSON file, if it is an object."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{what} must be a JSON object")
+    return value
+
+
+def json_strings(value, what: str) -> list:
+    """``value`` read from a JSON file, if it is a list of strings."""
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise ValueError(f"{what} must be a list of strings")
+    return value
 
 
 class Finding(Record):

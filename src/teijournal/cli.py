@@ -27,7 +27,7 @@ import tempfile
 from enum import IntEnum
 from pathlib import Path
 
-from .base import BUILTIN_STYLES, QUERY_KINDS
+from .base import BUILTIN_STYLES, QUERY_KINDS, json_object, json_strings
 from .rawxml import RawXmlError, parse_raw
 
 # Each command imports, inside its function, the modules only it needs: the
@@ -165,16 +165,14 @@ def _load_validator_config(args):
     if unknown:
         raise CliError(f"config {path} has unknown keys: {', '.join(sorted(unknown))}")
     kwargs: dict = {}
-    if "org_unit_vocabulary" in raw:
-        vocabulary = raw["org_unit_vocabulary"]
-        if not isinstance(vocabulary, list) or not all(isinstance(v, str) for v in vocabulary):
-            raise CliError(f"bad config {path}: org_unit_vocabulary must be a list of strings")
-        kwargs["org_unit_vocabulary"] = frozenset(vocabulary)
-    if "severity_overrides" in raw:
-        if not isinstance(raw["severity_overrides"], dict):
-            raise CliError(f"bad config {path}: severity_overrides must be a JSON object")
-        kwargs["severity_overrides"] = raw["severity_overrides"]
     try:
+        if "org_unit_vocabulary" in raw:
+            kwargs["org_unit_vocabulary"] = frozenset(
+                json_strings(raw["org_unit_vocabulary"], "org_unit_vocabulary")
+            )
+        if "severity_overrides" in raw:
+            overrides = raw["severity_overrides"]
+            kwargs["severity_overrides"] = json_object(overrides, "severity_overrides")
         return ValidatorConfig(**kwargs)
     except (TypeError, ValueError) as exc:
         raise CliError(f"bad config {path}: {exc}") from None

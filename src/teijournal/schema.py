@@ -18,7 +18,7 @@ import re
 from collections import Counter
 
 from .rawxml import TreeDocument, attribute_name
-from .base import Finding, Record, factory
+from .base import Finding, Record, factory, json_object, json_strings
 
 DEFAULT_ENUMERABLE_ATTRIBUTES = frozenset({"type", "level", "rend", "unit"})
 
@@ -240,38 +240,26 @@ def load_base_schema() -> RestrictedSchema:
     return schema_from_json(text)
 
 
-def _json_object(value, what: str) -> dict:
-    if not isinstance(value, dict):
-        raise ValueError(f"{what} must be a JSON object")
-    return value
-
-
-def _json_strings(value, what: str) -> list:
-    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
-        raise ValueError(f"{what} must be a list of strings")
-    return value
-
-
 def schema_from_json(text: str) -> RestrictedSchema:
-    payload = _json_object(json.loads(text), "a schema")
+    payload = json_object(json.loads(text), "a schema")
     elements: dict = {}
-    for name, entry in _json_object(payload.get("elements", {}), "elements").items():
-        entry = _json_object(entry, f"element {name!r}")
+    for name, entry in json_object(payload.get("elements", {}), "elements").items():
+        entry = json_object(entry, f"element {name!r}")
         attributes = {}
-        for attr, arule in _json_object(
+        for attr, arule in json_object(
             entry.get("attributes", {}), f"attributes of {name!r}"
         ).items():
-            arule = _json_object(arule, f"attribute {name}@{attr}")
+            arule = json_object(arule, f"attribute {name}@{attr}")
             values = arule.get("values")
             if values is not None:
-                values = tuple(_json_strings(values, f"values of {name}@{attr}"))
+                values = tuple(json_strings(values, f"values of {name}@{attr}"))
             attributes[attr] = AttributeRule(
                 required=bool(arule.get("required", False)), values=values
             )
         elements[name] = ElementRule(
-            children=frozenset(_json_strings(entry.get("children", []), f"children of {name!r}")),
+            children=frozenset(json_strings(entry.get("children", []), f"children of {name!r}")),
             required_children=frozenset(
-                _json_strings(entry.get("required_children", []), f"required_children of {name!r}")
+                json_strings(entry.get("required_children", []), f"required_children of {name!r}")
             ),
             attributes=attributes,
             text=bool(entry.get("text", False)),
@@ -282,7 +270,7 @@ def schema_from_json(text: str) -> RestrictedSchema:
     return RestrictedSchema(
         root=root,
         elements=elements,
-        foreign=frozenset(_json_strings(payload.get("foreign", []), "foreign")),
+        foreign=frozenset(json_strings(payload.get("foreign", []), "foreign")),
     )
 
 
