@@ -245,6 +245,93 @@ class TestEntryBasics:
         )
 
 
+def _main(text, level="m", type="main"):
+    return m.Title((m.TextRun(text),), level, type)
+
+
+class TestEveryField:
+    """A layout that addresses every accepted path, each value marked
+    ``path=``, over records that take each branch of the field lookup."""
+
+    PATHS = (
+        "authors", "monogr.authors", "title", "analytic.title", "monogr.title",
+        "imprint.publisher", "imprint.pub_place", "year", "pages", "issn",
+        *(f"scopes.{kind}" for kind in m.SCOPE_KINDS), "identifiers.doi",
+    )
+
+    def style(self):
+        segments = [{"path": p, "prefix": f"{p}=", "suffix": "; "} for p in self.PATHS]
+        segments[2]["typography"] = "italic"
+        segments[3]["typography"] = "quoted"
+        segments[9]["omit_if_absent"] = False  # issn
+        return minimal_style(layouts={"unknown": segments})
+
+    def scopes(self, **kinds):
+        return tuple(m.Scope(kind, value) for kind, value in kinds.items())
+
+    def test_three_names_and_a_first_page_only(self):
+        record = m.BiblStruct(
+            analytic=m.Analytic(
+                titles=(_main("Part  One", "a"),),
+                authors=(author("Aa", "Ann"), author("Bb", "Bo"), author("Cc", "Cy")),
+            ),
+            monogr=m.Monogr(
+                titles=(_main("Whole Book"),),
+                authors=(author("Ed", "Eve"), author("Fo", "Fay"), author("Gu")),
+                issn="1234-5678",
+                imprint=m.Imprint(
+                    publisher="Pub", pub_place="Town", date=m.CalendarDate(2001),
+                    scopes=self.scopes(vol="7", issue="2", fpage="5"),
+                ),
+            ),
+            identifiers=(m.Identifier("DOI", "10.1/x"),),
+        )
+        entry = format_entry(record, self.style())
+        assert entry.marked() == (
+            "authors=Aa, Ann, Bo Bb, and Cy Cc; monogr.authors=Eve Ed, Fay Fo, and Gu; "
+            'title=*Part One*; analytic.title="Part One"; monogr.title=Whole Book; '
+            "imprint.publisher=Pub; imprint.pub_place=Town; year=2001; pages=5; "
+            "issn=1234-5678; scopes.vol=7; scopes.issue=2; scopes.fpage=5; "
+            "identifiers.doi=10.1/x;"
+        )
+        assert entry.cite_text == "Aa et al. 2001"
+
+    def test_two_names_no_analytic_main_title_and_a_page_range_only(self):
+        record = m.BiblStruct(
+            analytic=m.Analytic(
+                titles=(_main("Subtitle Only", "a", "sub"),),
+                authors=(author("Hu", "Hal"), author("Io")),
+            ),
+            monogr=m.Monogr(
+                titles=(_main("Host Volume"),),
+                authors=(author("Ju", "Jo"), author("Ko", "Kim")),
+                imprint=m.Imprint(date=m.CalendarDate(2002), scopes=self.scopes(pp="xii")),
+            ),
+        )
+        entry = format_entry(record, self.style())
+        assert entry.marked() == (
+            "authors=Hu, Hal and Io; monogr.authors=Jo Ju and Kim Ko; "
+            "title=*Host Volume*; monogr.title=Host Volume; year=2002; pages=xii; "
+            "issn=; scopes.pp=xii;"
+        )
+        assert entry.cite_text == "Hu and Io 2002"
+
+    def test_no_container_names_and_no_year(self):
+        record = m.BiblStruct(
+            analytic=m.Analytic(authors=(author("Lu", "Lea"),)),
+            monogr=m.Monogr(
+                titles=(_main("Lone Title"),),
+                imprint=m.Imprint(scopes=self.scopes(lpage="9")),
+            ),
+        )
+        entry = format_entry(record, self.style())
+        assert entry.marked() == (
+            "authors=Lu, Lea; title=*Lone Title*; monogr.title=Lone Title; "
+            "issn=; scopes.lpage=9;"
+        )
+        assert entry.cite_text == "Lu"
+
+
 def ref(xml_id, surname, year, title):
     return (
         f'<biblStruct type="book" xml:id="{xml_id}"><monogr>'
@@ -433,6 +520,88 @@ class TestOneNumbering:
         assert '<a class="tj-ref" href="#ref-b1">(Dean 2009)</a>' in page
         assert page.count('id="ref-b1"') == 1
         assert "hash[1]\n" in render_plaintext(article)
+
+
+EVERY_BLOCK_BODY = (
+    '<div type="section"><head>Blocks</head>'
+    '<p>See <ref target="http://example.org/x">the site</ref>, '
+    '<ptr target="http://example.org/y"/> and <ref type="bibr" target="#b1">B</ref>.</p>'
+    '<cit><quote>Cited words</quote><biblStruct type="journalArticle"><analytic>'
+    '<title level="a" type="main">Inner Piece</title>'
+    "<author><persName><forename>Ivy</forename><surname>Ink</surname></persName></author>"
+    '</analytic><monogr><title level="j" type="main">Host Journal</title>'
+    '<imprint><date when="2004"/></imprint></monogr></biblStruct>'
+    "<note>A note</note></cit>"
+    '<cit><quote>Loose words</quote><biblStruct type="book"><monogr>'
+    '<title level="m" type="sub">No Main</title>'
+    "<author><persName><surname>Orr</surname></persName></author>"
+    '<imprint><date when="1990"/></imprint></monogr></biblStruct></cit>'
+    '<figure><head>A caption</head><graphic url="fig.png"/></figure><figure/>'
+    "<table><head>Tab cap</head><row/></table>"
+    '<formula notation="tex">x^2</formula>'
+    "<list><item>first</item><item>second</item></list>"
+    "<quote>Set apart</quote><lg>l</lg></div>"
+)
+
+EVERY_BLOCK_REF = (
+    '<biblStruct type="journalArticle" xml:id="b1"><analytic>'
+    '<title level="a" type="main">Listed Piece</title>'
+    "<author><persName><forename>Al</forename><surname>Ash</surname></persName></author>"
+    '</analytic><monogr><title level="j" type="main">Listed Journal</title>'
+    '<imprint><date when="2003"/></imprint></monogr></biblStruct>'
+)
+
+
+@pytest.mark.parametrize(
+    "render, fragments",
+    [
+        (
+            render_xhtml,
+            (
+                '<p>See <a href="http://example.org/x">the site</a>, '
+                '<a href="http://example.org/y">http://example.org/y</a> and '
+                '<a class="tj-ref" href="#ref-b1">(Ash 2003)</a>.</p>',
+                '<blockquote class="tj-cit"><p>Cited words</p><p class="tj-cit-source">'
+                'Ink, Ivy. "Inner Piece". <i>Host Journal</i>, 2004</p>'
+                '<p class="tj-cit-note">A note</p></blockquote>',
+                '<blockquote class="tj-cit"><p>Loose words</p>'
+                '<p class="tj-cit-source">Orr. 1990.</p></blockquote>',
+                '<div class="tj-figure"><img alt="" src="fig.png" /><p>A caption</p></div>'
+                '<div class="tj-figure" />',
+                '<div class="tj-table"><p>Tab cap</p>'
+                "<pre>&lt;table&gt;&lt;head&gt;Tab cap&lt;/head&gt;&lt;row/&gt;&lt;/table&gt;</pre>"
+                "</div>",
+                '<pre class="tj-formula">&lt;formula notation="tex"&gt;x^2&lt;/formula&gt;</pre>',
+                "<ul><li>first</li><li>second</li></ul>",
+                "<blockquote><p>Set apart</p></blockquote>",
+                '<pre class="tj-opaque">&lt;lg&gt;l&lt;/lg&gt;</pre>',
+                '<li class="tj-biblio-entry" id="ref-b1">'
+                'Ash, Al. "Listed Piece". <i>Listed Journal</i>, 2003</li>',
+            ),
+        ),
+        (
+            render_plaintext,
+            (
+                "Blocks\n======\n\n"
+                "See the site, http://example.org/y and [1].\n\n"
+                "    Cited words\n    -- Ivy Ink. Inner Piece. 2004.\n    A note\n\n"
+                "    Loose words\n    -- Orr. 1990.\n\n"
+                "[Figure: A caption]\n\n[Figure]\n\n[Table: Tab cap]\n\n"
+                "  - first\n  - second\n\n    Set apart\n\n"
+                "References\n==========\n\n"
+                "[1] Ash, Al. Listed Piece. Listed Journal, 2003\n",
+            ),
+        ),
+    ],
+    ids=["xhtml", "text"],
+)
+def test_every_block_kind_link_and_quoted_span(render, fragments):
+    data = article_bytes(title="Every Block", body=EVERY_BLOCK_BODY, refs=EVERY_BLOCK_REF)
+    report = parse_article(data, "blocks.xml")
+    assert report.ok, report.issues
+    page = render(report.outcome, builtin_style("mla"))
+    for fragment in fragments:
+        assert fragment in page
 
 
 class TestXhtml:
