@@ -27,6 +27,7 @@ from .render import (
     entry_or_fallback,
     entry_sort_key,
     escape_text,
+    format_authors,
     xhtml_page,
 )
 from .xmlio import Issue, ParseReport, model_paths, parse_article
@@ -170,13 +171,6 @@ def load_corpus(paths) -> Corpus:
 # --------------------------------------------------------------------------
 
 
-def _author_display(author: m.Author) -> str:
-    forenames = " ".join(f for f in author.forenames if f)
-    if forenames:
-        return f"{author.surname}, {forenames}"
-    return author.surname
-
-
 def _mention_text(node) -> str:
     return node.abbr if isinstance(node, m.AbbrMention) else node.text
 
@@ -185,7 +179,7 @@ def _mention_kind_and_text(path: str, node) -> tuple:
     """Classify one walker node for indexing; (None, "") when not indexed."""
     if isinstance(node, m.Author):
         if path.startswith(_SOURCE_PREFIX):
-            return "author", _author_display(node)
+            return "author", format_authors((node,), "surname-first-full")
         return None, ""
     if isinstance(node, m.Keyword):
         return "keyword", node.term

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import re
 from functools import cached_property
+from operator import attrgetter
 
 from .base import Record, factory
 
@@ -160,20 +161,21 @@ class OpaqueInline(Record):
 RichText = tuple  # of the inline nodes above
 
 
-def plain_text(content: RichText) -> str:
-    """Flatten rich text to a plain string, dropping markup."""
+def plain_text(content: RichText, pointer_text=attrgetter("text")) -> str:
+    """Flatten rich text to a plain string, dropping markup; each citation
+    and link is written as ``pointer_text(node)``, by default its text."""
     parts: list[str] = []
     for node in content:
         if isinstance(node, TextRun):
             parts.append(node.text)
         elif isinstance(node, Emph):
-            parts.append(plain_text(node.content))
+            parts.append(plain_text(node.content, pointer_text))
         elif isinstance(node, (PersonMention, OrgMention, PlaceMention, TermMention)):
             parts.append(node.text)
         elif isinstance(node, AbbrMention):
             parts.append(node.abbr)
         elif isinstance(node, (BiblRef, Link)):
-            parts.append(node.text)
+            parts.append(pointer_text(node))
         elif isinstance(node, OpaqueInline):
             pass
         else:

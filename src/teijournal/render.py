@@ -20,6 +20,7 @@ from pathlib import Path
 
 from .base import BUILTIN_STYLES, Record, factory
 from .model import (
+    SCOPE_KINDS,
     AbbrMention,
     Article,
     Author,
@@ -54,25 +55,6 @@ MARKER_SCHEMES = ("numeric-bracket", "author-date")
 LIST_ORDERS = ("alphabetical", "citation-order")
 NAME_FORMATS = ("surname-first-initials", "surname-first-full", "as-encoded")
 TYPOGRAPHY = ("plain", "italic", "quoted")
-
-#: Field paths a layout segment may address.  ``identifiers.<kind>`` is open
-#: (the kind is matched case-insensitively against the record's identifiers).
-SEGMENT_PATHS = frozenset(
-    {
-        "authors",
-        "monogr.authors",
-        "title",
-        "analytic.title",
-        "monogr.title",
-        "imprint.publisher",
-        "imprint.pub_place",
-        "year",
-        "pages",
-        "issn",
-    }
-    | {f"scopes.{kind}" for kind in ("vol", "issue", "fpage", "lpage", "pp")}
-)
-
 
 class StyleError(ValueError):
     """A style table is malformed or references unknown fields."""
@@ -177,7 +159,7 @@ def style_from_dict(raw: dict) -> StyleGuide:
                 if not isinstance(seg.get(key, ""), str):
                     raise StyleError(f"layout {doc_type!r} has a non-string {key}")
             path = seg.get("path", "")
-            if path not in SEGMENT_PATHS and not path.startswith("identifiers."):
+            if path not in _FIELDS and not path.startswith("identifiers."):
                 raise StyleError(f"layout {doc_type!r} addresses unknown field {path!r}")
             typography = seg.get("typography", "plain")
             if typography not in TYPOGRAPHY:
@@ -253,37 +235,29 @@ def format_authors(authors: tuple, name_format: str) -> str:
     """
     names = [_one_name(a, name_format, i == 0) for i, a in enumerate(authors)]
     names = [n for n in names if n]
-    if not names:
-        return ""
-    if len(names) == 1:
-        return names[0]
-    if name_format == "surname-first-initials":
-        return ", ".join(names[:-1]) + ", & " + names[-1]
     if name_format == "surname-first-full":
-        if len(names) == 2:
-            return f"{names[0]} and {names[1]}"
-        return ", ".join(names[:-1]) + ", and " + names[-1]
+        return _and_list(names)
+    if name_format == "surname-first-initials" and len(names) > 1:
+        return ", ".join(names[:-1]) + ", & " + names[-1]
     return ", ".join(names)
+
+
+def _and_list(names: list) -> str:
+    """``A``, ``A and B`` or ``A, B, and C``."""
+    if len(names) < 3:
+        return " and ".join(names)
+    return ", ".join(names[:-1]) + ", and " + names[-1]
 
 
 def _forward_names(authors: tuple) -> str:
     """Container authors (editors) written in forward order."""
-    names = []
-    for a in authors:
-        forenames = " ".join(f for f in a.forenames if f)
-        names.append(f"{forenames} {a.surname}".strip())
-    names = [n for n in names if n]
-    if not names:
-        return ""
-    if len(names) == 1:
-        return names[0]
-    if len(names) == 2:
-        return f"{names[0]} and {names[1]}"
-    return ", ".join(names[:-1]) + ", and " + names[-1]
+    names = (" ".join([*(f for f in a.forenames if f), a.surname]).strip() for a in authors)
+    return _and_list([n for n in names if n])
 
 
-def _level_title(titles: tuple) -> str | None:
-    for title in titles:
+def _level_title(level) -> str | None:
+    """The first main title of an analytic or monogr level, normalized."""
+    for title in level.titles if level else ():
         if title.type == "main":
             text = normalize_title(title.text)
             if text:
@@ -291,41 +265,54 @@ def _level_title(titles: tuple) -> str | None:
     return None
 
 
+def _main_title(record: BiblStruct) -> str | None:
+    """The record's main title, normalized; ``None`` when it has none."""
+    title = record.main_title()
+    return normalize_title(title.text) or None if title else None
+
+
+def _year(record: BiblStruct) -> str | None:
+    date = record.monogr.imprint.date
+    return str(date.year) if date else None
+
+
+def _pages(record: BiblStruct) -> str | None:
+    fpage, lpage = record.scope("fpage"), record.scope("lpage")
+    if fpage and lpage:
+        return f"{fpage}–{lpage}"
+    return fpage or record.scope("pp")
+
+
+#: Field paths a layout segment may address -> the field's text for a
+#: record and a name format, empty or ``None`` when the record lacks it.
+#: ``identifiers.<kind>`` is open as well: the kind is matched
+#: case-insensitively against the record's identifiers.
+_FIELDS = {
+    "authors": lambda record, name_format: format_authors(record.authors(), name_format),
+    "monogr.authors": lambda record, _: _forward_names(record.monogr.authors),
+    "title": lambda record, _: _main_title(record),
+    "analytic.title": lambda record, _: _level_title(record.analytic),
+    "monogr.title": lambda record, _: _level_title(record.monogr),
+    "imprint.publisher": lambda record, _: record.monogr.imprint.publisher,
+    "imprint.pub_place": lambda record, _: record.monogr.imprint.pub_place,
+    "year": lambda record, _: _year(record),
+    "pages": lambda record, _: _pages(record),
+    "issn": lambda record, _: record.monogr.issn,
+    **{
+        f"scopes.{kind}": lambda record, _, kind=kind: record.scope(kind)
+        for kind in SCOPE_KINDS
+    },
+}
+
+
 def _segment_value(record: BiblStruct, path: str, name_format: str) -> str | None:
-    """The text for one layout segment, or ``None`` when the record lacks it."""
-    if path == "authors":
-        return format_authors(record.authors(), name_format) or None
-    if path == "monogr.authors":
-        return _forward_names(record.monogr.authors) or None
-    if path == "title":
-        title = record.main_title()
-        return normalize_title(title.text) or None if title else None
-    if path == "analytic.title":
-        return _level_title(record.analytic.titles) if record.analytic else None
-    if path == "monogr.title":
-        return _level_title(record.monogr.titles)
-    if path == "imprint.publisher":
-        return record.monogr.imprint.publisher
-    if path == "imprint.pub_place":
-        return record.monogr.imprint.pub_place
-    if path == "year":
-        date = record.monogr.imprint.date
-        return str(date.year) if date else None
-    if path == "pages":
-        fpage = record.scope("fpage")
-        lpage = record.scope("lpage")
-        if fpage and lpage:
-            return f"{fpage}–{lpage}"
-        if fpage:
-            return fpage
-        return record.scope("pp")
-    if path == "issn":
-        return record.monogr.issn
-    if path.startswith("scopes."):
-        return record.scope(path.split(".", 1)[1])
+    """The text for one layout segment; empty or ``None`` when absent."""
     if path.startswith("identifiers."):
-        return record.identifier(path.split(".", 1)[1])
-    raise StyleError(f"unknown segment path {path!r}")
+        return record.identifier(path[len("identifiers."):])
+    field = _FIELDS.get(path)
+    if field is None:
+        raise StyleError(f"unknown segment path {path!r}")
+    return field(record, name_format)
 
 
 def entry_sort_key(record: BiblStruct) -> tuple:
@@ -338,25 +325,18 @@ def entry_sort_key(record: BiblStruct) -> tuple:
     surname = authors[0].surname.casefold() if authors else ""
     date = record.monogr.imprint.date
     year = date.year if date else 0
-    title = record.main_title()
-    title_text = normalize_title(title.text).casefold() if title else ""
-    return (surname, year, title_text)
+    return (surname, year, (_main_title(record) or "").casefold())
 
 
 def _cite_text(record: BiblStruct) -> str:
     """Author-date in-text form, without parentheses."""
     surnames = [a.surname for a in record.authors() if a.surname]
-    if surnames:
-        if len(surnames) == 1:
-            who = surnames[0]
-        elif len(surnames) == 2:
-            who = f"{surnames[0]} and {surnames[1]}"
-        else:
-            who = f"{surnames[0]} et al."
+    if len(surnames) > 2:
+        who = f"{surnames[0]} et al."
+    elif surnames:
+        who = _and_list(surnames)
     else:
-        title = record.main_title()
-        words = normalize_title(title.text).split() if title else []
-        who = " ".join(words[:3])
+        who = " ".join((_main_title(record) or "").split()[:3])
     date = record.monogr.imprint.date
     if date:
         return f"{who} {date.year}".strip()
@@ -374,8 +354,7 @@ def format_entry(record: BiblStruct, style: StyleGuide) -> RenderedEntry:
     Raises :class:`StyleError` for a record with no main title at either
     level — there is nothing to cite.
     """
-    title = record.main_title()
-    if title is None or not normalize_title(title.text):
+    if _main_title(record) is None:
         raise StyleError(
             f"record {record.xml_id or '<no id>'} has no main title and cannot be formatted"
         )
@@ -527,6 +506,11 @@ class _PageContext:
             return None
         label, entry = found
         return label or f"({entry.cite_text})"
+
+    def pointer_text(self, node: BiblRef | Link) -> str:
+        """A citation's marker, else the pointer's own text, else its target."""
+        marker = self.marker(node.target) if isinstance(node, BiblRef) else None
+        return marker or node.text or node.target
 
 
 # --------------------------------------------------------------------------
@@ -748,37 +732,15 @@ def _wrap(text: str, indent: str = "", hang: str = "") -> list:
     )
 
 
-def _rich_to_text(content: RichText, ctx: _PageContext) -> str:
-    parts = []
-    for node in content:
-        if isinstance(node, TextRun):
-            parts.append(node.text)
-        elif isinstance(node, Emph):
-            parts.append(_rich_to_text(node.content, ctx))
-        elif isinstance(node, BiblRef):
-            parts.append(ctx.marker(node.target) or node.text or node.target)
-        elif isinstance(node, (PersonMention, OrgMention, PlaceMention, TermMention)):
-            parts.append(node.text)
-        elif isinstance(node, AbbrMention):
-            parts.append(node.abbr)
-        elif isinstance(node, Link):
-            parts.append(node.text or node.target)
-        elif isinstance(node, OpaqueInline):
-            pass
-    return "".join(parts)
-
-
 def bare_entry_text(record: BiblStruct) -> str:
     """Last-resort one-liner for records a style cannot format."""
     bits = []
     authors = format_authors(record.authors(), "as-encoded")
     if authors:
         bits.append(authors + ".")
-    title = record.main_title()
+    title = _main_title(record)
     if title:
-        text = normalize_title(title.text)
-        if text:
-            bits.append(text + ".")
+        bits.append(title + ".")
     date = record.monogr.imprint.date
     if date:
         bits.append(f"{date.year}.")
@@ -800,34 +762,34 @@ def _heading_lines(text: str, depth: int) -> list:
 def _block_to_text(block, ctx: _PageContext) -> list:
     lines: list = []
     if isinstance(block, Paragraph):
-        lines.extend(_wrap(_rich_to_text(block.content, ctx)))
+        lines.extend(_wrap(plain_text(block.content, ctx.pointer_text)))
     elif isinstance(block, CitBlock):
-        quote = _rich_to_text(block.quote, ctx)
+        quote = plain_text(block.quote, ctx.pointer_text)
         if isinstance(block.source, str):
             quote = f"{quote} {ctx.marker(block.source) or block.source}"
         lines.extend(_wrap(quote, indent="    "))
         if isinstance(block.source, BiblStruct):
             lines.extend(_wrap("-- " + bare_entry_text(block.source), indent="    "))
         if block.qualifiers:
-            lines.extend(_wrap(_rich_to_text(block.qualifiers, ctx), indent="    "))
+            lines.extend(_wrap(plain_text(block.qualifiers, ctx.pointer_text), indent="    "))
     elif isinstance(block, FigureBlock):
-        caption = _rich_to_text(block.caption, ctx).strip()
+        caption = plain_text(block.caption, ctx.pointer_text).strip()
         lines.extend(_wrap(f"[Figure: {caption}]" if caption else "[Figure]"))
     elif isinstance(block, TableBlock):
-        caption = _rich_to_text(block.caption, ctx).strip()
+        caption = plain_text(block.caption, ctx.pointer_text).strip()
         lines.extend(_wrap(f"[Table: {caption}]" if caption else "[Table]"))
     elif isinstance(block, ListBlock):
         for item in block.items:
-            lines.extend(_wrap(_rich_to_text(item, ctx), indent="  - ", hang="    "))
+            lines.extend(_wrap(plain_text(item, ctx.pointer_text), indent="  - ", hang="    "))
     elif isinstance(block, QuoteBlock):
-        lines.extend(_wrap(_rich_to_text(block.content, ctx), indent="    "))
+        lines.extend(_wrap(plain_text(block.content, ctx.pointer_text), indent="    "))
     # Formula and opaque blocks carry no flowable text and are skipped.
     return lines
 
 
 def _division_to_text(division: Division, depth: int, ctx: _PageContext) -> list:
     lines: list = []
-    head = _rich_to_text(division.head, ctx).strip()
+    head = plain_text(division.head, ctx.pointer_text).strip()
     if head:
         lines.extend(_heading_lines(head, depth))
         lines.append("")

@@ -13,6 +13,7 @@ from teijournal import model as m
 from teijournal.render import (
     BUILTIN_STYLES,
     RenderedEntry,
+    Segment,
     Span,
     StyleError,
     StyleGuide,
@@ -330,6 +331,15 @@ class TestEveryField:
             "issn=; scopes.lpage=9;"
         )
         assert entry.cite_text == "Lu"
+
+    def test_a_scope_kind_outside_the_table_is_unknown(self):
+        with pytest.raises(StyleError, match="unknown field 'scopes.page'"):
+            minimal_style(layouts={"unknown": [{"path": "scopes.page"}]})
+        # A hand-built style can name it; formatting then refuses the path.
+        style = StyleGuide("s", "numeric-bracket", "citation-order", "as-encoded",
+                           {"unknown": (Segment("scopes.page"),)})
+        with pytest.raises(StyleError, match="unknown segment path 'scopes.page'"):
+            format_entry(brecht_book_record(), style)
 
 
 def ref(xml_id, surname, year, title):
