@@ -144,6 +144,13 @@ def json_object(value, what: str) -> dict:
     return value
 
 
+def json_bool(value, what: str) -> bool:
+    """``value`` read from a JSON file, if it is ``true`` or ``false``."""
+    if not isinstance(value, bool):
+        raise ValueError(f"{what} must be true or false")
+    return value
+
+
 def json_strings(value, what: str) -> list:
     """``value`` read from a JSON file, if it is a list of strings."""
     if not isinstance(value, list) or not all(isinstance(v, str) for v in value):

@@ -218,11 +218,11 @@ def _load_schema_file(path: str):
 
 
 def _style_arg(args):
-    from .render import StyleError, get_style
+    from .render import get_style
 
     try:
         return get_style(args.style)
-    except (StyleError, OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         raise CliError(f"cannot load style {args.style!r}: {exc}") from None
 
 

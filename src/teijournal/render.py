@@ -18,7 +18,7 @@ import json
 import textwrap
 from pathlib import Path
 
-from .base import BUILTIN_STYLES, Record, factory
+from .base import BUILTIN_STYLES, Record, factory, json_bool
 from .model import (
     SCOPE_KINDS,
     AbbrMention,
@@ -170,7 +170,9 @@ def style_from_dict(raw: dict) -> StyleGuide:
                     typography=typography,
                     prefix=seg.get("prefix", ""),
                     suffix=seg.get("suffix", ""),
-                    omit_if_absent=bool(seg.get("omit_if_absent", True)),
+                    omit_if_absent=json_bool(
+                        seg.get("omit_if_absent", True), f"omit_if_absent in layout {doc_type!r}"
+                    ),
                 )
             )
         layouts[doc_type] = tuple(segments)
@@ -807,9 +809,9 @@ def render_plaintext(article: Article, style: StyleGuide | None = None) -> str:
     """Render the article as wrapped plain text (78 columns).
 
     Citations appear as ``[n]`` numbered by first appearance regardless of
-    the style's marker scheme; page ranges use a plain hyphen.  When no
-    style is given the reference entries use the built-in ``chicago``
-    layout.
+    the style's marker scheme.  Every en dash on the page, in page ranges
+    and body text alike, is written as a plain hyphen.  When no style is
+    given the reference entries use the built-in ``chicago`` layout.
     """
     style = style or builtin_style("chicago")
     # Plain text always numbers, and lists entries by number.

@@ -18,7 +18,7 @@ import re
 from collections import Counter
 
 from .rawxml import TreeDocument, attribute_name
-from .base import Finding, Record, factory, json_object, json_strings
+from .base import Finding, Record, factory, json_bool, json_object, json_strings
 
 DEFAULT_ENUMERABLE_ATTRIBUTES = frozenset({"type", "level", "rend", "unit"})
 
@@ -126,7 +126,6 @@ def profile_corpus(docs) -> UsageProfile:
 class CodifyOptions(Record):
     enumerable_attributes: frozenset = DEFAULT_ENUMERABLE_ATTRIBUTES
     enumeration_cap: int = 20
-    required_child_threshold: float = 1.0
 
     def __post_init__(self) -> None:
         object.__setattr__(
@@ -136,8 +135,6 @@ class CodifyOptions(Record):
         )
         if self.enumeration_cap < 1:
             raise ValueError("enumeration_cap must be >= 1")
-        if not 0 < self.required_child_threshold <= 1:
-            raise ValueError("required_child_threshold must be in (0, 1]")
 
 
 class AttributeRule(Record):
@@ -170,11 +167,8 @@ def codify(
     )
     elements: dict = {}
     for name, usage in profile.elements.items():
-        required_children = frozenset(
-            child
-            for child, covered in usage.child_coverage.items()
-            if covered >= options.required_child_threshold * usage.count
-        )
+        coverage = usage.child_coverage.items()
+        required_children = frozenset(c for c, covered in coverage if covered >= usage.count)
         attributes: dict = {}
         for attr, values in usage.attributes.items():
             closed = (
@@ -254,7 +248,8 @@ def schema_from_json(text: str) -> RestrictedSchema:
             if values is not None:
                 values = tuple(json_strings(values, f"values of {name}@{attr}"))
             attributes[attr] = AttributeRule(
-                required=bool(arule.get("required", False)), values=values
+                required=json_bool(arule.get("required", False), f"required of {name}@{attr}"),
+                values=values,
             )
         elements[name] = ElementRule(
             children=frozenset(json_strings(entry.get("children", []), f"children of {name!r}")),
@@ -262,7 +257,7 @@ def schema_from_json(text: str) -> RestrictedSchema:
                 json_strings(entry.get("required_children", []), f"required_children of {name!r}")
             ),
             attributes=attributes,
-            text=bool(entry.get("text", False)),
+            text=json_bool(entry.get("text", False), f"text of {name!r}"),
         )
     root = payload.get("root", "")
     if not isinstance(root, str):

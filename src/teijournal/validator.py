@@ -146,13 +146,12 @@ class ValidatorConfig(Record):
             raise ValueError(
                 f"severity overrides for unknown rules: {sorted(unknown)}"
             )
-        bad = {
-            sev
-            for sev in self.severity_overrides.values()
-            if sev not in ("error", "warning")
-        }
-        if bad:
-            raise ValueError(f"invalid severities: {sorted(bad)}")
+        for rule, severity in self.severity_overrides.items():
+            if severity not in ("error", "warning"):
+                raise ValueError(
+                    f"severity override for {rule} must be 'error' or 'warning', "
+                    f"not {severity!r}"
+                )
 
 
 def explain(rule_id: str) -> str:

@@ -501,6 +501,9 @@ STYLE = {"id": "s", "marker_scheme": "numeric-bracket", "list_order": "citation-
         ("render", {**STYLE, "layouts": {"unknown": [5]}}, "cannot load style"),
         ("render", {**STYLE, "layouts": {"unknown": [{"path": "title", "prefix": 5}]}},
          "cannot load style"),
+        ("render",
+         {**STYLE, "layouts": {"unknown": [{"path": "title", "omit_if_absent": "false"}]}},
+         "cannot load style"),
         ("schema-validate", [], "cannot load schema"),
         ("schema-validate", {"elements": {"d": 5}}, "cannot load schema"),
         ("schema-validate", {"elements": {"d": {"attributes": {"k": 5}}}}, "cannot load schema"),
@@ -508,13 +511,20 @@ STYLE = {"id": "s", "marker_scheme": "numeric-bracket", "list_order": "citation-
         ("schema-validate", {"elements": {"d": {"attributes": {"k": {"values": 7}}}}},
          "cannot load schema"),
         ("schema-validate", {"root": 5}, "cannot load schema"),
+        ("schema-validate", {"elements": {"d": {"text": "false"}}}, "cannot load schema"),
+        ("schema-validate", {"elements": {"d": {"attributes": {"k": {"required": "no"}}}}},
+         "cannot load schema"),
         ("validate", {"org_unit_vocabulary": 5}, "bad config"),
         ("validate", {"org_unit_vocabulary": "department"}, "bad config"),
         ("validate", {"severity_overrides": [1, 2]}, "bad config"),
+        ("validate", {"severity_overrides": {"R1": []}}, "bad config"),
+        ("validate", {"severity_overrides": {"R1": "fatal"}}, "bad config"),
     ],
-    ids=["style-list", "style-segment", "style-prefix", "schema-list", "schema-element",
-         "schema-attribute", "schema-children", "schema-values", "schema-root",
-         "config-vocabulary-number", "config-vocabulary-string", "config-overrides-list"],
+    ids=["style-list", "style-segment", "style-prefix", "style-omit-string", "schema-list",
+         "schema-element", "schema-attribute", "schema-children", "schema-values",
+         "schema-root", "schema-text-string", "schema-required-string",
+         "config-vocabulary-number", "config-vocabulary-string", "config-overrides-list",
+         "config-severity-list", "config-severity-unknown"],
 )
 def test_json_input_of_the_wrong_shape_is_refused(tmp_path, capsys, command, payload, message):
     article = clean_file(tmp_path)

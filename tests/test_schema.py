@@ -161,19 +161,6 @@ class TestCodify:
         # note is present in only one of three docs
         assert schema.elements["doc"].required_children == frozenset({"sec"})
 
-    def test_required_child_threshold_relaxes(self):
-        blobs = (
-            b"<doc><sec><p>x</p></sec></doc>",
-            b"<doc><sec><q>y</q></sec></doc>",
-        )
-        strict = codify(profile_corpus(docs(*blobs)))
-        assert strict.elements["sec"].required_children == frozenset()
-        loose = codify(
-            profile_corpus(docs(*blobs)),
-            CodifyOptions(required_child_threshold=0.5),
-        )
-        assert loose.elements["sec"].required_children == frozenset({"p", "q"})
-
     def test_text_flag(self):
         schema = codify(profile_corpus(docs(DOC_A)))
         assert schema.elements["p"].text is True
@@ -185,10 +172,6 @@ class TestCodify:
     def test_option_validation(self):
         with pytest.raises(ValueError):
             CodifyOptions(enumeration_cap=0)
-        with pytest.raises(ValueError):
-            CodifyOptions(required_child_threshold=0)
-        with pytest.raises(ValueError):
-            CodifyOptions(required_child_threshold=1.5)
 
 
 class TestSchemaFiles:

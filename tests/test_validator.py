@@ -262,6 +262,8 @@ class TestOrderingAndConfig:
     def test_bad_override_severity_rejected(self):
         with pytest.raises(ValueError, match="fatal"):
             ValidatorConfig(severity_overrides={"R9": "fatal"})
+        with pytest.raises(ValueError, match="R1 must be 'error' or 'warning', not \\[\\]"):
+            ValidatorConfig(severity_overrides={"R1": []})
 
     def test_validate_is_pure(self):
         article = parse_skeleton()
