@@ -23,7 +23,6 @@ import os
 import re
 import shutil
 import sys
-import tempfile
 from enum import IntEnum
 from pathlib import Path
 
@@ -127,6 +126,8 @@ def _replace_all(contents) -> None:
     Each new content goes to a temporary file beside its target; the targets
     are replaced only once every temporary file is written.
     """
+    import tempfile  # it loads random; only arbitrate --in-place needs it
+
     moves = []
     try:
         for name, data in contents:

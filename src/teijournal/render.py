@@ -15,7 +15,6 @@ for the next.
 from __future__ import annotations
 
 import json
-import textwrap
 from pathlib import Path
 
 from .base import BUILTIN_STYLES, Record, factory, json_bool
@@ -164,15 +163,19 @@ def style_from_dict(raw: dict) -> StyleGuide:
             typography = seg.get("typography", "plain")
             if typography not in TYPOGRAPHY:
                 raise StyleError(f"unknown typography {typography!r}")
+            try:
+                omit_if_absent = json_bool(
+                    seg.get("omit_if_absent", True), f"omit_if_absent in layout {doc_type!r}"
+                )
+            except ValueError as exc:
+                raise StyleError(str(exc)) from None
             segments.append(
                 Segment(
                     path=path,
                     typography=typography,
                     prefix=seg.get("prefix", ""),
                     suffix=seg.get("suffix", ""),
-                    omit_if_absent=json_bool(
-                        seg.get("omit_if_absent", True), f"omit_if_absent in layout {doc_type!r}"
-                    ),
+                    omit_if_absent=omit_if_absent,
                 )
             )
         layouts[doc_type] = tuple(segments)
@@ -323,22 +326,26 @@ def entry_sort_key(record: BiblStruct) -> tuple:
     Style-independent, so reference numbering does not shift when the
     rendering style changes.
     """
+    return _sort_key(record, _main_title(record))
+
+
+def _sort_key(record: BiblStruct, title: str | None) -> tuple:
     authors = record.authors()
     surname = authors[0].surname.casefold() if authors else ""
     date = record.monogr.imprint.date
-    year = date.year if date else 0
-    return (surname, year, (_main_title(record) or "").casefold())
+    return (surname, date.year if date else 0, (title or "").casefold())
 
 
-def _cite_text(record: BiblStruct) -> str:
-    """Author-date in-text form, without parentheses."""
+def _cite_text(record: BiblStruct, title: str | None) -> str:
+    """Author-date in-text form, without parentheses; ``title`` is the
+    record's :func:`_main_title`."""
     surnames = [a.surname for a in record.authors() if a.surname]
     if len(surnames) > 2:
         who = f"{surnames[0]} et al."
     elif surnames:
         who = _and_list(surnames)
     else:
-        who = " ".join((_main_title(record) or "").split()[:3])
+        who = " ".join((title or "").split()[:3])
     date = record.monogr.imprint.date
     if date:
         return f"{who} {date.year}".strip()
@@ -356,30 +363,27 @@ def format_entry(record: BiblStruct, style: StyleGuide) -> RenderedEntry:
     Raises :class:`StyleError` for a record with no main title at either
     level — there is nothing to cite.
     """
-    if _main_title(record) is None:
+    title = _main_title(record)
+    if title is None:
         raise StyleError(
             f"record {record.xml_id or '<no id>'} has no main title and cannot be formatted"
         )
-    spans: list[Span] = []
+    runs: list = []  # (text, typography)
     for seg in style.layout_for(record.doc_type.value):
-        value = _segment_value(record, seg.path, style.author_name_format)
+        if seg.path == "title":
+            value = title
+        else:
+            value = _segment_value(record, seg.path, style.author_name_format)
         if not value:
             if seg.omit_if_absent:
                 continue
             value = ""
-        if seg.prefix:
-            spans.append(Span(seg.prefix))
-        if value:
-            spans.append(Span(value, seg.typography))
-        if seg.suffix:
-            spans.append(Span(seg.suffix))
-
-    spans = _tidy_spans(spans)
+        runs += ((seg.prefix, "plain"), (value, seg.typography), (seg.suffix, "plain"))
     return RenderedEntry(
         ref_id=record.xml_id,
-        spans=tuple(spans),
-        sort_key=entry_sort_key(record),
-        cite_text=_cite_text(record),
+        spans=_tidy_runs(runs),
+        sort_key=_sort_key(record, title),
+        cite_text=_cite_text(record, title),
     )
 
 
@@ -391,34 +395,30 @@ def entry_or_fallback(record: BiblStruct, style: StyleGuide) -> RenderedEntry:
         return format_entry(record, style)
     except StyleError:
         text = bare_entry_text(record) or "(unciteable record)"
+        title = _main_title(record)
         return RenderedEntry(
-            record.xml_id, (Span(text),), entry_sort_key(record), _cite_text(record)
+            record.xml_id, (Span(text),), _sort_key(record, title), _cite_text(record, title)
         )
 
 
-def _tidy_spans(spans: list) -> list:
-    """Trim outer whitespace, drop empties, merge adjacent plain runs."""
-    merged: list[Span] = []
-    for span in spans:
-        if not span.text:
-            continue
-        if merged and merged[-1].typography == span.typography == "plain":
-            merged[-1] = Span(merged[-1].text + span.text)
-        else:
-            merged.append(span)
-    while merged:
-        lead = merged[0].text.lstrip()
-        if lead:
-            merged[0] = Span(lead, merged[0].typography)
-            break
+def _tidy_runs(runs: list) -> tuple:
+    """``(text, typography)`` runs as spans: empty runs dropped, adjacent
+    plain runs merged, outer whitespace trimmed."""
+    merged: list = []
+    for text, typography in runs:
+        if text and typography == "plain" and merged and merged[-1][1] == "plain":
+            merged[-1] = (merged[-1][0] + text, "plain")
+        elif text:
+            merged.append((text, typography))
+    while merged and not merged[0][0].lstrip():
         merged.pop(0)
-    while merged:
-        tail = merged[-1].text.rstrip()
-        if tail:
-            merged[-1] = Span(tail, merged[-1].typography)
-            break
+    if merged:
+        merged[0] = (merged[0][0].lstrip(), merged[0][1])
+    while merged and not merged[-1][0].rstrip():
         merged.pop()
-    return merged
+    if merged:
+        merged[-1] = (merged[-1][0].rstrip(), merged[-1][1])
+    return tuple(Span(text, typography) for text, typography in merged)
 
 
 # --------------------------------------------------------------------------
@@ -721,17 +721,16 @@ _WIDTH = 78
 
 
 def _wrap(text: str, indent: str = "", hang: str = "") -> list:
-    text = " ".join(text.split())
-    if not text:
-        return []
-    return textwrap.wrap(
-        text,
-        width=_WIDTH,
-        initial_indent=indent,
-        subsequent_indent=hang or indent,
-        break_long_words=False,
-        break_on_hyphens=False,
-    )
+    """The words of ``text`` wrapped greedily at ``_WIDTH`` columns, the
+    first line after ``indent`` and the rest after ``hang`` (else ``indent``).
+    A word wider than the line is not broken: it sits alone on its line."""
+    lines: list = []
+    for word in text.split():
+        if lines and len(lines[-1]) + 1 + len(word) <= _WIDTH:
+            lines[-1] += " " + word
+        else:
+            lines.append(((hang or indent) if lines else indent) + word)
+    return lines
 
 
 def bare_entry_text(record: BiblStruct) -> str:
@@ -806,7 +805,8 @@ def _division_to_text(division: Division, depth: int, ctx: _PageContext) -> list
 
 
 def render_plaintext(article: Article, style: StyleGuide | None = None) -> str:
-    """Render the article as wrapped plain text (78 columns).
+    """Render the article as plain text wrapped greedily at 78 columns; a
+    word wider than the line is not broken but sits alone on its line.
 
     Citations appear as ``[n]`` numbered by first appearance regardless of
     the style's marker scheme.  Every en dash on the page, in page ranges

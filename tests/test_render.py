@@ -3,10 +3,11 @@
 import dataclasses
 import json
 import re
+import textwrap
 import xml.etree.ElementTree as ET
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from teijournal import model as m
@@ -17,6 +18,8 @@ from teijournal.render import (
     Span,
     StyleError,
     StyleGuide,
+    _tidy_runs,
+    _wrap,
     bare_entry_text,
     builtin_style,
     citation_order,
@@ -244,6 +247,54 @@ class TestEntryBasics:
         assert format_entry(record, builtin_style("apa")).cite_text == (
             "Nameless Work Here 1999"
         )
+
+
+def tidy_spans_oracle(spans: list) -> list:
+    """The span tidier that ``_tidy_runs`` replaced, kept as its oracle:
+    trim outer whitespace, drop empties, merge adjacent plain runs."""
+    merged: list[Span] = []
+    for span in spans:
+        if not span.text:
+            continue
+        if merged and merged[-1].typography == span.typography == "plain":
+            merged[-1] = Span(merged[-1].text + span.text)
+        else:
+            merged.append(span)
+    while merged:
+        lead = merged[0].text.lstrip()
+        if lead:
+            merged[0] = Span(lead, merged[0].typography)
+            break
+        merged.pop(0)
+    while merged:
+        tail = merged[-1].text.rstrip()
+        if tail:
+            merged[-1] = Span(tail, merged[-1].typography)
+            break
+        merged.pop()
+    return merged
+
+
+#: A layout segment as format_entry lays it out: prefix, value, suffix.
+TIDY_SEGMENTS = st.tuples(
+    st.sampled_from(("", " ", "  ", "(", ". ", " — ")),
+    st.sampled_from(("", " ", "a", " a b ", "\u00a0x\t")),
+    st.sampled_from(("plain", "italic", "quoted")),
+    st.sampled_from(("", " ", ".", ", ", ". ", ") ")),
+)
+
+
+class TestTidyRunsOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(TIDY_SEGMENTS, max_size=8))
+    def test_matches_the_span_tidier(self, segments):
+        runs = [
+            run
+            for prefix, value, typography, suffix in segments
+            for run in ((prefix, "plain"), (value, typography), (suffix, "plain"))
+        ]
+        expected = tidy_spans_oracle([Span(text, typography) for text, typography in runs])
+        assert _tidy_runs(runs) == tuple(expected)
 
 
 def _main(text, level="m", type="main"):
@@ -711,6 +762,37 @@ class TestXhtmlWriter:
         )
 
 
+#: Words, hyphens and dashes, the whitespace str.split() breaks on, and
+#: words about as wide as the line.
+WRAP_TEXTS = st.lists(
+    st.sampled_from((" ", "\t", "\n", "\u00a0", "\u0085", "\u2028", "-", "\u2013"))
+    | st.text(alphabet="ab-\u2013.", min_size=1, max_size=12)
+    | st.sampled_from([n * "w" for n in (74, 77, 78, 90)]),
+    max_size=60,
+).map("".join) | st.text()
+WRAP_INDENTS = st.sampled_from((("", ""), ("    ", ""), ("  - ", "    "), ("", "    ")))
+
+
+class TestWrapOracle:
+    """The greedy wrapper against ``textwrap``, kept here as the oracle."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(WRAP_TEXTS, WRAP_INDENTS)
+    @example("", ("", ""))
+    @example(" \t\n\u00a0\u0085\u2028 ", ("  - ", "    "))
+    @example("a " + "w" * 74 + " b " + "w" * 77 + " " + "w" * 78 + " c " + "w" * 90, ("", "    "))
+    def test_matches_textwrap(self, text, indents):
+        indent, hang = indents
+        assert _wrap(text, indent, hang) == textwrap.wrap(
+            " ".join(text.split()),
+            width=78,
+            initial_indent=indent,
+            subsequent_indent=hang or indent,
+            break_long_words=False,
+            break_on_hyphens=False,
+        )
+
+
 class TestPlaintext:
     def test_layout_and_width(self):
         body = (
@@ -801,6 +883,10 @@ class TestStyleValidation:
             minimal_style(
                 layouts={"unknown": [{"path": "title", "typography": "bold"}]}
             )
+
+    def test_non_boolean_omit_if_absent(self):
+        with pytest.raises(StyleError, match="omit_if_absent in layout 'unknown' must be true"):
+            minimal_style(layouts={"unknown": [{"path": "title", "omit_if_absent": "no"}]})
 
     def test_missing_top_level_key(self):
         with pytest.raises(StyleError, match="marker_scheme"):
