@@ -166,41 +166,20 @@ def explain(rule_id: str) -> str:
 
 
 class _Run:
+    """One validation. Each rule fires when the shared walk reaches the node
+    it reports on, and each node's checks emit in rule order, so findings
+    come out in document order, then rule order, with no sort."""
+
     def __init__(self, article: m.Article, config: ValidatorConfig):
         self.article = article
         self.config = config
-        self.nodes = model_paths(article)
-        self.positions: dict = {}
-        for rank, (path, node) in enumerate(self.nodes):
-            self.positions.setdefault(id(node), (rank, path))
-        text_ranks = [
-            rank
-            for rank, path in self.positions.values()
-            if path.startswith("TEI[1]/text[1]")
-        ]
-        # where header-side synthetic findings sort relative to real nodes
-        self.text_boundary = min(text_ranks) if text_ranks else 10**9
-        self.collected: list = []
+        self.findings: list = []
 
-    def emit(self, node, rule_id: str, message: str, path: str | None = None):
-        if isinstance(node, tuple):  # (rank, path) for synthetic locations
-            rank, node_path = node
-        else:
-            rank, node_path = self.positions.get(id(node), (10**9, ""))
+    def emit(self, path: str, rule_id: str, message: str) -> None:
         severity = self.config.severity_overrides.get(
             rule_id, RULES[rule_id].severity
         )
-        self.collected.append(
-            (
-                rank,
-                int(rule_id[1:]),
-                Finding(rule_id, severity, path or node_path, message),
-            )
-        )
-
-    def findings(self) -> list:
-        self.collected.sort(key=lambda item: (item[0], item[1]))
-        return [finding for _, _, finding in self.collected]
+        self.findings.append(Finding(rule_id, severity, path, message))
 
 
 def validate(
@@ -209,108 +188,59 @@ def validate(
     """Apply rules R1-R12 and return findings in document order."""
     config = config or ValidatorConfig()
     run = _Run(article, config)
-    fd = article.header.file_desc
-    fd_path = "TEI[1]/teiHeader[1]/fileDesc[1]"
-
-    # R1: title and publication details present
-    title_text = m.normalize_title(fd.main_title)
-    has_pub = bool(fd.availability or fd.publication_date or fd.authority)
-    if not title_text:
-        run.emit(fd, "R1", "file description has no main title")
-    if not has_pub:
-        run.emit(
-            fd,
-            "R1",
-            "file description has no publication details "
-            "(availability, date, or authority)",
-        )
-
-    # R2: exactly one source record
-    if fd.source is None:
-        run.emit(
-            fd,
-            "R2",
-            "file description carries no source bibliographic record",
-            path=f"{fd_path}/sourceDesc[1]",
-        )
-
-    # R3: document title duplicates the source's article title
-    source = fd.source
-    analytic_title = None
-    if source is not None and source.analytic is not None:
-        for title in source.analytic.titles:
-            if title.type == "main":
-                analytic_title = title
-                break
-    if title_text and analytic_title is not None:
-        if m.normalize_title(analytic_title.text) != title_text:
-            run.emit(
-                fd,
-                "R3",
-                "document title differs from the source record's "
-                "article title",
-                path=f"{fd_path}/titleStmt[1]/title[1]",
-            )
-
-    # R4: source record shape
-    if source is not None:
-        if source.analytic is None:
-            run.emit(
-                source, "R4", "source record has no article-level part"
-            )
-        else:
-            if not source.analytic.authors:
-                run.emit(source, "R4", "source record lists no authors")
-            mains = [
-                t for t in source.analytic.titles if t.type == "main"
-            ]
-            if len(mains) != 1:
-                run.emit(
-                    source,
-                    "R4",
-                    f"source article part has {len(mains)} main titles, "
-                    "expected exactly one",
+    emit = run.emit
+    absences_due = True
+    previous_change = None
+    seen_ids: set = set()
+    for path, node in model_paths(article):
+        if absences_due and path.startswith("TEI[1]/text[1]"):
+            _check_absences(run)
+            absences_due = False
+        if isinstance(node, m.FileDesc):
+            _check_file_desc(run, path, node)
+        elif isinstance(node, m.BiblStruct):
+            parent = path.rsplit("/", 2)[-2]
+            if parent == "sourceDesc[1]":
+                _check_source(run, path, node)
+            # R5, second half: fpage must not exceed lpage
+            fpage = _as_int(node.scope("fpage"))
+            lpage = _as_int(node.scope("lpage"))
+            if fpage is not None and lpage is not None and fpage > lpage:
+                emit(
+                    path, "R5", f"first page {fpage} exceeds last page {lpage}"
                 )
-        monogr_mains = [
-            t for t in source.monogr.titles if t.type == "main"
-        ]
-        if len(monogr_mains) != 1:
-            run.emit(
-                source,
-                "R4",
-                f"source container part has {len(monogr_mains)} main "
-                "titles, expected exactly one",
-            )
-
-    # Walk-driven rules over every registered node
-    all_structs: list = []
-    for path, node in run.nodes:
-        if isinstance(node, m.BiblStruct):
-            all_structs.append(node)
+            if parent == "listBibl[1]":
+                # R12: reference-list entry ids unique; every entry titled
+                if node.xml_id in seen_ids:
+                    emit(
+                        path, "R12", f"duplicate reference id '{node.xml_id}'"
+                    )
+                elif node.xml_id is not None:
+                    seen_ids.add(node.xml_id)
+                if node.main_title() is None:
+                    emit(path, "R12", "reference entry has no main title")
         elif isinstance(node, m.Scope):
             if node.kind not in m.SCOPE_KINDS:
-                run.emit(
-                    node,
+                emit(
+                    path,
                     "R5",
                     f"extent kind '{node.kind}' outside "
                     f"{{{', '.join(m.SCOPE_KINDS)}}}",
                 )
         elif isinstance(node, m.Author):
             if not node.surname or not node.forenames:
-                run.emit(
-                    node,
+                emit(
+                    path,
                     "R6",
                     "author name incomplete (forename(s) and surname "
                     "expected)",
                 )
             if node.corresponding and not node.email:
-                run.emit(
-                    node, "R6", "corresponding author has no email address"
-                )
+                emit(path, "R6", "corresponding author has no email address")
         elif isinstance(node, m.OrgUnit):
             if node.kind not in config.org_unit_vocabulary:
-                run.emit(
-                    node,
+                emit(
+                    path,
                     "R7",
                     f"organization unit kind '{node.kind}' outside the "
                     "configured vocabulary",
@@ -318,87 +248,110 @@ def validate(
         elif isinstance(node, m.Division):
             in_front = path.startswith("TEI[1]/text[1]/front[1]/")
             if node.kind == "abstract" and not in_front:
-                run.emit(
-                    node, "R8", "abstract division outside the front matter"
-                )
+                emit(path, "R8", "abstract division outside the front matter")
         elif isinstance(node, m.BiblRef):
-            _check_pointer(run, node, node.target)
+            _check_pointer(run, path, node.target)
         elif isinstance(node, m.CitBlock):
             if isinstance(node.source, str):
-                _check_pointer(run, node, node.source)
+                _check_pointer(run, path, node.source)
+        elif isinstance(node, m.Change):
+            # R10: revision changes in non-decreasing date order
+            previous, previous_change = previous_change, node
+            if previous is not None and (
+                node.when.sort_key() < previous.when.sort_key()
+            ):
+                emit(
+                    path,
+                    "R10",
+                    f"change dated {node.when.iso()} listed after "
+                    f"{previous.when.iso()}",
+                )
+    if absences_due:
+        _check_absences(run)
+    return run.findings
 
-    # R5, second half: fpage must not exceed lpage
-    for struct in all_structs:
-        fpage = _as_int(struct.scope("fpage"))
-        lpage = _as_int(struct.scope("lpage"))
-        if fpage is not None and lpage is not None and fpage > lpage:
-            run.emit(
-                struct,
-                "R5",
-                f"first page {fpage} exceeds last page {lpage}",
-            )
 
-    # R8: non-empty body (abstracts outside front are flagged in the walk)
-    if not article.body:
+def _check_absences(run: _Run) -> None:
+    """R11 and R8's empty body, reported just before the text's first
+    node, or last when the text holds none."""
+    if not run.article.header.profile_desc.keywords:
         run.emit(
-            (run.text_boundary - 0.25, "TEI[1]/text[1]/body[1]"),
-            "R8",
-            "body is empty",
+            "TEI[1]/teiHeader[1]/profileDesc[1]", "R11", "no keywords recorded"
+        )
+    if not run.article.body:
+        run.emit("TEI[1]/text[1]/body[1]", "R8", "body is empty")
+
+
+def _check_file_desc(run: _Run, path: str, fd: m.FileDesc) -> None:
+    """R1-R3, reported at the file description or the element at fault."""
+    # R1: title and publication details present
+    title_text = m.normalize_title(fd.main_title)
+    if not title_text:
+        run.emit(path, "R1", "file description has no main title")
+    if not (fd.availability or fd.publication_date or fd.authority):
+        run.emit(
+            path,
+            "R1",
+            "file description has no publication details "
+            "(availability, date, or authority)",
+        )
+    # R2: exactly one source record
+    if fd.source is None:
+        run.emit(
+            f"{path}/sourceDesc[1]",
+            "R2",
+            "file description carries no source bibliographic record",
+        )
+        return
+    # R3: document title duplicates the source's article title
+    titles = fd.source.analytic.titles if fd.source.analytic else ()
+    mains = [t for t in titles if t.type == "main"]
+    if title_text and mains and m.normalize_title(mains[0].text) != title_text:
+        run.emit(
+            f"{path}/titleStmt[1]/title[1]",
+            "R3",
+            "document title differs from the source record's article title",
         )
 
-    # R10: revision changes in non-decreasing date order
-    changes = article.header.revision_desc.changes
-    for previous, current in zip(changes, changes[1:]):
-        if current.when.sort_key() < previous.when.sort_key():
-            run.emit(
-                current,
-                "R10",
-                f"change dated {current.when.iso()} listed after "
-                f"{previous.when.iso()}",
-            )
 
-    # R11: at least one keyword
-    pd = article.header.profile_desc
-    if not pd.keywords:
+def _check_source(run: _Run, path: str, source: m.BiblStruct) -> None:
+    """R4: the source record's shape."""
+    if source.analytic is None:
+        run.emit(path, "R4", "source record has no article-level part")
+    else:
+        if not source.analytic.authors:
+            run.emit(path, "R4", "source record lists no authors")
+        mains = [t for t in source.analytic.titles if t.type == "main"]
+        if len(mains) != 1:
+            run.emit(
+                path,
+                "R4",
+                f"source article part has {len(mains)} main titles, "
+                "expected exactly one",
+            )
+    monogr_mains = [t for t in source.monogr.titles if t.type == "main"]
+    if len(monogr_mains) != 1:
         run.emit(
-            (run.text_boundary - 0.5, "TEI[1]/teiHeader[1]/profileDesc[1]"),
-            "R11",
-            "no keywords recorded",
+            path,
+            "R4",
+            f"source container part has {len(monogr_mains)} main "
+            "titles, expected exactly one",
         )
 
-    # R12: reference-list entry ids unique; every entry titled
-    listbibl = article.reference_list
-    if listbibl is not None:
-        seen: dict = {}
-        for entry in listbibl.entries:
-            if entry.xml_id is not None:
-                if entry.xml_id in seen:
-                    run.emit(
-                        entry,
-                        "R12",
-                        f"duplicate reference id '{entry.xml_id}'",
-                    )
-                else:
-                    seen[entry.xml_id] = entry
-            if entry.main_title() is None:
-                run.emit(entry, "R12", "reference entry has no main title")
 
-    return run.findings()
-
-
-def _check_pointer(run: _Run, node, target: str) -> None:
+def _check_pointer(run: _Run, path: str, target: str) -> None:
     try:
         resolved = m.resolve_ref(run.article, target)
     except ValueError:
         run.emit(
-            node,
+            path,
             "R9",
             f"malformed reference target {target!r} (expected '#id')",
         )
         return
     if resolved is None:
         run.emit(
-            node,
+            path,
             "R9",
             f"reference target {target!r} matches no reference-list entry",
         )
