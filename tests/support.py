@@ -231,8 +231,10 @@ def article_bytes(
     body: str = "<div type=\"section\"><head>One</head><p>Prose.</p></div>",
     changes: str = "",
     refs: str = "",
+    source_imprint: str = "",
 ) -> bytes:
-    """A minimal valid article assembled from text fragments."""
+    """A minimal valid article assembled from text fragments;
+    ``source_imprint`` is markup added to the source record's imprint."""
     idno = f'<idno type="DOI">{doi}</idno>' if doi else ""
     keyword_items = "".join(f"<item><term>{k}</term></item>" for k in keywords)
     back = (
@@ -257,7 +259,7 @@ def article_bytes(
         </analytic>
         <monogr>
           <title level="j" type="main">Journal of Trials</title>
-          <imprint><date when="{year}"/></imprint>
+          <imprint><date when="{year}"/>{source_imprint}</imprint>
         </monogr>
         {idno}
       </biblStruct></sourceDesc>

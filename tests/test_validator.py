@@ -1,15 +1,28 @@
 """Rule checks: a clean baseline, then one targeted defect per rule."""
 
 import dataclasses
+import xml.etree.ElementTree as ET
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from teijournal import model as m
-from teijournal.validator import RULES, Finding, ValidatorConfig, explain, validate
-from teijournal.xmlio import parse_article
+from teijournal.validator import (
+    RULES,
+    Finding,
+    ValidatorConfig,
+    _as_int,
+    explain,
+    validate,
+)
+from teijournal.xmlio import model_paths, parse_article
 
 from support import (
     SKELETON,
+    TEI_NS,
+    XML_NS,
+    article_bytes,
     parse_skeleton,
     replace_source,
     schmidt_chapter_record,
@@ -283,3 +296,375 @@ class TestExplain:
     def test_unknown_rule(self):
         with pytest.raises(ValueError, match="R0"):
             explain("R0")
+
+
+class TestRulesOnTheSourceAndEntries:
+    """R4's findings each alone, and the order of several findings on one
+    record: rule order, then the order the checks list them in."""
+
+    SOURCE = "TEI[1]/teiHeader[1]/fileDesc[1]/sourceDesc[1]/biblStruct[1]"
+
+    def test_r4_no_article_level_part(self):
+        article = replace_source(parse_skeleton(), analytic=None)
+        finding = only_finding(article)
+        assert (finding.rule_id, finding.location) == ("R4", self.SOURCE)
+        assert finding.message == "source record has no article-level part"
+
+    def test_r4_analytic_main_title_count(self):
+        source = parse_skeleton().header.file_desc.source
+        main = source.analytic.titles[0]
+        for titles, count in (((main, main), 2), ((dataclasses.replace(main, type="sub"),), 0)):
+            analytic = dataclasses.replace(source.analytic, titles=titles)
+            finding = only_finding(replace_source(parse_skeleton(), analytic=analytic))
+            assert (finding.rule_id, finding.location) == ("R4", self.SOURCE)
+            assert finding.message == (
+                f"source article part has {count} main titles, expected exactly one"
+            )
+
+    def test_r4_container_main_title_count(self):
+        source = parse_skeleton().header.file_desc.source
+        titles = tuple(dataclasses.replace(t, type="sub") for t in source.monogr.titles)
+        monogr = dataclasses.replace(source.monogr, titles=titles)
+        finding = only_finding(replace_source(parse_skeleton(), monogr=monogr))
+        assert (finding.rule_id, finding.location) == ("R4", self.SOURCE)
+        assert finding.message == (
+            "source container part has 0 main titles, expected exactly one"
+        )
+
+    def test_r4_then_r5_on_the_source(self):
+        data = SKELETON.replace(
+            b'<biblScope type="fpage">774</biblScope>', b'<biblScope type="fpage">900</biblScope>'
+        )
+        article = parse_article(data, "skeleton.xml").outcome
+        source = article.header.file_desc.source
+        article = replace_source(
+            article, analytic=dataclasses.replace(source.analytic, authors=())
+        )
+        assert [(f.rule_id, f.location, f.message) for f in validate(article)] == [
+            ("R4", self.SOURCE, "source record lists no authors"),
+            ("R5", self.SOURCE, "first page 900 exceeds last page 780"),
+        ]
+
+    def test_r5_then_both_r12_on_one_entry(self):
+        article = parse_skeleton()
+        twin = m.BiblStruct(
+            monogr=m.Monogr(
+                imprint=m.Imprint(scopes=(m.Scope("fpage", "9"), m.Scope("lpage", "3")))
+            ),
+            xml_id="b1",
+        )
+        article = with_entries(article, article.reference_list.entries + (twin,))
+        entry = "TEI[1]/text[1]/back[1]/listBibl[1]/biblStruct[2]"
+        assert [(f.rule_id, f.location, f.message) for f in validate(article)] == [
+            ("R5", entry, "first page 9 exceeds last page 3"),
+            ("R12", entry, "duplicate reference id 'b1'"),
+            ("R12", entry, "reference entry has no main title"),
+        ]
+
+    def test_r11_and_r8_come_before_the_text_or_last(self):
+        article = dataclasses.replace(
+            with_profile_desc(parse_skeleton(), keywords=()), body=()
+        )
+        findings = validate(article)
+        assert [f.rule_id for f in findings] == ["R11", "R8"]
+        bare = dataclasses.replace(article, back=m.BackMatter())
+        assert validate(bare) == findings
+        front = dataclasses.replace(bare, front=(m.Division("abstract"),))
+        assert validate(front) == findings
+
+
+# --------------------------------------------------------------------------
+# The validator that the one ordered pass replaced, kept as its oracle: it
+# ranks every node by its first place in the walk, gives the absences
+# synthetic ranks just before the text, and sorts by rank, then rule.
+# --------------------------------------------------------------------------
+
+
+class _RankedRun:
+    def __init__(self, article: m.Article, config: ValidatorConfig):
+        self.article = article
+        self.config = config
+        self.nodes = model_paths(article)
+        self.positions: dict = {}
+        for rank, (path, node) in enumerate(self.nodes):
+            self.positions.setdefault(id(node), (rank, path))
+        text_ranks = [
+            rank for rank, path in self.positions.values() if path.startswith("TEI[1]/text[1]")
+        ]
+        self.text_boundary = min(text_ranks) if text_ranks else 10**9
+        self.collected: list = []
+
+    def emit(self, node, rule_id: str, message: str, path: str | None = None):
+        if isinstance(node, tuple):  # (rank, path) for synthetic locations
+            rank, node_path = node
+        else:
+            rank, node_path = self.positions.get(id(node), (10**9, ""))
+        severity = self.config.severity_overrides.get(rule_id, RULES[rule_id].severity)
+        self.collected.append(
+            (rank, int(rule_id[1:]), Finding(rule_id, severity, path or node_path, message))
+        )
+
+    def findings(self) -> list:
+        self.collected.sort(key=lambda item: (item[0], item[1]))
+        return [finding for _, _, finding in self.collected]
+
+
+def validate_oracle(article: m.Article, config: ValidatorConfig | None = None) -> list:
+    config = config or ValidatorConfig()
+    run = _RankedRun(article, config)
+    fd = article.header.file_desc
+    fd_path = "TEI[1]/teiHeader[1]/fileDesc[1]"
+
+    title_text = m.normalize_title(fd.main_title)
+    has_pub = bool(fd.availability or fd.publication_date or fd.authority)
+    if not title_text:
+        run.emit(fd, "R1", "file description has no main title")
+    if not has_pub:
+        run.emit(
+            fd,
+            "R1",
+            "file description has no publication details (availability, date, or authority)",
+        )
+    if fd.source is None:
+        run.emit(
+            fd,
+            "R2",
+            "file description carries no source bibliographic record",
+            path=f"{fd_path}/sourceDesc[1]",
+        )
+    source = fd.source
+    analytic_title = None
+    if source is not None and source.analytic is not None:
+        for title in source.analytic.titles:
+            if title.type == "main":
+                analytic_title = title
+                break
+    if title_text and analytic_title is not None:
+        if m.normalize_title(analytic_title.text) != title_text:
+            run.emit(
+                fd,
+                "R3",
+                "document title differs from the source record's article title",
+                path=f"{fd_path}/titleStmt[1]/title[1]",
+            )
+
+    if source is not None:
+        if source.analytic is None:
+            run.emit(source, "R4", "source record has no article-level part")
+        else:
+            if not source.analytic.authors:
+                run.emit(source, "R4", "source record lists no authors")
+            mains = [t for t in source.analytic.titles if t.type == "main"]
+            if len(mains) != 1:
+                run.emit(
+                    source,
+                    "R4",
+                    f"source article part has {len(mains)} main titles, expected exactly one",
+                )
+        monogr_mains = [t for t in source.monogr.titles if t.type == "main"]
+        if len(monogr_mains) != 1:
+            run.emit(
+                source,
+                "R4",
+                f"source container part has {len(monogr_mains)} main titles, "
+                "expected exactly one",
+            )
+
+    all_structs: list = []
+    for path, node in run.nodes:
+        if isinstance(node, m.BiblStruct):
+            all_structs.append(node)
+        elif isinstance(node, m.Scope):
+            if node.kind not in m.SCOPE_KINDS:
+                run.emit(
+                    node,
+                    "R5",
+                    f"extent kind '{node.kind}' outside {{{', '.join(m.SCOPE_KINDS)}}}",
+                )
+        elif isinstance(node, m.Author):
+            if not node.surname or not node.forenames:
+                run.emit(
+                    node, "R6", "author name incomplete (forename(s) and surname expected)"
+                )
+            if node.corresponding and not node.email:
+                run.emit(node, "R6", "corresponding author has no email address")
+        elif isinstance(node, m.OrgUnit):
+            if node.kind not in config.org_unit_vocabulary:
+                run.emit(
+                    node,
+                    "R7",
+                    f"organization unit kind '{node.kind}' outside the configured vocabulary",
+                )
+        elif isinstance(node, m.Division):
+            in_front = path.startswith("TEI[1]/text[1]/front[1]/")
+            if node.kind == "abstract" and not in_front:
+                run.emit(node, "R8", "abstract division outside the front matter")
+        elif isinstance(node, m.BiblRef):
+            _check_pointer_oracle(run, node, node.target)
+        elif isinstance(node, m.CitBlock):
+            if isinstance(node.source, str):
+                _check_pointer_oracle(run, node, node.source)
+
+    for struct in all_structs:
+        fpage = _as_int(struct.scope("fpage"))
+        lpage = _as_int(struct.scope("lpage"))
+        if fpage is not None and lpage is not None and fpage > lpage:
+            run.emit(struct, "R5", f"first page {fpage} exceeds last page {lpage}")
+
+    if not article.body:
+        run.emit((run.text_boundary - 0.25, "TEI[1]/text[1]/body[1]"), "R8", "body is empty")
+
+    changes = article.header.revision_desc.changes
+    for previous, current in zip(changes, changes[1:]):
+        if current.when.sort_key() < previous.when.sort_key():
+            run.emit(
+                current,
+                "R10",
+                f"change dated {current.when.iso()} listed after {previous.when.iso()}",
+            )
+
+    if not article.header.profile_desc.keywords:
+        run.emit(
+            (run.text_boundary - 0.5, "TEI[1]/teiHeader[1]/profileDesc[1]"),
+            "R11",
+            "no keywords recorded",
+        )
+
+    listbibl = article.reference_list
+    if listbibl is not None:
+        seen: dict = {}
+        for entry in listbibl.entries:
+            if entry.xml_id is not None:
+                if entry.xml_id in seen:
+                    run.emit(entry, "R12", f"duplicate reference id '{entry.xml_id}'")
+                else:
+                    seen[entry.xml_id] = entry
+            if entry.main_title() is None:
+                run.emit(entry, "R12", "reference entry has no main title")
+
+    return run.findings()
+
+
+def _check_pointer_oracle(run: _RankedRun, node, target: str) -> None:
+    try:
+        resolved = m.resolve_ref(run.article, target)
+    except ValueError:
+        run.emit(node, "R9", f"malformed reference target {target!r} (expected '#id')")
+        return
+    if resolved is None:
+        run.emit(node, "R9", f"reference target {target!r} matches no reference-list entry")
+
+
+def _entry(ref_id: str, title: str, fpage: str, lpage: str) -> str:
+    return (
+        f'<biblStruct type="journalArticle" xml:id="{ref_id}"><analytic>'
+        f'<title level="a" type="main">{title}</title><author><persName>'
+        "<forename>Ann</forename><surname>Lee</surname></persName></author></analytic>"
+        '<monogr><title level="j" type="main">Host</title><imprint><date when="2001"/>'
+        f'<biblScope type="fpage">{fpage}</biblScope><biblScope type="lpage">{lpage}'
+        "</biblScope></imprint></monogr></biblStruct>"
+    )
+
+
+#: One document that carries a finding of most rules and the nodes of all
+#: of them, for the mutations below to break further.
+ORACLE_DOCUMENT = article_bytes(
+    title="Trials of Ink",
+    keywords=("ink", "trials"),
+    changes='<change when="2009-06-01">Revised</change><change when="2009-01-01">Accepted</change>',
+    body=(
+        '<div type="abstract"><p>Short.</p></div>'
+        '<div type="section"><head>One</head><p>See <ref type="bibr" target="#r1">1</ref>'
+        ' and <ref type="bibr" target="#r9">9</ref>.</p>'
+        '<cit><quote>Q</quote><ref type="bibr" target="#r2"/></cit>'
+        '<cit><quote>R</quote><biblStruct type="book"><monogr>'
+        '<title level="m" type="main">Inner</title><imprint>'
+        '<biblScope type="fpage">9</biblScope><biblScope type="lpage">3</biblScope>'
+        "</imprint></monogr></biblStruct></cit></div>"
+    ),
+    refs=_entry("r1", "First", "1", "9") + _entry("r2", "Second", "12", "4")
+    + _entry("r1", "Third", "5", "6"),
+    source_imprint='<biblScope type="fpage">5</biblScope><biblScope type="lpage">9</biblScope>',
+)
+
+MUTATION_TAGS = (
+    "fileDesc", "titleStmt", "title", "publicationStmt", "availability", "date", "authority",
+    "sourceDesc", "biblStruct", "analytic", "monogr", "author", "persName", "forename",
+    "surname", "imprint", "biblScope", "profileDesc", "keywords", "item", "revisionDesc",
+    "change", "text", "body", "div", "p", "ref", "cit", "back", "listBibl",
+)
+ATTRIBUTES = ("type", "target", "when", f"{{{XML_NS}}}id")
+VALUES = (
+    "abstract", "section", "#r1", "#r9", "r1", "", "2001", "2010-05-05", "fpage", "lpage",
+    "chapter", "main", "sub", "12", "Other", "  ",
+)
+MUTATIONS = st.lists(
+    st.tuples(
+        st.sampled_from(("drop", "attr", "text", "front")),
+        st.sampled_from(MUTATION_TAGS),
+        st.integers(0, 3),
+        st.sampled_from(ATTRIBUTES),
+        st.sampled_from(VALUES),
+    ),
+    max_size=5,
+)
+
+
+def mutated(data: bytes, mutations: list) -> bytes:
+    """``data`` with each ``(op, tag, occurrence, attribute, value)`` applied:
+    drop the element, set its attribute or its text, or add a front matter
+    holding an abstract."""
+    ET.register_namespace("", TEI_NS)
+    root = ET.fromstring(data)
+    for op, tag, occurrence, attribute, value in mutations:
+        if op == "front":
+            text = root.find(f"{{{TEI_NS}}}text")
+            if text is not None:
+                front = ET.fromstring(
+                    f'<front xmlns="{TEI_NS}"><div type="abstract"><p>F</p></div></front>'
+                )
+                text.insert(0, front)
+            continue
+        parents = {child: parent for parent in root.iter() for child in parent}
+        found = [e for e in root.iter(f"{{{TEI_NS}}}{tag}") if e in parents]
+        if not found:
+            continue
+        element = found[occurrence % len(found)]
+        if op == "drop":
+            parents[element].remove(element)
+        elif op == "attr":
+            element.set(attribute, value)
+        else:
+            element.text = value
+    return ET.tostring(root, encoding="utf-8")
+
+
+CONFIGS = (
+    None,
+    ValidatorConfig(
+        org_unit_vocabulary={"laboratory"},
+        severity_overrides={"R4": "warning", "R11": "error"},
+    ),
+)
+
+
+class TestAgainstTheRankedOracle:
+    def test_the_document_carries_most_rules(self):
+        article = parse_article(ORACLE_DOCUMENT, "oracle.xml").outcome
+        assert [f.rule_id for f in validate(article)] == [
+            "R10", "R8", "R9", "R5", "R5", "R12",
+        ]
+
+    @settings(max_examples=150, deadline=None)
+    @given(MUTATIONS)
+    @example([("drop", "keywords", 0, "type", ""), ("drop", "body", 0, "type", "")])
+    @example([("drop", "keywords", 0, "type", ""), ("attr", "div", 0, "type", "section"),
+              ("front", "text", 0, "type", "")])
+    @example([("drop", "author", 0, "type", ""), ("text", "biblScope", 0, "type", "12")])
+    @example([("drop", "analytic", 0, "type", ""), ("text", "biblScope", 1, "type", "")])
+    @example([("attr", "change", 2, "when", "2001")])
+    def test_matches_the_oracle(self, mutations):
+        report = parse_article(mutated(ORACLE_DOCUMENT, mutations), "mutant.xml")
+        if report.ok:
+            for config in CONFIGS:
+                assert validate(report.outcome, config) == validate_oracle(report.outcome, config)
