@@ -217,7 +217,8 @@ def validate(
                     )
                 elif node.xml_id is not None:
                     seen_ids.add(node.xml_id)
-                if node.main_title() is None:
+                title = node.main_title()
+                if title is None or not m.normalize_title(title.text):
                     emit(path, "R12", "reference entry has no main title")
         elif isinstance(node, m.Scope):
             if node.kind not in m.SCOPE_KINDS:

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from teijournal import model as m
+from teijournal.render import StyleError, builtin_style, format_entry
 from teijournal.validator import (
     RULES,
     Finding,
@@ -234,6 +235,29 @@ class TestEachRuleFiresAlone:
         )
         assert finding.rule_id == "R12"
         assert "title" in finding.message
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            '<monogr><title level="m" type="main">  </title>'
+            '<imprint><date when="2001"/></imprint></monogr>',
+            '<analytic><title level="a" type="main"> <hi rend="italic"> </hi></title></analytic>'
+            '<monogr><title level="j" type="main">Host</title>'
+            '<imprint><date when="2001"/></imprint></monogr>',
+        ],
+        ids=["blank-monogr-title", "blank-analytic-title-beside-a-titled-monogr"],
+    )
+    def test_r12_blank_main_title_as_the_renderer_reads_it(self, entry):
+        refs = f'<biblStruct type="book" xml:id="r1">{entry}</biblStruct>'
+        body = '<div type="section"><p>See <ref type="bibr" target="#r1">1</ref>.</p></div>'
+        report = parse_article(article_bytes(title="T", refs=refs, body=body), "t.xml")
+        assert report.ok and not report.issues
+        finding = only_finding(report.outcome)
+        assert (finding.rule_id, finding.message) == ("R12", "reference entry has no main title")
+        assert finding.location == "TEI[1]/text[1]/back[1]/listBibl[1]/biblStruct[1]"
+        record = report.outcome.reference_list.entries[0]
+        with pytest.raises(StyleError, match="no main title"):
+            format_entry(record, builtin_style("apa"))
 
 
 class TestOrderingAndConfig:
@@ -539,7 +563,7 @@ def validate_oracle(article: m.Article, config: ValidatorConfig | None = None) -
                     run.emit(entry, "R12", f"duplicate reference id '{entry.xml_id}'")
                 else:
                     seen[entry.xml_id] = entry
-            if entry.main_title() is None:
+            if entry.main_title() is None or not m.normalize_title(entry.main_title().text):
                 run.emit(entry, "R12", "reference entry has no main title")
 
     return run.findings()
