@@ -612,10 +612,7 @@ def _block_to_html(block, ctx: _PageContext) -> str:
             quote += " " + _html_marker(ctx, block.source, block.source)
         parts = [element("p", quote)]
         if isinstance(block.source, BiblStruct):
-            try:
-                source = _spans_to_html(format_entry(block.source, ctx.style))
-            except StyleError:
-                source = escape_text(bare_entry_text(block.source))
+            source = _spans_to_html(entry_or_fallback(block.source, ctx.style))
             parts.append(element("p", source, {"class": "tj-cit-source"}))
         if block.qualifiers:
             note = _rich_to_html(block.qualifiers, ctx)
@@ -770,7 +767,8 @@ def _block_to_text(block, ctx: _PageContext) -> list:
             quote = f"{quote} {ctx.marker(block.source) or block.source}"
         lines.extend(_wrap(quote, indent="    "))
         if isinstance(block.source, BiblStruct):
-            lines.extend(_wrap("-- " + bare_entry_text(block.source), indent="    "))
+            source = entry_or_fallback(block.source, ctx.style).plain()
+            lines.extend(_wrap("-- " + source, indent="    "))
         if block.qualifiers:
             lines.extend(_wrap(plain_text(block.qualifiers, ctx.pointer_text), indent="    "))
     elif isinstance(block, FigureBlock):

@@ -645,7 +645,7 @@ EVERY_BLOCK_REF = (
             (
                 "Blocks\n======\n\n"
                 "See the site, http://example.org/y and [1].\n\n"
-                "    Cited words\n    -- Ivy Ink. Inner Piece. 2004.\n    A note\n\n"
+                "    Cited words\n    -- Ink, Ivy. Inner Piece. Host Journal, 2004\n    A note\n\n"
                 "    Loose words\n    -- Orr. 1990.\n\n"
                 "[Figure: A caption]\n\n[Figure]\n\n[Table: Tab cap]\n\n"
                 "  - first\n  - second\n\n    Set apart\n\n"
