@@ -216,6 +216,288 @@ class TestRepairs:
         assert any("mysteryStmt" in w for w in warnings_of(wrap(header=header)))
 
 
+# --------------------------------------------------------------------------
+# Every repair of the builder: one document, changed by one replacement per
+# case, with the issues the repair reports, one model fact it leaves, and
+# the parse ∘ serialize fixpoint of its outcome
+# --------------------------------------------------------------------------
+
+REPAIR_BASE = wrap(
+    header=b'<fileDesc><titleStmt><title level="a" type="main">T</title></titleStmt>'
+    b"<publicationStmt><availability><p>Open.</p></availability><authority>A</authority>"
+    b'</publicationStmt><sourceDesc><biblStruct type="journalArticle"><analytic>'
+    b'<title level="a" type="main">T</title><author><persName><forename>Ann</forename>'
+    b'<surname>Lee</surname></persName><affiliation><orgName type="institution">U</orgName>'
+    b"<address><country>NZ</country></address></affiliation></author></analytic>"
+    b'<monogr><title level="j" type="main">J</title><imprint><date when="2009"/></imprint>'
+    b"</monogr></biblStruct></sourceDesc></fileDesc>"
+    b"<profileDesc><textClass><keywords><term>k</term></keywords></textClass></profileDesc>"
+    b'<revisionDesc><change when="2009-01-01">Received</change></revisionDesc>',
+    text=b'<front><div type="abstract"><p>A.</p></div></front>'
+    b'<body><div type="section"><p>x</p></div></body>'
+    b'<back><listBibl><biblStruct xml:id="r1"><monogr><title level="m" type="main">B</title>'
+    b'<imprint><date when="2001"/></imprint></monogr></biblStruct></listBibl></back>',
+)
+
+_H = "TEI[1]/teiHeader[1]"
+_FD = _H + "/fileDesc[1]"
+_SRC = _FD + "/sourceDesc[1]/biblStruct[1]"
+_AUTHOR = _SRC + "/analytic[1]/author[1]"
+_T = "TEI[1]/text[1]"
+_ENTRY = _T + "/back[1]/listBibl[1]/biblStruct[1]"
+_ENTRY_TITLE = b'<monogr><title level="m" type="main">B</title>'
+
+
+def _source(article):
+    return article.header.file_desc.source
+
+
+def _entry(article):
+    return article.reference_list.entries[0]
+
+
+def _dropped(location: str, name: str, context: str) -> tuple:
+    return (("warning", location, f"unknown element '{name}' in {context} dropped"),)
+
+
+def _para(text: str) -> tuple:
+    return (m.Paragraph((m.TextRun(text),)),)
+
+
+#: id -> ((old, new) replacement in REPAIR_BASE, issues, model fact, its value)
+REPAIRS = {
+    "stray-text-in-div": (
+        (b'<div type="section"><p>x', b'<div type="section">loose<p>x'),
+        (("warning", _T + "/body[1]/div[1]", "stray text inside div wrapped as paragraph"),),
+        lambda a: a.body[0].blocks[0], _para("loose")[0],
+    ),
+    "stray-text-in-front": (
+        (b"<front>", b"<front>loose"),
+        (("warning", _T + "/front[1]", "stray text in front wrapped in div"),),
+        lambda a: a.front[0].blocks, _para("loose"),
+    ),
+    "stray-text-in-body": (
+        (b"<body>", b"<body>loose"),
+        (("warning", _T + "/body[1]", "stray text in body wrapped in div"),),
+        lambda a: a.body[0].blocks, _para("loose"),
+    ),
+    "stray-text-in-back": (
+        (b"<back>", b"<back>loose"),
+        (("warning", _T + "/back[1]", "stray text in back wrapped in div"),),
+        lambda a: a.back.divisions[0].blocks, _para("loose"),
+    ),
+    "element-in-text-wrapped-into-body": (
+        (b"</body>", b"</body><p>late</p>"),
+        (("warning", _T + "/p[1]", "element 'p' in text wrapped into body"),),
+        lambda a: a.body[-1].blocks, _para("late"),
+    ),
+    "unknown-in-biblStruct": (
+        (b"</monogr></biblStruct></sourceDesc>", b"</monogr><note>n</note></biblStruct></sourceDesc>"),
+        _dropped(_SRC + "/note[1]", "note", "biblStruct"),
+        lambda a: _source(a).doc_type.value, "journalArticle",
+    ),
+    "unknown-in-analytic": (
+        (b"<analytic>", b"<analytic><note>n</note>"),
+        _dropped(_SRC + "/analytic[1]/note[1]", "note", "analytic"),
+        lambda a: len(_source(a).analytic.authors), 1,
+    ),
+    "unknown-in-monogr": (
+        (b'<monogr><title level="j"', b'<monogr><note>n</note><title level="j"'),
+        _dropped(_SRC + "/monogr[1]/note[1]", "note", "monogr"),
+        lambda a: _source(a).monogr.titles[0].level, "j",
+    ),
+    "unknown-in-imprint": (
+        (b'<date when="2009"/>', b'<date when="2009"/><note>n</note>'),
+        _dropped(_SRC + "/monogr[1]/imprint[1]/note[1]", "note", "imprint"),
+        lambda a: _source(a).monogr.imprint.date.year, 2009,
+    ),
+    "unknown-in-persName": (
+        (b"</surname></persName>", b"</surname><roleName>Dr</roleName></persName>"),
+        _dropped(_AUTHOR + "/persName[1]/roleName[1]", "roleName", "persName"),
+        lambda a: _source(a).analytic.authors[0].surname, "Lee",
+    ),
+    "unknown-in-author": (
+        (b"</affiliation></author>", b"</affiliation><note>n</note></author>"),
+        _dropped(_AUTHOR + "/note[1]", "note", "author"),
+        lambda a: _source(a).analytic.authors[0].forenames, ("Ann",),
+    ),
+    "unknown-in-affiliation": (
+        (b"<affiliation>", b"<affiliation><note>n</note>"),
+        _dropped(_AUTHOR + "/affiliation[1]/note[1]", "note", "affiliation"),
+        lambda a: _source(a).analytic.authors[0].affiliation.org_units,
+        (m.OrgUnit("institution", "U"),),
+    ),
+    "empty-unknown-in-address": (
+        (b"<address>", b"<address><district/>"),
+        _dropped(_AUTHOR + "/affiliation[1]/address[1]/district[1]", "district", "address"),
+        lambda a: _source(a).analytic.authors[0].affiliation.address.country, "NZ",
+    ),
+    "typed-address-lines": (
+        (b"<address>", b'<address><addrLine type="phone">1</addrLine><district>D</district>'),
+        (),
+        lambda a: _source(a).analytic.authors[0].affiliation.address.lines,
+        (m.AddressLine("1", "phone"), m.AddressLine("D", "district")),
+    ),
+    "unknown-in-titleStmt": (
+        (b"</title></titleStmt>", b"</title><editor>E</editor></titleStmt>"),
+        _dropped(_FD + "/titleStmt[1]/editor[1]", "editor", "titleStmt"),
+        lambda a: a.header.file_desc.main_title, (m.TextRun("T"),),
+    ),
+    "extra-titleStmt-title": (
+        (b"</title></titleStmt>", b'</title><title type="sub">S</title></titleStmt>'),
+        (("warning", _FD + "/titleStmt[1]/title[2]", "additional titleStmt title dropped"),),
+        lambda a: a.header.file_desc.main_title, (m.TextRun("T"),),
+    ),
+    "unknown-in-sourceDesc": (
+        (b"</biblStruct></sourceDesc>", b"</biblStruct><bibl>b</bibl></sourceDesc>"),
+        _dropped(_FD + "/sourceDesc[1]/bibl[1]", "bibl", "sourceDesc"),
+        lambda a: _source(a).monogr.titles[0].text, (m.TextRun("J"),),
+    ),
+    "unknown-in-publicationStmt": (
+        (b"<authority>A</authority>", b"<authority>A</authority><pubPlace>X</pubPlace>"),
+        _dropped(_FD + "/publicationStmt[1]/pubPlace[1]", "pubPlace", "publicationStmt"),
+        lambda a: a.header.file_desc.authority, "A",
+    ),
+    "extra-availability-paragraph": (
+        (b"<p>Open.</p></availability>", b"<p>Open.</p><p>More.</p></availability>"),
+        (("warning", _FD + "/publicationStmt[1]/availability[1]/p[2]",
+          "additional availability paragraph dropped"),),
+        lambda a: a.header.file_desc.availability, (m.TextRun("Open."),),
+    ),
+    "bare-text-availability": (
+        (b"<availability><p>Open.</p></availability>", b"<availability>Open.</availability>"),
+        (),
+        lambda a: a.header.file_desc.availability, (m.TextRun("Open."),),
+    ),
+    "unknown-in-textClass": (
+        (b"</keywords></textClass>", b"</keywords><classCode>c</classCode></textClass>"),
+        _dropped(_H + "/profileDesc[1]/textClass[1]/classCode[1]", "classCode", "textClass"),
+        lambda a: a.header.profile_desc.keywords, (m.Keyword("k"),),
+    ),
+    "unknown-in-profileDesc": (
+        (b"</textClass></profileDesc>", b"</textClass><abstract>a</abstract></profileDesc>"),
+        _dropped(_H + "/profileDesc[1]/abstract[1]", "abstract", "profileDesc"),
+        lambda a: a.header.profile_desc.keywords, (m.Keyword("k"),),
+    ),
+    "unknown-in-keywords": (
+        (b"<keywords><term>", b"<keywords><note>n</note><term>"),
+        _dropped(_H + "/profileDesc[1]/textClass[1]/keywords[1]/note[1]", "note", "keywords"),
+        lambda a: a.header.profile_desc.keywords, (m.Keyword("k"),),
+    ),
+    "unknown-in-revisionDesc": (
+        (b"</revisionDesc>", b"<note>n</note></revisionDesc>"),
+        _dropped(_H + "/revisionDesc[1]/note[1]", "note", "revisionDesc"),
+        lambda a: len(a.header.revision_desc.changes), 1,
+    ),
+    "unparseable-change-date": (
+        (b"</revisionDesc>", b'<change when="someday">Revised</change></revisionDesc>'),
+        (("warning", _H + "/revisionDesc[1]/change[2]",
+          "change with unparseable date 'someday' dropped"),),
+        lambda a: [c.kind for c in a.header.revision_desc.changes], ["received"],
+    ),
+    "unknown-in-listBibl": (
+        (b"<listBibl>", b"<listBibl><head>Refs</head>"),
+        _dropped(_T + "/back[1]/listBibl[1]/head[1]", "head", "listBibl"),
+        lambda a: _entry(a).xml_id, "r1",
+    ),
+    "unknown-in-TEI": (
+        (b"</text></TEI>", b"</text><facsimile/></TEI>"),
+        _dropped("TEI[1]/facsimile[1]", "facsimile", "TEI"),
+        lambda a: len(a.body), 1,
+    ),
+    "unknown-in-teiHeader": (
+        (b"</revisionDesc>", b"</revisionDesc><encodingDesc/>"),
+        _dropped(_H + "/encodingDesc[1]", "encodingDesc", "teiHeader"),
+        lambda a: len(a.header.revision_desc.changes), 1,
+    ),
+    "editor-read-as-author": (
+        (_ENTRY_TITLE, _ENTRY_TITLE + b"<editor><persName><surname>Ed</surname></persName></editor>"),
+        (),
+        lambda a: _entry(a).monogr.authors, (m.Author(surname="Ed"),),
+    ),
+    "orgName-in-the-author-slot": (
+        (_ENTRY_TITLE, _ENTRY_TITLE + b"<author><orgName>The Group</orgName></author>"),
+        (),
+        lambda a: _entry(a).monogr.authors, (m.Author(surname="The Group"),),
+    ),
+    "imprint-date-without-a-value": (
+        (b'<date when="2001"/>', b"<date/>"),
+        (("warning", _ENTRY + "/monogr[1]/imprint[1]/date[1]",
+          "imprint date has no usable value; dropped"),),
+        lambda a: _entry(a).monogr.imprint.date, None,
+    ),
+    "unparseable-imprint-date": (
+        (b'<date when="2001"/>', b'<date when="soon"/>'),
+        (("warning", _ENTRY + "/monogr[1]/imprint[1]/date[1]",
+          "unparseable imprint date 'soon'; dropped"),),
+        lambda a: _entry(a).monogr.imprint.date, None,
+    ),
+    "date-role-without-a-date": (
+        (b'<date when="2001"/>', b'<date type="accessed"/>'),
+        (("warning", _ENTRY + "/monogr[1]/imprint[1]/date[1]",
+          "imprint date has no usable value; dropped"),),
+        lambda a: _entry(a).monogr.imprint.date_role, "published",
+    ),
+    "imprint-date-with-a-role": (
+        (b'<date when="2001"/>', b'<date type="Accessed" when="2001-02-03"/>'),
+        (),
+        lambda a: (_entry(a).monogr.imprint.date_role, _entry(a).monogr.imprint.date.iso()),
+        ("accessed", "2001-02-03"),
+    ),
+    "bibr-ref-without-text": (
+        (b"<p>x</p>", b'<p>x<ref type="bibr" target="#r1"/></p>'),
+        (),
+        lambda a: a.body[0].blocks[0].content[1], m.BiblRef("#r1", ""),
+    ),
+    "doc-type-journalArticle": (
+        (_ENTRY_TITLE, b'<analytic><title level="a">P</title></analytic>'
+         b'<monogr><title level="j" type="main">B</title>'),
+        (),
+        lambda a: _entry(a).doc_type.value, "journalArticle",
+    ),
+    "doc-type-bookSection": (
+        (_ENTRY_TITLE, b'<analytic><title level="a">P</title></analytic>' + _ENTRY_TITLE),
+        (),
+        lambda a: _entry(a).doc_type.value, "bookSection",
+    ),
+    "doc-type-unknown-with-analytic": (
+        (_ENTRY_TITLE, b'<analytic><title level="a">P</title></analytic><monogr>'),
+        (),
+        lambda a: _entry(a).doc_type.value, "unknown",
+    ),
+    "doc-type-book": (
+        (_ENTRY_TITLE, _ENTRY_TITLE),
+        (),
+        lambda a: _entry(a).doc_type.value, "book",
+    ),
+    "doc-type-unknown": (
+        (_ENTRY_TITLE, b'<monogr><title level="j" type="main">B</title>'),
+        (),
+        lambda a: _entry(a).doc_type.value, "unknown",
+    ),
+}
+
+
+class TestRepairTable:
+    def test_the_base_document_needs_no_repair(self):
+        report = parse_article(REPAIR_BASE, "t.xml")
+        assert report.ok and report.issues == ()
+
+    @pytest.mark.parametrize("case", sorted(REPAIRS))
+    def test_repair(self, case):
+        (old, new), issues, fact, value = REPAIRS[case]
+        assert REPAIR_BASE.count(old) == 1
+        report = parse_article(REPAIR_BASE.replace(old, new, 1), "t.xml")
+        assert report.ok
+        assert [(i.severity, i.location, i.message) for i in report.issues] == list(issues)
+        assert fact(report.outcome) == value
+        data = serialize_article(report.outcome)
+        again = parse_article(data, "t.xml")
+        assert again.ok and again.issues == ()
+        assert again.outcome == report.outcome
+        assert serialize_article(again.outcome) == data
+
+
 class TestCitFixture:
     CIT = wrap(
         text=(
