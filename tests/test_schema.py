@@ -30,6 +30,8 @@ from teijournal.schema import (
     validate_against,
 )
 
+from support import article_bytes, write_corpus
+
 DOC_A = b'<doc><sec type="intro"><p>one</p><p>two</p></sec></doc>'
 DOC_B = b'<doc><sec type="body"><p>three</p></sec><note/></doc>'
 DOC_C = b'<doc><sec type="intro"><p rend="wide">four</p></sec></doc>'
@@ -90,6 +92,68 @@ class TestProfiling:
             reprs.append(done.stdout)
         assert reprs[0] == reprs[1]
         assert b"'c23': 1, 'c22': 1" in reprs[0]  # first-seen order
+
+
+def _hash_seed_reference(ref_id: str, surname: str, title: str, year: str) -> str:
+    return (
+        f'<biblStruct type="journalArticle" xml:id="{ref_id}"><analytic>'
+        f'<title level="a" type="main">{title}</title><author><persName>'
+        f"<forename>Al</forename><surname>{surname}</surname></persName></author>"
+        '</analytic><monogr><title level="j" type="main">Journal of Ink</title>'
+        f'<imprint><date when="{year}"/></imprint></monogr></biblStruct>'
+    )
+
+
+_HASH_SEED_BODY = (
+    '<div type="section"><head>One</head><p><persName key="p1">Ada Byron</persName> of '
+    '<orgName>The Lab</orgName> in <placeName>Oslo</placeName> ran '
+    '<term type="software">Quill</term> on <abbr>TEI</abbr> data, after '
+    '<ref type="bibr" target="#r2">Ash</ref> and <ref type="bibr" target="#r1">Orr</ref>; '
+    'see <ref type="bibr" target="#r9">9</ref>.</p></div>'
+)
+
+
+def test_tei_command_output_does_not_depend_on_the_hash_seed(tmp_path):
+    refs = (
+        _hash_seed_reference("r1", "Orr", "Wet Ink", "2001")
+        + _hash_seed_reference("r2", "Ash", "Dry Ink", "1999")
+        + _hash_seed_reference("r3", "Quill", "Red Ink", "2004")
+    )
+    files = {
+        f"art{n}.xml": article_bytes(
+            title=f"Article {n}", date=f"200{n}-03-01", surname=surname,
+            keywords=keywords, body=_HASH_SEED_BODY, refs=refs,
+            changes='<change when="2010-01-02" type="correction">Correction: a figure</change>',
+        )
+        for n, surname, keywords in (
+            (3, "Dean", ("ink", "paper")), (1, "Lee", ()), (2, "Ash", ("paper", "trials")),
+        )
+    }
+    corpus = tmp_path / "corpus"
+    paths = write_corpus(corpus, files)
+    commands = [
+        ["validate", "--format", "records", *paths],
+        ["validate", *paths],
+        *(["render", paths[0], "--to", "xhtml", "--style", style]
+          for style in ("apa", "chicago", "mla")),
+        ["render", paths[0], "--to", "text"],
+        ["index", str(corpus), "--format", "records"],
+        ["biblio", str(corpus), "--format", "records"],
+        ["query", str(corpus), "--cites-surname", "Orr", "--from", "2001"],
+    ]
+    for argv in commands:
+        runs = []
+        for seed in ("1", "2"):
+            env = {
+                "PYTHONPATH": str(Path(teijournal.__file__).parents[1]),
+                "PYTHONHASHSEED": seed,
+            }
+            done = subprocess.run(
+                [sys.executable, "-m", "teijournal.cli", *argv], env=env, capture_output=True
+            )
+            runs.append((done.returncode, done.stdout, done.stderr))
+        assert runs[0] == runs[1], argv
+        assert runs[0][1], argv
 
     def test_merge_is_commutative(self):
         a = profile_document(parse_raw(DOC_A))
