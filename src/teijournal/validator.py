@@ -199,6 +199,8 @@ def validate(
         if isinstance(node, m.FileDesc):
             _check_file_desc(run, path, node)
         elif isinstance(node, m.BiblStruct):
+            # the enclosing element tells the source record and the
+            # reference-list entries from a cit's embedded source
             parent = path.rsplit("/", 2)[-2]
             if parent == "sourceDesc[1]":
                 _check_source(run, path, node)

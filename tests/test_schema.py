@@ -93,6 +93,29 @@ class TestProfiling:
         assert reprs[0] == reprs[1]
         assert b"'c23': 1, 'c22': 1" in reprs[0]  # first-seen order
 
+    def test_merge_is_commutative(self):
+        a = profile_document(parse_raw(DOC_A))
+        b = profile_document(parse_raw(DOC_B))
+        ab, ba = merge_profiles(a, b), merge_profiles(b, a)
+        assert ab.doc_count == ba.doc_count == 2
+        assert ab.roots == ba.roots
+        assert ab.foreign == ba.foreign
+        assert ab.elements.keys() == ba.elements.keys()
+        for name in ab.elements:
+            left, right = ab.elements[name], ba.elements[name]
+            assert (left.count, left.text_count) == (right.count, right.text_count)
+            assert left.children == right.children
+            assert left.child_coverage == right.child_coverage
+            assert left.attributes == right.attributes
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.permutations([DOC_A, DOC_B, DOC_C]))
+    def test_corpus_profile_is_order_independent(self, order):
+        schema = codify(profile_corpus(docs(*order)))
+        baseline = codify(profile_corpus(docs(DOC_A, DOC_B, DOC_C)))
+        assert schema == baseline
+        assert schema_to_json(schema) == schema_to_json(baseline)
+
 
 def _hash_seed_reference(ref_id: str, surname: str, title: str, year: str) -> str:
     return (
@@ -154,29 +177,6 @@ def test_tei_command_output_does_not_depend_on_the_hash_seed(tmp_path):
             runs.append((done.returncode, done.stdout, done.stderr))
         assert runs[0] == runs[1], argv
         assert runs[0][1], argv
-
-    def test_merge_is_commutative(self):
-        a = profile_document(parse_raw(DOC_A))
-        b = profile_document(parse_raw(DOC_B))
-        ab, ba = merge_profiles(a, b), merge_profiles(b, a)
-        assert ab.doc_count == ba.doc_count == 2
-        assert ab.roots == ba.roots
-        assert ab.foreign == ba.foreign
-        assert ab.elements.keys() == ba.elements.keys()
-        for name in ab.elements:
-            left, right = ab.elements[name], ba.elements[name]
-            assert (left.count, left.text_count) == (right.count, right.text_count)
-            assert left.children == right.children
-            assert left.child_coverage == right.child_coverage
-            assert left.attributes == right.attributes
-
-    @settings(max_examples=25, deadline=None)
-    @given(st.permutations([DOC_A, DOC_B, DOC_C]))
-    def test_corpus_profile_is_order_independent(self, order):
-        schema = codify(profile_corpus(docs(*order)))
-        baseline = codify(profile_corpus(docs(DOC_A, DOC_B, DOC_C)))
-        assert schema == baseline
-        assert schema_to_json(schema) == schema_to_json(baseline)
 
 
 class TestCodify:
