@@ -1,16 +1,17 @@
 """The one XML reader: an ElementTree tree with source byte spans on demand.
 
-:func:`parse_raw` makes every refusal but the depth limit in one expat pass
-with no element handler, a chunk at a time; the C ElementTree parser builds
-the tree from each chunk that pass has accepted, and the depth is checked
-as it goes.  Elements
-carry display names: TEI names lose their namespace, and other qualified
-names read ``{uri}local``, or ``xml:local`` in the XML namespace.  The byte
-spans and source paths that cost a Python call per element are worked out
-only for documents that ask for them (:class:`TreeDocument`).  Those spans
-let higher layers carry unrecognized markup through a parse/serialize cycle
-verbatim, and let the rewrite machinery splice attribute values without
-disturbing anything else.
+:func:`parse_raw` reads a document with no DOCTYPE in one pass of the C
+ElementTree parser, a chunk at a time.  A document with a DOCTYPE, and any
+refused one, is first checked by an expat pass with no element handler that
+makes every refusal but the depth limit; the C parser then builds the tree
+from each chunk that pass has accepted.  The depth is checked as the tree
+grows.  Elements carry display names: TEI names lose their namespace, and
+other qualified names read ``{uri}local``, or ``xml:local`` in the XML
+namespace.  Byte spans, whose start offsets come from one regex scan, and
+source paths are worked out only for documents that ask for them
+(:class:`TreeDocument`).  Those spans let higher layers carry unrecognized
+markup through a parse/serialize cycle verbatim, and let the rewrite
+machinery splice attribute values without disturbing anything else.
 
 Hardening: entity declarations of any kind and external DTD subsets are
 rejected outright, as are UTF-16/32 inputs and non-UTF-8 encoding
@@ -57,6 +58,14 @@ _TAIL_RE = re.compile(
     rb"(?:[^<]|<!--.*?-->|<!\[CDATA\[.*?\]\]>|<\?.*?\?>)*</[^>]*>", re.S
 )
 
+# A start tag's '<' in a well-formed document, as the empty group, or the
+# markup that may hold a '<', read whole: comments, CDATA, PIs and the
+# DOCTYPE with its internal subset, whose declarations quote freely.
+_TAG_OFFSETS_RE = re.compile(
+    rb"""<(?:()(?=[^/!?])|!--.*?-->|!\[CDATA\[.*?\]\]>|\?.*?\?>|!DOCTYPE"""
+    rb"""(?:[^\[>"']|"[^"]*"|'[^']*')*(?:\[(?:[^\]<]|<!--.*?-->|<\?.*?\?>"""
+    rb"""|<!(?:[^>"']|"[^"]*"|'[^']*')*>)*\][^>]*)?>)""", re.S
+)
 
 _ENC_DECL_RE = re.compile(
     rb"<\?xml[^>]*?encoding\s*=\s*[\"']([A-Za-z0-9._-]+)[\"']"
@@ -180,9 +189,7 @@ class TreeDocument:
         ``element.keys()``."""
         tags = self._tags
         if tags is None:
-            tags = self._tags = dict(
-                zip(self.root.iter(), _start_tags(self.data, attributes=True))
-            )
+            tags = self._tags = dict(zip(self.root.iter(), _start_tags(self.data)))
         start, attrs = tags[element]
         return start, [
             (_resolve_name(name)[0], value)
@@ -192,7 +199,7 @@ class TreeDocument:
     def span(self, element) -> tuple[int, int]:
         """The ``(start, end)`` byte offsets of ``element``'s markup.
 
-        Only start offsets are recorded, by one expat pass the first time a
+        Only start offsets are recorded, by one regex scan the first time a
         span is asked for.  The end is found from the last descendant up:
         a childless element ends at its own ``/>`` or at the end tag after
         its content, and each element around it ends at the end tag after
@@ -200,7 +207,7 @@ class TreeDocument:
         """
         starts = self._starts
         if starts is None:
-            starts = self._starts = dict(zip(self.root.iter(), _start_tags(self.data)))
+            starts = self._starts = dict(zip(self.root.iter(), _tag_offsets(self.data)))
         data = self.data
         enclosing = [element]
         while len(enclosing[-1]):
@@ -245,16 +252,36 @@ class _TooDeep(Exception):
 def parse_raw(data: bytes) -> TreeDocument:
     """Read bytes into a :class:`TreeDocument`, or raise ``RawXmlError``.
 
-    One expat pass with no element handler checks everything but the
-    depth, ``_CHUNK`` bytes at a time, and the C parser reads each chunk
-    once that pass has accepted it.  After each chunk the path of last
-    children down from the document element, which holds every open
-    element, is measured, so a document nested far too deep is dropped
-    after its first chunks; the whole tree is measured once at the end.
-    Only a refused document is read once more, depth-checked, for the
-    first refusal in document order and its line and column.
+    Without a ``<!DOCTYPE``, once the encoding is checked, the C parser
+    alone reads the document, ``_CHUNK`` bytes at a time, and reports its
+    namespace declarations: entity declarations and external DTDs need a
+    DOCTYPE.  A document with one, or one that pass cannot vouch for (see
+    ``_build``), is read as before: ``_prescan`` makes every refusal but
+    the depth limit, and the C parser reads each chunk once the prescan
+    has accepted it.  After each chunk the path of last children down from
+    the document element, which holds every open element, is measured, so
+    a document nested far too deep is dropped after its first chunks; the
+    whole tree is measured once at the end.  Only a refused document is
+    read once more, depth-checked, for the first refusal in document order
+    and its line and column.
     """
-    from xml.etree.ElementTree import TreeBuilder, XMLParser
+    try:
+        one_pass = b"<!DOCTYPE" not in data and _build(data, prescan=False)
+        return one_pass or _build(data, prescan=True)
+    except RawXmlError:
+        _depth_scan(data)  # an element too deep may come first
+        raise
+    except _TooDeep:
+        pass
+    _depth_scan(data)  # raises at the first too-deep element
+    raise RawXmlError(f"elements nested more than {MAX_DEPTH} deep")
+
+
+def _build(data: bytes, prescan: bool) -> TreeDocument | None:
+    """The tree of ``data``, read after ``_prescan`` or alone; alone, it is
+    ``None`` where the two could differ: input the C parser refuses, and a
+    namespace URI that holds the prescan's separator, a space."""
+    from xml.etree.ElementTree import ParseError, TreeBuilder, XMLParser
 
     builder = TreeBuilder()
     parser = XMLParser(target=builder)
@@ -266,49 +293,50 @@ def parse_raw(data: bytes) -> TreeDocument:
         if _last_path_too_deep(builder.close()):
             raise _TooDeep
 
-    try:
-        ns_decls, tei_prefixed = _prescan(data, parser.entity, build)
+    events: list = []  # ("start-ns", (prefix, uri)), as XMLPullParser has them
+    if prescan:
+        _prescan(data, parser.entity, build, events)
         root = parser.close()
-        if not _deeper_than_limit(root):
-            root_ns, foreign = _adopt_names(root, tei_prefixed)
-            return TreeDocument(data, root, root_ns, ns_decls, foreign)
-    except RawXmlError:
-        _depth_scan(data)  # an element too deep may come first
-        raise
-    except _TooDeep:
-        pass
-    _depth_scan(data)  # raises at the first too-deep element
-    raise RawXmlError(f"elements nested more than {MAX_DEPTH} deep")
+    else:
+        _check_prolog(data)
+        parser._setevents(events, ("start-ns",))
+        try:
+            for at in range(0, len(data), _CHUNK):
+                build(data[at:at + _CHUNK])
+            root = parser.close()
+        except ParseError:
+            return None
+        if any(" " in uri for _, (_, uri) in events):
+            return None
+    if _deeper_than_limit(root):
+        raise _TooDeep
+    first_ns: dict = {}
+    for _, (prefix, uri) in events:
+        if prefix:
+            first_ns.setdefault(prefix, uri)
+    tei_prefixed = any(uri == TEI_NS for _, (prefix, uri) in events if prefix)
+    root_ns, foreign = _adopt_names(root, tei_prefixed)
+    return TreeDocument(data, root, root_ns, tuple(first_ns.items()), foreign)
 
 
-def _prescan(data: bytes, entities: dict, after_chunk) -> tuple:
+def _prescan(data: bytes, entities: dict, after_chunk, events: list) -> None:
     """Make every refusal but the depth limit, building nothing.
 
-    Returns the first declaration of each namespace prefix and whether any
-    prefix is bound to the TEI namespace.  A general entity expat skips,
-    which happens when the DTD refers to a parameter entity, is added to
-    ``entities`` as the empty string before ``after_chunk`` sees the chunk
-    that refers to it.
+    Appends ``("start-ns", (prefix, uri))`` to ``events`` for each namespace
+    declaration.  A general entity expat skips, which happens when the DTD
+    refers to a parameter entity, is added to ``entities`` as the empty
+    string before ``after_chunk`` sees the chunk that refers to it.
     """
     parser = _new_parser()
-    first_ns: dict = {}
-    tei_prefixed = False
-
-    def on_ns_decl(prefix, uri) -> None:
-        nonlocal tei_prefixed
-        if prefix:
-            first_ns.setdefault(prefix, uri or "")
-            tei_prefixed = tei_prefixed or uri == TEI_NS
 
     def on_skipped(name, is_parameter_entity) -> None:
         if not is_parameter_entity:
             entities[name] = ""
 
     _run(parser, data, {
-        "StartNamespaceDeclHandler": on_ns_decl,
+        "StartNamespaceDeclHandler": lambda *decl: events.append(("start-ns", decl)),
         "SkippedEntityHandler": on_skipped,
     }, after_chunk)
-    return tuple(first_ns.items()), tei_prefixed
 
 
 def _depth_scan(data: bytes) -> None:
@@ -399,20 +427,21 @@ def _deeper_than_limit(root) -> bool:
     return bool(level)
 
 
-def _start_tags(data: bytes, attributes: bool = False) -> list:
-    """The offset of every start tag's ``<``, in document order.  With
-    ``attributes``, each is paired with expat's flat list of the expanded
-    (``uri local``) names and values of the attributes the tag specifies;
-    ``span`` needs only offsets, and keeping every tag's attributes would
-    cost it time and memory."""
+def _tag_offsets(data: bytes) -> list:
+    """The offset of every start tag's ``<``, in document order, from one
+    regex scan of a document :func:`parse_raw` accepted."""
+    return [match.start() for match in _TAG_OFFSETS_RE.finditer(data)
+            if match.lastindex]
+
+
+def _start_tags(data: bytes) -> list:
+    """The offset of every start tag's ``<``, in document order, with
+    expat's flat list of its attributes' ``uri local`` names and values."""
     parser = _new_parser()
     tags: list = []
-    if attributes:
-        def on_start(name, attrs) -> None:
-            tags.append((parser.CurrentByteIndex, attrs))
-    else:
-        def on_start(name, attrs) -> None:
-            tags.append(parser.CurrentByteIndex)
+
+    def on_start(name, attrs) -> None:
+        tags.append((parser.CurrentByteIndex, attrs))
 
     _run(parser, data, {"StartElementHandler": on_start})
     return tags

@@ -15,7 +15,7 @@ from unittest import mock
 from xml.etree.ElementTree import TreeBuilder, XMLParser
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import teijournal
@@ -194,15 +194,15 @@ def slices(monkeypatch):
 
 @pytest.fixture
 def offset_passes(monkeypatch):
-    """Counts the expat passes that record start offsets for slicing."""
+    """Counts the scans that record start offsets for slicing."""
     calls = []
-    real = rawxml._start_tags
+    real = rawxml._tag_offsets
 
     def counting_starts(data):
         calls.append(data)
         return real(data)
 
-    monkeypatch.setattr(rawxml, "_start_tags", counting_starts)
+    monkeypatch.setattr(rawxml, "_tag_offsets", counting_starts)
     return calls
 
 
@@ -582,6 +582,149 @@ class TestParserParity:
             parse_raw(data)
         except RawXmlError:
             pass
+
+
+# --------------------------------------------------------------------------
+# The one-pass read agrees with the prescan path, and the regex offsets with
+# expat's
+# --------------------------------------------------------------------------
+
+
+def with_doctype(data: bytes, doctype: str) -> bytes:
+    """``data`` with ``doctype`` before its first ``<doc`` or ``<TEI``, or
+    at its start when it holds neither."""
+    at = min((i for i in (data.find(b"<doc"), data.find(b"<TEI")) if i >= 0), default=0)
+    return data[:at] + doctype.encode("utf-8") + data[at:]
+
+
+def read_outcome(data: bytes):
+    """The refusal of ``parse_raw``, or the fields of the tree it reads."""
+    try:
+        doc = parse_raw(data)
+    except RawXmlError as exc:
+        return str(exc)
+    elements = list(doc.root.iter())
+    return ([(e.tag, e.attrib, e.text, e.tail) for e in elements],
+            doc.ns_decls, doc.root_ns, [e in doc.foreign for e in elements])
+
+
+def prescan_outcome(data: bytes):
+    """:func:`read_outcome` with the one-pass read turned off, so that every
+    document goes through the prescan."""
+    build = rawxml._build
+    with mock.patch.object(
+        rawxml, "_build", lambda data, prescan: build(data, True) if prescan else None
+    ):
+        return read_outcome(data)
+
+
+DOCTYPES = st.sampled_from([
+    "",
+    "<!DOCTYPE doc>",
+    '<!DOCTYPE doc [<!ATTLIST a d CDATA "v"><!-- ]> -->]>',
+    '<!DOCTYPE doc [<!ENTITY e "x">]>',
+    '<!DOCTYPE doc SYSTEM "doc.dtd">',
+])
+
+
+# Nothing, a UTF-8 BOM, and two prefixes the encoding check refuses before
+# either path parses: a UTF-16 BOM and a Latin-1 declaration.
+PREFIXES = st.sampled_from([
+    b"", b"\xef\xbb\xbf", b"\xff\xfe", b'<?xml version="1.0" encoding="ISO-8859-1"?>',
+])
+
+
+class TestOnePassRead:
+    @settings(deadline=None)
+    @given(
+        st.one_of(documents(), documents().map(with_tei_prefix), damaged_documents()),
+        DOCTYPES,
+        PREFIXES,
+        st.sampled_from([rawxml._CHUNK, 1, 7]),
+    )
+    def test_agrees_with_the_prescan_path(self, data, doctype, prefix, chunk):
+        data = prefix + with_doctype(data, doctype)
+        with mock.patch.object(rawxml, "_CHUNK", chunk):
+            assert read_outcome(data) == prescan_outcome(data)
+
+    def test_only_a_document_with_a_doctype_is_prescanned(self, monkeypatch):
+        prescans = []
+        real = rawxml._prescan
+
+        def counting_prescan(data, *args):
+            prescans.append(data)
+            return real(data, *args)
+
+        monkeypatch.setattr(rawxml, "_prescan", counting_prescan)
+        data = article_bytes(title="T")
+        parse_raw(data)
+        assert prescans == []
+        data = with_doctype(data, "<!DOCTYPE TEI>")
+        parse_raw(data)
+        assert prescans == [data]
+
+    @pytest.mark.parametrize("decl", [b'xmlns="urn:a b"', b'xmlns:p="urn:a b"'])
+    def test_namespace_uri_holding_a_space_is_refused_by_the_prescan(self, decl):
+        """The C parser accepts it; the prescan's expat, whose namespace
+        separator is a space, refuses it."""
+        data = b"<d><e " + decl + b"/></d>"
+        assert read_outcome(data) == prescan_outcome(data) == (
+            "not well-formed: syntax error: line 1, column 3"
+        )
+
+
+SUBSET_TEXT = st.one_of(
+    st.sampled_from(["'", '"', "x>y<z", "]>", "<a>"]),
+    st.lists(st.sampled_from(list("]><'\" x")), max_size=6).map("".join),
+)
+
+
+@st.composite
+def internal_subset(draw) -> str:
+    """Declarations, comments and PIs whose text holds ']', '>', '<' and
+    quotes: attribute defaults, public and system literals of notations,
+    comments and PIs, and a parameter entity reference."""
+    items = []
+    for n in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["comment", "pi", "attlist", "notation", "pe"]))
+        text = draw(SUBSET_TEXT)
+        if kind == "comment":
+            items.append(f"<!--{text}-->")
+        elif kind == "pi":
+            items.append(f"<?pi {text}?>")
+        elif kind == "attlist":  # a default value holds no '<'
+            value = text.replace("<", "").replace('"', "")
+            items.append(f'<!ATTLIST a d{n} CDATA "{value}" e{n} CDATA \'"]>\'>')
+        elif kind == "notation":  # a public id holds no '<', '>', ']' or '"'
+            system = text.replace('"', "")
+            items.append(f"<!NOTATION n{n} PUBLIC \"p'{n}\" \"{system}\">")
+        else:
+            items.append("%pe;")
+        items.append(draw(OPTIONAL_SPACE))
+    return "".join(items)
+
+
+# Markup in content whose text holds a '<'.
+LT_MISC = st.sampled_from(["", "<?pi <a> ?>", "<!-- <a/> -->", "<![CDATA[<a>]]>"])
+
+
+class TestTagOffsets:
+    @settings(deadline=None)
+    @given(documents(), st.booleans(), st.none() | internal_subset(), OPTIONAL_SPACE,
+           LT_MISC)
+    # a quote in a comment, or a '>' in a literal, must not hide a later '<'
+    @example(b"<doc><a/></doc>", False, '<!--\'--><!NOTATION n PUBLIC "p" "<a">', "", "")
+    @example(b"<doc><a/></doc>", False, '<!NOTATION n PUBLIC "p" "x>y<z">', "", "")
+    def test_regex_offsets_equal_expat_offsets(self, data, bom, subset, space, misc):
+        head, end_tag, tail = data.rpartition(b"</doc>")
+        data = head + misc.encode() + end_tag + tail
+        if subset is not None:
+            data = with_doctype(data, f"<!DOCTYPE{space or ' '}doc{space}[{subset}]{space}>")
+        if bom:
+            data = b"\xef\xbb\xbf" + data
+        parse_raw(data)  # accepted
+        expat = [start for start, _ in rawxml._start_tags(data)]
+        assert rawxml._tag_offsets(data) == expat
 
 
 def run_in_process(argv: list) -> tuple:
