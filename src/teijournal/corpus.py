@@ -53,7 +53,8 @@ class Corpus(Record):
     """Parsed articles keyed by document id, plus per-file load reports.
 
     Files that failed to parse (or were rejected as id duplicates) appear
-    in ``load_reports`` under their file-derived key with no article.
+    in ``load_reports`` with no article, under their file's stem, or under
+    their path when the stem is another report's key.
     """
 
     articles: dict = factory(dict)  # id -> Article
@@ -114,10 +115,21 @@ class Query(Record):
 # --------------------------------------------------------------------------
 
 
-def _free_key(reports: dict, preferred: str, fallback: str) -> str:
-    if preferred and preferred not in reports:
-        return preferred
-    return fallback
+def _free_key(reports: dict, name: str) -> str:
+    """The first of the file's stem, its path, and its path numbered
+    ``path#2``, ``path#3``, … that no report is filed under."""
+    key = m.derive_article_id(None, name)
+    if key and key not in reports:
+        return key
+    key, count = name, 1
+    while key in reports:
+        count += 1
+        key = f"{name}#{count}"
+    return key
+
+
+def _error(message: str) -> ParseReport:
+    return ParseReport(issues=(Issue("error", "", message),))
 
 
 def load_corpus(paths) -> Corpus:
@@ -125,44 +137,37 @@ def load_corpus(paths) -> Corpus:
 
     A file that cannot be read or parsed contributes only an error report.
     When two files derive the same document id the second is rejected with
-    a duplicate-id report and the first is kept.
+    a duplicate-id report and the first is kept.  These reports are filed
+    after every article's, so that no article's id displaces one.
     """
     articles: dict = {}
     reports: dict = {}
     sources: dict = {}
+    failed: list = []  # (path, report) of each file that adds no article
     for path in paths:
         name = str(path)
         try:
             with open(name, "rb") as handle:
                 data = handle.read()
         except OSError as exc:
-            key = _free_key(reports, m.derive_article_id(None, name), name)
-            reports[key] = ParseReport(
-                issues=(Issue("error", "", f"cannot read {name}: {exc}"),)
-            )
+            failed.append((name, _error(f"cannot read {name}: {exc}")))
             continue
         report = parse_article(data, name)
         if not report.ok:
-            key = _free_key(reports, m.derive_article_id(None, name), name)
-            reports[key] = report
+            failed.append((name, report))
             continue
         article = report.outcome
         if article.id in articles:
-            key = _free_key(reports, m.derive_article_id(None, name), name)
-            reports[key] = ParseReport(
-                issues=(
-                    Issue(
-                        "error",
-                        "",
-                        f"duplicate document id {article.id!r}: "
-                        f"already loaded from {sources[article.id]}",
-                    ),
-                )
-            )
+            failed.append((name, _error(
+                f"duplicate document id {article.id!r}: "
+                f"already loaded from {sources[article.id]}"
+            )))
             continue
         articles[article.id] = article
         reports[article.id] = report
         sources[article.id] = name
+    for name, report in failed:
+        reports[_free_key(reports, name)] = report
     return Corpus(articles=articles, load_reports=reports, paths=sources)
 
 

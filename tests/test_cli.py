@@ -673,6 +673,19 @@ class TestCorpusProducts:
         assert "skipping junk" in err
         assert "Ada Lovelace" in out
 
+    def test_skipped_file_is_named_when_an_article_id_equals_its_stem(
+        self, tmp_path, capsys
+    ):
+        directory = tmp_path / "c"
+        directory.mkdir()
+        (directory / "a.xml").write_bytes(b"<TEI><unclosed>")
+        (directory / "b.xml").write_bytes(article_bytes(title="Named A", doi="a"))
+        code, out, err = run(capsys, ["index", str(directory), "--format", "records"])
+        assert code == ExitStatus.OK
+        assert err.startswith(f"skipping {directory / 'a.xml'}: not well-formed: ")
+        assert err.count("\n") == 1
+        assert {record[1] for record in read_records(out)} == {"a"}
+
     def test_not_a_directory(self, tmp_path, capsys):
         code, _, err = run(capsys, ["index", str(tmp_path / "nope")])
         assert code == ExitStatus.FAILURE

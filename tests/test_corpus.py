@@ -117,6 +117,21 @@ class TestLoading:
         (issue,) = corpus.load_reports["two"].issues
         assert "duplicate document id" in issue.message
 
+    def test_no_failed_file_report_is_overwritten(self, tmp_path):
+        """A failed file is filed under its stem, else its path, else its
+        numbered path, even when an article's id or a later failure would
+        take that key."""
+        paths = write_corpus(tmp_path / "c", {
+            "a.xml": b"<TEI><unclosed>",
+            "b.xml": article_bytes(title="Named A", doi="a"),
+        })
+        broken = paths[0]
+        corpus = load_corpus([broken, *paths, broken])
+        assert list(corpus.articles) == ["a"]
+        failed = [broken, f"{broken}#2", f"{broken}#3"]
+        assert sorted(corpus.load_reports) == sorted(["a", *failed])
+        assert not any(corpus.load_reports[key].ok for key in failed)
+
     def test_load_order_does_not_change_content(self, tmp_path):
         paths = write_corpus(tmp_path / "c", corpus_files())
         assert load_corpus(paths) == load_corpus(list(reversed(paths)))
