@@ -8,7 +8,9 @@ never lost. Serialization emits one canonical form: UTF-8, alphabetical
 attributes, two-space indentation for element-only content, and opaque
 regions byte-for-byte as captured. The serializer's element calls are the
 only description of that form: :func:`iter_model_paths` makes the same
-calls to name the element that holds each model node.
+calls to name the element that holds each model node. Inside running text,
+``_inline_element`` alone describes each inline node's element; the
+serializer writes what it returns and the path walk reads its name.
 
 Known limits, all deliberate: attribute order and insignificant whitespace
 are not preserved; unmodeled attributes on recognized elements are dropped
@@ -58,39 +60,15 @@ def _collapse(text: str) -> str:
 # Node kinds
 # --------------------------------------------------------------------------
 
-# TEI element of each inline model class whose element name is fixed; see
-# _element_name for the classes whose name depends on their values.
-_ELEMENT_NAMES = {
-    m.Emph: "hi",
-    m.BiblRef: "ref",
-    m.PersonMention: "persName",
-    m.OrgMention: "orgName",
-    m.PlaceMention: "placeName",
-    m.TermMention: "term",
+# Mentions are text plus one optional attribute:
+# class -> (TEI element, TEI attribute, model field).
+_MENTIONS = {
+    m.PersonMention: ("persName", "key", "key"),
+    m.OrgMention: ("orgName", "key", "key"),
+    m.PlaceMention: ("placeName", "key", "key"),
+    m.TermMention: ("term", "type", "kind"),
 }
-
-# Mentions are text plus one optional attribute: (TEI attribute, model field).
-_MENTION_ATTRS = {
-    m.PersonMention: ("key", "key"),
-    m.OrgMention: ("key", "key"),
-    m.PlaceMention: ("key", "key"),
-    m.TermMention: ("type", "kind"),
-}
-_MENTION_CLASSES = {_ELEMENT_NAMES[cls]: cls for cls in _MENTION_ATTRS}
-
-
-def _element_name(node) -> str:
-    """Canonical TEI element name of an inline model node."""
-    name = _ELEMENT_NAMES.get(type(node))
-    if name is not None:
-        return name
-    if isinstance(node, m.Link):
-        return "ref" if node.text else "ptr"
-    if isinstance(node, m.AbbrMention):
-        return "abbr" if node.expansion is None else "choice"
-    if isinstance(node, m.OpaqueInline):
-        return opaque_root_name(node.markup)
-    raise TypeError(f"not an inline node: {node!r}")
+_MENTION_CLASSES = {name: cls for cls, (name, _, _) in _MENTIONS.items()}
 
 
 # --------------------------------------------------------------------------
@@ -187,8 +165,7 @@ class _Builder:
             return m.Link(node.get("target", ""), "")
         mention = _MENTION_CLASSES.get(name)
         if mention is not None:
-            attr, _ = _MENTION_ATTRS[mention]
-            return mention(self.text(node), node.get(attr))
+            return mention(self.text(node), node.get(_MENTIONS[mention][1]))
         if name == "abbr":
             return m.AbbrMention(self.text(node), None)
         if name == "choice":
@@ -814,52 +791,48 @@ def opaque_root_name(markup: str) -> str:
     return match.group(1) if match else "opaque"
 
 
+def _inline_element(node) -> tuple:
+    """``(name, attrs, content)`` of the canonical TEI element of an inline
+    node other than a text run or opaque markup.
+
+    ``content`` is escaped markup, an :class:`~teijournal.model.Emph`'s
+    inline tuple, or ``None`` for a self-closed element.
+    """
+    if isinstance(node, m.Emph):
+        return "hi", {"rend": node.rend or None}, node.content
+    if isinstance(node, m.BiblRef):
+        return "ref", {"target": node.target, "type": "bibr"}, _esc(node.text) or None
+    if isinstance(node, m.Link):
+        if node.text:
+            return "ref", {"target": node.target}, _esc(node.text)
+        return "ptr", {"target": node.target}, None
+    mention = _MENTIONS.get(type(node))
+    if mention is not None:
+        name, attr, field = mention
+        return name, {attr: getattr(node, field) or None}, _esc(node.text)
+    if isinstance(node, m.AbbrMention):
+        if node.expansion is None:
+            return "abbr", {}, _esc(node.abbr)
+        both = f"<abbr>{_esc(node.abbr)}</abbr><expan>{_esc(node.expansion)}</expan>"
+        return "choice", {}, both
+    raise TypeError(f"not an inline node: {node!r}")
+
+
 def _inline_markup(content: tuple) -> str:
     parts: list[str] = []
     for node in content:
         if isinstance(node, m.TextRun):
             parts.append(_esc(node.text))
-        elif isinstance(node, m.Emph):
-            attrs = {"rend": node.rend} if node.rend else {}
-            parts.append(
-                _tag("hi", attrs) + _inline_markup(node.content) + "</hi>"
-            )
-        elif isinstance(node, m.BiblRef):
-            attrs = {"target": node.target, "type": "bibr"}
-            if node.text:
-                parts.append(_tag("ref", attrs) + _esc(node.text) + "</ref>")
-            else:
-                parts.append(_tag("ref", attrs, close=True))
-        elif isinstance(node, m.Link):
-            if node.text:
-                parts.append(
-                    _tag("ref", {"target": node.target})
-                    + _esc(node.text)
-                    + "</ref>"
-                )
-            else:
-                parts.append(_tag("ptr", {"target": node.target}, close=True))
-        elif type(node) in _MENTION_ATTRS:
-            name = _ELEMENT_NAMES[type(node)]
-            attr, field = _MENTION_ATTRS[type(node)]
-            value = getattr(node, field)
-            attrs = {attr: value} if value else {}
-            parts.append(_tag(name, attrs) + _esc(node.text) + f"</{name}>")
-        elif isinstance(node, m.AbbrMention):
-            if node.expansion is None:
-                parts.append("<abbr>" + _esc(node.abbr) + "</abbr>")
-            else:
-                parts.append(
-                    "<choice><abbr>"
-                    + _esc(node.abbr)
-                    + "</abbr><expan>"
-                    + _esc(node.expansion)
-                    + "</expan></choice>"
-                )
         elif isinstance(node, m.OpaqueInline):
             parts.append(node.markup)
         else:
-            raise TypeError(f"not an inline node: {node!r}")
+            name, attrs, inner = _inline_element(node)
+            if inner is None:
+                parts.append(_tag(name, attrs, close=True))
+            else:
+                if isinstance(inner, tuple):
+                    inner = _inline_markup(inner)
+                parts.append(_tag(name, attrs) + inner + f"</{name}>")
     return "".join(parts)
 
 
@@ -869,7 +842,8 @@ class _Writer:
     The ``_write_*`` functions are the only description of the canonical
     tree; they make the same calls on a :class:`_PathWriter` to list the
     model's paths.  ``node=`` names the addressable model node an element
-    holds, which only the path writer reads.
+    holds, which only the path writer reads.  The inline elements of rich
+    text are described once, by :func:`_inline_element`.
     """
 
     def __init__(self) -> None:
@@ -960,7 +934,10 @@ def _walk_rich(out: list, content: tuple, parent: str, counts: dict) -> None:
     for node in content:
         if isinstance(node, m.TextRun):
             continue
-        name = _element_name(node)
+        if isinstance(node, m.OpaqueInline):
+            name = opaque_root_name(node.markup)
+        else:
+            name = _inline_element(node)[0]
         count = counts[name] = counts.get(name, 0) + 1
         path = f"{parent}/{name}[{count}]"
         out.append((path, node))

@@ -788,7 +788,8 @@ class TestRoundTripProperties:
 
 
 # Every inline and block class, with both element names of Link and of
-# AbbrMention, so each entry of the serializer's node-kind table is walked.
+# AbbrMention, so each element the serializer's inline description names is
+# walked.
 EVERY_CLASS = wrap(
     text=b'<body><div type="s"><head>H <hi>h</hi></head>'
     b'<p>a <hi rend="i">b <persName key="k">P</persName></hi>'
