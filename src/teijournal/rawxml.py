@@ -295,8 +295,13 @@ def _build(data: bytes, prescan: bool) -> TreeDocument | None:
 
     events: list = []  # ("start-ns", (prefix, uri)), as XMLPullParser has them
     if prescan:
-        _prescan(data, parser.entity, build, events)
-        root = parser.close()
+        try:
+            _prescan(data, parser.entity, build, events)
+            root = parser.close()
+        except ParseError as exc:
+            # expat accepts a namespace URI that holds '}', the C parser's
+            # namespace separator; the C parser refuses it
+            raise RawXmlError(f"a namespace URI holds '}}' ({exc})") from None
     else:
         _check_prolog(data)
         parser._setevents(events, ("start-ns",))

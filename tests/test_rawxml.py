@@ -673,6 +673,42 @@ class TestOnePassRead:
         )
 
 
+# The prescan's expat accepts a namespace URI that holds '}', the C parser's
+# namespace separator; the C parser refuses it.
+BRACE_URI = b'<TEI xmlns="http://www.tei-c.org/ns/1.0"><teiHeader xmlns:p="u}x"/></TEI>'
+BRACE_REFUSAL = "a namespace URI holds '}' (syntax error: line 1, column 41)"
+
+
+class TestBraceInNamespaceUri:
+    @pytest.mark.parametrize("doctype", ["", "<!DOCTYPE TEI>"])
+    def test_parse_raw_refuses_it(self, doctype):
+        data = with_doctype(BRACE_URI, doctype)
+        with pytest.raises(RawXmlError, match="a namespace URI holds '}'"):
+            parse_raw(data)
+        assert read_outcome(data) == prescan_outcome(data)
+
+    def test_parse_article_reports_an_error(self):
+        report = xmlio.parse_article(BRACE_URI, "brace.xml")
+        assert report.outcome is None
+        assert [(i.severity, i.message) for i in report.issues] == [("error", BRACE_REFUSAL)]
+
+    def test_validate_cannot_parse_and_exits_2(self, tmp_path):
+        path = tmp_path / "brace.xml"
+        path.write_bytes(BRACE_URI)
+        code, out, err = run_in_process(["validate", path])
+        assert code == ExitStatus.FAILURE
+        assert err == f"{path}: cannot parse: {BRACE_REFUSAL}\n"
+
+    def test_codify_skips_it_and_goes_on(self, tmp_path):
+        docs = tmp_path / "docs"
+        write_corpus(docs, {"a.xml": BRACE_URI, "b.xml": article_bytes(title="T")})
+        code, out, err = run_in_process(["codify", docs, "--out", tmp_path / "s.json"])
+        assert code == ExitStatus.OK
+        assert err.startswith(f"skipping {docs / 'a.xml'}: {BRACE_REFUSAL}\n")
+        assert "internal error" not in err
+        assert "codified 1 documents" in err + out
+
+
 SUBSET_TEXT = st.one_of(
     st.sampled_from(["'", '"', "x>y<z", "]>", "<a>"]),
     st.lists(st.sampled_from(list("]><'\" x")), max_size=6).map("".join),
