@@ -197,28 +197,9 @@ SCOPE_KINDS = ("vol", "issue", "fpage", "lpage", "pp")
 
 
 class DocumentType(Record):
-    """Free-form document genre with a closed-set classification."""
+    """Free-form document genre of a bibliographic entry."""
 
     value: str
-
-    KNOWN = frozenset(
-        {
-            "article",
-            "journalArticle",
-            "book",
-            "bookSection",
-            "conferencePaper",
-            "thesis",
-            "report",
-            "webPage",
-            "standard",
-            "unknown",
-        }
-    )
-
-    @property
-    def category(self) -> str:
-        return self.value if self.value in self.KNOWN else "unknown"
 
 
 class Title(Record):

@@ -45,11 +45,6 @@ class UsageProfile(Record, mutable=True):
     foreign: Counter = factory(Counter)  # boundary names
 
 
-def profile_document(doc: TreeDocument) -> UsageProfile:
-    """Profile a single tree; foreign subtrees are recorded as boundaries."""
-    return profile_corpus([doc])
-
-
 def _add_element(profile: UsageProfile, foreign: set, element) -> None:
     """Record ``element`` and, below it, every element outside the
     ``foreign`` subtrees."""

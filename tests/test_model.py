@@ -115,15 +115,6 @@ class TestRichText:
         assert m.normalize_title(once) == once
 
 
-class TestDocumentType:
-    def test_known_category(self):
-        assert m.DocumentType("book").category == "book"
-        assert m.DocumentType("journalArticle").category == "journalArticle"
-
-    def test_unknown_category(self):
-        assert m.DocumentType("thesisss").category == "unknown"
-
-
 def _record():
     return m.BiblStruct(
         doc_type=m.DocumentType("journalArticle"),

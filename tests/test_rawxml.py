@@ -36,7 +36,6 @@ from teijournal.schema import (
     merge_profiles,
     parse_rules,
     profile_corpus,
-    profile_document,
     validate_against,
 )
 
@@ -852,7 +851,7 @@ class TestProfileCorpus:
     def test_equals_fold_of_merged_document_profiles(self, datas):
         docs = [parse_raw(data) for data in datas]
         folded = reduce(
-            merge_profiles, (profile_document(d) for d in docs), profile_corpus([])
+            merge_profiles, (profile_corpus([d]) for d in docs), profile_corpus([])
         )
         assert profile_corpus(docs) == folded
         assert profile_corpus(iter(docs)) == folded

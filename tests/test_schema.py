@@ -22,7 +22,6 @@ from teijournal.schema import (
     normalize_variant,
     parse_rules,
     profile_corpus,
-    profile_document,
     schema_from_json,
     _attr_value_spans,
     _splice,
@@ -43,7 +42,7 @@ def docs(*blobs):
 
 class TestProfiling:
     def test_counts_and_coverage(self):
-        profile = profile_document(parse_raw(DOC_A))
+        profile = profile_corpus([parse_raw(DOC_A)])
         assert profile.doc_count == 1
         assert profile.roots == {"doc": 1}
         assert profile.elements["p"].count == 2
@@ -58,7 +57,7 @@ class TestProfiling:
             b'<doc xmlns:x="urn:x"><sec type="s"><p>t</p>'
             b"<x:blob><x:deep/></x:blob></sec></doc>"
         )
-        profile = profile_document(parse_raw(data))
+        profile = profile_corpus([parse_raw(data)])
         # boundaries are named by namespace, not by prefix
         assert profile.foreign == {"{urn:x}blob": 1}
         assert not any("deep" in name for name in profile.elements)  # not descended
@@ -66,7 +65,7 @@ class TestProfiling:
 
     def test_qualified_attributes_keep_their_display_names(self):
         data = b'<doc xmlns:x="urn:x"><p xml:lang="en" x:k="v">t</p></doc>'
-        profile = profile_document(parse_raw(data))
+        profile = profile_corpus([parse_raw(data)])
         assert sorted(profile.elements["p"].attributes) == ["xml:lang", "{urn:x}k"]
         assert validate_against(codify(profile), parse_raw(data)) == []
 
@@ -75,8 +74,8 @@ class TestProfiling:
         script = (
             "import sys\n"
             "from teijournal.rawxml import parse_raw\n"
-            "from teijournal.schema import profile_document\n"
-            "print(repr(profile_document(parse_raw(sys.stdin.buffer.read()))))\n"
+            "from teijournal.schema import profile_corpus\n"
+            "print(repr(profile_corpus([parse_raw(sys.stdin.buffer.read())])))\n"
         )
         reprs = []
         for seed in ("1", "2"):
@@ -94,8 +93,8 @@ class TestProfiling:
         assert b"'c23': 1, 'c22': 1" in reprs[0]  # first-seen order
 
     def test_merge_is_commutative(self):
-        a = profile_document(parse_raw(DOC_A))
-        b = profile_document(parse_raw(DOC_B))
+        a = profile_corpus([parse_raw(DOC_A)])
+        b = profile_corpus([parse_raw(DOC_B)])
         ab, ba = merge_profiles(a, b), merge_profiles(b, a)
         assert ab.doc_count == ba.doc_count == 2
         assert ab.roots == ba.roots
