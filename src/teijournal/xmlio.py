@@ -827,11 +827,11 @@ def _inline_markup(content: tuple) -> str:
             parts.append(node.markup)
         else:
             name, attrs, inner = _inline_element(node)
+            if isinstance(inner, tuple):
+                inner = _inline_markup(inner)
             if inner is None:
                 parts.append(_tag(name, attrs, close=True))
             else:
-                if isinstance(inner, tuple):
-                    inner = _inline_markup(inner)
                 parts.append(_tag(name, attrs) + inner + f"</{name}>")
     return "".join(parts)
 

@@ -762,7 +762,7 @@ def _articles(draw):
     blocks = (m.Paragraph(draw(_rich(_inline, min_size=1))),)
     head = draw(st.one_of(st.just(()), st.tuples(st.just(m.TextRun("Heading")))))
     division = m.Division(kind="section", head=head, blocks=blocks)
-    title = draw(_xml_text.map(lambda t: " ".join(t.split())).filter(bool))
+    title = draw(_collapsed_text.filter(bool))
     fd = m.FileDesc(main_title=(m.TextRun(title),))
     return m.Article(header=m.Header(file_desc=fd), body=(division,))
 
