@@ -3,7 +3,8 @@
 Validation, schema evolution (codify / variants / arbitrate), rendering, and
 the corpus products each get a subcommand so the stages can run at different
 times over the same files.  All output is deterministic and sorted; the only
-subcommand that ever writes to its inputs is ``arbitrate --in-place``.
+subcommand that ever writes to its inputs is ``arbitrate --in-place``.  Every
+file a command writes goes through :func:`_replace_all`, all or nothing.
 
 Exit codes: 0 success, 1 error-severity findings (validate and
 schema-validate only), 2 usage, I/O, or format problems, and internal
@@ -17,6 +18,7 @@ by :func:`write_records` and read back by :func:`read_records`.
 from __future__ import annotations
 
 import argparse
+import errno
 import gc
 import json
 import os
@@ -112,41 +114,52 @@ def _read_bytes(name: str) -> bytes:
 def _write_text(path: str | None, text: str) -> None:
     if path is None:
         sys.stdout.write(text)
-        return
-    try:
-        with open(path, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
-    except OSError as exc:
-        raise CliError(f"cannot write {path}: {exc}") from None
+    else:
+        _replace_all([(path, text.encode("utf-8"))])
 
 
 def _replace_all(contents) -> None:
-    """Rewrite every (path, data) pair, or none of them.
+    """Write every (path, data) pair, or none of them.
 
-    Each new content goes to a temporary file beside its target; the targets
-    are replaced only once every temporary file is written.
+    Each content goes to a new file beside its target (mode 0o666 less the
+    umask, as from ``open``, or the mode of the file it replaces), and the
+    targets are replaced once all are written.  A directory target is refused
+    first; a device or FIFO target is written in place.
     """
-    import tempfile  # it loads random; only arbitrate --in-place needs it
-
-    moves = []
+    contents, moves, serial = list(contents), [], 0
     try:
+        for name in (n for n, _ in contents if n.endswith(os.sep) or os.path.isdir(n)):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
         for name, data in contents:
+            if os.path.exists(name) and not os.path.isfile(name):
+                with open(name, "wb") as out:  # a device or a FIFO
+                    out.write(data)
+                continue
             target = os.path.realpath(name)
-            handle, temp = tempfile.mkstemp(
-                prefix=".teijournal-", suffix=".tmp", dir=os.path.dirname(target)
-            )
-            moves.append((temp, target))
-            with os.fdopen(handle, "wb") as out:
+            while True:  # past any name that a killed process left behind
+                serial += 1
+                temp = f".teijournal-{os.getpid()}-{serial}.tmp"
+                temp = os.path.join(os.path.dirname(target), temp)
+                try:
+                    out = open(temp, "xb")  # O_CREAT | O_EXCL, mode 0o666
+                    break
+                except FileExistsError:
+                    pass
+            moves.append((name, temp, target))
+            with out:
                 out.write(data)
-            shutil.copymode(target, temp)
+            if os.path.exists(target):
+                shutil.copymode(target, temp)
+        for name, temp, target in moves:
+            os.replace(temp, target)
     except BaseException as exc:
-        for temp, _ in moves:
-            os.unlink(temp)
-        if isinstance(exc, OSError):
-            raise CliError(f"cannot write {name}: {exc}") from None
+        for _, temp, _ in moves:
+            if os.path.lexists(temp):
+                os.unlink(temp)
+        if isinstance(exc, OSError):  # named by its target, not a temporary file
+            error = OSError(exc.errno, exc.strerror, name)
+            raise CliError(f"cannot write {name}: {error}") from None
         raise
-    for temp, target in moves:
-        os.replace(temp, target)
 
 
 def _load_validator_config(args):
@@ -157,12 +170,11 @@ def _load_validator_config(args):
         return ValidatorConfig()
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise CliError(f"cannot load config {path}: {exc}") from None
     if not isinstance(raw, dict):
         raise CliError(f"config {path} must hold a JSON object")
-    allowed = {"org_unit_vocabulary", "severity_overrides"}
-    unknown = set(raw) - allowed
+    unknown = set(raw) - {"org_unit_vocabulary", "severity_overrides"}
     if unknown:
         raise CliError(f"config {path} has unknown keys: {', '.join(sorted(unknown))}")
     kwargs: dict = {}
@@ -187,8 +199,7 @@ def _xml_files(directory: str) -> list:
 
 
 def _load_raw_dir(directory: str) -> list:
-    """(name, TreeDocument) pairs for each readable, parseable file; notes
-    the rest."""
+    """(name, TreeDocument) for each readable, parseable file; notes the rest."""
     docs = []
     for name in _xml_files(directory):
         try:
@@ -214,7 +225,7 @@ def _load_schema_file(path: str):
 
     try:
         return schema_ops.schema_from_json(Path(path).read_text(encoding="utf-8"))
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError, KeyError, RecursionError) as exc:
         raise CliError(f"cannot load schema {path}: {exc}") from None
 
 
@@ -223,7 +234,7 @@ def _style_arg(args):
 
     try:
         return get_style(args.style)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise CliError(f"cannot load style {args.style!r}: {exc}") from None
 
 
@@ -253,9 +264,7 @@ def _report_findings(args, check) -> int:
         if findings is None:
             failed = True
             continue
-        any_error_finding = any_error_finding or any(
-            f.severity == "error" for f in findings
-        )
+        any_error_finding |= any(f.severity == "error" for f in findings)
         if args.format == "records":
             records.extend(
                 (f.severity, name, f.location, f.rule_id, f.message) for f in findings
@@ -352,9 +361,7 @@ def cmd_variants(args) -> int:
     from . import schema as schema_ops
 
     docs = _load_raw_dir(args.dir)
-    clusters = schema_ops.detect_variants(
-        schema_ops.profile_corpus(d for _, d in docs)
-    )
+    clusters = schema_ops.detect_variants(schema_ops.profile_corpus(d for _, d in docs))
     for cluster in clusters:
         members = ", ".join(f"{value} ({count})" for value, count in cluster.members)
         print(f"{cluster.element} @{cluster.attribute} ~{cluster.key}: {members}")
@@ -377,21 +384,17 @@ def cmd_arbitrate(args) -> int:
         rewritten, changes = schema_ops.arbitrate([doc for _, doc in named], rules)
     except ValueError as exc:
         raise CliError(str(exc)) from None
-    if args.in_place:
-        _replace_all(
-            (name, data)
-            for (name, old), data in zip(named, rewritten)
-            if data != old.data
-        )
-    else:
-        target = out_root = Path(args.out_dir)
+    out_dir = None if args.in_place else Path(args.out_dir)
+    if out_dir:
         try:
-            out_root.mkdir(parents=True, exist_ok=True)
-            for (name, _), data in zip(named, rewritten):
-                target = out_root / Path(name).name
-                target.write_bytes(data)
+            os.makedirs(out_dir, exist_ok=True)
         except OSError as exc:
-            raise CliError(f"cannot write {target}: {exc}") from None
+            raise CliError(f"cannot write {out_dir}: {exc}") from None
+    _replace_all(  # --in-place rewrites only the files that changed
+        (str(out_dir / Path(name).name) if out_dir else name, data)
+        for (name, old), data in zip(named, rewritten)
+        if out_dir or data != old.data
+    )
     print(f"{changes} attribute values rewritten across {len(named)} documents")
     return ExitStatus.OK
 
@@ -405,11 +408,8 @@ def cmd_render(args) -> int:
     if not report.ok:
         details = "; ".join(i.message for i in report.errors())
         raise CliError(f"cannot parse {args.file}: {details}")
-    if args.to == "xhtml":
-        output = render_xhtml(report.outcome, style)
-    else:
-        output = render_plaintext(report.outcome, style)
-    _write_text(args.out, output)
+    render = render_xhtml if args.to == "xhtml" else render_plaintext
+    _write_text(args.out, render(report.outcome, style))
     return ExitStatus.OK
 
 

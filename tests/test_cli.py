@@ -1,9 +1,16 @@
 """The command-line surface: exit codes, output shapes, and the records format."""
 
+import builtins
+import errno
 import gc
 import json
+import os
 import re
-import tempfile
+import stat
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -31,6 +38,47 @@ def run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+class _HalfWrite:
+    """A temporary file whose write stops halfway, as on a full disk."""
+
+    def __init__(self, handle):
+        self.handle = handle
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.handle.close()
+
+    def write(self, data):
+        self.handle.write(data[: len(data) // 2])
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+def fail_temporary_file(monkeypatch, k, stage):
+    """Make the k-th temporary file that ``cli._replace_all`` creates fail,
+    either at its creation or halfway through its write (``stage``); with
+    ``k=None`` none fails.  Returns the list of the temporary paths asked
+    for."""
+    asked = []
+
+    def fake_open(file, mode="r", *args, **kwargs):
+        if mode != "xb":
+            return builtins.open(file, mode, *args, **kwargs)
+        asked.append(file)
+        if len(asked) == k and stage == "create":
+            raise OSError(errno.ENOSPC, "No space left on device")
+        handle = builtins.open(file, mode, *args, **kwargs)
+        return _HalfWrite(handle) if len(asked) == k else handle
+
+    monkeypatch.setattr(cli, "open", fake_open, raising=False)
+    return asked
+
+
+def temporary_files(root):
+    return sorted(root.rglob(".teijournal-*"))
 
 
 class TestRecordsFormat:
@@ -134,6 +182,19 @@ class TestValidate:
         assert code == ExitStatus.OK  # env config applied
         code, _, _ = run(capsys, ["validate", path, "--config", str(flag_cfg)])
         assert code == ExitStatus.FINDINGS  # flag beats environment
+
+    def test_config_that_is_not_utf8_is_refused(self, tmp_path, capsys, monkeypatch):
+        path = clean_file(tmp_path)
+        cfg = tmp_path / "bad.json"
+        cfg.write_bytes(b"\xff\xfe{}")
+        for argv, env in ((["validate", "--config", str(cfg), path], None),
+                          (["validate", path], str(cfg))):
+            if env:
+                monkeypatch.setenv("TJ_CONFIG", env)
+            code, out, err = run(capsys, argv)
+            assert (code, out) == (ExitStatus.FAILURE, "")
+            assert err.startswith(f"teijournal: cannot load config {cfg}: 'utf-8' codec")
+            assert err.count("\n") == 1
 
     def test_bad_config_rejected(self, tmp_path, capsys):
         path = clean_file(tmp_path)
@@ -370,16 +431,7 @@ class TestArbitrate:
             {f"{n}.xml": b'<d><hi rend="italics">x</hi></d>' for n in "abc"},
         )
         before = {p.name: p.read_bytes() for p in directory.iterdir()}
-        real_mkstemp = tempfile.mkstemp
-        calls = []
-
-        def mkstemp_failing_second(*args, **kwargs):
-            calls.append(args)
-            if len(calls) == 2:
-                raise OSError(28, "No space left on device")
-            return real_mkstemp(*args, **kwargs)
-
-        monkeypatch.setattr(tempfile, "mkstemp", mkstemp_failing_second)
+        calls = fail_temporary_file(monkeypatch, 2, "create")
         code, out, err = run(
             capsys,
             ["arbitrate", str(directory), "--rules", self.rules_file(tmp_path),
@@ -431,6 +483,160 @@ class TestArbitrate:
                 ]
             )
         assert exc.value.code == 2
+
+
+class TestOneWriter:
+    """Every file a command writes goes through ``cli._replace_all``: all of
+    them are written, or none is."""
+
+    RULES = "hi rend italics -> italic\n"
+
+    def argv(self, tmp_path, mode):
+        docs = tmp_path / "docs"
+        write_corpus(docs, {f"{n}.xml": b'<d><hi rend="italics">x</hi></d>' for n in "abc"})
+        rules = tmp_path / "rules.txt"
+        rules.write_text(self.RULES)
+        argv = ["arbitrate", str(docs), "--rules", str(rules), mode]
+        if mode == "--in-place":
+            return argv, docs
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        (out_dir / "b.xml").write_bytes(b"an older copy")
+        return argv + [str(out_dir)], out_dir
+
+    @pytest.mark.parametrize("stage", ["create", "write"])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("mode", ["--in-place", "--out-dir"])
+    def test_kth_temporary_file_failing_leaves_every_target(
+        self, tmp_path, capsys, monkeypatch, mode, k, stage
+    ):
+        argv, targets = self.argv(tmp_path, mode)
+        before = {p.name: p.read_bytes() for p in targets.iterdir()}
+        asked = fail_temporary_file(monkeypatch, k, stage)
+        code, out, err = run(capsys, argv)
+        failed = targets / "abc"[k - 1]
+        assert (code, out) == (ExitStatus.FAILURE, "")
+        assert err == (f"teijournal: cannot write {failed}.xml: [Errno 28]"
+                       f" No space left on device: '{failed}.xml'\n")
+        assert len(asked) == k
+        assert {p.name: p.read_bytes() for p in targets.iterdir()} == before
+        assert temporary_files(tmp_path) == []
+
+    def test_a_failed_replace_removes_the_files_not_yet_moved(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        argv, docs = self.argv(tmp_path, "--in-place")
+        before = {p.name: p.read_bytes() for p in docs.iterdir()}
+        real_replace, moved = os.replace, []
+
+        def replace_failing_second(source, target):
+            moved.append(Path(target).name)
+            if len(moved) == 2:
+                raise OSError(errno.EXDEV, "Invalid cross-device link")
+            real_replace(source, target)
+
+        monkeypatch.setattr(os, "replace", replace_failing_second)
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (ExitStatus.FAILURE, "")
+        assert err.startswith(f"teijournal: cannot write {docs / 'b.xml'}: [Errno 18]")
+        assert moved == ["a.xml", "b.xml"]
+        assert b"italics" not in (docs / "a.xml").read_bytes()
+        assert {n: (docs / n).read_bytes() for n in ("b.xml", "c.xml")} == {
+            n: before[n] for n in ("b.xml", "c.xml")}
+        assert temporary_files(tmp_path) == []
+
+    def test_render_out_keeps_the_old_page_when_the_write_fails(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        page = tmp_path / "page.xhtml"
+        page.write_bytes(b"the old page")
+        fail_temporary_file(monkeypatch, 1, "write")
+        code, out, err = run(capsys, ["render", clean_file(tmp_path), "--out", str(page)])
+        assert (code, out) == (ExitStatus.FAILURE, "")
+        assert err.startswith(f"teijournal: cannot write {page}: [Errno 28]")
+        assert page.read_bytes() == b"the old page"
+        assert temporary_files(tmp_path) == []
+
+    def test_a_directory_target_is_refused_before_anything_is_written(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        docs = tmp_path / "docs"
+        write_corpus(docs, {f"{n}.xml": b'<d><hi rend="italics">x</hi></d>' for n in "ab"})
+        rules = tmp_path / "rules.txt"
+        rules.write_text(self.RULES)
+        out_dir = tmp_path / "od"
+        (out_dir / "b.xml").mkdir(parents=True)
+        asked = fail_temporary_file(monkeypatch, None, "create")
+        code, out, err = run(capsys, ["arbitrate", str(docs), "--rules", str(rules),
+                                      "--out-dir", str(out_dir)])
+        blocked = str(out_dir / "b.xml")
+
+        def refusal(target):
+            return f"teijournal: cannot write {target}: [Errno 21] Is a directory: '{target}'\n"
+
+        assert (code, out, err) == (ExitStatus.FAILURE, "", refusal(blocked))
+        assert [p.name for p in out_dir.iterdir()] == ["b.xml"]
+        assert list((out_dir / "b.xml").iterdir()) == []
+        article = clean_file(tmp_path)
+        slashed = f"{tmp_path / 'new.xhtml'}/"  # names a directory, as for open
+        for target in (blocked, slashed):
+            code, _, err = run(capsys, ["render", article, "--out", target])
+            assert (code, err) == (ExitStatus.FAILURE, refusal(target))
+        assert not (tmp_path / "new.xhtml").exists()
+        assert asked == []  # not one temporary file was made
+        assert temporary_files(tmp_path) == []
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077])
+    def test_new_files_get_the_mode_open_gives_them(self, tmp_path, umask):
+        docs = tmp_path / "docs"
+        write_corpus(docs, {"one.xml": b'<d><hi rend="italics">a</hi></d>'})
+        rules = tmp_path / "rules.txt"
+        rules.write_text(self.RULES)
+        article = clean_file(tmp_path)
+        kept = tmp_path / "kept.xhtml"
+        kept.write_bytes(b"an older page")
+        kept.chmod(0o640)
+        made = {"plain": tmp_path / "plain", "render": tmp_path / "page.xhtml",
+                "codify": tmp_path / "schema.json", "arbitrate": tmp_path / "o" / "one.xml"}
+        commands = [["render", article, "--out", str(made["render"])],
+                    ["codify", str(docs), "--out", str(made["codify"])],
+                    ["arbitrate", str(docs), "--rules", str(rules), "--out-dir",
+                     str(made["arbitrate"].parent)],
+                    ["render", article, "--out", str(kept)]]
+        # the umask is set in a child process, so this one keeps its own
+        script = ("import contextlib, io, json, os, sys\n"
+                  "from teijournal.cli import main\n"
+                  "os.umask(int(sys.argv[1]))\n"
+                  "open(sys.argv[2], 'w').close()\n"
+                  "with contextlib.redirect_stdout(io.StringIO()):\n"
+                  "    print(json.dumps([main(a) for a in json.loads(sys.argv[3])]),"
+                  " file=sys.__stdout__)\n")
+        env = {"PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        done = subprocess.run(
+            [sys.executable, "-c", script, str(umask), str(made["plain"]),
+             json.dumps(commands)],
+            env=env, capture_output=True, text=True, check=True)
+        assert json.loads(done.stdout) == [0, 0, 0, 0], done.stderr
+        modes = {name: path.stat().st_mode & 0o777 for name, path in made.items()}
+        assert modes == dict.fromkeys(made, 0o666 & ~umask)
+        assert kept.stat().st_mode & 0o777 == 0o640
+        assert kept.read_bytes().startswith(b"<?xml")
+
+    def test_codify_out_onto_a_fifo_writes_through_it(self, schema_corpus, tmp_path, capsys):
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        got = []
+        # a daemon: should the pipe be replaced, the reader waits for ever
+        reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        code, out, _ = run(capsys, ["codify", str(schema_corpus), "--out", str(fifo)])
+        reader.join(timeout=10)
+        assert code == ExitStatus.OK
+        regular = tmp_path / "schema.json"
+        assert run(capsys, ["codify", str(schema_corpus), "--out", str(regular)])[1] == out
+        assert got == [regular.read_bytes()]
+        assert stat.S_ISFIFO(fifo.stat().st_mode)
+        assert temporary_files(tmp_path) == []
 
 
 class TestRender:
@@ -488,6 +694,26 @@ class TestRender:
         assert (code, err) == (ExitStatus.OK, "")
         assert "Writer. 2001." in out
         assert "Untyped Book" not in out  # a non-main title is not cited
+
+
+@pytest.mark.parametrize("flag", ["--config", "--style", "--schema", "--base"])
+def test_deeply_nested_json_is_refused(tmp_path, capsys, flag):
+    article = clean_file(tmp_path)
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000)
+    schema = tmp_path / "schema.json"
+    schema.write_text('{"root": "TEI", "elements": {}}')
+    argv, message = {
+        "--config": (["validate", article], f"cannot load config {deep}"),
+        "--style": (["render", article], f"cannot load style {str(deep)!r}"),
+        "--schema": (["schema-validate", article], f"cannot load schema {deep}"),
+        "--base": (["schema-validate", article, "--schema", str(schema)],
+                   f"cannot load schema {deep}"),
+    }[flag]
+    code, out, err = run(capsys, argv + [flag, str(deep)])
+    assert (code, out) == (ExitStatus.FAILURE, "")
+    assert err.startswith(f"teijournal: {message}: maximum recursion depth exceeded")
+    assert "internal error" not in err and err.count("\n") == 1
 
 
 STYLE = {"id": "s", "marker_scheme": "numeric-bracket", "list_order": "citation-order",

@@ -897,15 +897,19 @@ def test_schema_commands_skip_tei_modules(tmp_path):
         ["schema-validate", str(docs / "one.xml"), "--schema", str(schema)],
         ["variants", str(docs)],
         ["arbitrate", str(docs), "--rules", str(rules), "--out-dir", str(tmp_path / "o")],
+        ["arbitrate", str(docs), "--rules", str(rules), "--in-place"],
     )
     for argv in commands:
-        done = subprocess.run([sys.executable, "-c", PROBE, *argv], env=env,
+        # -S: a site .pth file may import tempfile before the probe starts
+        done = subprocess.run([sys.executable, "-S", "-c", PROBE, *argv], env=env,
                               capture_output=True, text=True, check=True)
         code, loaded = json.loads(done.stdout)
         assert code == 0, (argv, done.stderr)
         assert "teijournal.schema" in loaded
         assert not TEI_MODULES & set(loaded), argv
-        assert not {"dataclasses", "inspect"} & set(loaded), argv
+        unwanted = {"dataclasses", "inspect", "tempfile", "random"}
+        assert not unwanted & set(loaded), argv
+    assert b"italics" not in (docs / "one.xml").read_bytes()
 
 
 def test_tei_commands_skip_schema_module(tmp_path):
@@ -922,6 +926,7 @@ def test_tei_commands_skip_schema_module(tmp_path):
         ["query", str(docs), "--text", "one"],
         ["render", one, "--to", "text"],
         ["render", one, "--to", "xhtml"],
+        ["render", one, "--out", str(tmp_path / "page.xhtml")],
         ["biblio", str(docs), "--format", "xhtml"],
         ["explain", "R9"],
     )
