@@ -209,14 +209,18 @@ def _load_raw_dir(directory: str) -> list:
     return docs
 
 
+def _error_line(report) -> str:
+    """A parse report's errors on one line, so each unusable file gets one."""
+    return "; ".join(issue.message for issue in report.errors())
+
+
 def _load_corpus_dir(directory: str):
     from .corpus import load_corpus
 
     corpus = load_corpus(_xml_files(directory))
     for key, report in sorted(corpus.load_reports.items()):
         if not report.ok:
-            for issue in report.errors():
-                print(f"skipping {key}: {issue.message}", file=sys.stderr)
+            print(f"skipping {key}: {_error_line(report)}", file=sys.stderr)
     return corpus
 
 
@@ -290,8 +294,7 @@ def cmd_validate(args) -> int:
     def check(name: str, data: bytes):
         report = parse_article(data, name)
         if not report.ok:
-            for issue in report.errors():
-                print(f"{name}: cannot parse: {issue.message}", file=sys.stderr)
+            print(f"{name}: cannot parse: {_error_line(report)}", file=sys.stderr)
             return None
         if args.format == "text":
             for issue in report.warnings():
@@ -406,8 +409,7 @@ def cmd_render(args) -> int:
     style = _style_arg(args)
     report = parse_article(_read_bytes(args.file), args.file)
     if not report.ok:
-        details = "; ".join(i.message for i in report.errors())
-        raise CliError(f"cannot parse {args.file}: {details}")
+        raise CliError(f"cannot parse {args.file}: {_error_line(report)}")
     render = render_xhtml if args.to == "xhtml" else render_plaintext
     _write_text(args.out, render(report.outcome, style))
     return ExitStatus.OK

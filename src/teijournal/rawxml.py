@@ -1,17 +1,16 @@
 """The one XML reader: an ElementTree tree with source byte spans on demand.
 
-:func:`parse_raw` reads a document with no DOCTYPE in one pass of the C
-ElementTree parser, a chunk at a time.  A document with a DOCTYPE, and any
-refused one, is first checked by an expat pass with no element handler that
-makes every refusal but the depth limit; the C parser then builds the tree
-from each chunk that pass has accepted.  The depth is checked as the tree
-grows.  Elements carry display names: TEI names lose their namespace, and
-other qualified names read ``{uri}local``, or ``xml:local`` in the XML
-namespace.  Byte spans, whose start offsets come from one regex scan, and
-source paths are worked out only for documents that ask for them
-(:class:`TreeDocument`).  Those spans let higher layers carry unrecognized
-markup through a parse/serialize cycle verbatim, and let the rewrite
-machinery splice attribute values without disturbing anything else.
+:func:`parse_raw` reads every document in one pass of the C ElementTree
+parser, a chunk at a time, checking the depth as the tree grows.  A
+document with a DOCTYPE is first read whole by an expat pass with no
+element handler that makes every refusal but the depth limit.  Elements
+carry display names: TEI names lose their namespace, and other qualified
+names read ``{uri}local``, or ``xml:local`` in the XML namespace.  Byte
+spans, whose start offsets come from one regex scan, and source paths are
+worked out only for documents that ask for them (:class:`TreeDocument`).
+Those spans let higher layers carry unrecognized markup through a
+parse/serialize cycle verbatim, and let the rewrite machinery splice
+attribute values without disturbing anything else.
 
 Hardening: entity declarations of any kind and external DTD subsets are
 rejected outright, as are UTF-16/32 inputs and non-UTF-8 encoding
@@ -96,14 +95,12 @@ def _resolve_name(expat_name: str) -> tuple[str, str]:
     return "{%s}%s" % (uri, local), uri
 
 
-def _run(parser, data: bytes, handlers: dict, after_chunk=None) -> None:
+def _run(parser, data: bytes, handlers: dict) -> None:
     """Parse ``data`` with ``handlers`` and the refusals every pass makes.
 
     Those are: empty input, a wrong encoding, entity declarations, external
-    DTDs and input that is not well-formed.  ``data`` is read ``_CHUNK`` at
-    a time, and ``after_chunk`` is called with each chunk the pass has
-    accepted.  The handlers refer back to the parser, so they are released
-    before this returns.
+    DTDs and input that is not well-formed.  The handlers refer back to the
+    parser, so they are released before this returns.
     """
     if not data.strip():
         raise RawXmlError("empty input")
@@ -125,12 +122,7 @@ def _run(parser, data: bytes, handlers: dict, after_chunk=None) -> None:
     for event, handler in handlers.items():
         setattr(parser, event, handler)
     try:
-        for at in range(0, len(data), _CHUNK):
-            chunk = data[at:at + _CHUNK]
-            parser.Parse(chunk, False)
-            if after_chunk is not None:
-                after_chunk(chunk)
-        parser.Parse(b"", True)
+        parser.Parse(data, True)
     except expat.ExpatError as exc:
         raise RawXmlError(f"not well-formed: {exc}") from None
     finally:
@@ -252,67 +244,55 @@ class _TooDeep(Exception):
 def parse_raw(data: bytes) -> TreeDocument:
     """Read bytes into a :class:`TreeDocument`, or raise ``RawXmlError``.
 
-    Without a ``<!DOCTYPE``, once the encoding is checked, the C parser
-    alone reads the document, ``_CHUNK`` bytes at a time, and reports its
-    namespace declarations: entity declarations and external DTDs need a
-    DOCTYPE.  A document with one, or one that pass cannot vouch for (see
-    ``_build``), is read as before: ``_prescan`` makes every refusal but
-    the depth limit, and the C parser reads each chunk once the prescan
-    has accepted it.  After each chunk the path of last children down from
-    the document element, which holds every open element, is measured, so
-    a document nested far too deep is dropped after its first chunks; the
-    whole tree is measured once at the end.  Only a refused document is
-    read once more, depth-checked, for the first refusal in document order
-    and its line and column.
+    Once the encoding is checked, the C parser reads the document,
+    ``_CHUNK`` bytes at a time, and reports its namespace declarations.
+    Entity declarations and external DTDs need a DOCTYPE, so only a
+    document with one is first read whole by ``_prescan``, before the C
+    parser gets any of it.  After each chunk the path of last children
+    down from the document element, which holds every open element, is
+    measured, so a document nested far too deep is dropped after its first
+    chunks; the whole tree is measured once at the end.  A document refused
+    on any of these counts is read once more, by ``_depth_scan``, for the
+    first refusal in document order and its line and column.
     """
+    from xml.etree.ElementTree import ParseError
+
+    failure = None
     try:
-        one_pass = b"<!DOCTYPE" not in data and _build(data, prescan=False)
-        return one_pass or _build(data, prescan=True)
-    except RawXmlError:
-        _depth_scan(data)  # an element too deep may come first
-        raise
-    except _TooDeep:
+        doc = _build(data, _prescan(data) if b"<!DOCTYPE" in data else {})
+        if doc is not None:
+            return doc
+    except ParseError as exc:
+        failure = exc
+    except (RawXmlError, _TooDeep):
         pass
-    _depth_scan(data)  # raises at the first too-deep element
-    raise RawXmlError(f"elements nested more than {MAX_DEPTH} deep")
+    _depth_scan(data)  # raises at the first refusal, too-deep elements included
+    # expat accepts a namespace URI that holds '}', the C parser's namespace
+    # separator; the C parser refuses it
+    raise RawXmlError(f"a namespace URI holds '}}' ({failure})")
 
 
-def _build(data: bytes, prescan: bool) -> TreeDocument | None:
-    """The tree of ``data``, read after ``_prescan`` or alone; alone, it is
-    ``None`` where the two could differ: input the C parser refuses, and a
-    namespace URI that holds the prescan's separator, a space."""
-    from xml.etree.ElementTree import ParseError, TreeBuilder, XMLParser
+def _build(data: bytes, entities: dict) -> TreeDocument | None:
+    """The tree of ``data`` read by the C parser, with ``entities`` defined
+    as it starts; ``None`` where a namespace URI holds ``_depth_scan``'s
+    namespace separator, a space, which that expat pass refuses."""
+    from xml.etree.ElementTree import TreeBuilder, XMLParser
 
+    _check_prolog(data)
     builder = TreeBuilder()
     parser = XMLParser(target=builder)
-
-    def build(chunk: bytes) -> None:
-        parser.feed(chunk)
+    parser.entity.update(entities)
+    events: list = []  # ("start-ns", (prefix, uri)), as XMLPullParser has them
+    parser._setevents(events, ("start-ns",))
+    for at in range(0, len(data), _CHUNK):
+        parser.feed(data[at:at + _CHUNK])
         # the C builder's ``close`` hands back the document element built so
         # far and leaves the parse open (pinned by a test)
         if _last_path_too_deep(builder.close()):
             raise _TooDeep
-
-    events: list = []  # ("start-ns", (prefix, uri)), as XMLPullParser has them
-    if prescan:
-        try:
-            _prescan(data, parser.entity, build, events)
-            root = parser.close()
-        except ParseError as exc:
-            # expat accepts a namespace URI that holds '}', the C parser's
-            # namespace separator; the C parser refuses it
-            raise RawXmlError(f"a namespace URI holds '}}' ({exc})") from None
-    else:
-        _check_prolog(data)
-        parser._setevents(events, ("start-ns",))
-        try:
-            for at in range(0, len(data), _CHUNK):
-                build(data[at:at + _CHUNK])
-            root = parser.close()
-        except ParseError:
-            return None
-        if any(" " in uri for _, (_, uri) in events):
-            return None
+    root = parser.close()
+    if any(" " in uri for _, (_, uri) in events):
+        return None
     if _deeper_than_limit(root):
         raise _TooDeep
     first_ns: dict = {}
@@ -324,24 +304,21 @@ def _build(data: bytes, prescan: bool) -> TreeDocument | None:
     return TreeDocument(data, root, root_ns, tuple(first_ns.items()), foreign)
 
 
-def _prescan(data: bytes, entities: dict, after_chunk, events: list) -> None:
+def _prescan(data: bytes) -> dict:
     """Make every refusal but the depth limit, building nothing.
 
-    Appends ``("start-ns", (prefix, uri))`` to ``events`` for each namespace
-    declaration.  A general entity expat skips, which happens when the DTD
-    refers to a parameter entity, is added to ``entities`` as the empty
-    string before ``after_chunk`` sees the chunk that refers to it.
+    Returns each general entity expat skips, which happens when the DTD
+    refers to a parameter entity, mapped to the empty string.
     """
     parser = _new_parser()
+    entities: dict = {}
 
     def on_skipped(name, is_parameter_entity) -> None:
         if not is_parameter_entity:
             entities[name] = ""
 
-    _run(parser, data, {
-        "StartNamespaceDeclHandler": lambda *decl: events.append(("start-ns", decl)),
-        "SkippedEntityHandler": on_skipped,
-    }, after_chunk)
+    _run(parser, data, {"SkippedEntityHandler": on_skipped})
+    return entities
 
 
 def _depth_scan(data: bytes) -> None:

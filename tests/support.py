@@ -4,9 +4,11 @@ plus builders the suites use to derive corpora and mutations from it."""
 from __future__ import annotations
 
 import dataclasses
+from xml.etree.ElementTree import ParseError, TreeBuilder, XMLParser
 from xml.parsers import expat
 
 from teijournal import model as m
+from teijournal import rawxml
 from teijournal.xmlio import parse_article, serialize_article
 
 TEI_NS = "http://www.tei-c.org/ns/1.0"
@@ -421,3 +423,115 @@ def reference_tree(data: bytes) -> RefDocument:
     parser.CharacterDataHandler = on_text
     parser.Parse(data, True)
     return RefDocument(roots[0], tuple(first_ns.items()))
+
+
+# --------------------------------------------------------------------------
+# The interleaved read that parse_raw replaced, kept as its reference: an
+# expat prescan vets each chunk before the C parser builds from it, and
+# every document, with a DOCTYPE or not, is read this way
+# --------------------------------------------------------------------------
+
+PRESCAN_CHUNK = 1 << 16
+
+
+def _prescan_run(parser, data: bytes, handlers: dict, after_chunk=None) -> None:
+    """``rawxml._run`` as it was: ``data`` is read ``PRESCAN_CHUNK`` at a
+    time, and ``after_chunk`` is called with each chunk it has accepted."""
+    if not data.strip():
+        raise rawxml.RawXmlError("empty input")
+    rawxml._check_prolog(data)
+
+    def on_entity_decl(*args) -> None:
+        rawxml._fail(parser, "entity declarations are not allowed")
+
+    def on_doctype(name, sysid, pubid, has_internal) -> None:
+        if sysid or pubid:
+            rawxml._fail(parser, "external DTD references are not allowed")
+
+    handlers = {
+        "EntityDeclHandler": on_entity_decl,
+        "StartDoctypeDeclHandler": on_doctype,
+        "ExternalEntityRefHandler": lambda *args: 0,
+        **handlers,
+    }
+    for event, handler in handlers.items():
+        setattr(parser, event, handler)
+    try:
+        for at in range(0, len(data), PRESCAN_CHUNK):
+            chunk = data[at:at + PRESCAN_CHUNK]
+            parser.Parse(chunk, False)
+            if after_chunk is not None:
+                after_chunk(chunk)
+        parser.Parse(b"", True)
+    except expat.ExpatError as exc:
+        raise rawxml.RawXmlError(f"not well-formed: {exc}") from None
+    finally:
+        for event in handlers:
+            setattr(parser, event, None)
+
+
+def _prescan_build(data: bytes) -> rawxml.TreeDocument:
+    """The C parser builds each chunk once the prescan has accepted it; a
+    general entity the prescan skips is defined before the chunk that
+    refers to it reaches the C parser."""
+    builder = TreeBuilder()
+    parser = XMLParser(target=builder)
+    events: list = []
+    prescan = rawxml._new_parser()
+
+    def build(chunk: bytes) -> None:
+        parser.feed(chunk)
+        if rawxml._last_path_too_deep(builder.close()):
+            raise rawxml._TooDeep
+
+    def on_skipped(name, is_parameter_entity) -> None:
+        if not is_parameter_entity:
+            parser.entity[name] = ""
+
+    try:
+        _prescan_run(prescan, data, {
+            "StartNamespaceDeclHandler": lambda *decl: events.append(("start-ns", decl)),
+            "SkippedEntityHandler": on_skipped,
+        }, build)
+        root = parser.close()
+    except ParseError as exc:
+        raise rawxml.RawXmlError(f"a namespace URI holds '}}' ({exc})") from None
+    if rawxml._deeper_than_limit(root):
+        raise rawxml._TooDeep
+    first_ns: dict = {}
+    for _, (prefix, uri) in events:
+        if prefix:
+            first_ns.setdefault(prefix, uri)
+    tei_prefixed = any(uri == TEI_NS for _, (prefix, uri) in events if prefix)
+    root_ns, foreign = rawxml._adopt_names(root, tei_prefixed)
+    return rawxml.TreeDocument(data, root, root_ns, tuple(first_ns.items()), foreign)
+
+
+def _prescan_depth_scan(data: bytes) -> None:
+    parser = rawxml._new_parser()
+    depth = 0
+
+    def on_start(name, attrs) -> None:
+        nonlocal depth
+        if depth >= rawxml.MAX_DEPTH:
+            rawxml._fail(parser, f"elements nested more than {rawxml.MAX_DEPTH} deep")
+        depth += 1
+
+    def on_end(name) -> None:
+        nonlocal depth
+        depth -= 1
+
+    _prescan_run(parser, data, {"StartElementHandler": on_start, "EndElementHandler": on_end})
+
+
+def prescan_parse_raw(data: bytes) -> rawxml.TreeDocument:
+    """``parse_raw`` by the interleaved read alone."""
+    try:
+        return _prescan_build(data)
+    except rawxml.RawXmlError:
+        _prescan_depth_scan(data)  # an element too deep may come first
+        raise
+    except rawxml._TooDeep:
+        pass
+    _prescan_depth_scan(data)  # raises at the first too-deep element
+    raise rawxml.RawXmlError(f"elements nested more than {rawxml.MAX_DEPTH} deep")

@@ -968,6 +968,25 @@ class TestUnreadableFiles:
         assert "cannot read" in err and "bad" in err
 
 
+class TestOneLinePerUnusableFile:
+    """A TEI file with two parse errors is named on one stderr line, its
+    messages joined with '; ', as ``render`` joins them."""
+
+    @pytest.mark.parametrize("command", ["validate", "index", "biblio", "corrigenda", "query"])
+    def test_two_errors_make_one_line(self, command, tmp_path, capsys):
+        directory = tmp_path / "c"
+        write_corpus(directory, {
+            "good.xml": article_bytes(title="Good"),
+            "bad.xml": b'<TEI xmlns="http://www.tei-c.org/ns/1.0"/>',
+        })
+        argv = argv_with_a_bad_member(command, directory, tmp_path)
+        code, out, err = run(capsys, [str(arg) for arg in argv])
+        assert out  # the good file was used
+        named = (f"{directory / 'bad.xml'}: cannot parse:" if command == "validate"
+                 else "skipping bad:")
+        assert err == f"{named} missing teiHeader; missing text\n"
+
+
 class TestExplain:
     def test_known_rule(self, capsys):
         code, out, _ = run(capsys, ["explain", "R9"])

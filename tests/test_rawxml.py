@@ -12,6 +12,7 @@ import tempfile
 from functools import reduce
 from pathlib import Path
 from unittest import mock
+from xml.etree import ElementTree
 from xml.etree.ElementTree import TreeBuilder, XMLParser
 
 import pytest
@@ -39,7 +40,7 @@ from teijournal.schema import (
     validate_against,
 )
 
-from support import article_bytes, reference_tree, write_corpus
+from support import article_bytes, prescan_parse_raw, reference_tree, write_corpus
 
 TEI = "http://www.tei-c.org/ns/1.0"
 
@@ -584,8 +585,8 @@ class TestParserParity:
 
 
 # --------------------------------------------------------------------------
-# The one-pass read agrees with the prescan path, and the regex offsets with
-# expat's
+# parse_raw agrees with the interleaved read it replaced, and the regex
+# offsets with expat's
 # --------------------------------------------------------------------------
 
 
@@ -596,10 +597,10 @@ def with_doctype(data: bytes, doctype: str) -> bytes:
     return data[:at] + doctype.encode("utf-8") + data[at:]
 
 
-def read_outcome(data: bytes):
-    """The refusal of ``parse_raw``, or the fields of the tree it reads."""
+def read_outcome(data: bytes, read=parse_raw):
+    """The refusal of ``read``, or the fields of the tree it reads."""
     try:
-        doc = parse_raw(data)
+        doc = read(data)
     except RawXmlError as exc:
         return str(exc)
     elements = list(doc.root.iter())
@@ -608,13 +609,10 @@ def read_outcome(data: bytes):
 
 
 def prescan_outcome(data: bytes):
-    """:func:`read_outcome` with the one-pass read turned off, so that every
-    document goes through the prescan."""
-    build = rawxml._build
-    with mock.patch.object(
-        rawxml, "_build", lambda data, prescan: build(data, True) if prescan else None
-    ):
-        return read_outcome(data)
+    """:func:`read_outcome` of the interleaved read that ``parse_raw``
+    replaced, kept in ``support`` as its reference: every document goes
+    through the prescan, a chunk at a time."""
+    return read_outcome(data, prescan_parse_raw)
 
 
 DOCTYPES = st.sampled_from([
@@ -623,6 +621,7 @@ DOCTYPES = st.sampled_from([
     '<!DOCTYPE doc [<!ATTLIST a d CDATA "v"><!-- ]> -->]>',
     '<!DOCTYPE doc [<!ENTITY e "x">]>',
     '<!DOCTYPE doc SYSTEM "doc.dtd">',
+    "<!DOCTYPE doc [%pe;]>",  # expat skips the undeclared ``&e;``
 ])
 
 
@@ -633,6 +632,12 @@ PREFIXES = st.sampled_from([
 ])
 
 
+def with_entity_reference(data: bytes) -> bytes:
+    """``data`` with an undeclared ``&e;`` before its last end tag."""
+    head, end_tag, tail = data.rpartition(b"</")
+    return head + b"&e;" + end_tag + tail
+
+
 class TestOnePassRead:
     @settings(deadline=None)
     @given(
@@ -640,40 +645,63 @@ class TestOnePassRead:
         DOCTYPES,
         PREFIXES,
         st.sampled_from([rawxml._CHUNK, 1, 7]),
+        st.booleans(),
     )
-    def test_agrees_with_the_prescan_path(self, data, doctype, prefix, chunk):
+    def test_agrees_with_the_prescan_path(self, data, doctype, prefix, chunk, entity_ref):
+        if entity_ref:
+            data = with_entity_reference(data)
         data = prefix + with_doctype(data, doctype)
         with mock.patch.object(rawxml, "_CHUNK", chunk):
             assert read_outcome(data) == prescan_outcome(data)
 
     def test_only_a_document_with_a_doctype_is_prescanned(self, monkeypatch):
-        prescans = []
-        real = rawxml._prescan
+        passes = []  # (pass, bytes it read), in the order they ran
 
-        def counting_prescan(data, *args):
-            prescans.append(data)
-            return real(data, *args)
+        def recording(name, real):
+            def read(data):
+                passes.append((name, data))
+                return real(data)
+            return read
 
-        monkeypatch.setattr(rawxml, "_prescan", counting_prescan)
+        class RecordingParser(ElementTree.XMLParser):
+            def feed(self, data):
+                passes.append(("C feed", data))
+                return super().feed(data)
+
+        monkeypatch.setattr(rawxml, "_prescan", recording("prescan", rawxml._prescan))
+        monkeypatch.setattr(rawxml, "_depth_scan", recording("depth scan", rawxml._depth_scan))
+        monkeypatch.setattr(ElementTree, "XMLParser", RecordingParser)
+
+        def passes_over(data, refused=False):
+            passes.clear()
+            with pytest.raises(RawXmlError) if refused else contextlib.nullcontext():
+                parse_raw(data)
+            assert all(read == data for _, read in passes)  # each pass reads it whole
+            return [name for name, _ in passes]
+
         data = article_bytes(title="T")
-        parse_raw(data)
-        assert prescans == []
-        data = with_doctype(data, "<!DOCTYPE TEI>")
-        parse_raw(data)
-        assert prescans == [data]
+        assert passes_over(data) == ["C feed"]
+        assert passes_over(with_doctype(data, "<!DOCTYPE TEI>")) == ["prescan", "C feed"]
+        # a refused document without a DOCTYPE, truncated or nested too deep
+        for refused in (data[:-20], tei_nested_divs(300)):
+            assert passes_over(refused, refused=True) == ["C feed", "depth scan"]
+        # refused by the prescan: no byte reaches the C parser
+        refused = with_doctype(data, '<!DOCTYPE TEI [<!ENTITY e "x">]>')
+        assert passes_over(refused, refused=True) == ["prescan", "depth scan"]
 
     @pytest.mark.parametrize("decl", [b'xmlns="urn:a b"', b'xmlns:p="urn:a b"'])
     def test_namespace_uri_holding_a_space_is_refused_by_the_prescan(self, decl):
-        """The C parser accepts it; the prescan's expat, whose namespace
-        separator is a space, refuses it."""
+        """The C parser accepts it; expat, whose namespace separator is a
+        space, refuses it: the depth scan here, the prescan in the
+        reference."""
         data = b"<d><e " + decl + b"/></d>"
         assert read_outcome(data) == prescan_outcome(data) == (
             "not well-formed: syntax error: line 1, column 3"
         )
 
 
-# The prescan's expat accepts a namespace URI that holds '}', the C parser's
-# namespace separator; the C parser refuses it.
+# expat accepts a namespace URI that holds '}', the C parser's namespace
+# separator; the C parser refuses it.
 BRACE_URI = b'<TEI xmlns="http://www.tei-c.org/ns/1.0"><teiHeader xmlns:p="u}x"/></TEI>'
 BRACE_REFUSAL = "a namespace URI holds '}' (syntax error: line 1, column 41)"
 
