@@ -40,6 +40,8 @@ MAX_DEPTH = 256
 #: Bytes the C parser reads between two depth checks.
 _CHUNK = 1 << 16
 
+_SEP = "\x01"  # expat's namespace separator; no XML 1.0 document holds it
+
 
 class RawXmlError(Exception):
     """Input rejected: not well-formed, wrong encoding, or unsafe."""
@@ -84,10 +86,10 @@ def _check_prolog(data: bytes) -> None:
 
 
 def _resolve_name(expat_name: str) -> tuple[str, str]:
-    """Map expat's ``uri local`` form to a display name and namespace URI."""
-    if " " not in expat_name:
+    """Map expat's ``uri<_SEP>local`` form to a display name and namespace URI."""
+    if _SEP not in expat_name:
         return expat_name, ""
-    uri, local = expat_name.split(" ", 1)
+    uri, local = expat_name.split(_SEP, 1)
     if uri == TEI_NS:
         return local, uri
     if uri == XML_NS:
@@ -131,7 +133,7 @@ def _run(parser, data: bytes, handlers: dict) -> None:
 
 
 def _new_parser():
-    parser = expat.ParserCreate(namespace_separator=" ")
+    parser = expat.ParserCreate(namespace_separator=_SEP)
     parser.ordered_attributes = True
     return parser
 
@@ -253,29 +255,26 @@ def parse_raw(data: bytes) -> TreeDocument:
     measured, so a document nested far too deep is dropped after its first
     chunks; the whole tree is measured once at the end.  A document refused
     on any of these counts is read once more, by ``_depth_scan``, for the
-    first refusal in document order and its line and column.
+    first refusal in document order and its line and column.  If it finds
+    none, a namespace URI holds ``}``, the C parser's separator, which expat
+    accepts; a URI holding a space is read by every pass.
     """
     from xml.etree.ElementTree import ParseError
 
     failure = None
     try:
-        doc = _build(data, _prescan(data) if b"<!DOCTYPE" in data else {})
-        if doc is not None:
-            return doc
+        return _build(data, _prescan(data) if b"<!DOCTYPE" in data else {})
     except ParseError as exc:
         failure = exc
     except (RawXmlError, _TooDeep):
         pass
     _depth_scan(data)  # raises at the first refusal, too-deep elements included
-    # expat accepts a namespace URI that holds '}', the C parser's namespace
-    # separator; the C parser refuses it
     raise RawXmlError(f"a namespace URI holds '}}' ({failure})")
 
 
-def _build(data: bytes, entities: dict) -> TreeDocument | None:
+def _build(data: bytes, entities: dict) -> TreeDocument:
     """The tree of ``data`` read by the C parser, with ``entities`` defined
-    as it starts; ``None`` where a namespace URI holds ``_depth_scan``'s
-    namespace separator, a space, which that expat pass refuses."""
+    as it starts."""
     from xml.etree.ElementTree import TreeBuilder, XMLParser
 
     _check_prolog(data)
@@ -291,8 +290,6 @@ def _build(data: bytes, entities: dict) -> TreeDocument | None:
         if _last_path_too_deep(builder.close()):
             raise _TooDeep
     root = parser.close()
-    if any(" " in uri for _, (_, uri) in events):
-        return None
     if _deeper_than_limit(root):
         raise _TooDeep
     first_ns: dict = {}
@@ -345,7 +342,7 @@ def _tree_name(tag: str) -> tuple[str, str]:
     if tag[:1] != "{":
         return tag, ""
     uri, _, local = tag[1:].rpartition("}")  # a local name holds no '}'
-    return _resolve_name(f"{uri} {local}")
+    return _resolve_name(f"{uri}{_SEP}{local}")
 
 
 @lru_cache(maxsize=1024)

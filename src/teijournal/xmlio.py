@@ -52,10 +52,6 @@ class ParseReport(Record):
         return tuple(i for i in self.issues if i.severity == "warning")
 
 
-def _collapse(text: str) -> str:
-    return " ".join(text.split())
-
-
 # --------------------------------------------------------------------------
 # Node kinds
 # --------------------------------------------------------------------------
@@ -126,9 +122,6 @@ class _Builder:
     def text(self, node) -> str:
         return " ".join("".join(node.itertext()).split())
 
-    def slice(self, node) -> str:
-        return self.doc.slice(node)
-
     def date_from(self, node, context: str) -> m.CalendarDate | None:
         value = node.get("when") or _text_content(node).strip()
         if not value:
@@ -152,7 +145,7 @@ class _Builder:
 
     def inline(self, node):
         if node in self.foreign:
-            return m.OpaqueInline(self.slice(node))
+            return m.OpaqueInline(self.doc.slice(node))
         name = node.tag
         if name == "hi":
             return m.Emph(node.get("rend", ""), self.rich(node))
@@ -174,14 +167,14 @@ class _Builder:
             if abbr is not None:
                 expansion = self.text(expan) if expan is not None else None
                 return m.AbbrMention(self.text(abbr), expansion)
-        return m.OpaqueInline(self.slice(node))
+        return m.OpaqueInline(self.doc.slice(node))
 
     # -- running text blocks ----------------------------------------------
 
     def block(self, node):
         """Map one non-div element inside a division to a Block."""
         if node in self.foreign:
-            return m.OpaqueBlock(self.slice(node))
+            return m.OpaqueBlock(self.doc.slice(node))
         name = node.tag
         if name == "p":
             return m.Paragraph(self.rich(node))
@@ -192,18 +185,18 @@ class _Builder:
         if name == "table":
             head = node.find("head")
             caption = self.rich(head) if head is not None else ()
-            return m.TableBlock(self.slice(node), caption)
+            return m.TableBlock(self.doc.slice(node), caption)
         if name == "formula":
-            return m.FormulaBlock(self.slice(node), node.get("notation"))
+            return m.FormulaBlock(self.doc.slice(node), node.get("notation"))
         if name == "list":
             if all(c.tag == "item" for c in node):
                 return m.ListBlock(tuple(self.rich(item) for item in node))
-            return m.OpaqueBlock(self.slice(node))
+            return m.OpaqueBlock(self.doc.slice(node))
         if name == "quote":
             blockish = any(c.tag in _INLINE_BLOCKISH for c in node)
             if not blockish:
                 return m.QuoteBlock(self.rich(node))
-        return m.OpaqueBlock(self.slice(node))
+        return m.OpaqueBlock(self.doc.slice(node))
 
     def cit(self, node):
         quote: tuple = ()
@@ -220,7 +213,7 @@ class _Builder:
             elif name == "note" and not qualifiers:
                 qualifiers = self.rich(child)
             else:
-                return m.OpaqueBlock(self.slice(node))
+                return m.OpaqueBlock(self.doc.slice(node))
         return m.CitBlock(quote, source, qualifiers)
 
     def figure(self, node):
@@ -236,11 +229,11 @@ class _Builder:
             elif name == "table" and table is None and url is None:
                 table = child
             else:
-                return m.OpaqueBlock(self.slice(node))
+                return m.OpaqueBlock(self.doc.slice(node))
         if table is not None:
             # Table wrapped in a figure: keep the whole region verbatim but
             # surface the caption so downstream consumers can use it.
-            return m.TableBlock(self.slice(node), caption)
+            return m.TableBlock(self.doc.slice(node), caption)
         return m.FigureBlock(url, caption)
 
     def division(
@@ -573,22 +566,18 @@ class _Builder:
     def keywords(self, node, out: list) -> None:
         scheme = node.get("scheme")
 
-        def add(term_text: str) -> None:
-            term_text = _collapse(term_text)
+        def add(term) -> None:
+            term_text = self.text(term)
             if term_text:
                 out.append(m.Keyword(term_text, scheme))
 
         for child in node:
             if child.tag == "term":
-                add(_text_content(child))
+                add(child)
             elif child.tag == "list":
                 for item in child.findall("item"):
-                    terms = item.findall("term")
-                    if terms:
-                        for term in terms:
-                            add(_text_content(term))
-                    else:
-                        add(_text_content(item))
+                    for term in item.findall("term") or (item,):
+                        add(term)
                 # a list head such as "Keywords" is presentation, not content
             else:
                 self.unknown(child, "keywords")
@@ -608,7 +597,7 @@ class _Builder:
                     f"change with unparseable date {when_value!r} dropped",
                 )
                 continue
-            description = _collapse(_text_content(child))
+            description = self.text(child)
             kind = child.get("type") or _leading_word(description)
             changes.append(m.Change(when, kind, description))
         return m.RevisionDesc(tuple(changes))

@@ -689,15 +689,16 @@ class TestOnePassRead:
         refused = with_doctype(data, '<!DOCTYPE TEI [<!ENTITY e "x">]>')
         assert passes_over(refused, refused=True) == ["prescan", "depth scan"]
 
-    @pytest.mark.parametrize("decl", [b'xmlns="urn:a b"', b'xmlns:p="urn:a b"'])
-    def test_namespace_uri_holding_a_space_is_refused_by_the_prescan(self, decl):
-        """The C parser accepts it; expat, whose namespace separator is a
-        space, refuses it: the depth scan here, the prescan in the
-        reference."""
-        data = b"<d><e " + decl + b"/></d>"
-        assert read_outcome(data) == prescan_outcome(data) == (
-            "not well-formed: syntax error: line 1, column 3"
-        )
+    @pytest.mark.parametrize("decl, name", [(b'xmlns="urn:a b"', b"e"),
+                                            (b'xmlns:p="urn:a b"', b"p:e")])
+    def test_namespace_uri_holding_a_space_is_read_as_written(self, decl, name):
+        """The C parser reads it, and so does every expat pass, whose
+        namespace separator no XML 1.0 document can hold."""
+        data = b"<d><" + name + b" " + decl + b"/></d>"
+        assert read_outcome(data) == prescan_outcome(data)
+        doc = parse_raw(data)
+        assert [e.tag for e in doc.root.iter()] == ["d", "{urn:a b}e"]
+        assert doc.root[0] in doc.foreign
 
 
 # expat accepts a namespace URI that holds '}', the C parser's namespace
@@ -734,6 +735,31 @@ class TestBraceInNamespaceUri:
         assert err.startswith(f"skipping {docs / 'a.xml'}: {BRACE_REFUSAL}\n")
         assert "internal error" not in err
         assert "codified 1 documents" in err + out
+
+
+SPACE_URI_PARAGRAPH = '<div type="s"><p>See <q:m xmlns:q="urn:a b" q:k="v">x</q:m>.</p></div>'
+
+
+class TestSpaceInNamespaceUri:
+    def test_article_parses_and_serializes_to_the_same_bytes(self):
+        report = xmlio.parse_article(article_bytes(title="T", body=SPACE_URI_PARAGRAPH))
+        assert report.ok and not report.issues, report.issues
+        assert report.outcome.ns_decls == (("q", "urn:a b"),)
+        serialized = xmlio.serialize_article(report.outcome)
+        assert b'<q:m xmlns:q="urn:a b" q:k="v">x</q:m>' in serialized
+        again = xmlio.parse_article(serialized)
+        assert again.ok and not again.issues, again.issues
+        assert xmlio.serialize_article(again.outcome) == serialized
+
+    def test_start_tag_names_and_arbitrate_rewrites_only_the_unprefixed_key(self):
+        doc = parse_raw(b'<d xmlns:p="urn:a b"><p:x p:k="v" k="w"/><p:x p:k="w" k="w"/></d>')
+        assert [e.tag for e in doc.root] == ["{urn:a b}x", "{urn:a b}x"]
+        assert doc.start_tag(doc.root[0])[1] == [("{urn:a b}k", "v"), ("k", "w")]
+        rewritten, changes = arbitrate([doc], parse_rules("* k w -> z\n"))
+        assert changes == 2
+        assert rewritten == [
+            b'<d xmlns:p="urn:a b"><p:x p:k="v" k="z"/><p:x p:k="w" k="z"/></d>'
+        ]
 
 
 SUBSET_TEXT = st.one_of(

@@ -36,6 +36,7 @@ from teijournal.render import (
     style_from_dict,
     xhtml_page,
 )
+from teijournal.validator import validate
 from teijournal.xmlio import parse_article
 
 from support import (
@@ -430,6 +431,18 @@ def cited_article() -> m.Article:
 class TestReferenceLists:
     def test_citation_order_first_appearance(self):
         assert citation_order(cited_article()) == ["b3", "b1", "b2"]
+
+    def test_citation_order_skips_a_target_without_a_hash(self):
+        # read past its first character, 'xb1' would name b1
+        body = ('<div type="section"><p><ref type="bibr" target="xb1">x</ref> '
+                '<ref type="bibr" target="#b3">y</ref> <ref type="bibr" target="#b1">z</ref>'
+                "</p></div>")
+        report = parse_article(article_bytes(title="T", body=body, refs=REFS), "t.xml")
+        assert report.ok and not report.issues, report.issues
+        assert citation_order(report.outcome) == ["b3", "b1"]
+        assert [(f.rule_id, f.message) for f in validate(report.outcome)] == [
+            ("R9", "malformed reference target 'xb1' (expected '#id')")
+        ]
 
     def test_numeric_list_order_and_labels(self):
         article = cited_article()

@@ -308,6 +308,15 @@ class TestValidateAgainst:
         )
         assert set(novel) == {("S-element", "warning"), ("S-child", "warning")}
 
+    def test_foreign_element_missing_from_the_schema(self):
+        data = b'<doc xmlns:x="urn:x"><sec type="intro"><p>x</p><x:blob/></sec></doc>'
+        findings = validate_against(self.SCHEMA, parse_raw(data))
+        assert [(f.rule_id, f.severity, f.message) for f in findings] == [
+            ("S-element", "error", "foreign element '{urn:x}blob' not in the schema")
+        ]
+        base = codify(profile_corpus(docs(DOC_A, data)))
+        assert self.codes(data, base) == [("S-element", "warning")]
+
     def test_base_never_downgrades_required_parts(self):
         base = codify(
             profile_corpus(docs(DOC_A, DOC_B, DOC_C, b"<doc><sec/></doc>"))

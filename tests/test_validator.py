@@ -395,6 +395,10 @@ class TestRulesOnTheSourceAndEntries:
         assert validate(bare) == findings
         front = dataclasses.replace(bare, front=(m.Division("abstract"),))
         assert validate(front) == findings
+        # <text><body/></text>: no node of the text is walked
+        empty = dataclasses.replace(bare, front=())
+        assert not any(path.startswith("TEI[1]/text[1]") for path, _ in model_paths(empty))
+        assert validate(empty) == findings
 
 
 # --------------------------------------------------------------------------

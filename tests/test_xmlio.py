@@ -449,6 +449,13 @@ REPAIRS = {
         (),
         lambda a: a.body[0].blocks[0].content[1], m.BiblRef("#r1", ""),
     ),
+    "non-ISSN-idno-in-monogr-joins-the-record": (
+        (_ENTRY_TITLE, _ENTRY_TITLE + b'<idno type="ISBN">123</idno>'),
+        (),
+        lambda a: (_entry(a).identifiers,
+                   b'</monogr>\n          <idno type="ISBN">123</idno>\n' in serialize_article(a)),
+        ((m.Identifier("ISBN", "123"),), True),
+    ),
     "doc-type-journalArticle": (
         (_ENTRY_TITLE, b'<analytic><title level="a">P</title></analytic>'
          b'<monogr><title level="j" type="main">B</title>'),
@@ -648,7 +655,7 @@ def _in_para(node) -> m.Article:
 
 
 # Every element the serializer can write with no content, and its exact form:
-# nine are self-closed, four are a start and an end tag on two lines and
+# ten are self-closed, four are a start and an end tag on two lines and
 # three a start and an end tag on one line.
 EMPTY_FORMS = {
     "fileDesc": (m.Article(body=(m.Division(blocks=_PARA),)),
@@ -671,6 +678,9 @@ EMPTY_FORMS = {
                b"\n        <figure>\n        </figure>\n"),
     "list": (m.Article(body=(m.Division(blocks=(m.ListBlock(),)),)),
              b"\n        <list>\n        </list>\n"),
+    "idno": (_with_entry(m.BiblStruct(xml_id="b1", monogr=m.Monogr(titles=_BOOK),
+                                      identifiers=(m.Identifier("doi", ""),))),
+             b'\n          </monogr>\n          <idno type="doi"/>\n        </biblStruct>\n'),
     "address": (_with_author(m.Author(surname="S",
                                       affiliation=m.Affiliation(address=m.Address()))),
                 b"\n              <affiliation>\n                <address>\n"
