@@ -690,7 +690,8 @@ class TestOnePassRead:
         assert passes_over(refused, refused=True) == ["prescan", "depth scan"]
 
     @pytest.mark.parametrize("decl, name", [(b'xmlns="urn:a b"', b"e"),
-                                            (b'xmlns:p="urn:a b"', b"p:e")])
+                                            (b'xmlns:p="urn:a b"', b"p:e")],
+                             ids=["default", "prefixed"])
     def test_namespace_uri_holding_a_space_is_read_as_written(self, decl, name):
         """The C parser reads it, and so does every expat pass, whose
         namespace separator no XML 1.0 document can hold."""
