@@ -34,17 +34,29 @@ class _LazyFields:
 
         spec = []
         for name in owner._Record__fields:
-            default = getattr(owner, name, MISSING)
+            default = owner._Record__defaults.get(name, MISSING)
             spec.append((name, owner.__annotations__[name], field(default_factory=default.make)
                          if isinstance(default, factory) else field(default=default)))
         owner.__dataclass_fields__ = make_dataclass(owner.__name__, spec).__dataclass_fields__
         return owner.__dataclass_fields__
 
 
+def slotted(name: str, bases: tuple, ns: dict, **kw) -> type:
+    """The metaclass hint of every record class: field defaults go to one
+    table, ``__slots__`` to the fields, and plain ``type`` builds the class."""
+    fields = tuple(ns.get("__annotations__", ()))
+    ns["_Record__defaults"] = {field: ns.pop(field) for field in fields if field in ns}
+    ns["__slots__"] = fields + tuple(ns.get("__slots__", ()))
+    return type(name, bases, ns, **kw)
+
+
 class Record:
     """A record whose fields are its class annotations, with defaults taken
     from class attributes; a class attribute with no annotation is not a
-    field.
+    field.  Each subclass names :func:`slotted` as its metaclass hint, so
+    records take no attribute beyond their fields (``Article`` alone keeps
+    a ``__dict__``, for memos) and cannot be weakly referenced; ``copy``,
+    ``deepcopy`` and ``pickle`` rebuild them through ``__init__``, memos aside.
 
     Each subclass gets an ``__init__`` that takes the fields in order, sets
     them with ``object.__setattr__`` and then calls ``__post_init__`` if the
@@ -55,13 +67,14 @@ class Record:
     compare and print; their results are those of the generated methods.
     """
 
+    __slots__ = ()
     __dataclass_fields__ = _LazyFields()
 
     def __init_subclass__(cls, mutable: bool = False) -> None:
         cls.__fields = tuple(cls.__annotations__)
         params, lines, env = [], [], {"_set": object.__setattr__}
         for name in cls.__fields:
-            env[f"_d_{name}"] = default = getattr(cls, name, _REQUIRED)
+            env[f"_d_{name}"] = default = cls.__defaults.get(name, _REQUIRED)
             params.append(name if default is _REQUIRED else f"{name}=_d_{name}")
             if isinstance(default, factory):
                 lines.append(f" if {name} is _d_{name}: {name} = _d_{name}.make()")
@@ -87,6 +100,9 @@ class Record:
 
     def __hash__(self) -> int:
         return hash(tuple(map(self.__getattribute__, self.__fields)))
+
+    def __reduce__(self) -> tuple:
+        return self.__class__, tuple(map(self.__getattribute__, self.__fields))
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -158,7 +174,7 @@ def json_strings(value, what: str) -> list:
     return value
 
 
-class Finding(Record):
+class Finding(Record, metaclass=slotted):
     rule_id: str
     severity: str
     location: str

@@ -19,7 +19,7 @@ from itertools import groupby
 from operator import attrgetter
 
 from . import model as m
-from .base import MENTION_KINDS, QUERY_KINDS, Record, factory
+from .base import MENTION_KINDS, QUERY_KINDS, Record, factory, slotted
 from .render import (
     StyleGuide,
     builtin_style,
@@ -49,7 +49,7 @@ _SOURCE_PREFIX = "TEI[1]/teiHeader[1]/fileDesc[1]/sourceDesc[1]/"
 _MENTION_KINDS = {getattr(m, name): kinds for name, kinds in MENTION_KINDS.items()}
 
 
-class Corpus(Record):
+class Corpus(Record, metaclass=slotted):
     """Parsed articles keyed by document id, plus per-file load reports.
 
     Files that failed to parse (or were rejected as id duplicates) appear
@@ -65,20 +65,20 @@ class Corpus(Record):
         return sorted(self.articles)
 
 
-class IndexEntry(Record):
+class IndexEntry(Record, metaclass=slotted):
     kind: str
     key: str
     display: str
     locators: tuple  # tuple[(article id, model path), ...] deduplicated, sorted
 
 
-class CorrigendaEntry(Record):
+class CorrigendaEntry(Record, metaclass=slotted):
     article_id: str
     when: m.CalendarDate
     description: str
 
 
-class Query(Record):
+class Query(Record, metaclass=slotted):
     """Conjunctive structural search filters; at least one must be set.
 
     ``element_kind`` restricts which nodes can match (``person-mention``,

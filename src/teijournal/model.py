@@ -17,7 +17,7 @@ import re
 from functools import cached_property
 from operator import attrgetter
 
-from .base import Record, factory
+from .base import Record, factory, slotted
 
 # --------------------------------------------------------------------------
 # Dates
@@ -35,7 +35,7 @@ def _days_in_month(year: int, month: int) -> int:
     return _DAYS_IN_MONTH[month - 1] + leap
 
 
-class CalendarDate(Record):
+class CalendarDate(Record, metaclass=slotted):
     """A date of year, year-month, or year-month-day precision."""
 
     year: int
@@ -102,57 +102,57 @@ class CalendarDate(Record):
 # --------------------------------------------------------------------------
 
 
-class TextRun(Record):
+class TextRun(Record, metaclass=slotted):
     text: str
 
 
-class Emph(Record):
+class Emph(Record, metaclass=slotted):
     """Typographically highlighted span (``rend`` is the rendition token)."""
 
     rend: str
     content: "RichText"
 
 
-class BiblRef(Record):
+class BiblRef(Record, metaclass=slotted):
     """Pointer at a bibliography entry, e.g. target ``#b3``."""
 
     target: str
     text: str = ""
 
 
-class PersonMention(Record):
+class PersonMention(Record, metaclass=slotted):
     text: str
     key: str | None = None
 
 
-class OrgMention(Record):
+class OrgMention(Record, metaclass=slotted):
     text: str
     key: str | None = None
 
 
-class PlaceMention(Record):
+class PlaceMention(Record, metaclass=slotted):
     text: str
     key: str | None = None
 
 
-class TermMention(Record):
+class TermMention(Record, metaclass=slotted):
     """A flagged term; ``kind`` distinguishes e.g. software from topics."""
 
     text: str
     kind: str | None = None
 
 
-class AbbrMention(Record):
+class AbbrMention(Record, metaclass=slotted):
     abbr: str
     expansion: str | None = None
 
 
-class Link(Record):
+class Link(Record, metaclass=slotted):
     target: str
     text: str = ""
 
 
-class OpaqueInline(Record):
+class OpaqueInline(Record, metaclass=slotted):
     """Verbatim markup carried through parse and serialize untouched."""
 
     markup: str
@@ -196,13 +196,13 @@ def normalize_title(title: "RichText | str") -> str:
 SCOPE_KINDS = ("vol", "issue", "fpage", "lpage", "pp")
 
 
-class DocumentType(Record):
+class DocumentType(Record, metaclass=slotted):
     """Free-form document genre of a bibliographic entry."""
 
     value: str
 
 
-class Title(Record):
+class Title(Record, metaclass=slotted):
     """A title with bibliographic level (a/m/j/u) and a type token."""
 
     text: RichText
@@ -210,34 +210,34 @@ class Title(Record):
     type: str = "main"
 
 
-class Identifier(Record):
+class Identifier(Record, metaclass=slotted):
     kind: str
     value: str
 
 
-class OrgUnit(Record):
+class OrgUnit(Record, metaclass=slotted):
     kind: str
     name: str
 
 
-class AddressLine(Record):
+class AddressLine(Record, metaclass=slotted):
     text: str
     kind: str | None = None
 
 
-class Address(Record):
+class Address(Record, metaclass=slotted):
     settlement: str | None = None
     post_code: str | None = None
     country: str | None = None
     lines: tuple = ()
 
 
-class Affiliation(Record):
+class Affiliation(Record, metaclass=slotted):
     org_units: tuple = ()
     address: Address | None = None
 
 
-class Author(Record):
+class Author(Record, metaclass=slotted):
     surname: str = ""
     forenames: tuple = ()
     corresponding: bool = False
@@ -246,14 +246,14 @@ class Author(Record):
     email: str | None = None
 
 
-class Scope(Record):
+class Scope(Record, metaclass=slotted):
     """One bibliographic extent: volume, issue, page bounds, or page range."""
 
     kind: str
     value: str
 
 
-class Imprint(Record):
+class Imprint(Record, metaclass=slotted):
     publisher: str | None = None
     pub_place: str | None = None
     date: CalendarDate | None = None
@@ -261,14 +261,14 @@ class Imprint(Record):
     scopes: tuple = ()
 
 
-class Analytic(Record):
+class Analytic(Record, metaclass=slotted):
     """The contained item (article or chapter) of a two-level record."""
 
     titles: tuple = ()
     authors: tuple = ()
 
 
-class Monogr(Record):
+class Monogr(Record, metaclass=slotted):
     """The container item: the journal, book, or proceedings volume."""
 
     titles: tuple = ()
@@ -277,7 +277,7 @@ class Monogr(Record):
     imprint: Imprint = factory(Imprint)
 
 
-class BiblStruct(Record):
+class BiblStruct(Record, metaclass=slotted):
     doc_type: DocumentType = DocumentType("unknown")
     analytic: Analytic | None = None
     monogr: Monogr = factory(Monogr)
@@ -316,7 +316,7 @@ class BiblStruct(Record):
 # --------------------------------------------------------------------------
 
 
-class FileDesc(Record):
+class FileDesc(Record, metaclass=slotted):
     main_title: RichText = ()
     availability: RichText = ()
     publication_date: CalendarDate | None = None
@@ -324,27 +324,27 @@ class FileDesc(Record):
     source: BiblStruct | None = None
 
 
-class Keyword(Record):
+class Keyword(Record, metaclass=slotted):
     term: str
     scheme: str | None = None
 
 
-class ProfileDesc(Record):
+class ProfileDesc(Record, metaclass=slotted):
     keywords: tuple = ()
     languages: tuple = ()
 
 
-class Change(Record):
+class Change(Record, metaclass=slotted):
     when: CalendarDate
     kind: str
     description: str = ""
 
 
-class RevisionDesc(Record):
+class RevisionDesc(Record, metaclass=slotted):
     changes: tuple = ()
 
 
-class Header(Record):
+class Header(Record, metaclass=slotted):
     file_desc: FileDesc = factory(FileDesc)
     profile_desc: ProfileDesc = factory(ProfileDesc)
     revision_desc: RevisionDesc = factory(RevisionDesc)
@@ -355,11 +355,11 @@ class Header(Record):
 # --------------------------------------------------------------------------
 
 
-class Paragraph(Record):
+class Paragraph(Record, metaclass=slotted):
     content: RichText = ()
 
 
-class CitBlock(Record):
+class CitBlock(Record, metaclass=slotted):
     """A block quotation tied to its bibliographic source.
 
     ``source`` is either an embedded record or a ``#id`` reference string
@@ -371,36 +371,36 @@ class CitBlock(Record):
     qualifiers: RichText = ()
 
 
-class FigureBlock(Record):
+class FigureBlock(Record, metaclass=slotted):
     graphic_url: str | None = None
     caption: RichText = ()
 
 
-class TableBlock(Record):
+class TableBlock(Record, metaclass=slotted):
     """A table kept as verbatim markup, with its caption extracted."""
 
     markup: str
     caption: RichText = ()
 
 
-class FormulaBlock(Record):
+class FormulaBlock(Record, metaclass=slotted):
     markup: str
     notation: str | None = None
 
 
-class ListBlock(Record):
+class ListBlock(Record, metaclass=slotted):
     items: tuple = ()  # tuple of RichText
 
 
-class QuoteBlock(Record):
+class QuoteBlock(Record, metaclass=slotted):
     content: RichText = ()
 
 
-class OpaqueBlock(Record):
+class OpaqueBlock(Record, metaclass=slotted):
     markup: str
 
 
-class Division(Record):
+class Division(Record, metaclass=slotted):
     """A ``div``: heading, block sequence, then nested divisions."""
 
     kind: str = "section"
@@ -409,22 +409,23 @@ class Division(Record):
     children: tuple = ()
 
 
-class ListBibl(Record):
+class ListBibl(Record, metaclass=slotted):
     entries: tuple = ()
 
 
-class BackMatter(Record):
+class BackMatter(Record, metaclass=slotted):
     divisions: tuple = ()
     reference_list: ListBibl | None = None
 
 
-class Article(Record):
+class Article(Record, metaclass=slotted):
     id: str = ""
     header: Header = factory(Header)
     front: tuple = ()  # tuple[Division, ...]
     body: tuple = ()  # tuple[Division, ...]
     back: BackMatter = factory(BackMatter)
     ns_decls: tuple = ()  # extra (prefix, uri) bindings needed by opaque markup
+    __slots__ = ("__dict__",)  # for entries_by_id and the walk memos
 
     @property
     def reference_list(self) -> ListBibl | None:

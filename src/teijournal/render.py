@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from .base import BUILTIN_STYLES, Record, factory, json_bool
+from .base import BUILTIN_STYLES, Record, factory, json_bool, slotted
 from .model import (
     SCOPE_KINDS,
     AbbrMention,
@@ -59,7 +59,7 @@ class StyleError(ValueError):
     """A style table is malformed or references unknown fields."""
 
 
-class Segment(Record):
+class Segment(Record, metaclass=slotted):
     """One field of an entry layout: where the value comes from and how it
     is dressed.  ``prefix`` and ``suffix`` are emitted as plain text around
     the (possibly italicised or quoted) value."""
@@ -71,7 +71,7 @@ class Segment(Record):
     omit_if_absent: bool = True
 
 
-class StyleGuide(Record):
+class StyleGuide(Record, metaclass=slotted):
     id: str
     marker_scheme: str
     list_order: str
@@ -83,14 +83,14 @@ class StyleGuide(Record):
         return self.layouts.get(doc_type, self.layouts["unknown"])
 
 
-class Span(Record):
+class Span(Record, metaclass=slotted):
     """A run of entry text with one typography applied."""
 
     text: str
     typography: str = "plain"
 
 
-class RenderedEntry(Record):
+class RenderedEntry(Record, metaclass=slotted):
     """A formatted bibliography entry.
 
     ``spans`` carry the typography; :meth:`plain` flattens them and

@@ -18,7 +18,7 @@ import re
 from collections import Counter
 
 from .rawxml import TreeDocument, attribute_name
-from .base import Finding, Record, factory, json_bool, json_object, json_strings
+from .base import Finding, Record, factory, json_bool, json_object, json_strings, slotted
 
 DEFAULT_ENUMERABLE_ATTRIBUTES = frozenset({"type", "level", "rend", "unit"})
 
@@ -28,7 +28,7 @@ DEFAULT_ENUMERABLE_ATTRIBUTES = frozenset({"type", "level", "rend", "unit"})
 # --------------------------------------------------------------------------
 
 
-class ElementUsage(Record, mutable=True):
+class ElementUsage(Record, mutable=True, metaclass=slotted):
     """Aggregated observations for one element name."""
 
     count: int = 0
@@ -38,7 +38,7 @@ class ElementUsage(Record, mutable=True):
     text_count: int = 0  # instances with non-whitespace direct text
 
 
-class UsageProfile(Record, mutable=True):
+class UsageProfile(Record, mutable=True, metaclass=slotted):
     doc_count: int = 0
     roots: Counter = factory(Counter)
     elements: dict = factory(dict)  # name -> ElementUsage
@@ -118,7 +118,7 @@ def profile_corpus(docs) -> UsageProfile:
 # --------------------------------------------------------------------------
 
 
-class CodifyOptions(Record):
+class CodifyOptions(Record, metaclass=slotted):
     enumerable_attributes: frozenset = DEFAULT_ENUMERABLE_ATTRIBUTES
     enumeration_cap: int = 20
 
@@ -132,19 +132,19 @@ class CodifyOptions(Record):
             raise ValueError("enumeration_cap must be >= 1")
 
 
-class AttributeRule(Record):
+class AttributeRule(Record, metaclass=slotted):
     required: bool = False
     values: tuple | None = None  # sorted closed list, or None when open
 
 
-class ElementRule(Record):
+class ElementRule(Record, metaclass=slotted):
     children: frozenset = frozenset()
     required_children: frozenset = frozenset()
     attributes: dict = factory(dict)  # name -> AttributeRule
     text: bool = False
 
 
-class RestrictedSchema(Record):
+class RestrictedSchema(Record, metaclass=slotted):
     root: str = ""
     elements: dict = factory(dict)  # name -> ElementRule
     foreign: frozenset = frozenset()
@@ -403,7 +403,7 @@ class _SchemaCheck:
 # --------------------------------------------------------------------------
 
 
-class VariantCluster(Record):
+class VariantCluster(Record, metaclass=slotted):
     element: str
     attribute: str
     key: str
@@ -462,7 +462,7 @@ _NON_XML_CHAR_RE = re.compile(
 )
 
 
-class RewriteRule(Record):
+class RewriteRule(Record, metaclass=slotted):
     element: str  # element name or "*"
     attribute: str
     from_value: str
@@ -503,6 +503,8 @@ def parse_rules(text: str) -> list:
                 f"line {lineno}: expected 'element attribute from -> to'"
             )
         element, attribute, from_value = parts
+        if attribute.startswith("{") and "}" not in attribute:
+            raise ValueError(f"line {lineno}: attribute {attribute} opens '{{' without closing it")
         rules.append(
             RewriteRule(element, attribute, from_value, to_value.strip(_XML_SPACE))
         )

@@ -10,11 +10,11 @@ under repeated runs and diffs cleanly.
 from __future__ import annotations
 
 from . import model as m
-from .base import Finding, Record, factory
+from .base import Finding, Record, factory, slotted
 from .xmlio import model_paths
 
 
-class Rule(Record):
+class Rule(Record, metaclass=slotted):
     id: str
     severity: str
     description: str
@@ -131,7 +131,7 @@ _RATIONALE = {
 }
 
 
-class ValidatorConfig(Record):
+class ValidatorConfig(Record, metaclass=slotted):
     org_unit_vocabulary: frozenset = frozenset(
         {"laboratory", "department", "institution"}
     )

@@ -23,7 +23,7 @@ from __future__ import annotations
 import re
 
 from . import model as m
-from .base import Record
+from .base import Record, slotted
 from .rawxml import TEI_NS, XML_NS, RawXmlError, TreeDocument, parse_raw
 
 # --------------------------------------------------------------------------
@@ -31,13 +31,13 @@ from .rawxml import TEI_NS, XML_NS, RawXmlError, TreeDocument, parse_raw
 # --------------------------------------------------------------------------
 
 
-class Issue(Record):
+class Issue(Record, metaclass=slotted):
     severity: str  # "error" | "warning"
     location: str  # slash path with 1-based sibling indexes, "" if global
     message: str
 
 
-class ParseReport(Record):
+class ParseReport(Record, metaclass=slotted):
     issues: tuple = ()
     outcome: m.Article | None = None
 

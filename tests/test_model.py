@@ -1,7 +1,10 @@
 """Value objects: dates, rich text, bibliographic records, references."""
 
+import copy
 import dataclasses
 import datetime
+import inspect
+import pickle
 
 import pytest
 from hypothesis import example, given, settings
@@ -10,6 +13,8 @@ from hypothesis import strategies as st
 from teijournal import corpus, render, schema, validator, xmlio
 from teijournal import model as m
 from teijournal.base import Record, factory
+
+from support import parse_skeleton
 
 
 class TestCalendarDate:
@@ -358,6 +363,18 @@ RECORD_CLASSES = [cls for cls in Record.__subclasses__()
 MUTABLE_RECORDS = (schema.ElementUsage, schema.UsageProfile)
 
 
+# Values for the required fields that "x" does not satisfy.
+SAMPLE_VALUES = {m.CalendarDate: {"year": 2009, "month": 6}, corpus.Query: {"text": "a"},
+                 schema.RewriteRule: {"to_value": "y"}}
+
+
+def sample_record(cls: type) -> Record:
+    """A record of ``cls``: "x" for every required field, defaults elsewhere."""
+    values = {name: "x" for name, p in inspect.signature(cls).parameters.items()
+              if p.default is inspect.Parameter.empty}
+    return cls(**{**values, **SAMPLE_VALUES.get(cls, {})})
+
+
 class TestRecordContract:
     def test_every_module_defines_records(self):
         modules = {cls.__module__ for cls in RECORD_CLASSES}
@@ -370,9 +387,11 @@ class TestRecordContract:
         declared = list(cls.__annotations__)
         assert dataclasses.is_dataclass(cls)
         assert [f.name for f in dataclasses.fields(cls)] == declared
+        defaults = {name: p.default for name, p in inspect.signature(cls).parameters.items()
+                    if p.default is not inspect.Parameter.empty}
         required = {}
         for f in dataclasses.fields(cls):
-            default = cls.__dict__.get(f.name, dataclasses.MISSING)
+            default = defaults.get(f.name, dataclasses.MISSING)
             if isinstance(default, factory):
                 assert (f.default, f.default_factory) == (dataclasses.MISSING, default.make)
             else:
@@ -393,6 +412,36 @@ class TestRecordContract:
                 setattr(node, declared[0], None)
             with pytest.raises(dataclasses.FrozenInstanceError):
                 delattr(node, declared[0])
+
+    @pytest.mark.parametrize("cls", RECORD_CLASSES, ids=lambda cls: cls.__qualname__)
+    def test_slotted_without_a_metaclass(self, cls):
+        assert type(cls) is type
+        extra = ("__dict__",) if cls is m.Article else ()
+        assert cls.__slots__ == tuple(cls.__annotations__) + extra
+        assert hasattr(object.__new__(cls), "__dict__") == (cls is m.Article)
+        assert not hasattr(cls, "__weakref__")
+
+    @pytest.mark.parametrize("cls", RECORD_CLASSES, ids=lambda cls: cls.__qualname__)
+    def test_copy_deepcopy_and_pickle_rebuild_an_equal_record(self, cls):
+        record = sample_record(cls)
+        for twin in (copy.copy(record), copy.deepcopy(record),
+                     pickle.loads(pickle.dumps(record))):
+            assert twin is not record
+            assert twin.__class__ is cls and twin == record
+
+    def test_parsed_article_round_trips_without_its_memos(self):
+        article = parse_skeleton()
+        assert render.citation_order(article) and xmlio.model_paths(article)
+        assert article.entries_by_id
+        serialized = xmlio.serialize_article(article)
+        twins = [copy.copy(article), copy.deepcopy(article)]
+        twins += [pickle.loads(pickle.dumps(article, protocol))
+                  for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for twin in twins:
+            assert twin.__class__ is m.Article and twin == article
+            assert twin.__dict__ == {}
+            assert xmlio.serialize_article(twin) == serialized
+            assert xmlio.model_paths(twin) == xmlio.model_paths(article)
 
     def test_mutable_schema_records_accept_assignment_and_are_unhashable(self):
         for cls in MUTABLE_RECORDS:

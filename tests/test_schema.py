@@ -408,6 +408,17 @@ class TestRules:
         with pytest.raises(ValueError, match="itself"):
             parse_rules("hi rend italic -> italic")
 
+    def test_attribute_that_opens_a_brace_without_closing_it_is_refused(self):
+        # a namespace URI holding whitespace would split the field there
+        with pytest.raises(ValueError, match=r"^line 2: attribute \{urn:a opens '\{' without"
+                                             " closing it$"):
+            parse_rules("hi rend italics -> italic\n* {urn:a b}k italics -> Italic\n")
+        with pytest.raises(ValueError, match="line 1: attribute { opens"):
+            parse_rules("a { v -> w")
+        assert parse_rules("* {urn:a}k italics -> Italic") == [
+            RewriteRule("*", "{urn:a}k", "italics", "Italic")
+        ]
+
     def test_target_may_contain_spaces(self):
         (rule,) = parse_rules("sec type two words -> even more words")
         assert rule.from_value == "two words"
