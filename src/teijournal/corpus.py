@@ -176,10 +176,6 @@ def load_corpus(paths) -> Corpus:
 # --------------------------------------------------------------------------
 
 
-def _mention_text(node) -> str:
-    return node.abbr if isinstance(node, m.AbbrMention) else node.text
-
-
 def _mention_kind_and_text(path: str, node) -> tuple:
     """Classify one walker node for indexing; (None, "") when not indexed."""
     if isinstance(node, m.Author):
@@ -191,7 +187,7 @@ def _mention_kind_and_text(path: str, node) -> tuple:
     kinds = _MENTION_KINDS.get(type(node))
     if kinds is None or (isinstance(node, m.TermMention) and node.kind != "software"):
         return None, ""
-    return kinds[0], _mention_text(node)
+    return kinds[0], m.plain_text((node,))
 
 
 def _norm_key(text: str) -> str:
@@ -311,7 +307,7 @@ def _query_nodes(article: m.Article, element_kind: str | None):
         kinds = _MENTION_KINDS.get(type(node))
         if kinds is not None:
             if kind in ("any", kinds[1]):
-                yield path, _mention_text(node)
+                yield path, m.plain_text((node,))
         elif kind == "any" and isinstance(node, m.Paragraph):
             yield path, m.plain_text(node.content)
 

@@ -161,26 +161,21 @@ class OpaqueInline(Record, metaclass=slotted):
 RichText = tuple  # of the inline nodes above
 
 
+#: Inline class -> the node's plain text, given ``pointer_text``.
+_PLAIN = {
+    **dict.fromkeys((TextRun, PersonMention, OrgMention, PlaceMention, TermMention),
+                    lambda node, _: node.text),
+    Emph: lambda node, pointer_text: plain_text(node.content, pointer_text),
+    AbbrMention: lambda node, _: node.abbr,
+    **dict.fromkeys((BiblRef, Link), lambda node, pointer_text: pointer_text(node)),
+    OpaqueInline: lambda node, _: "",
+}
+
+
 def plain_text(content: RichText, pointer_text=attrgetter("text")) -> str:
     """Flatten rich text to a plain string, dropping markup; each citation
     and link is written as ``pointer_text(node)``, by default its text."""
-    parts: list[str] = []
-    for node in content:
-        if isinstance(node, TextRun):
-            parts.append(node.text)
-        elif isinstance(node, Emph):
-            parts.append(plain_text(node.content, pointer_text))
-        elif isinstance(node, (PersonMention, OrgMention, PlaceMention, TermMention)):
-            parts.append(node.text)
-        elif isinstance(node, AbbrMention):
-            parts.append(node.abbr)
-        elif isinstance(node, (BiblRef, Link)):
-            parts.append(pointer_text(node))
-        elif isinstance(node, OpaqueInline):
-            pass
-        else:
-            raise TypeError(f"not an inline node: {node!r}")
-    return "".join(parts)
+    return "".join([_PLAIN[type(node)](node, pointer_text) for node in content])
 
 
 def normalize_title(title: "RichText | str") -> str:

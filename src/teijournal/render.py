@@ -555,11 +555,6 @@ def xhtml_page(title: str, body_markup: str) -> str:
     return f"{start}<body>{body_markup}</body></html>\n"
 
 
-#: Mention class -> the CSS class of its ``span``.
-_MENTION_CSS = {PersonMention: "tj-person", OrgMention: "tj-org",
-                PlaceMention: "tj-place", TermMention: "tj-term"}
-
-
 def _html_marker(ctx: _PageContext, target: str, fallback: str) -> str:
     text = ctx.marker(target)
     if text is None:
@@ -567,28 +562,27 @@ def _html_marker(ctx: _PageContext, target: str, fallback: str) -> str:
     return element("a", escape_text(text), {"class": "tj-ref", "href": f"#ref-{target[1:]}"})
 
 
+#: Inline class -> the node's XHTML markup, given the page context.
+_INLINE_HTML = {
+    TextRun: lambda node, _: escape_text(node.text),
+    Emph: lambda node, ctx: element("b" if "bold" in node.rend else "i",
+                                    _rich_to_html(node.content, ctx)),
+    BiblRef: lambda node, ctx: _html_marker(ctx, node.target, node.text),
+    Link: lambda node, _: element("a", escape_text(node.text or node.target),
+                                  {"href": node.target}),
+    PersonMention: lambda node, _: element("span", escape_text(node.text), {"class": "tj-person"}),
+    OrgMention: lambda node, _: element("span", escape_text(node.text), {"class": "tj-org"}),
+    PlaceMention: lambda node, _: element("span", escape_text(node.text), {"class": "tj-place"}),
+    TermMention: lambda node, _: element("span", escape_text(node.text), {"class": "tj-term"}),
+    AbbrMention: lambda node, _: element("abbr", escape_text(node.abbr),
+                                         {"title": node.expansion} if node.expansion else None),
+    OpaqueInline: lambda node, _: element("code", escape_text(node.markup),
+                                          {"class": "tj-opaque"}),
+}
+
+
 def _rich_to_html(content: RichText, ctx: _PageContext) -> str:
-    parts = []
-    for node in content:
-        if isinstance(node, TextRun):
-            parts.append(escape_text(node.text))
-        elif isinstance(node, Emph):
-            tag = "b" if "bold" in node.rend else "i"
-            parts.append(element(tag, _rich_to_html(node.content, ctx)))
-        elif isinstance(node, BiblRef):
-            parts.append(_html_marker(ctx, node.target, node.text))
-        elif isinstance(node, Link):
-            text = escape_text(node.text or node.target)
-            parts.append(element("a", text, {"href": node.target}))
-        elif type(node) in _MENTION_CSS:
-            css = _MENTION_CSS[type(node)]
-            parts.append(element("span", escape_text(node.text), {"class": css}))
-        elif isinstance(node, AbbrMention):
-            attrs = {"title": node.expansion} if node.expansion else None
-            parts.append(element("abbr", escape_text(node.abbr), attrs))
-        elif isinstance(node, OpaqueInline):
-            parts.append(element("code", escape_text(node.markup), {"class": "tj-opaque"}))
-    return "".join(parts)
+    return "".join([_INLINE_HTML[type(node)](node, ctx) for node in content])
 
 
 def _spans_to_html(entry: RenderedEntry) -> str:
@@ -603,49 +597,52 @@ def _spans_to_html(entry: RenderedEntry) -> str:
     return "".join(parts)
 
 
-def _block_to_html(block, ctx: _PageContext) -> str:
-    if isinstance(block, Paragraph):
-        return element("p", _rich_to_html(block.content, ctx))
-    if isinstance(block, CitBlock):
-        quote = _rich_to_html(block.quote, ctx)
-        if isinstance(block.source, str):
-            quote += " " + _html_marker(ctx, block.source, block.source)
-        parts = [element("p", quote)]
-        if isinstance(block.source, BiblStruct):
-            source = _spans_to_html(entry_or_fallback(block.source, ctx.style))
-            parts.append(element("p", source, {"class": "tj-cit-source"}))
-        if block.qualifiers:
-            note = _rich_to_html(block.qualifiers, ctx)
-            parts.append(element("p", note, {"class": "tj-cit-note"}))
-        return element("blockquote", "".join(parts), {"class": "tj-cit"})
-    if isinstance(block, FigureBlock):
-        parts = []
-        if block.graphic_url:
-            parts.append(element("img", "", {"alt": "", "src": block.graphic_url}))
-        if block.caption:
-            parts.append(element("p", _rich_to_html(block.caption, ctx)))
-        return element("div", "".join(parts), {"class": "tj-figure"})
-    if isinstance(block, TableBlock):
-        caption = element("p", _rich_to_html(block.caption, ctx)) if block.caption else ""
-        table = caption + element("pre", escape_text(block.markup))
-        return element("div", table, {"class": "tj-table"})
-    if isinstance(block, FormulaBlock):
-        return element("pre", escape_text(block.markup), {"class": "tj-formula"})
-    if isinstance(block, ListBlock):
-        items = "".join(element("li", _rich_to_html(item, ctx)) for item in block.items)
-        return element("ul", items)
-    if isinstance(block, QuoteBlock):
-        return element("blockquote", element("p", _rich_to_html(block.content, ctx)))
-    if isinstance(block, OpaqueBlock):
-        return element("pre", escape_text(block.markup), {"class": "tj-opaque"})
-    return ""
+def _cit_to_html(block: CitBlock, ctx: _PageContext) -> str:
+    quote = _rich_to_html(block.quote, ctx)
+    if isinstance(block.source, str):
+        quote += " " + _html_marker(ctx, block.source, block.source)
+    parts = [element("p", quote)]
+    if isinstance(block.source, BiblStruct):
+        source = _spans_to_html(entry_or_fallback(block.source, ctx.style))
+        parts.append(element("p", source, {"class": "tj-cit-source"}))
+    if block.qualifiers:
+        parts.append(element("p", _rich_to_html(block.qualifiers, ctx), {"class": "tj-cit-note"}))
+    return element("blockquote", "".join(parts), {"class": "tj-cit"})
+
+
+def _caption_html(caption: RichText, ctx: _PageContext) -> str:
+    return element("p", _rich_to_html(caption, ctx)) if caption else ""
+
+
+def _figure_to_html(block: FigureBlock, ctx: _PageContext) -> str:
+    image = element("img", "", {"alt": "", "src": block.graphic_url}) if block.graphic_url else ""
+    return element("div", image + _caption_html(block.caption, ctx), {"class": "tj-figure"})
+
+
+#: Block class -> the block's XHTML markup, given the page context.
+_BLOCK_HTML = {
+    Paragraph: lambda block, ctx: element("p", _rich_to_html(block.content, ctx)),
+    CitBlock: _cit_to_html,
+    FigureBlock: _figure_to_html,
+    TableBlock: lambda block, ctx: element(
+        "div", _caption_html(block.caption, ctx) + element("pre", escape_text(block.markup)),
+        {"class": "tj-table"}),
+    FormulaBlock: lambda block, _: element("pre", escape_text(block.markup),
+                                           {"class": "tj-formula"}),
+    ListBlock: lambda block, ctx: element(
+        "ul", "".join(element("li", _rich_to_html(item, ctx)) for item in block.items)),
+    QuoteBlock: lambda block, ctx: element("blockquote",
+                                           element("p", _rich_to_html(block.content, ctx))),
+    OpaqueBlock: lambda block, _: element("pre", escape_text(block.markup),
+                                          {"class": "tj-opaque"}),
+}
 
 
 def _division_to_html(division: Division, depth: int, ctx) -> str:
     parts = []
     if division.head:
         parts.append(element(f"h{min(depth + 1, 6)}", _rich_to_html(division.head, ctx)))
-    parts.extend(_block_to_html(block, ctx) for block in division.blocks)
+    parts.extend(_BLOCK_HTML[type(block)](block, ctx) for block in division.blocks)
     parts.extend(_division_to_html(child, depth + 1, ctx) for child in division.children)
     css = "tj-abstract" if division.kind == "abstract" else "tj-section"
     return element("section", "".join(parts), {"class": css})
@@ -674,10 +671,7 @@ def render_xhtml(article: Article, style: StyleGuide) -> str:
     fd = article.header.file_desc
     title_text = normalize_title(fd.main_title) or article.id or "Untitled"
 
-    if fd.main_title:
-        title = _rich_to_html(fd.main_title, ctx)
-    else:
-        title = escape_text(title_text)
+    title = _rich_to_html(fd.main_title, ctx) if fd.main_title else escape_text(title_text)
     parts = [element("h1", title, {"class": "tj-title"})]
 
     source = fd.source
@@ -757,33 +751,37 @@ def _heading_lines(text: str, depth: int) -> list:
     return _underlined(" ".join(text.split()), "=" if depth <= 1 else "-")
 
 
-def _block_to_text(block, ctx: _PageContext) -> list:
-    lines: list = []
-    if isinstance(block, Paragraph):
-        lines.extend(_wrap(plain_text(block.content, ctx.pointer_text)))
-    elif isinstance(block, CitBlock):
-        quote = plain_text(block.quote, ctx.pointer_text)
-        if isinstance(block.source, str):
-            quote = f"{quote} {ctx.marker(block.source) or block.source}"
-        lines.extend(_wrap(quote, indent="    "))
-        if isinstance(block.source, BiblStruct):
-            source = entry_or_fallback(block.source, ctx.style).plain()
-            lines.extend(_wrap("-- " + source, indent="    "))
-        if block.qualifiers:
-            lines.extend(_wrap(plain_text(block.qualifiers, ctx.pointer_text), indent="    "))
-    elif isinstance(block, FigureBlock):
-        caption = plain_text(block.caption, ctx.pointer_text).strip()
-        lines.extend(_wrap(f"[Figure: {caption}]" if caption else "[Figure]"))
-    elif isinstance(block, TableBlock):
-        caption = plain_text(block.caption, ctx.pointer_text).strip()
-        lines.extend(_wrap(f"[Table: {caption}]" if caption else "[Table]"))
-    elif isinstance(block, ListBlock):
-        for item in block.items:
-            lines.extend(_wrap(plain_text(item, ctx.pointer_text), indent="  - ", hang="    "))
-    elif isinstance(block, QuoteBlock):
-        lines.extend(_wrap(plain_text(block.content, ctx.pointer_text), indent="    "))
-    # Formula and opaque blocks carry no flowable text and are skipped.
+def _cit_to_text(block: CitBlock, ctx: _PageContext) -> list:
+    quote = plain_text(block.quote, ctx.pointer_text)
+    if isinstance(block.source, str):
+        quote = f"{quote} {ctx.marker(block.source) or block.source}"
+    lines = _wrap(quote, indent="    ")
+    if isinstance(block.source, BiblStruct):
+        source = entry_or_fallback(block.source, ctx.style).plain()
+        lines.extend(_wrap("-- " + source, indent="    "))
+    if block.qualifiers:
+        lines.extend(_wrap(plain_text(block.qualifiers, ctx.pointer_text), indent="    "))
     return lines
+
+
+def _caption_lines(label: str, caption: RichText, ctx: _PageContext) -> list:
+    caption = plain_text(caption, ctx.pointer_text).strip()
+    return _wrap(f"[{label}: {caption}]" if caption else f"[{label}]")
+
+
+#: Block class -> the block's lines on the text page (none without flowable text).
+_BLOCK_TEXT = {
+    Paragraph: lambda block, ctx: _wrap(plain_text(block.content, ctx.pointer_text)),
+    CitBlock: _cit_to_text,
+    FigureBlock: lambda block, ctx: _caption_lines("Figure", block.caption, ctx),
+    TableBlock: lambda block, ctx: _caption_lines("Table", block.caption, ctx),
+    ListBlock: lambda block, ctx: [
+        line for item in block.items
+        for line in _wrap(plain_text(item, ctx.pointer_text), indent="  - ", hang="    ")],
+    QuoteBlock: lambda block, ctx: _wrap(plain_text(block.content, ctx.pointer_text),
+                                         indent="    "),
+    **dict.fromkeys((FormulaBlock, OpaqueBlock), lambda block, _: []),
+}
 
 
 def _division_to_text(division: Division, depth: int, ctx: _PageContext) -> list:
@@ -793,7 +791,7 @@ def _division_to_text(division: Division, depth: int, ctx: _PageContext) -> list
         lines.extend(_heading_lines(head, depth))
         lines.append("")
     for block in division.blocks:
-        block_lines = _block_to_text(block, ctx)
+        block_lines = _BLOCK_TEXT[type(block)](block, ctx)
         if block_lines:
             lines.extend(block_lines)
             lines.append("")

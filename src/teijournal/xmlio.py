@@ -9,7 +9,7 @@ attributes, two-space indentation for element-only content, and opaque
 regions byte-for-byte as captured. The serializer's element calls are the
 only description of that form: :func:`iter_model_paths` makes the same
 calls to name the element that holds each model node. Inside running text,
-``_inline_element`` alone describes each inline node's element; the
+``_INLINE_ELEMENT`` alone describes each inline node's element; the
 serializer writes what it returns and the path walk reads its name.
 
 Known limits, all deliberate: attribute order and insignificant whitespace
@@ -411,11 +411,7 @@ class _Builder:
             if name == "persName":
                 surnames = [self.text(s) for s in child.findall("surname")]
                 surname = " ".join(s for s in surnames if s)
-                forenames = [
-                    self.text(f)
-                    for f in child.findall("forename")
-                    if self.text(f)
-                ]
+                forenames = [text for text in map(self.text, child.findall("forename")) if text]
                 for sub in child:
                     if sub.tag not in ("surname", "forename"):
                         self.unknown(sub, "persName")
@@ -780,31 +776,26 @@ def opaque_root_name(markup: str) -> str:
     return match.group(1) if match else "opaque"
 
 
-def _inline_element(node) -> tuple:
-    """``(name, attrs, content)`` of the canonical TEI element of an inline
-    node other than a text run or opaque markup.
-
-    ``content`` is escaped markup, an :class:`~teijournal.model.Emph`'s
-    inline tuple, or ``None`` for a self-closed element.
-    """
-    if isinstance(node, m.Emph):
-        return "hi", {"rend": node.rend or None}, node.content
-    if isinstance(node, m.BiblRef):
-        return "ref", {"target": node.target, "type": "bibr"}, _esc(node.text) or None
-    if isinstance(node, m.Link):
-        if node.text:
-            return "ref", {"target": node.target}, _esc(node.text)
-        return "ptr", {"target": node.target}, None
-    mention = _MENTIONS.get(type(node))
-    if mention is not None:
-        name, attr, field = mention
-        return name, {attr: getattr(node, field) or None}, _esc(node.text)
-    if isinstance(node, m.AbbrMention):
-        if node.expansion is None:
-            return "abbr", {}, _esc(node.abbr)
-        both = f"<abbr>{_esc(node.abbr)}</abbr><expan>{_esc(node.expansion)}</expan>"
-        return "choice", {}, both
-    raise TypeError(f"not an inline node: {node!r}")
+#: Inline class -> ``(name, attrs, content)`` of the node's canonical TEI
+#: element, for every inline node but a text run or opaque markup.
+#: ``content`` is escaped markup, an :class:`~teijournal.model.Emph`'s inline
+#: tuple, or ``None`` for a self-closed element.
+_INLINE_ELEMENT = {
+    m.Emph: lambda node: ("hi", {"rend": node.rend or None}, node.content),
+    m.BiblRef: lambda node: ("ref", {"target": node.target, "type": "bibr"},
+                             _esc(node.text) or None),
+    m.Link: lambda node: (
+        ("ref", {"target": node.target}, _esc(node.text)) if node.text else
+        ("ptr", {"target": node.target}, None)),
+    **{
+        cls: lambda node, name=name, attr=attr, field=field: (
+            name, {attr: getattr(node, field) or None}, _esc(node.text))
+        for cls, (name, attr, field) in _MENTIONS.items()
+    },
+    m.AbbrMention: lambda node: (
+        ("abbr", {}, _esc(node.abbr)) if node.expansion is None else
+        ("choice", {}, f"<abbr>{_esc(node.abbr)}</abbr><expan>{_esc(node.expansion)}</expan>")),
+}
 
 
 def _inline_markup(content: tuple) -> str:
@@ -815,7 +806,7 @@ def _inline_markup(content: tuple) -> str:
         elif isinstance(node, m.OpaqueInline):
             parts.append(node.markup)
         else:
-            name, attrs, inner = _inline_element(node)
+            name, attrs, inner = _INLINE_ELEMENT[type(node)](node)
             if isinstance(inner, tuple):
                 inner = _inline_markup(inner)
             if inner is None:
@@ -832,7 +823,7 @@ class _Writer:
     tree; they make the same calls on a :class:`_PathWriter` to list the
     model's paths.  ``node=`` names the addressable model node an element
     holds, which only the path writer reads.  The inline elements of rich
-    text are described once, by :func:`_inline_element`.
+    text are described once, by ``_INLINE_ELEMENT``.
     """
 
     def __init__(self) -> None:
@@ -926,7 +917,7 @@ def _walk_rich(out: list, content: tuple, parent: str, counts: dict) -> None:
         if isinstance(node, m.OpaqueInline):
             name = opaque_root_name(node.markup)
         else:
-            name = _inline_element(node)[0]
+            name = _INLINE_ELEMENT[type(node)](node)[0]
         count = counts[name] = counts.get(name, 0) + 1
         path = f"{parent}/{name}[{count}]"
         out.append((path, node))
@@ -1087,45 +1078,51 @@ def _write_division(w, division: m.Division) -> None:
     if division.head:
         w.rich("head", {}, division.head)
     for block in division.blocks:
-        _write_block(w, block)
+        _WRITE_BLOCK[type(block)](w, block)
     for child in division.children:
         _write_division(w, child)
     w.close()
 
 
-def _write_block(w, block) -> None:
-    if isinstance(block, m.Paragraph):
-        w.rich("p", {}, block.content, node=block)
-    elif isinstance(block, m.CitBlock):
-        w.open("cit", node=block)
-        w.rich("quote", {}, block.quote)
-        if isinstance(block.source, m.BiblStruct):
-            _write_biblstruct(w, block.source)
-        elif isinstance(block.source, str):
-            w.empty("ref", {"target": block.source, "type": "bibr"})
-        if block.qualifiers:
-            w.rich("note", {}, block.qualifiers)
-        w.close()
-    elif isinstance(block, m.FigureBlock):
-        w.open("figure", node=block)
-        if block.caption:
-            w.rich("head", {}, block.caption)
-        if block.graphic_url is not None:
-            w.empty("graphic", {"url": block.graphic_url})
-        w.close()
-    elif isinstance(block, m.TableBlock):
-        w.verbatim(block.markup, block, block.caption)
-    elif isinstance(block, (m.FormulaBlock, m.OpaqueBlock)):
-        w.verbatim(block.markup, block)
-    elif isinstance(block, m.ListBlock):
-        w.open("list", node=block)
-        for item in block.items:
-            w.rich("item", {}, item)
-        w.close()
-    elif isinstance(block, m.QuoteBlock):
-        w.rich("quote", {}, block.content, node=block)
-    else:
-        raise TypeError(f"not a block node: {block!r}")
+def _write_cit(w, block: m.CitBlock) -> None:
+    w.open("cit", node=block)
+    w.rich("quote", {}, block.quote)
+    if isinstance(block.source, m.BiblStruct):
+        _write_biblstruct(w, block.source)
+    elif isinstance(block.source, str):
+        w.empty("ref", {"target": block.source, "type": "bibr"})
+    if block.qualifiers:
+        w.rich("note", {}, block.qualifiers)
+    w.close()
+
+
+def _write_figure(w, block: m.FigureBlock) -> None:
+    w.open("figure", node=block)
+    if block.caption:
+        w.rich("head", {}, block.caption)
+    if block.graphic_url is not None:
+        w.empty("graphic", {"url": block.graphic_url})
+    w.close()
+
+
+def _write_list(w, block: m.ListBlock) -> None:
+    w.open("list", node=block)
+    for item in block.items:
+        w.rich("item", {}, item)
+    w.close()
+
+
+#: Block class -> the writer calls of the block's canonical element.
+_WRITE_BLOCK = {
+    m.Paragraph: lambda w, block: w.rich("p", {}, block.content, node=block),
+    m.CitBlock: _write_cit,
+    m.FigureBlock: _write_figure,
+    m.TableBlock: lambda w, block: w.verbatim(block.markup, block, block.caption),
+    m.FormulaBlock: lambda w, block: w.verbatim(block.markup, block),
+    m.ListBlock: _write_list,
+    m.QuoteBlock: lambda w, block: w.rich("quote", {}, block.content, node=block),
+    m.OpaqueBlock: lambda w, block: w.verbatim(block.markup, block),
+}
 
 
 def _write_listbibl(w, listbibl: m.ListBibl) -> None:

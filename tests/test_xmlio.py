@@ -1,6 +1,7 @@
 """Parse/serialize: fixtures, repairs, refusals, and round-trip laws."""
 
 import dataclasses
+import xml.etree.ElementTree as ET
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from teijournal import model as m
 from teijournal.rawxml import RawXmlError, parse_raw
+from teijournal.render import builtin_style, render_plaintext, render_xhtml
 from teijournal.xmlio import iter_model_paths, parse_article, serialize_article
 
 from support import SKELETON, parse_skeleton
@@ -767,9 +769,20 @@ _inline = st.recursive(
 )
 
 
+# The other blocks whose elements hold rich text; a cit's source is a "#id"
+# pointer, written as a ref.
+_blocks = st.one_of(
+    st.builds(m.QuoteBlock, _rich(_inline)),
+    st.builds(m.ListBlock, st.lists(_rich(_inline), max_size=3).map(tuple)),
+    st.builds(m.FigureBlock, st.none() | st.text(_xml_chars), _rich(_inline)),
+    st.builds(m.CitBlock, _rich(_inline), st.text(_xml_chars).map("#".__add__), _rich(_inline)),
+)
+
+
 @st.composite
 def _articles(draw):
-    blocks = (m.Paragraph(draw(_rich(_inline, min_size=1))),)
+    blocks = (m.Paragraph(draw(_rich(_inline, min_size=1))),
+              *draw(st.lists(_blocks, max_size=3)))
     head = draw(st.one_of(st.just(()), st.tuples(st.just(m.TextRun("Heading")))))
     division = m.Division(kind="section", head=head, blocks=blocks)
     title = draw(_collapsed_text.filter(bool))
@@ -795,6 +808,14 @@ class TestRoundTripProperties:
         report = parse_article(serialize_article(article), None)
         assert report.ok
         assert report.outcome == article
+
+
+class TestPageProperties:
+    @settings(deadline=None)
+    @given(_articles())
+    def test_handbuilt_models_render_well_formed_pages(self, article):
+        ET.fromstring(render_xhtml(article, builtin_style("apa")))
+        assert render_plaintext(article).endswith("\n")
 
 
 # Every inline and block class, with both element names of Link and of
