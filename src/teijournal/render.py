@@ -463,22 +463,28 @@ def _first_citations(article: Article) -> tuple:
     return tuple(order)
 
 
-def format_reference_list(
-    entries, style: StyleGuide, citation_order: list | tuple = ()
-) -> list:
-    """Format a whole reference list; the one place that orders and numbers one.
-
-    Returns ``(label, RenderedEntry)`` pairs in display order.  Entries are
-    numbered by first citation, uncited entries after the cited ones in
-    alphabetical order, and a repeated id keeps its first entry.  Labels are
-    ``[n]`` strings for numeric marker schemes and ``None`` for author-date
-    schemes.
+def format_reference_list(entries, style: StyleGuide, citation_order: list | tuple = ()) -> list:
+    """Format a whole reference list, then order and number it with
+    :func:`_number_entries`, the one place that does.  Returns ``(label,
+    RenderedEntry)`` pairs in display order.  Entries are numbered by first
+    citation, uncited entries after the cited ones in alphabetical order, and
+    a repeated id keeps its first entry.  Labels are ``[n]`` strings for
+    numeric marker schemes and ``None`` for author-date schemes.
     """
+    return _number_entries(_format_entries(entries, style), style, citation_order)
+
+
+def _format_entries(entries, style: StyleGuide) -> dict:
+    """Entry key (its ``xml:id``, else its position) -> :class:`RenderedEntry`."""
     rendered: dict = {}
     for i, record in enumerate(entries):
         key = record.xml_id if record.xml_id else f"\x00{i}"
         if key not in rendered:
             rendered[key] = entry_or_fallback(record, style)
+    return rendered
+
+
+def _number_entries(rendered: dict, style: StyleGuide, citation_order) -> list:
     alphabetical = sorted(rendered, key=lambda k: (rendered[k].sort_key, k))
     cited = [k for k in dict.fromkeys(citation_order) if k in rendered]
     cited_set = set(cited)
@@ -491,14 +497,20 @@ def format_reference_list(
 
 
 class _PageContext:
-    """What one page's text and reference list share: the style, the
-    reference list as :func:`format_reference_list` numbers it, and the
-    in-text markers read off that list."""
+    """One page's style, its reference list as :func:`_number_entries` numbers
+    it, and the in-text markers read off that list.  The formatted entries are
+    kept in the article's ``__dict__`` (as :func:`citation_order` is), keyed by
+    the style's name format and layouts by value, all a :class:`RenderedEntry`
+    depends on, so every page and style load that agree on those share them."""
 
     def __init__(self, article: Article, style: StyleGuide):
         self.style = style
-        entries = article.reference_list.entries if article.reference_list else ()
-        self.references = format_reference_list(entries, style, citation_order(article))
+        memo = article.__dict__.setdefault("_rendered_entries", {})
+        key = (style.author_name_format, tuple(sorted(style.layouts.items())))
+        if key not in memo:
+            entries = article.reference_list.entries if article.reference_list else ()
+            memo[key] = _format_entries(entries, style)
+        self.references = _number_entries(memo[key], style, citation_order(article))
         self.by_id = {e.ref_id: (label, e) for label, e in self.references if e.ref_id}
 
     def marker(self, target: str) -> str | None:
@@ -527,21 +539,34 @@ class _PageContext:
 
 
 def escape_text(text: str) -> str:
-    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+    if "&" in text:
+        text = text.replace("&", "&amp;")
+    if "<" in text:
+        text = text.replace("<", "&lt;")
+    if ">" in text:
+        text = text.replace(">", "&gt;")
+    return text
 
 
 def _escape_attr(value: str) -> str:
-    return (
-        escape_text(value).replace('"', "&quot;")
-        .replace("\r", "&#13;").replace("\n", "&#10;").replace("\t", "&#09;")
-    )
+    value = escape_text(value)
+    if '"' in value:
+        value = value.replace('"', "&quot;")
+    if "\r" in value:
+        value = value.replace("\r", "&#13;")
+    if "\n" in value:
+        value = value.replace("\n", "&#10;")
+    if "\t" in value:
+        value = value.replace("\t", "&#09;")
+    return value
 
 
 def element(tag: str, content: str = "", attrs: dict | None = None) -> str:
     """One element around ``content``, markup that is already escaped."""
     start = tag
-    for name, value in (attrs or {}).items():
-        start += f' {name}="{_escape_attr(value)}"'
+    if attrs:
+        for name, value in attrs.items():
+            start += f' {name}="{_escape_attr(value)}"'
     return f"<{start}>{content}</{tag}>" if content else f"<{start} />"
 
 

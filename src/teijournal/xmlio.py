@@ -739,26 +739,33 @@ def parse_article(
 def _esc(text: str) -> str:
     # Carriage returns must leave as character references or the parser
     # would normalize them away and break the round-trip fixpoint.
-    return (
-        text.replace("&", "&amp;")
-        .replace("<", "&lt;")
-        .replace(">", "&gt;")
-        .replace("\r", "&#13;")
-    )
+    if "&" in text:
+        text = text.replace("&", "&amp;")
+    if "<" in text:
+        text = text.replace("<", "&lt;")
+    if ">" in text:
+        text = text.replace(">", "&gt;")
+    if "\r" in text:
+        text = text.replace("\r", "&#13;")
+    return text
 
 
 def _esc_attr(text: str) -> str:
     # Ditto for tabs and newlines, which attribute-value normalization
     # would otherwise turn into spaces.
-    return (
-        _esc(text)
-        .replace('"', "&quot;")
-        .replace("\t", "&#9;")
-        .replace("\n", "&#10;")
-    )
+    text = _esc(text)
+    if '"' in text:
+        text = text.replace('"', "&quot;")
+    if "\t" in text:
+        text = text.replace("\t", "&#9;")
+    if "\n" in text:
+        text = text.replace("\n", "&#10;")
+    return text
 
 
 def _tag(name: str, attrs: dict, close: bool = False) -> str:
+    if not attrs:
+        return f"<{name}/>" if close else f"<{name}>"
     parts = [name]
     for key in sorted(attrs):
         value = attrs[key]

@@ -535,3 +535,45 @@ def prescan_parse_raw(data: bytes) -> rawxml.TreeDocument:
         pass
     _prescan_depth_scan(data)  # raises at the first too-deep element
     raise rawxml.RawXmlError(f"elements nested more than {rawxml.MAX_DEPTH} deep")
+
+
+# --------------------------------------------------------------------------
+# Escaping oracles: the string writers' escapers as chained replaces, each
+# replace run whether or not its character is present
+# --------------------------------------------------------------------------
+
+
+def chained_esc(text: str) -> str:
+    """``xmlio._esc``: TEI text."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;").replace(
+        "\r", "&#13;"
+    )
+
+
+def chained_esc_attr(text: str) -> str:
+    """``xmlio._esc_attr``: TEI attribute values."""
+    return chained_esc(text).replace('"', "&quot;").replace("\t", "&#9;").replace("\n", "&#10;")
+
+
+def chained_tag(name: str, attrs: dict, close: bool = False) -> str:
+    """``xmlio._tag``: a TEI start tag, attributes sorted, ``None`` values left out."""
+    parts = [name]
+    for key in sorted(attrs):
+        value = attrs[key]
+        if value is None:
+            continue
+        parts.append(f'{key}="{chained_esc_attr(str(value))}"')
+    return "<" + " ".join(parts) + ("/>" if close else ">")
+
+
+def chained_escape_text(text: str) -> str:
+    """``render.escape_text``: XHTML text."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
+def chained_escape_attr(value: str) -> str:
+    """``render._escape_attr``: XHTML attribute values."""
+    return (
+        chained_escape_text(value).replace('"', "&quot;")
+        .replace("\r", "&#13;").replace("\n", "&#10;").replace("\t", "&#09;")
+    )

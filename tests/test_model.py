@@ -433,6 +433,9 @@ class TestRecordContract:
         article = parse_skeleton()
         assert render.citation_order(article) and xmlio.model_paths(article)
         assert article.entries_by_id
+        # both pages, so the formatted reference entries are kept as well
+        pages = (render.render_xhtml(article, render.builtin_style("chicago")),
+                 render.render_plaintext(article))
         serialized = xmlio.serialize_article(article)
         twins = [copy.copy(article), copy.deepcopy(article)]
         twins += [pickle.loads(pickle.dumps(article, protocol))
@@ -442,6 +445,8 @@ class TestRecordContract:
             assert twin.__dict__ == {}
             assert xmlio.serialize_article(twin) == serialized
             assert xmlio.model_paths(twin) == xmlio.model_paths(article)
+            assert (render.render_xhtml(twin, render.builtin_style("chicago")),
+                    render.render_plaintext(twin)) == pages
 
     def test_mutable_schema_records_accept_assignment_and_are_unhashable(self):
         for cls in MUTABLE_RECORDS:

@@ -1,11 +1,12 @@
-"""Shared per-article walks, structures free of reference cycles, and
-work that grows linearly with the input.
+"""Shared per-article walks and formatted reference entries, structures
+free of reference cycles, and work that grows linearly with the input.
 
 Every per-document structure (raw trees, parse reports, model walks,
 findings, rendered pages, corpus products, schema profiles) must be freed
 by reference counting alone, so a run never leaves work for the cyclic
 garbage collector.  The model walk behind the validator, the renderers and
-the corpus products runs once per ``Article`` instance.
+the corpus products runs once per ``Article`` instance, and each reference
+entry is formatted once per article and layout.
 """
 
 import dataclasses
@@ -70,6 +71,12 @@ def _schema_check(data: bytes) -> list:
     return schema.validate_against(rules, doc, schema.load_base_schema())
 
 
+def _both_pages(article: m.Article) -> tuple:
+    # the text page reads the entries the chicago page formatted
+    chicago = render.builtin_style("chicago")
+    return render.render_xhtml(article, chicago), render.render_plaintext(article)
+
+
 CASES = {
     "parse_raw": lambda data, paths: parse_raw(data),
     "parse_article": lambda data, paths: xmlio.parse_article(data, "gen.xml"),
@@ -77,6 +84,7 @@ CASES = {
     "validate": lambda data, paths: validator.validate(parse(data)),
     "render_xhtml": lambda data, paths: render.render_xhtml(parse(data), STYLE),
     "render_plaintext": lambda data, paths: render.render_plaintext(parse(data)),
+    "render_both_pages": lambda data, paths: _both_pages(parse(data)),
     "load_corpus": lambda data, paths: corpus.load_corpus(paths),
     "build_indexes": lambda data, paths: corpus.build_indexes(
         corpus.load_corpus(paths)
@@ -189,6 +197,66 @@ def test_first_reference_entry_wins_for_duplicate_ids():
     assert m.resolve_ref(article, "#b1") is first
     assert article.entries_by_id == {"b1": first}
     assert m.resolve_ref(m.Article(), "#b1") is None
+
+
+# --------------------------------------------------------------------------
+# Each reference entry formatted once per article and layout
+# --------------------------------------------------------------------------
+
+
+@pytest.fixture
+def formatted(monkeypatch) -> list:
+    """The records ``format_entry`` formats, in call order."""
+    records: list = []
+    real = render.format_entry
+
+    def counting(record, style):
+        records.append(record)
+        return real(record, style)
+
+    monkeypatch.setattr(render, "format_entry", counting)
+    return records
+
+
+def test_each_entry_formatted_once_per_article_and_layout(formatted):
+    article = parse(article_data())
+    entries = article.reference_list.entries
+    for style in ("apa", "chicago", "mla"):
+        render.render_xhtml(article, render.builtin_style(style))
+    assert len(formatted) == 3 * len(entries)
+    # the text page's chicago entries, its own load of the style: no new work
+    text = render.render_plaintext(article)
+    assert formatted == 3 * list(entries)
+    assert "[1] Writer3, Ann. Book 3." in text
+
+
+def test_text_page_is_the_same_whatever_rendered_first():
+    chicago = render.builtin_style("chicago")
+    alone = render.render_plaintext(parse(article_data()))
+    after_page = parse(article_data())
+    page = render.render_xhtml(after_page, chicago)
+    shared_style = parse(article_data())
+    assert render.render_plaintext(shared_style, chicago) == alone
+    assert render.render_xhtml(shared_style, chicago) == page
+    assert render.render_plaintext(after_page) == alone
+    assert render.render_plaintext(after_page, render.builtin_style("chicago")) == alone
+
+
+def test_a_changed_layout_or_name_format_formats_anew(formatted):
+    chicago = render.builtin_style("chicago")
+    layouts = {**chicago.layouts, "book": (render.Segment("title", suffix=" (changed)"),)}
+    changed_layout = render.StyleGuide(chicago.id, chicago.marker_scheme, chicago.list_order,
+                                       chicago.author_name_format, layouts)
+    changed_names = render.StyleGuide(chicago.id, chicago.marker_scheme, chicago.list_order,
+                                      "as-encoded", chicago.layouts)
+    article = parse(article_data())
+    pages = [render.render_xhtml(article, style)
+             for style in (chicago, changed_layout, changed_names)]
+    assert len(formatted) == 3 * len(article.reference_list.entries)
+    assert "Book 3 (changed)" in pages[1] and "Book 3 (changed)" not in pages[0]
+    assert "Ann Writer3" in pages[2] and "Ann Writer3" not in pages[0]
+    for style, page in zip((chicago, changed_layout, changed_names), pages):
+        assert render.render_xhtml(parse(article_data()), style) == page
 
 
 # --------------------------------------------------------------------------

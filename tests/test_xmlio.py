@@ -8,10 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from teijournal import model as m
+from teijournal import render, xmlio
 from teijournal.rawxml import RawXmlError, parse_raw
 from teijournal.render import builtin_style, render_plaintext, render_xhtml
 from teijournal.xmlio import iter_model_paths, parse_article, serialize_article
 
+import support
 from support import SKELETON, parse_skeleton
 
 TEI = b'<TEI xmlns="http://www.tei-c.org/ns/1.0">'
@@ -816,6 +818,39 @@ class TestPageProperties:
     def test_handbuilt_models_render_well_formed_pages(self, article):
         ET.fromstring(render_xhtml(article, builtin_style("apa")))
         assert render_plaintext(article).endswith("\n")
+
+
+# Text rich in the characters the escapers replace, around any other.
+_SPECIAL = st.sampled_from("&<>\"'\t\r\n")
+_escapable = st.text(_SPECIAL | st.characters())
+_xml_escapable = st.text(_SPECIAL | _xml_chars)
+_attr_names = st.text(st.sampled_from("abkxy:-"), min_size=1, max_size=4)
+_attr_dicts = st.one_of(
+    st.just({}),
+    st.dictionaries(_attr_names, st.none(), min_size=1, max_size=3),
+    st.dictionaries(_attr_names, st.none() | _escapable | st.integers(), max_size=4),
+)
+
+
+class TestEscapes:
+    """The escapers replace only the characters present; the chained
+    replaces in ``support`` are their oracle."""
+
+    @given(_escapable)
+    def test_fast_escapes_equal_their_oracles(self, text):
+        assert xmlio._esc(text) == support.chained_esc(text)
+        assert xmlio._esc_attr(text) == support.chained_esc_attr(text)
+        assert render.escape_text(text) == support.chained_escape_text(text)
+        assert render._escape_attr(text) == support.chained_escape_attr(text)
+
+    @given(st.sampled_from(["p", "hi", "ref"]), _attr_dicts, st.booleans())
+    def test_tag_equals_its_oracle(self, name, attrs, close):
+        assert xmlio._tag(name, attrs, close) == support.chained_tag(name, attrs, close)
+
+    @given(_xml_escapable, _xml_escapable)
+    def test_escaped_text_and_attribute_read_back_exactly(self, text, value):
+        root = ET.fromstring(f'<e k="{xmlio._esc_attr(value)}">{xmlio._esc(text)}</e>')
+        assert (root.text or "", root.get("k")) == (text, value)
 
 
 # Every inline and block class, with both element names of Link and of
