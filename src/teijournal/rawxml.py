@@ -1,13 +1,14 @@
 """The one XML reader: an ElementTree tree with source byte spans on demand.
 
 :func:`parse_raw` reads every document in one pass of the C ElementTree
-parser, a chunk at a time, checking the depth as the tree grows.  A
-document with a DOCTYPE is first read whole by an expat pass with no
-element handler that makes every refusal but the depth limit.  Elements
-carry display names: TEI names lose their namespace, and other qualified
-names read ``{uri}local``, or ``xml:local`` in the XML namespace.  Byte
-spans, whose start offsets come from one regex scan, and source paths are
-worked out only for documents that ask for them (:class:`TreeDocument`).
+parser, a chunk at a time, checking the depth as the tree grows.  The only
+expat passes are ``_prescan``, which first reads a document with a DOCTYPE
+whole and makes every refusal but the depth limit, and ``_depth_scan``,
+which locates the first refusal of a refused document.  Elements carry
+display names: TEI names lose their namespace, and other qualified names
+read ``{uri}local``, or ``xml:local`` in the XML namespace.  Byte spans,
+whose offsets come from regex scans, and source paths are worked out only
+for documents that ask for them (:class:`TreeDocument`).
 Those spans let higher layers carry unrecognized markup through a
 parse/serialize cycle verbatim, and let the rewrite machinery splice
 attribute values without disturbing anything else.
@@ -68,6 +69,13 @@ _TAG_OFFSETS_RE = re.compile(
     rb"""|<!(?:[^>"']|"[^"]*"|'[^']*')*>)*\][^>]*)?>)""", re.S
 )
 
+_TAG_NAME_RE = re.compile(rb"<[^ \t\n\r/>]*")
+# A name cannot hold "/" or ">", so character data after the tag never reads
+# as one more attribute.
+_ATTRIBUTE_RE = re.compile(
+    rb"[ \t\n\r]+([^ \t\n\r=/>]+)[ \t\n\r]*=[ \t\n\r]*(?:\"([^\"]*)\"|'([^']*)')"
+)
+
 _ENC_DECL_RE = re.compile(
     rb"<\?xml[^>]*?encoding\s*=\s*[\"']([A-Za-z0-9._-]+)[\"']"
 )
@@ -83,18 +91,6 @@ def _check_prolog(data: bytes) -> None:
         encoding = m.group(1).decode("ascii").lower()
         if encoding not in ("utf-8", "utf8"):
             raise RawXmlError(f"unsupported encoding {encoding!r}; supply UTF-8")
-
-
-def _resolve_name(expat_name: str) -> tuple[str, str]:
-    """Map expat's ``uri<_SEP>local`` form to a display name and namespace URI."""
-    if _SEP not in expat_name:
-        return expat_name, ""
-    uri, local = expat_name.split(_SEP, 1)
-    if uri == TEI_NS:
-        return local, uri
-    if uri == XML_NS:
-        return f"xml:{local}", uri
-    return "{%s}%s" % (uri, local), uri
 
 
 def _run(parser, data: bytes, handlers: dict) -> None:
@@ -154,64 +150,61 @@ class TreeDocument:
     TEI namespace is stripped to its local name; :func:`attribute_name`
     gives a key's display name.  ``foreign`` holds every element that is,
     or lies inside, an element whose namespace differs from the document
-    element's; the document element itself never is.  Byte spans, start
-    tags and source paths are worked out the first time one is asked for.
+    element's; the document element itself never is.  Spans and source
+    paths are worked out, with no expat pass, the first time one is asked for.
     """
 
-    __slots__ = ("data", "root", "root_ns", "ns_decls", "foreign", "_starts",
-                 "_tags", "_parents", "_ordinals")
+    __slots__ = ("data", "root", "root_ns", "ns_decls", "foreign", "_twins",
+                 "_starts", "_parents", "_ordinals")
 
-    def __init__(self, data: bytes, root, root_ns: str, ns_decls: tuple, foreign: set):
+    def __init__(self, data: bytes, root, root_ns: str, ns_decls: tuple, foreign: set,
+                 twins: dict):
         self.data = data
         self.root = root
         self.root_ns = root_ns
         #: First declaration of each namespace prefix, in document order.
         self.ns_decls = ns_decls
         self.foreign = foreign
-        # expat reports start tags in the order ``iter`` walks the tree
+        self._twins = twins  # element -> its items before a TEI key merged
         self._starts = None  # element -> start offset
-        self._tags = None  # element -> (start offset, expat attribute list)
         self._parents = None  # element -> parent element
         self._ordinals: dict = {}  # element -> ordinal, filled per parent
 
-    def start_tag(self, element) -> tuple[int, list]:
-        """The offset of ``element``'s start tag, and the ``(display name,
-        value)`` of each attribute it specifies, in start-tag order, with
-        the value as expat reports it.  Namespace declarations are not
-        attributes.  A TEI-prefixed name and its unprefixed twin both read
-        as the local name, so this list can be longer than
-        ``element.keys()``."""
-        tags = self._tags
-        if tags is None:
-            tags = self._tags = dict(zip(self.root.iter(), _start_tags(self.data)))
-        start, attrs = tags[element]
-        return start, [
-            (_resolve_name(name)[0], value)
-            for name, value in zip(attrs[::2], attrs[1::2])
-        ]
+    def _start(self, element) -> int:
+        """The offset of ``element``'s start tag; the first call scans for all."""
+        if self._starts is None:  # the scan finds start tags in ``iter`` order
+            self._starts = dict(zip(self.root.iter(), _tag_offsets(self.data)))
+        return self._starts[element]
+
+    def attributes(self, element) -> list:
+        """``(display name, value, value_start, value_end)`` of each attribute
+        ``element``'s start tag specifies, in start-tag order: the value as
+        expat reports it, the offsets of its text between the quotes.  No
+        namespace declaration or DTD default is listed.  A TEI-prefixed name
+        and its unprefixed twin both read as the local name, so the list can
+        be longer than ``element.keys()``."""
+        items = self._twins.get(element) or element.items()
+        spans = _attr_value_spans(self.data, self._start(element))
+        return [(attribute_name(key), value, *span) for (key, value), span in zip(items, spans)]
 
     def span(self, element) -> tuple[int, int]:
         """The ``(start, end)`` byte offsets of ``element``'s markup.
 
-        Only start offsets are recorded, by one regex scan the first time a
-        span is asked for.  The end is found from the last descendant up:
-        a childless element ends at its own ``/>`` or at the end tag after
-        its content, and each element around it ends at the end tag after
-        its last child's tail (see ``_TAIL_RE``).
+        Start offsets come from ``_start``.  The end is found from the last
+        descendant up: a childless element ends at its own ``/>`` or at the
+        end tag after its content, and each element around it ends at the
+        end tag after its last child's tail (see ``_TAIL_RE``).
         """
-        starts = self._starts
-        if starts is None:
-            starts = self._starts = dict(zip(self.root.iter(), _tag_offsets(self.data)))
         data = self.data
         enclosing = [element]
         while len(enclosing[-1]):
             enclosing.append(enclosing[-1][-1])
-        end = _START_TAG_REST_RE.match(data, starts[enclosing.pop()] + 1).end()
+        end = _START_TAG_REST_RE.match(data, self._start(enclosing.pop()) + 1).end()
         if data[end - 2] != 0x2F:  # no '/' before the '>': paired tags
             end = _TAIL_RE.match(data, end).end()
         for _ in enclosing:
             end = _TAIL_RE.match(data, end).end()
-        return starts[element], end
+        return self._start(element), end
 
     def slice(self, element) -> str:
         start, end = self.span(element)
@@ -297,8 +290,8 @@ def _build(data: bytes, entities: dict) -> TreeDocument:
         if prefix:
             first_ns.setdefault(prefix, uri)
     tei_prefixed = any(uri == TEI_NS for _, (prefix, uri) in events if prefix)
-    root_ns, foreign = _adopt_names(root, tei_prefixed)
-    return TreeDocument(data, root, root_ns, tuple(first_ns.items()), foreign)
+    root_ns, foreign, twins = _adopt_names(root, tei_prefixed)
+    return TreeDocument(data, root, root_ns, tuple(first_ns.items()), foreign, twins)
 
 
 def _prescan(data: bytes) -> dict:
@@ -342,7 +335,11 @@ def _tree_name(tag: str) -> tuple[str, str]:
     if tag[:1] != "{":
         return tag, ""
     uri, _, local = tag[1:].rpartition("}")  # a local name holds no '}'
-    return _resolve_name(f"{uri}{_SEP}{local}")
+    if uri == TEI_NS:
+        return local, uri
+    if uri == XML_NS:
+        return f"xml:{local}", uri
+    return tag, uri
 
 
 @lru_cache(maxsize=1024)
@@ -360,29 +357,32 @@ def _adopt_names(root, tei_prefixed: bool) -> tuple:
     """Rename every element of ``root`` to its display name, and strip the
     TEI namespace from attribute keys when a prefix is bound to it.
 
-    Returns the document element's namespace and the set of foreign
-    elements.  The per-element steps run in C (``map``, ``compress``, a
-    ``deque`` that keeps nothing); Python runs once per distinct tag and
-    once per element whose own namespace is foreign.
+    Returns the document element's namespace, the set of foreign elements
+    and the items, from before the strip, of each element where it merged a
+    TEI-prefixed key into its unprefixed twin.  The per-element steps run in
+    C (``map``, ``compress``, a ``deque`` that keeps nothing); Python runs
+    once per distinct tag and once per element whose own namespace is foreign.
     """
     elements = list(root.iter())
     tags = list(map(_TAG, elements))
     resolved = {tag: _tree_name(tag) for tag in set(tags)}
     root_ns = resolved[root.tag][1]
-    foreign_tags = {tag for tag, (_, uri) in resolved.items() if uri != root_ns}
+    is_foreign = {tag for tag, (_, uri) in resolved.items() if uri != root_ns}
     foreign: set = set()
-    for element in compress(elements, map(foreign_tags.__contains__, tags)):
+    for element in compress(elements, map(is_foreign.__contains__, tags)):
         if element not in foreign:  # in document order, an outer one came first
             foreign.update(element.iter())
     names = {tag: name for tag, (name, _) in resolved.items()}
     deque(map(setattr, elements, repeat("tag"), map(names.__getitem__, tags)), maxlen=0)
+    twins: dict = {}
     if tei_prefixed:
         for element in elements:
             if any(key.startswith(_TEI_KEY) for key in element.keys()):
-                element.attrib = {
-                    key.removeprefix(_TEI_KEY): value for key, value in element.items()
-                }
-    return root_ns, foreign
+                items = element.items()
+                element.attrib = {key.removeprefix(_TEI_KEY): value for key, value in items}
+                if len(element.attrib) < len(items):
+                    twins[element] = items
+    return root_ns, foreign, twins
 
 
 def _last_path_too_deep(element) -> bool:
@@ -413,14 +413,14 @@ def _tag_offsets(data: bytes) -> list:
             if match.lastindex]
 
 
-def _start_tags(data: bytes) -> list:
-    """The offset of every start tag's ``<``, in document order, with
-    expat's flat list of its attributes' ``uri local`` names and values."""
-    parser = _new_parser()
-    tags: list = []
-
-    def on_start(name, attrs) -> None:
-        tags.append((parser.CurrentByteIndex, attrs))
-
-    _run(parser, data, {"StartElementHandler": on_start})
-    return tags
+def _attr_value_spans(data: bytes, start: int) -> list:
+    """Lexical ``(value_start, value_end)`` of each attribute the start tag
+    at ``start`` specifies, in order; namespace declarations are left out."""
+    spans: list = []
+    pos = _TAG_NAME_RE.match(data, start).end()
+    while match := _ATTRIBUTE_RE.match(data, pos):
+        name = match[1]
+        if name != b"xmlns" and not name.startswith(b"xmlns:"):
+            spans.append(match.span(match.lastindex))
+        pos = match.end()
+    return spans

@@ -503,8 +503,9 @@ def parse_rules(text: str) -> list:
                 f"line {lineno}: expected 'element attribute from -> to'"
             )
         element, attribute, from_value = parts
-        if attribute.startswith("{") and "}" not in attribute:
-            raise ValueError(f"line {lineno}: attribute {attribute} opens '{{' without closing it")
+        for field, name in (("element", element), ("attribute", attribute)):
+            if name.startswith("{") and "}" not in name:
+                raise ValueError(f"line {lineno}: {field} {name} opens '{{' without closing it")
         rules.append(
             RewriteRule(element, attribute, from_value, to_value.strip(_XML_SPACE))
         )
@@ -518,27 +519,6 @@ def _encode_attr(value: str) -> str:
         .replace('"', "&quot;")
         .replace("'", "&#39;")
     )
-
-
-_TAG_NAME_RE = re.compile(rb"<[^ \t\n\r/>]*")
-# A name cannot hold "/" or ">", so character data after the tag never reads
-# as one more attribute.
-_ATTRIBUTE_RE = re.compile(
-    rb"[ \t\n\r]+([^ \t\n\r=/>]+)[ \t\n\r]*=[ \t\n\r]*(?:\"([^\"]*)\"|'([^']*)')"
-)
-
-
-def _attr_value_spans(data: bytes, start: int) -> list:
-    """Lexical ``(value_start, value_end)`` of each attribute the start tag
-    at ``start`` specifies, in order; namespace declarations are left out."""
-    spans: list = []
-    pos = _TAG_NAME_RE.match(data, start).end()
-    while match := _ATTRIBUTE_RE.match(data, pos):
-        name = match[1]
-        if name != b"xmlns" and not name.startswith(b"xmlns:"):
-            spans.append(match.span(match.lastindex))
-        pos = match.end()
-    return spans
 
 
 def arbitrate(docs, rules) -> tuple:
@@ -594,7 +574,6 @@ def _splice(data: bytes, edits: list) -> bytes:
 def _collect_edits(doc: TreeDocument, lookup) -> list:
     """``(start, end, replacement)`` for every attribute value of ``doc``
     that a rule rewrites."""
-    data = doc.data
     edits: list = []
     for element in doc.root.iter():
         hits: dict = {}  # (display name, value) -> target
@@ -605,11 +584,9 @@ def _collect_edits(doc: TreeDocument, lookup) -> list:
                 hits[name, value] = target
         if not hits:
             continue
-        start, attributes = doc.start_tag(element)
-        spans = _attr_value_spans(data, start)
         # a TEI-prefixed twin of a name may carry another value
-        for (value_start, value_end), attribute in zip(spans, attributes):
-            target = hits.get(attribute)
+        for name, value, value_start, value_end in doc.attributes(element):
+            target = hits.get((name, value))
             if target is not None:
                 edits.append((value_start, value_end, _encode_attr(target).encode("utf-8")))
     return edits

@@ -313,12 +313,20 @@ class RefElement:
     markup, its source path, whether it is foreign (its namespace, or an
     ancestor's, differs from the document element's), the prefixed
     namespace declarations on its start tag, and its children (elements
-    and joined text runs)."""
+    and joined text runs).
+
+    ``items`` is the ``(display name, value)`` list expat reports, in its
+    order: the start tag's attributes, then DTD defaults.  A TEI-prefixed
+    name and its unprefixed twin both read as the local name there, while
+    ``attrs`` keeps the later of the two.  ``tag_end`` is the offset after
+    the start tag's ``>``."""
 
     name: str
     ns: str
     attrs: dict
+    items: list
     start: int
+    tag_end: int
     path: str
     foreign: bool
     ns_decls: tuple
@@ -382,10 +390,8 @@ def reference_tree(data: bytes) -> RefDocument:
 
     def on_start(expat_name, attr_list):
         name, uri = display_name(expat_name)
-        attrs = {
-            display_name(attr_list[i])[0]: attr_list[i + 1]
-            for i in range(0, len(attr_list), 2)
-        }
+        items = [(display_name(attr_list[i])[0], attr_list[i + 1])
+                 for i in range(0, len(attr_list), 2)]
         start = parser.CurrentByteIndex
         end, empty = start_tag_end(start)
         if stack:
@@ -395,7 +401,7 @@ def reference_tree(data: bytes) -> RefDocument:
             foreign = parent.foreign or uri != roots[0].ns
         else:
             path, foreign = f"{name}[1]", False
-        element = RefElement(name, uri, attrs, start, path, foreign,
+        element = RefElement(name, uri, dict(items), items, start, end, path, foreign,
                              tuple(pending), end if empty else 0)
         pending.clear()
         if stack:
@@ -423,6 +429,41 @@ def reference_tree(data: bytes) -> RefDocument:
     parser.CharacterDataHandler = on_text
     parser.Parse(data, True)
     return RefDocument(roots[0], tuple(first_ns.items()))
+
+
+def attr_value_spans_by_bytes(data: bytes, start: int) -> list:
+    """Oracle: the byte-at-a-time scanner arbitrate used before; the
+    ``(value_start, value_end)`` of each attribute the start tag at
+    ``start`` specifies, namespace declarations left out."""
+    spans: list = []
+    i = start + 1
+    while data[i] not in (0x20, 0x09, 0x0A, 0x0D, 0x3E, 0x2F):
+        i += 1
+    while True:
+        while data[i] in (0x20, 0x09, 0x0A, 0x0D):
+            i += 1
+        if data[i] == 0x3E or (data[i] == 0x2F and data[i + 1] == 0x3E):
+            return spans
+        name_start = i
+        while data[i] not in (0x3D, 0x20, 0x09, 0x0A, 0x0D):
+            i += 1
+        declaration = data[name_start:i] == b"xmlns" or data.startswith(
+            b"xmlns:", name_start, i
+        )
+        while data[i] in (0x20, 0x09, 0x0A, 0x0D):
+            i += 1
+        assert data[i] == 0x3D  # '='
+        i += 1
+        while data[i] in (0x20, 0x09, 0x0A, 0x0D):
+            i += 1
+        quote = data[i]
+        i += 1
+        value_start = i
+        while data[i] != quote:
+            i += 1
+        if not declaration:
+            spans.append((value_start, i))
+        i += 1
 
 
 # --------------------------------------------------------------------------
@@ -503,8 +544,8 @@ def _prescan_build(data: bytes) -> rawxml.TreeDocument:
         if prefix:
             first_ns.setdefault(prefix, uri)
     tei_prefixed = any(uri == TEI_NS for _, (prefix, uri) in events if prefix)
-    root_ns, foreign = rawxml._adopt_names(root, tei_prefixed)
-    return rawxml.TreeDocument(data, root, root_ns, tuple(first_ns.items()), foreign)
+    root_ns, foreign, twins = rawxml._adopt_names(root, tei_prefixed)
+    return rawxml.TreeDocument(data, root, root_ns, tuple(first_ns.items()), foreign, twins)
 
 
 def _prescan_depth_scan(data: bytes) -> None:

@@ -427,6 +427,25 @@ class TestArbitrate:
         assert {p.name: p.read_bytes() for p in schema_corpus.iterdir()} == before
         assert not (tmp_path / "fixed").exists()
 
+    @pytest.mark.parametrize("mode", ["--in-place", "--out-dir"])
+    def test_unclosed_namespace_in_a_rule_element_is_a_bad_rules_file(
+        self, schema_corpus, tmp_path, capsys, mode
+    ):
+        before = {p.name: p.read_bytes() for p in schema_corpus.iterdir()}
+        rules = self.rules_file(tmp_path, "hi rend italics -> italic\n{urn:a b}x k v -> w\n")
+        argv = ["arbitrate", str(schema_corpus), "--rules", rules, mode]
+        if mode == "--out-dir":
+            argv.append(str(tmp_path / "fixed"))
+        code, out, err = run(capsys, argv)
+        assert code == ExitStatus.FAILURE
+        assert err == (
+            "teijournal: bad rules file: line 2: element {urn:a opens '{'"
+            " without closing it\n"
+        )
+        assert out == ""
+        assert {p.name: p.read_bytes() for p in schema_corpus.iterdir()} == before
+        assert not (tmp_path / "fixed").exists()
+
     def test_missing_rules_file(self, schema_corpus, tmp_path, capsys):
         code, _, err = run(
             capsys,

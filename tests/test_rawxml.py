@@ -40,7 +40,13 @@ from teijournal.schema import (
     validate_against,
 )
 
-from support import article_bytes, prescan_parse_raw, reference_tree, write_corpus
+from support import (
+    article_bytes,
+    attr_value_spans_by_bytes,
+    prescan_parse_raw,
+    reference_tree,
+    write_corpus,
+)
 
 TEI = "http://www.tei-c.org/ns/1.0"
 
@@ -238,6 +244,21 @@ class TestDeferredSpans:
         assert len(slices) == 5
         assert tag_scans.calls <= len(slices)
         assert offset_passes == [data]
+
+    def test_arbitrate_runs_no_expat_pass_and_scans_only_documents_with_a_hit(
+        self, monkeypatch, offset_passes
+    ):
+        parsers = []
+        real = rawxml._new_parser
+        monkeypatch.setattr(rawxml, "_new_parser", lambda: parsers.append(1) or real())
+        first, miss, second = (b'<d><hi rend="italics">a</hi><hi rend="italics"/></d>',
+                               b'<d><hi rend="bold">c</hi></d>',
+                               b'<d xmlns:t="urn:t"><t:hi t:k="v"/><hi rend="italics"/></d>')
+        docs = [parse_raw(data) for data in (first, miss, second)]
+        _, changes = arbitrate(docs, parse_rules("hi rend italics -> italic"))
+        assert changes == 3
+        assert offset_passes == [first, second]
+        assert not parsers
 
 
 def tree_paths(element, path: str) -> list:
@@ -755,7 +776,7 @@ class TestSpaceInNamespaceUri:
     def test_start_tag_names_and_arbitrate_rewrites_only_the_unprefixed_key(self):
         doc = parse_raw(b'<d xmlns:p="urn:a b"><p:x p:k="v" k="w"/><p:x p:k="w" k="w"/></d>')
         assert [e.tag for e in doc.root] == ["{urn:a b}x", "{urn:a b}x"]
-        assert doc.start_tag(doc.root[0])[1] == [("{urn:a b}k", "v"), ("k", "w")]
+        assert [a[:2] for a in doc.attributes(doc.root[0])] == [("{urn:a b}k", "v"), ("k", "w")]
         rewritten, changes = arbitrate([doc], parse_rules("* k w -> z\n"))
         assert changes == 2
         assert rewritten == [
@@ -813,8 +834,36 @@ class TestTagOffsets:
         if bom:
             data = b"\xef\xbb\xbf" + data
         parse_raw(data)  # accepted
-        expat = [start for start, _ in rawxml._start_tags(data)]
+        expat = [element.start for element in reference_tree(data).root.iter()]
         assert rawxml._tag_offsets(data) == expat
+
+
+class TestAttributes:
+    @settings(deadline=None)
+    @given(documents(), st.booleans(), st.none() | internal_subset())
+    # TEI-prefixed twins, and DTD defaults that follow the specified attributes
+    @example(b'<doc xmlns:x="urn:x"><a x:k="y" k=\'z\' rend="r"/></doc>', True,
+             '<!ATTLIST a d CDATA "v" x:k CDATA "w">')
+    @example(b'<doc xmlns:x="urn:x"><a k="z" xmlns:y="urn:y"/></doc>', True,
+             '<!ATTLIST a x:k CDATA "w">')
+    def test_expats_list_cut_to_the_lexical_count(self, data, tei_prefixed, subset):
+        """Names and values as expat reports them, in its order, for the
+        attributes the start tag holds; each value span lies inside the
+        start tag, between matching quotes."""
+        if tei_prefixed:
+            data = with_tei_prefix(data)
+        if subset is not None:
+            data = with_doctype(data, f"<!DOCTYPE doc [{subset}]>")
+        doc = parse_raw(data)
+        for element, ref in zip(doc.root.iter(), reference_tree(data).root.iter(), strict=True):
+            spans = attr_value_spans_by_bytes(data, ref.start)
+            assert len(ref.items) >= len(spans)
+            assert doc.attributes(element) == [
+                (name, value, *span) for (name, value), span in zip(ref.items, spans)
+            ]
+            for value_start, value_end in spans:
+                assert ref.start < value_start - 1 and value_end < ref.tag_end
+                assert data[value_start - 1] == data[value_end] in b"'\""
 
 
 def run_in_process(argv: list) -> tuple:

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import teijournal
-from teijournal.rawxml import parse_raw
+from teijournal.rawxml import _attr_value_spans, parse_raw
 from teijournal.schema import (
     CodifyOptions,
     RestrictedSchema,
@@ -23,13 +23,12 @@ from teijournal.schema import (
     parse_rules,
     profile_corpus,
     schema_from_json,
-    _attr_value_spans,
     _splice,
     schema_to_json,
     validate_against,
 )
 
-from support import article_bytes, write_corpus
+from support import article_bytes, attr_value_spans_by_bytes, write_corpus
 
 DOC_A = b'<doc><sec type="intro"><p>one</p><p>two</p></sec></doc>'
 DOC_B = b'<doc><sec type="body"><p>three</p></sec><note/></doc>'
@@ -419,6 +418,17 @@ class TestRules:
             RewriteRule("*", "{urn:a}k", "italics", "Italic")
         ]
 
+    def test_element_that_opens_a_brace_without_closing_it_is_refused(self):
+        # an element in a namespace holding whitespace cannot be named either
+        with pytest.raises(ValueError, match=r"^line 2: element \{urn:a opens '\{' without"
+                                             " closing it$"):
+            parse_rules("hi rend italics -> italic\n{urn:a b}x k v -> w\n")
+        with pytest.raises(ValueError, match="line 1: element { opens"):
+            parse_rules("{ a v -> w")
+        assert parse_rules("{urn:a}x {urn:a}k v -> w") == [
+            RewriteRule("{urn:a}x", "{urn:a}k", "v", "w")
+        ]
+
     def test_target_may_contain_spaces(self):
         (rule,) = parse_rules("sec type two words -> even more words")
         assert rule.from_value == "two words"
@@ -599,39 +609,6 @@ class TestSplice:
     def test_matches_one_copy_per_edit(self, case):
         data, edits = case
         assert _splice(data, edits) == splice_by_copies(data, edits)
-
-
-def attr_value_spans_by_bytes(data: bytes, start: int) -> list:
-    """Oracle: the byte-at-a-time scanner arbitrate used before."""
-    spans: list = []
-    i = start + 1
-    while data[i] not in (0x20, 0x09, 0x0A, 0x0D, 0x3E, 0x2F):
-        i += 1
-    while True:
-        while data[i] in (0x20, 0x09, 0x0A, 0x0D):
-            i += 1
-        if data[i] == 0x3E or (data[i] == 0x2F and data[i + 1] == 0x3E):
-            return spans
-        name_start = i
-        while data[i] not in (0x3D, 0x20, 0x09, 0x0A, 0x0D):
-            i += 1
-        declaration = data[name_start:i] == b"xmlns" or data.startswith(
-            b"xmlns:", name_start, i
-        )
-        while data[i] in (0x20, 0x09, 0x0A, 0x0D):
-            i += 1
-        assert data[i] == 0x3D  # '='
-        i += 1
-        while data[i] in (0x20, 0x09, 0x0A, 0x0D):
-            i += 1
-        quote = data[i]
-        i += 1
-        value_start = i
-        while data[i] != quote:
-            i += 1
-        if not declaration:
-            spans.append((value_start, i))
-        i += 1
 
 
 _SPACE = st.text(" \t\n\r", max_size=3)
