@@ -218,9 +218,9 @@ def _load_corpus_dir(directory: str):
     from .corpus import load_corpus
 
     corpus = load_corpus(_xml_files(directory))
-    for key, report in sorted(corpus.load_reports.items()):
+    for name, report in corpus.load_reports.items():
         if not report.ok:
-            print(f"skipping {key}: {_error_line(report)}", file=sys.stderr)
+            print(f"skipping {name}: {_error_line(report)}", file=sys.stderr)
     return corpus
 
 

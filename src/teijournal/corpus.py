@@ -52,13 +52,13 @@ _MENTION_KINDS = {getattr(m, name): kinds for name, kinds in MENTION_KINDS.items
 class Corpus(Record, metaclass=slotted):
     """Parsed articles keyed by document id, plus per-file load reports.
 
-    Files that failed to parse (or were rejected as id duplicates) appear
-    in ``load_reports`` with no article, under their file's stem, or under
-    their path when the stem is another report's key.
+    ``load_reports`` holds one report per file, keyed by its path in load
+    order.  A file that failed to parse, or was rejected as an id
+    duplicate, has a report there and no article.
     """
 
     articles: dict = factory(dict)  # id -> Article
-    load_reports: dict = factory(dict)  # id -> ParseReport
+    load_reports: dict = factory(dict)  # path -> ParseReport
     paths: dict = factory(dict)  # id -> source path
 
     def ids(self) -> list:
@@ -115,19 +115,6 @@ class Query(Record, metaclass=slotted):
 # --------------------------------------------------------------------------
 
 
-def _free_key(reports: dict, name: str) -> str:
-    """The first of the file's stem, its path, and its path numbered
-    ``path#2``, ``path#3``, … that no report is filed under."""
-    key = m.derive_article_id(None, name)
-    if key and key not in reports:
-        return key
-    key, count = name, 1
-    while key in reports:
-        count += 1
-        key = f"{name}#{count}"
-    return key
-
-
 def _error(message: str) -> ParseReport:
     return ParseReport(issues=(Issue("error", "", message),))
 
@@ -135,39 +122,33 @@ def _error(message: str) -> ParseReport:
 def load_corpus(paths) -> Corpus:
     """Parse a list of files into a corpus; never aborts on a bad file.
 
-    A file that cannot be read or parsed contributes only an error report.
-    When two files derive the same document id the second is rejected with
-    a duplicate-id report and the first is kept.  These reports are filed
-    after every article's, so that no article's id displaces one.
+    Each file's report is filed under its path, in list order, and a path
+    listed twice is read once.  A file that cannot be read or parsed adds
+    only an error report.  Of two files that derive the same document id,
+    the first in the list is kept and the other gets a duplicate-id report.
     """
     articles: dict = {}
     reports: dict = {}
     sources: dict = {}
-    failed: list = []  # (path, report) of each file that adds no article
-    for path in paths:
-        name = str(path)
+    for name in dict.fromkeys(map(str, paths)):
         try:
             with open(name, "rb") as handle:
                 data = handle.read()
         except OSError as exc:
-            failed.append((name, _error(f"cannot read {name}: {exc}")))
+            reports[name] = _error(f"cannot read {name}: {exc}")
             continue
-        report = parse_article(data, name)
+        report = reports[name] = parse_article(data, name)
         if not report.ok:
-            failed.append((name, report))
             continue
         article = report.outcome
         if article.id in articles:
-            failed.append((name, _error(
+            reports[name] = _error(
                 f"duplicate document id {article.id!r}: "
                 f"already loaded from {sources[article.id]}"
-            )))
+            )
             continue
         articles[article.id] = article
-        reports[article.id] = report
         sources[article.id] = name
-    for name, report in failed:
-        reports[_free_key(reports, name)] = report
     return Corpus(articles=articles, load_reports=reports, paths=sources)
 
 

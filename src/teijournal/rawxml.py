@@ -86,7 +86,7 @@ def _check_prolog(data: bytes) -> None:
         raise RawXmlError("UTF-32 input is not supported; supply UTF-8")
     if data[:2] in (b"\xfe\xff", b"\xff\xfe"):
         raise RawXmlError("UTF-16 input is not supported; supply UTF-8")
-    m = _ENC_DECL_RE.match(data[:256].lstrip(b"\xef\xbb\xbf"))
+    m = _ENC_DECL_RE.match(data, 3 if data.startswith(b"\xef\xbb\xbf") else 0)
     if m:
         encoding = m.group(1).decode("ascii").lower()
         if encoding not in ("utf-8", "utf8"):

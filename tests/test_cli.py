@@ -934,7 +934,7 @@ class TestCorpusProducts:
         (product_corpus / "junk.xml").write_bytes(b"no xml here")
         code, out, err = run(capsys, ["index", str(product_corpus)])
         assert code == ExitStatus.OK
-        assert "skipping junk" in err
+        assert err.startswith(f"skipping {product_corpus / 'junk.xml'}: ")
         assert "Ada Lovelace" in out
 
     def test_skipped_file_is_named_when_an_article_id_equals_its_stem(
@@ -974,6 +974,11 @@ def argv_with_a_bad_member(command: str, directory, scratch) -> list:
     }[command]
 
 
+DIRECTORY_COMMANDS = (
+    "codify", "variants", "arbitrate", "index", "biblio", "corrigenda", "query",
+)
+
+
 class TestUnreadableFiles:
     """A file that cannot be read (here a directory named like one) is
     noted on stderr and skipped, exactly as one that cannot be parsed."""
@@ -1005,6 +1010,62 @@ class TestUnreadableFiles:
         assert parse_err.count("\n") == err.count("\n") == 1
         assert "cannot read" in err and "bad" in err
 
+    def test_every_directory_command_prints_the_same_line(self, tmp_path, capsys):
+        scratch = tmp_path / "scratch"
+        scratch.mkdir()
+        (scratch / "rules.txt").write_text("title type main -> primary\n")
+        directory = tmp_path / "c"
+        write_corpus(directory, {"good.xml": article_bytes(title="Good")})
+        bad = directory / "bad.xml"
+        bad.mkdir()
+        lines = set()
+        for command in DIRECTORY_COMMANDS:
+            argv = argv_with_a_bad_member(command, directory, scratch)
+            _, _, err = run(capsys, [str(arg) for arg in argv])
+            lines.add(err)
+        (err,) = lines
+        assert err.startswith(f"skipping {bad}: cannot read {bad}: ")
+        assert err.count("\n") == 1 and err.endswith("\n")
+
+
+class TestPaddedEncodingDeclaration:
+    """A declaration that names its encoding past the 256th byte is read:
+    a Latin-1 file is refused and skipped, not decoded as UTF-8."""
+
+    @pytest.fixture
+    def directory(self, tmp_path):
+        body = '<div type="s"><p>Prose.</p><x:y xmlns:x="urn:x">@</x:y></div>'
+        padded = article_bytes(title="Padded", body=body).replace(
+            b'<?xml version="1.0" encoding="UTF-8"?>',
+            b'<?xml version="1.0"' + b" " * 300 + b'encoding="ISO-8859-1"?>',
+        ).replace(b"@", b"\xe9")
+        directory = tmp_path / "c"
+        write_corpus(directory, {
+            "good.xml": article_bytes(title="Good"), "padded.xml": padded,
+        })
+        return directory
+
+    def skip_line(self, directory) -> str:
+        padded = directory / "padded.xml"
+        return f"skipping {padded}: unsupported encoding 'iso-8859-1'; supply UTF-8\n"
+
+    def test_index_skips_it(self, directory, capsys):
+        code, out, err = run(capsys, ["index", str(directory), "--format", "records"])
+        assert code == ExitStatus.OK
+        assert err == self.skip_line(directory)
+        assert {record[1] for record in read_records(out)} == {"good"}
+
+    def test_arbitrate_does_not_write_it(self, directory, tmp_path, capsys):
+        rules, out_dir = tmp_path / "rules.txt", tmp_path / "out"
+        rules.write_text("title type main -> primary\n")
+        code, out, err = run(capsys, [
+            "arbitrate", str(directory), "--rules", str(rules), "--out-dir", str(out_dir),
+        ])
+        assert code == ExitStatus.OK
+        assert err == self.skip_line(directory)
+        assert out == "3 attribute values rewritten across 1 documents\n"
+        assert sorted(path.name for path in out_dir.iterdir()) == ["good.xml"]
+
 
 class TestOneLinePerUnusableFile:
     """A TEI file with two parse errors is named on one stderr line, its
@@ -1020,8 +1081,8 @@ class TestOneLinePerUnusableFile:
         argv = argv_with_a_bad_member(command, directory, tmp_path)
         code, out, err = run(capsys, [str(arg) for arg in argv])
         assert out  # the good file was used
-        named = (f"{directory / 'bad.xml'}: cannot parse:" if command == "validate"
-                 else "skipping bad:")
+        bad = directory / "bad.xml"
+        named = f"{bad}: cannot parse:" if command == "validate" else f"skipping {bad}:"
         assert err == f"{named} missing teiHeader; missing text\n"
 
 

@@ -3,6 +3,8 @@
 import xml.etree.ElementTree as ET
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from teijournal import model as m
 from teijournal.corpus import (
@@ -80,6 +82,32 @@ def corpus_files():
     }
 
 
+# File name -> the document id it loads as, or None for a file that adds
+# no article on its own: unparseable, missing, or a directory.
+LOAD_FILES = {
+    "one.xml": "10.1/one",
+    "two.xml": "10.1/two",
+    "broken.xml": None,
+    "copy-of-one.xml": "10.1/one",
+    "missing.xml": None,
+    "x.xml": None,
+}
+
+
+@pytest.fixture(scope="module")
+def load_dir(tmp_path_factory):
+    """The files of ``LOAD_FILES``, except the missing one."""
+    directory = tmp_path_factory.mktemp("load")
+    write_corpus(directory, {
+        "one.xml": article_bytes(title="One", doi="10.1/one"),
+        "two.xml": article_bytes(title="Two", doi="10.1/two"),
+        "broken.xml": b"<TEI unclosed",
+        "copy-of-one.xml": article_bytes(title="One again", doi="10.1/one"),
+    })
+    (directory / "x.xml").mkdir()
+    return directory
+
+
 @pytest.fixture(scope="module")
 def corpus(tmp_path_factory):
     directory = tmp_path_factory.mktemp("corpus")
@@ -96,41 +124,51 @@ class TestLoading:
             "good.xml": article_bytes(title="Good"),
             "broken.xml": b"<TEI unclosed",
         }
-        corpus = load_corpus(write_corpus(tmp_path / "c", files))
+        broken, good = write_corpus(tmp_path / "c", files)
+        corpus = load_corpus([broken, good])
         assert len(corpus.articles) == 1
-        report = corpus.load_reports["broken"]
-        assert not report.ok
+        assert list(corpus.load_reports) == [broken, good]
+        assert not corpus.load_reports[broken].ok
 
     def test_unreadable_file_reported(self, tmp_path):
-        corpus = load_corpus([str(tmp_path / "nowhere.xml")])
+        nowhere = str(tmp_path / "nowhere.xml")
+        corpus = load_corpus([nowhere])
         assert corpus.articles == {}
-        (issue,) = corpus.load_reports["nowhere"].issues
+        (issue,) = corpus.load_reports[nowhere].issues
         assert "cannot read" in issue.message
 
     def test_duplicate_id_keeps_first(self, tmp_path):
         blob = article_bytes(title="Same", doi="10.1/dup")
         files = {"one.xml": blob, "two.xml": blob.replace(b"Same", b"Also Same")}
-        paths = write_corpus(tmp_path / "c", files)
-        corpus = load_corpus(paths)
+        one, two = write_corpus(tmp_path / "c", files)
+        corpus = load_corpus([one, two])
         assert list(corpus.articles) == ["10.1/dup"]
-        assert corpus.paths["10.1/dup"].endswith("one.xml")
-        (issue,) = corpus.load_reports["two"].issues
+        assert corpus.paths["10.1/dup"] == one
+        (issue,) = corpus.load_reports[two].issues
         assert "duplicate document id" in issue.message
 
-    def test_no_failed_file_report_is_overwritten(self, tmp_path):
-        """A failed file is filed under its stem, else its path, else its
-        numbered path, even when an article's id or a later failure would
-        take that key."""
-        paths = write_corpus(tmp_path / "c", {
-            "a.xml": b"<TEI><unclosed>",
-            "b.xml": article_bytes(title="Named A", doi="a"),
-        })
-        broken = paths[0]
-        corpus = load_corpus([broken, *paths, broken])
-        assert list(corpus.articles) == ["a"]
-        failed = [broken, f"{broken}#2", f"{broken}#3"]
-        assert sorted(corpus.load_reports) == sorted(["a", *failed])
-        assert not any(corpus.load_reports[key].ok for key in failed)
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.sampled_from(sorted(LOAD_FILES)), max_size=8))
+    def test_every_path_gets_one_report_in_list_order(self, load_dir, names):
+        """Repeated paths are read once; the first file of an id keeps it,
+        and every file that adds no article has exactly one error."""
+        paths = [str(load_dir / name) for name in names]
+        corpus = load_corpus(paths)
+        assert list(corpus.load_reports) == list(dict.fromkeys(paths))
+        first: dict = {}
+        for path, name in zip(paths, names):
+            if LOAD_FILES[name] is not None:
+                first.setdefault(LOAD_FILES[name], path)
+        assert corpus.paths == first
+        assert [path for path, report in corpus.load_reports.items() if report.ok] == [
+            path for path in corpus.load_reports if path in first.values()
+        ]
+        for doc_id, path in corpus.paths.items():
+            assert corpus.articles[doc_id] is corpus.load_reports[path].outcome
+        for path, report in corpus.load_reports.items():
+            if path not in first.values():
+                (issue,) = report.issues
+                assert issue.severity == "error"
 
     def test_load_order_does_not_change_content(self, tmp_path):
         paths = write_corpus(tmp_path / "c", corpus_files())

@@ -397,6 +397,26 @@ class TestNamespaceDeclarations:
 
 
 # --------------------------------------------------------------------------
+# Encoding declaration
+# --------------------------------------------------------------------------
+
+
+def padded_declaration(encoding: str) -> bytes:
+    """An XML declaration whose encoding starts past its 300th byte."""
+    return f'<?xml version="1.0"{" " * 300}encoding="{encoding}"?>'.encode("ascii")
+
+
+class TestEncodingDeclaration:
+    @pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"], ids=["plain", "bom"])
+    def test_a_declaration_is_read_past_its_256th_byte(self, bom):
+        body = b'<doc><x:y xmlns:x="urn:x">\xe9</x:y></doc>'
+        with pytest.raises(RawXmlError, match="unsupported encoding 'iso-8859-1'"):
+            parse_raw(bom + padded_declaration("ISO-8859-1") + body)
+        doc = parse_raw(bom + padded_declaration("UTF-8") + body.replace(b"\xe9", "é".encode()))
+        assert doc.slice(doc.root[0]) == '<x:y xmlns:x="urn:x">é</x:y>'
+
+
+# --------------------------------------------------------------------------
 # Depth limit
 # --------------------------------------------------------------------------
 
