@@ -2,8 +2,9 @@
 
 :class:`Record`, the base of every record type in the package; the
 :class:`Finding` record shared by the validator and the schema checks; the
-shape checks for JSON read from the user's files; and the names the command
-line offers as choices: the built-in styles and the query kinds.  This
+shape checks for JSON read from the user's files; :func:`escaper`, which
+every writer binds its escape table to; and the names the command line
+offers as choices: the built-in styles and the query kinds.  This
 module imports nothing from the package, so the schema subcommands can
 build the command line and report findings without loading the TEI model,
 the builder, the renderers or the corpus code.
@@ -151,6 +152,20 @@ class Record:
             else:
                 parts.append(repr(item))
         return "".join(parts)
+
+
+def escaper(*pairs):
+    """A function that replaces each ``(character, reference)`` pair's
+    character in the given order, calling ``str.replace`` only when the
+    character is present."""
+
+    def escape(text: str) -> str:
+        for char, reference in pairs:
+            if char in text:
+                text = text.replace(char, reference)
+        return text
+
+    return escape
 
 
 def json_object(value, what: str) -> dict:

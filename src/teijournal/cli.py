@@ -28,7 +28,7 @@ import sys
 from enum import IntEnum
 from pathlib import Path
 
-from .base import BUILTIN_STYLES, QUERY_KINDS, json_object, json_strings
+from .base import BUILTIN_STYLES, QUERY_KINDS, escaper, json_object, json_strings
 from .rawxml import RawXmlError, parse_raw
 
 # Each command imports, inside its function, the modules only it needs: the
@@ -54,15 +54,7 @@ class CliError(Exception):
 _FIELD_COUNT = 5
 
 
-def _escape_field(value: str) -> str:
-    return (
-        value.replace("\\", "\\\\")
-        .replace("\t", "\\t")
-        .replace("\n", "\\n")
-        .replace("\r", "\\r")
-    )
-
-
+_escape_field = escaper(("\\", "\\\\"), ("\t", "\\t"), ("\n", "\\n"), ("\r", "\\r"))
 _ESCAPE_RE = re.compile(r"\\(.)", re.S)
 _UNESCAPED = {"t": "\t", "n": "\n", "r": "\r"}
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from .base import BUILTIN_STYLES, Record, factory, json_bool, slotted
+from .base import BUILTIN_STYLES, Record, escaper, factory, json_bool, slotted
 from .model import (
     SCOPE_KINDS,
     AbbrMention,
@@ -463,17 +463,6 @@ def _first_citations(article: Article) -> tuple:
     return tuple(order)
 
 
-def format_reference_list(entries, style: StyleGuide, citation_order: list | tuple = ()) -> list:
-    """Format a whole reference list, then order and number it with
-    :func:`_number_entries`, the one place that does.  Returns ``(label,
-    RenderedEntry)`` pairs in display order.  Entries are numbered by first
-    citation, uncited entries after the cited ones in alphabetical order, and
-    a repeated id keeps its first entry.  Labels are ``[n]`` strings for
-    numeric marker schemes and ``None`` for author-date schemes.
-    """
-    return _number_entries(_format_entries(entries, style), style, citation_order)
-
-
 def _format_entries(entries, style: StyleGuide) -> dict:
     """Entry key (its ``xml:id``, else its position) -> :class:`RenderedEntry`."""
     rendered: dict = {}
@@ -485,6 +474,9 @@ def _format_entries(entries, style: StyleGuide) -> dict:
 
 
 def _number_entries(rendered: dict, style: StyleGuide, citation_order) -> list:
+    """``(label, RenderedEntry)`` pairs in display order.  Entries are
+    numbered by first citation, uncited ones after the cited in alphabetical
+    order; labels are ``[n]`` for numeric marker schemes, else ``None``."""
     alphabetical = sorted(rendered, key=lambda k: (rendered[k].sort_key, k))
     cited = [k for k in dict.fromkeys(citation_order) if k in rendered]
     cited_set = set(cited)
@@ -538,27 +530,9 @@ class _PageContext:
 # writes TEI by its own rules, which the canonical fixpoint needs.)
 
 
-def escape_text(text: str) -> str:
-    if "&" in text:
-        text = text.replace("&", "&amp;")
-    if "<" in text:
-        text = text.replace("<", "&lt;")
-    if ">" in text:
-        text = text.replace(">", "&gt;")
-    return text
-
-
-def _escape_attr(value: str) -> str:
-    value = escape_text(value)
-    if '"' in value:
-        value = value.replace('"', "&quot;")
-    if "\r" in value:
-        value = value.replace("\r", "&#13;")
-    if "\n" in value:
-        value = value.replace("\n", "&#10;")
-    if "\t" in value:
-        value = value.replace("\t", "&#09;")
-    return value
+escape_text = escaper(("&", "&amp;"), ("<", "&lt;"), (">", "&gt;"))
+_escape_attr = escaper(("&", "&amp;"), ("<", "&lt;"), (">", "&gt;"), ('"', "&quot;"),
+                       ("\r", "&#13;"), ("\n", "&#10;"), ("\t", "&#09;"))
 
 
 def element(tag: str, content: str = "", attrs: dict | None = None) -> str:

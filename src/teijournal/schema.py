@@ -18,7 +18,7 @@ import re
 from collections import Counter
 
 from .rawxml import TreeDocument, attribute_name
-from .base import Finding, Record, factory, json_bool, json_object, json_strings, slotted
+from .base import Finding, Record, escaper, factory, json_bool, json_object, json_strings, slotted
 
 DEFAULT_ENUMERABLE_ATTRIBUTES = frozenset({"type", "level", "rend", "unit"})
 
@@ -82,25 +82,6 @@ def _has_text(element) -> bool:
         if child.tail and child.tail.strip():
             return True
     return False
-
-
-def merge_profiles(a: UsageProfile, b: UsageProfile) -> UsageProfile:
-    """Commutative, associative merge of two profiles."""
-    merged = UsageProfile(doc_count=a.doc_count + b.doc_count)
-    merged.roots = a.roots + b.roots
-    merged.foreign = a.foreign + b.foreign
-    for source in (a, b):
-        for name, usage in source.elements.items():
-            target = merged.elements.setdefault(name, ElementUsage())
-            target.count += usage.count
-            target.children += usage.children
-            target.child_coverage += usage.child_coverage
-            target.text_count += usage.text_count
-            for attr, values in usage.attributes.items():
-                target.attributes[attr] = (
-                    target.attributes.get(attr, Counter()) + values
-                )
-    return merged
 
 
 def profile_corpus(docs) -> UsageProfile:
@@ -512,13 +493,7 @@ def parse_rules(text: str) -> list:
     return rules
 
 
-def _encode_attr(value: str) -> str:
-    return (
-        value.replace("&", "&amp;")
-        .replace("<", "&lt;")
-        .replace('"', "&quot;")
-        .replace("'", "&#39;")
-    )
+_encode_attr = escaper(("&", "&amp;"), ("<", "&lt;"), ('"', "&quot;"), ("'", "&#39;"))
 
 
 def arbitrate(docs, rules) -> tuple:

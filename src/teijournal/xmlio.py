@@ -23,7 +23,7 @@ from __future__ import annotations
 import re
 
 from . import model as m
-from .base import Record, slotted
+from .base import Record, escaper, slotted
 from .rawxml import TEI_NS, XML_NS, RawXmlError, TreeDocument, parse_raw
 
 # --------------------------------------------------------------------------
@@ -290,12 +290,19 @@ class _Builder:
                 if division is not None:
                     out.append(division)
             else:
-                self.warn(
-                    child,
-                    f"element '{child.tag}' in {context} wrapped in div",
-                )
-                out.append(m.Division(blocks=(self.block(child),)))
+                self.warn(child, f"element '{child.tag}' in {context} wrapped in div")
+                out.append(self.wrapped(child, name))
         return tuple(out)
+
+    def wrapped(self, node, name: str | None) -> m.Division:
+        """A div for an element found where only divs belong, read as its
+        canonical serialization re-reads: a div as itself, a head as the
+        head of an empty div, anything else as the div's one block."""
+        if name == "div":
+            return self.division(node)
+        if name == "head":
+            return m.Division(head=self.rich(node))
+        return m.Division(blocks=(self.block(node),))
 
     # -- bibliographic records --------------------------------------------
 
@@ -708,12 +715,9 @@ def parse_article(
         elif name == "back":
             back = builder.back_matter(child)
         else:
-            builder.warn(
-                child, f"element '{child.tag}' in text wrapped into body"
-            )
-            strays.append(m.Division(blocks=(builder.block(child),)))
-    if strays:
-        body = body + tuple(strays)
+            builder.warn(child, f"element '{child.tag}' in text wrapped into body")
+            strays.append(builder.wrapped(child, name))
+    body += tuple(strays)
 
     header = m.Header(file_desc, profile_desc, revision_desc)
     article = m.Article(
@@ -736,31 +740,13 @@ def parse_article(
 # --------------------------------------------------------------------------
 
 
-def _esc(text: str) -> str:
-    # Carriage returns must leave as character references or the parser
-    # would normalize them away and break the round-trip fixpoint.
-    if "&" in text:
-        text = text.replace("&", "&amp;")
-    if "<" in text:
-        text = text.replace("<", "&lt;")
-    if ">" in text:
-        text = text.replace(">", "&gt;")
-    if "\r" in text:
-        text = text.replace("\r", "&#13;")
-    return text
-
-
-def _esc_attr(text: str) -> str:
-    # Ditto for tabs and newlines, which attribute-value normalization
-    # would otherwise turn into spaces.
-    text = _esc(text)
-    if '"' in text:
-        text = text.replace('"', "&quot;")
-    if "\t" in text:
-        text = text.replace("\t", "&#9;")
-    if "\n" in text:
-        text = text.replace("\n", "&#10;")
-    return text
+# Carriage returns must leave as character references or the parser would
+# normalize them away and break the round-trip fixpoint.
+_esc = escaper(("&", "&amp;"), ("<", "&lt;"), (">", "&gt;"), ("\r", "&#13;"))
+# Ditto for tabs and newlines in attribute values, which attribute-value
+# normalization would otherwise turn into spaces.
+_esc_attr = escaper(("&", "&amp;"), ("<", "&lt;"), (">", "&gt;"), ("\r", "&#13;"),
+                    ('"', "&quot;"), ("\t", "&#9;"), ("\n", "&#10;"))
 
 
 def _tag(name: str, attrs: dict, close: bool = False) -> str:
@@ -841,20 +827,13 @@ class _Writer:
     def line(self, text: str) -> None:
         self.lines.append(self.indent + text)
 
-    def _leaf(self, name: str, attrs: dict, markup: str) -> None:
+    def leaf(self, name: str, attrs: dict, content: str | tuple = "", node=None) -> None:
+        # A str is text, a tuple rich text; empty markup self-closes.
+        markup = _inline_markup(content) if isinstance(content, tuple) else _esc(content)
         if markup:
             self.line(_tag(name, attrs) + markup + f"</{name}>")
         else:
             self.line(_tag(name, attrs, close=True))
-
-    def empty(self, name: str, attrs: dict, node=None) -> None:
-        self.line(_tag(name, attrs, close=True))
-
-    def text(self, name: str, attrs: dict, value: str, node=None) -> None:
-        self._leaf(name, attrs, _esc(value))
-
-    def rich(self, name: str, attrs: dict, content: tuple, node=None) -> None:
-        self._leaf(name, attrs, _inline_markup(content))
 
     def term_item(self, term: str, node) -> None:
         # One line, so the term is not indented inside its item.
@@ -893,14 +872,10 @@ class _PathWriter:
             self.out.append((path, node))
         return path
 
-    def empty(self, name: str, attrs: dict, node=None) -> None:
-        self._path(name, node)
-
-    def text(self, name: str, attrs: dict, value: str, node=None) -> None:
-        self._path(name, node)
-
-    def rich(self, name: str, attrs: dict, content: tuple, node=None) -> None:
-        _walk_rich(self.out, content, self._path(name, node), {})
+    def leaf(self, name: str, attrs: dict, content: str | tuple = "", node=None) -> None:
+        path = self._path(name, node)
+        if isinstance(content, tuple):
+            _walk_rich(self.out, content, path, {})
 
     def term_item(self, term: str, node) -> None:
         self.out.append((self._path("item", None) + "/term[1]", node))
@@ -984,23 +959,23 @@ def _write_article(w, article: m.Article):
 def _write_file_desc(w, fd: m.FileDesc) -> None:
     has_pub = fd.availability or fd.publication_date or fd.authority
     if not (fd.main_title or has_pub or fd.source):
-        w.empty("fileDesc", {}, node=fd)
+        w.leaf("fileDesc", {}, node=fd)
         return
     w.open("fileDesc", node=fd)
     if fd.main_title:
         w.open("titleStmt")
-        w.rich("title", {"level": "a", "type": "main"}, fd.main_title)
+        w.leaf("title", {"level": "a", "type": "main"}, fd.main_title)
         w.close()
     if has_pub:
         w.open("publicationStmt")
         if fd.availability:
             w.open("availability")
-            w.rich("p", {}, fd.availability)
+            w.leaf("p", {}, fd.availability)
             w.close()
         if fd.publication_date:
-            w.empty("date", {"when": fd.publication_date.iso()})
+            w.leaf("date", {"when": fd.publication_date.iso()})
         if fd.authority:
-            w.text("authority", {}, fd.authority)
+            w.leaf("authority", {}, fd.authority)
         w.close()
     if fd.source is not None:
         w.open("sourceDesc")
@@ -1016,7 +991,7 @@ def _write_profile_desc(w, pd: m.ProfileDesc) -> None:
     if pd.languages:
         w.open("langUsage")
         for ident in pd.languages:
-            w.empty("language", {"ident": ident})
+            w.leaf("language", {"ident": ident})
         w.close()
     if pd.keywords:
         w.open("textClass")
@@ -1047,7 +1022,7 @@ def _write_revision_desc(w, rd: m.RevisionDesc) -> None:
         attrs = {"when": change.when.iso()}
         if change.kind != _leading_word(change.description):
             attrs["type"] = change.kind
-        w.text("change", attrs, change.description, node=change)
+        w.leaf("change", attrs, change.description, node=change)
     w.close()
 
 
@@ -1064,7 +1039,7 @@ def _write_text(w, article: m.Article) -> None:
             _write_division(w, division)
         w.close()
     else:
-        w.empty("body", {})
+        w.leaf("body", {})
     back = article.back
     if back.divisions or back.reference_list is not None:
         w.open("back")
@@ -1079,11 +1054,11 @@ def _write_text(w, article: m.Article) -> None:
 def _write_division(w, division: m.Division) -> None:
     attrs = {"type": division.kind}
     if not (division.head or division.blocks or division.children):
-        w.empty("div", attrs, node=division)
+        w.leaf("div", attrs, node=division)
         return
     w.open("div", attrs, node=division)
     if division.head:
-        w.rich("head", {}, division.head)
+        w.leaf("head", {}, division.head)
     for block in division.blocks:
         _WRITE_BLOCK[type(block)](w, block)
     for child in division.children:
@@ -1093,48 +1068,48 @@ def _write_division(w, division: m.Division) -> None:
 
 def _write_cit(w, block: m.CitBlock) -> None:
     w.open("cit", node=block)
-    w.rich("quote", {}, block.quote)
+    w.leaf("quote", {}, block.quote)
     if isinstance(block.source, m.BiblStruct):
         _write_biblstruct(w, block.source)
     elif isinstance(block.source, str):
-        w.empty("ref", {"target": block.source, "type": "bibr"})
+        w.leaf("ref", {"target": block.source, "type": "bibr"})
     if block.qualifiers:
-        w.rich("note", {}, block.qualifiers)
+        w.leaf("note", {}, block.qualifiers)
     w.close()
 
 
 def _write_figure(w, block: m.FigureBlock) -> None:
     w.open("figure", node=block)
     if block.caption:
-        w.rich("head", {}, block.caption)
+        w.leaf("head", {}, block.caption)
     if block.graphic_url is not None:
-        w.empty("graphic", {"url": block.graphic_url})
+        w.leaf("graphic", {"url": block.graphic_url})
     w.close()
 
 
 def _write_list(w, block: m.ListBlock) -> None:
     w.open("list", node=block)
     for item in block.items:
-        w.rich("item", {}, item)
+        w.leaf("item", {}, item)
     w.close()
 
 
 #: Block class -> the writer calls of the block's canonical element.
 _WRITE_BLOCK = {
-    m.Paragraph: lambda w, block: w.rich("p", {}, block.content, node=block),
+    m.Paragraph: lambda w, block: w.leaf("p", {}, block.content, node=block),
     m.CitBlock: _write_cit,
     m.FigureBlock: _write_figure,
     m.TableBlock: lambda w, block: w.verbatim(block.markup, block, block.caption),
     m.FormulaBlock: lambda w, block: w.verbatim(block.markup, block),
     m.ListBlock: _write_list,
-    m.QuoteBlock: lambda w, block: w.rich("quote", {}, block.content, node=block),
+    m.QuoteBlock: lambda w, block: w.leaf("quote", {}, block.content, node=block),
     m.OpaqueBlock: lambda w, block: w.verbatim(block.markup, block),
 }
 
 
 def _write_listbibl(w, listbibl: m.ListBibl) -> None:
     if not listbibl.entries:
-        w.empty("listBibl", {}, node=listbibl)
+        w.leaf("listBibl", {}, node=listbibl)
         return
     w.open("listBibl", node=listbibl)
     for entry in listbibl.entries:
@@ -1156,13 +1131,13 @@ def _write_biblstruct(w, bs: m.BiblStruct) -> None:
         w.close()
     _write_monogr(w, bs.monogr)
     for ident in bs.identifiers:
-        w.text("idno", {"type": ident.kind}, ident.value)
+        w.leaf("idno", {"type": ident.kind}, ident.value)
     w.close()
 
 
 def _write_title(w, title: m.Title) -> None:
     attrs = {"level": title.level, "type": title.type}
-    w.rich("title", attrs, title.text, node=title)
+    w.leaf("title", attrs, title.text, node=title)
 
 
 def _write_monogr(w, monogr: m.Monogr) -> None:
@@ -1174,7 +1149,7 @@ def _write_monogr(w, monogr: m.Monogr) -> None:
         or imprint.scopes
     )
     if not (monogr.titles or monogr.authors or monogr.issn or has_imprint):
-        w.empty("monogr", {})
+        w.leaf("monogr", {})
         return
     w.open("monogr")
     for author in monogr.authors:
@@ -1182,20 +1157,20 @@ def _write_monogr(w, monogr: m.Monogr) -> None:
     for title in monogr.titles:
         _write_title(w, title)
     if monogr.issn:
-        w.text("idno", {"type": "ISSN"}, monogr.issn)
+        w.leaf("idno", {"type": "ISSN"}, monogr.issn)
     if has_imprint:
         w.open("imprint")
         if imprint.publisher:
-            w.text("publisher", {}, imprint.publisher)
+            w.leaf("publisher", {}, imprint.publisher)
         if imprint.pub_place:
-            w.text("pubPlace", {}, imprint.pub_place)
+            w.leaf("pubPlace", {}, imprint.pub_place)
         if imprint.date:
             attrs = {"when": imprint.date.iso()}
             if imprint.date_role != "published":
                 attrs["type"] = imprint.date_role
-            w.empty("date", attrs)
+            w.leaf("date", attrs)
         for scope in imprint.scopes:
-            w.text("biblScope", {"type": scope.kind}, scope.value, node=scope)
+            w.leaf("biblScope", {"type": scope.kind}, scope.value, node=scope)
         w.close()
     w.close()
 
@@ -1204,43 +1179,43 @@ def _write_author(w, author: m.Author) -> None:
     attrs = {"type": "corresp"} if author.corresponding else {}
     has_name = author.surname or author.forenames
     if not (has_name or author.identifiers or author.affiliation or author.email):
-        w.empty("author", attrs, node=author)
+        w.leaf("author", attrs, node=author)
         return
     w.open("author", attrs, node=author)
     for ident in author.identifiers:
-        w.text("idno", {"type": ident.kind}, ident.value)
+        w.leaf("idno", {"type": ident.kind}, ident.value)
     if has_name:
         w.open("persName")
         for forename in author.forenames:
-            w.text("forename", {}, forename)
+            w.leaf("forename", {}, forename)
         if author.surname:
-            w.text("surname", {}, author.surname)
+            w.leaf("surname", {}, author.surname)
         w.close()
     if author.affiliation is not None:
         _write_affiliation(w, author.affiliation)
     if author.email:
-        w.text("email", {}, author.email)
+        w.leaf("email", {}, author.email)
     w.close()
 
 
 def _write_affiliation(w, aff: m.Affiliation) -> None:
     if not (aff.org_units or aff.address):
-        w.empty("affiliation", {}, node=aff)
+        w.leaf("affiliation", {}, node=aff)
         return
     w.open("affiliation", node=aff)
     for unit in aff.org_units:
-        w.text("orgName", {"type": unit.kind}, unit.name, node=unit)
+        w.leaf("orgName", {"type": unit.kind}, unit.name, node=unit)
     if aff.address is not None:
         address = aff.address
         w.open("address")
         if address.settlement:
-            w.text("settlement", {}, address.settlement)
+            w.leaf("settlement", {}, address.settlement)
         if address.post_code:
-            w.text("postCode", {}, address.post_code)
+            w.leaf("postCode", {}, address.post_code)
         if address.country:
-            w.text("country", {}, address.country)
+            w.leaf("country", {}, address.country)
         for line in address.lines:
             attrs = {"type": line.kind} if line.kind else {}
-            w.text("addrLine", attrs, line.text)
+            w.leaf("addrLine", attrs, line.text)
         w.close()
     w.close()

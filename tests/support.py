@@ -3,12 +3,18 @@ plus builders the suites use to derive corpora and mutations from it."""
 
 from __future__ import annotations
 
+import copy
 import dataclasses
+from collections import Counter
+from xml.etree import ElementTree
 from xml.etree.ElementTree import ParseError, TreeBuilder, XMLParser
 from xml.parsers import expat
 
+from hypothesis import strategies as st
+
 from teijournal import model as m
 from teijournal import rawxml
+from teijournal.schema import ElementUsage, UsageProfile
 from teijournal.xmlio import parse_article, serialize_article
 
 TEI_NS = "http://www.tei-c.org/ns/1.0"
@@ -579,6 +585,29 @@ def prescan_parse_raw(data: bytes) -> rawxml.TreeDocument:
 
 
 # --------------------------------------------------------------------------
+# Profile merge: ``profile_corpus`` over many documents equals the fold of
+# its one-document profiles under this merge
+# --------------------------------------------------------------------------
+
+
+def merge_profiles(a: UsageProfile, b: UsageProfile) -> UsageProfile:
+    """Two profiles merged field by field."""
+    merged = UsageProfile(doc_count=a.doc_count + b.doc_count)
+    merged.roots = a.roots + b.roots
+    merged.foreign = a.foreign + b.foreign
+    for source in (a, b):
+        for name, usage in source.elements.items():
+            target = merged.elements.setdefault(name, ElementUsage())
+            target.count += usage.count
+            target.children += usage.children
+            target.child_coverage += usage.child_coverage
+            target.text_count += usage.text_count
+            for attr, values in usage.attributes.items():
+                target.attributes[attr] = target.attributes.get(attr, Counter()) + values
+    return merged
+
+
+# --------------------------------------------------------------------------
 # Escaping oracles: the string writers' escapers as chained replaces, each
 # replace run whether or not its character is present
 # --------------------------------------------------------------------------
@@ -618,3 +647,104 @@ def chained_escape_attr(value: str) -> str:
         chained_escape_text(value).replace('"', "&quot;")
         .replace("\r", "&#13;").replace("\n", "&#10;").replace("\t", "&#09;")
     )
+
+
+def chained_encode_attr(value: str) -> str:
+    """``schema._encode_attr``: an attribute value rewritten in place, which
+    may sit between either quote."""
+    return value.replace("&", "&amp;").replace("<", "&lt;").replace('"', "&quot;").replace(
+        "'", "&#39;"
+    )
+
+
+def chained_escape_field(value: str) -> str:
+    """``cli._escape_field``: one field of a records line."""
+    return value.replace("\\", "\\\\").replace("\t", "\\t").replace("\n", "\\n").replace(
+        "\r", "\\r"
+    )
+
+
+# --------------------------------------------------------------------------
+# Structural mutants: well-formed articles edited as ElementTree trees
+# --------------------------------------------------------------------------
+
+_MUTANT_INLINES = (
+    'See <ref type="bibr" target="#b1">Dean</ref>, <ref target="http://x.org/">x</ref>'
+    ' and <ptr target="http://y.org/"/>; <persName key="p1">Ada</persName> of'
+    ' <orgName key="o1">Org</orgName> in <placeName key="l1">Town</placeName> ran'
+    ' <term type="software">Tool</term>, <abbr>DNA</abbr>'
+    ' <choice><abbr>RNA</abbr><expan>ribonucleic acid</expan></choice>,'
+    ' <hi rend="italic">slanted <hi rend="bold">bold</hi></hi> <unknown>odd</unknown>.'
+)
+_MUTANT_REFS = (
+    '<biblStruct type="book" xml:id="b1"><monogr>'
+    "<author><persName><forename>A</forename><surname>Dean</surname></persName></author>"
+    '<title level="m" type="main">Book</title>'
+    '<imprint><publisher>P</publisher><date when="2001"/></imprint></monogr></biblStruct>'
+)
+#: Articles holding every inline kind and a cit, whose source is a record in
+#: one and a pointer in the other.
+MUTANT_BASES = tuple(
+    article_bytes(
+        title='A <hi rend="italic">title</hi>',
+        body=f'<div type="section"><head>One <term>h</term></head><p>{_MUTANT_INLINES}</p>'
+        f"<cit><quote>q <orgName>O</orgName></quote>{source}<note>n</note></cit>"
+        '<list><item>i <persName key="p2">I</persName></item></list></div>',
+        refs=_MUTANT_REFS,
+        keywords=("one", "two"),
+    )
+    for source in (
+        '<biblStruct type="book"><monogr><title level="m">M</title></monogr></biblStruct>',
+        '<ref type="bibr" target="#b1"/>',
+    )
+)
+_HOSTILE_VALUES = ("", "#nope", "1999-13-40", 'a"b', "x&<>'y", "\t\r\n")
+_CR = "\ue000"  # stands for a CR in text, which ElementTree writes raw
+
+
+@st.composite
+def tree_mutants(draw) -> bytes:
+    """A :data:`MUTANT_BASES` article after 1–5 ElementTree edits, each to an
+    element below the root: delete, duplicate, move under another element,
+    wrap in a same-name element, set one of its attributes to a hostile
+    value, drop one, or replace its text with ``& < > ]]>`` and a CR."""
+    root = ElementTree.fromstring(draw(st.sampled_from(MUTANT_BASES)))
+    for element in root.iter():  # unqualified names, declared by hand
+        element.tag = element.tag.removeprefix(f"{{{TEI_NS}}}")
+    root.set("xmlns", TEI_NS)
+    for _ in range(draw(st.integers(1, 5))):
+        parents = {child: parent for parent in root.iter() for child in parent}
+        if not parents:
+            break
+        edit = draw(st.sampled_from(
+            ("delete", "duplicate", "move", "wrap", "set", "drop", "text")))
+        # an attribute edit picks among the elements that have attributes,
+        # which the model mostly reads
+        holders = [e for e in parents if e.attrib] if edit in ("set", "drop") else ()
+        target = draw(st.sampled_from(holders or list(parents)))
+        parent = parents[target]
+        index = list(parent).index(target)
+        if edit == "delete":
+            parent.remove(target)
+        elif edit == "duplicate":
+            parent.insert(index + 1, copy.deepcopy(target))
+        elif edit == "move":
+            inside = set(target.iter())
+            to = draw(st.sampled_from([e for e in root.iter() if e not in inside]))
+            parent.remove(target)
+            to.insert(draw(st.integers(0, len(to))), target)
+        elif edit == "wrap":
+            wrapper = ElementTree.Element(target.tag)
+            wrapper.tail, target.tail = target.tail, None
+            parent[index] = wrapper
+            wrapper.append(target)
+        elif edit in ("set", "drop") and target.attrib:
+            name = draw(st.sampled_from(sorted(target.attrib)))
+            if edit == "set":
+                target.set(name, draw(st.sampled_from(_HOSTILE_VALUES)))
+            else:
+                del target.attrib[name]
+        elif edit == "text":
+            target.text = f"& < > ]]>{_CR}"
+    markup = ElementTree.tostring(root, encoding="unicode")
+    return markup.replace(_CR, "&#13;").encode("utf-8")

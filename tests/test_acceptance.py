@@ -19,10 +19,11 @@ from teijournal.cli import main as cli_main
 from teijournal.corpus import Query, build_indexes, load_corpus, query
 from teijournal.rawxml import parse_raw
 from teijournal.render import (
+    _format_entries,
+    _number_entries,
     builtin_style,
     citation_order,
     format_entry,
-    format_reference_list,
     render_plaintext,
     render_xhtml,
 )
@@ -377,8 +378,9 @@ def test_criterion_07_markers_follow_first_citation_order():
     assert "First [1] then [2]." in text
     assert "Repeat [1] and new [3]." in text
 
-    pairs = format_reference_list(
-        article.reference_list.entries, builtin_style("chicago"), citation_order(article)
+    style = builtin_style("chicago")
+    pairs = _number_entries(
+        _format_entries(article.reference_list.entries, style), style, citation_order(article)
     )
     assert [(label, e.ref_id) for label, e in pairs] == [
         ("[1]", "b3"),

@@ -34,7 +34,6 @@ from teijournal.schema import (
     arbitrate,
     codify,
     load_base_schema,
-    merge_profiles,
     parse_rules,
     profile_corpus,
     validate_against,
@@ -43,6 +42,7 @@ from teijournal.schema import (
 from support import (
     article_bytes,
     attr_value_spans_by_bytes,
+    merge_profiles,
     prescan_parse_raw,
     reference_tree,
     write_corpus,

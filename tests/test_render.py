@@ -18,6 +18,8 @@ from teijournal.render import (
     Span,
     StyleError,
     StyleGuide,
+    _format_entries,
+    _number_entries,
     _tidy_runs,
     _wrap,
     bare_entry_text,
@@ -29,7 +31,6 @@ from teijournal.render import (
     escape_text,
     format_authors,
     format_entry,
-    format_reference_list,
     get_style,
     render_plaintext,
     render_xhtml,
@@ -446,10 +447,9 @@ class TestReferenceLists:
 
     def test_numeric_list_order_and_labels(self):
         article = cited_article()
-        pairs = format_reference_list(
-            article.reference_list.entries,
-            builtin_style("chicago"),
-            citation_order(article),
+        style = builtin_style("chicago")
+        pairs = _number_entries(
+            _format_entries(article.reference_list.entries, style), style, citation_order(article)
         )
         assert [(label, e.ref_id) for label, e in pairs] == [
             ("[1]", "b3"),
@@ -460,10 +460,9 @@ class TestReferenceLists:
 
     def test_author_date_list_is_alphabetical_unlabelled(self):
         article = cited_article()
-        pairs = format_reference_list(
-            article.reference_list.entries,
-            builtin_style("apa"),
-            citation_order(article),
+        style = builtin_style("apa")
+        pairs = _number_entries(
+            _format_entries(article.reference_list.entries, style), style, citation_order(article)
         )
         assert [(label, e.ref_id) for label, e in pairs] == [
             (None, "b2"),
@@ -476,9 +475,12 @@ class TestReferenceLists:
         article = cited_article()
         entries = article.reference_list.entries
         order = citation_order(article)
-        by_citation = format_reference_list(entries, minimal_style(), order)
-        alphabetical = format_reference_list(
-            entries, minimal_style(list_order="alphabetical"), order
+        by_citation = _number_entries(
+            _format_entries(entries, minimal_style()), minimal_style(), order
+        )
+        alphabetical_style = minimal_style(list_order="alphabetical")
+        alphabetical = _number_entries(
+            _format_entries(entries, alphabetical_style), alphabetical_style, order
         )
         labels = {e.ref_id: label for label, e in by_citation}
         assert {e.ref_id: label for label, e in alphabetical} == labels
@@ -486,13 +488,15 @@ class TestReferenceLists:
 
     def test_unidentified_entries_still_listed(self):
         entries = (dataclasses.replace(brecht_book_record(), xml_id=None),)
-        pairs = format_reference_list(entries, builtin_style("chicago"))
+        style = builtin_style("chicago")
+        pairs = _number_entries(_format_entries(entries, style), style, ())
         assert [(label, e.ref_id) for label, e in pairs] == [("[1]", None)]
 
 
 def two_step_reference_list(entries, style, cited=()) -> list:
     """The reference list worked out in two steps, ordering and then labels,
-    written independently of :func:`format_reference_list` as its oracle."""
+    written independently of :func:`_format_entries` and
+    :func:`_number_entries` as their oracle."""
     rendered: dict = {}
     for i, record in enumerate(entries):
         key = record.xml_id if record.xml_id else f"\x00{i}"
@@ -543,9 +547,9 @@ class TestReferenceListOracle:
     )
     def test_matches_the_two_step_oracle(self, entries, cited, scheme, order):
         style = minimal_style(marker_scheme=scheme, list_order=order)
-        assert format_reference_list(entries, style, cited) == two_step_reference_list(
-            entries, style, cited
-        )
+        assert _number_entries(
+            _format_entries(entries, style), style, cited
+        ) == two_step_reference_list(entries, style, cited)
 
 
 def one_citation_per_paragraph(cited: tuple) -> m.Article:

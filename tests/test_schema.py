@@ -18,7 +18,6 @@ from teijournal.schema import (
     codify,
     detect_variants,
     load_base_schema,
-    merge_profiles,
     normalize_variant,
     parse_rules,
     profile_corpus,
@@ -90,21 +89,6 @@ class TestProfiling:
             reprs.append(done.stdout)
         assert reprs[0] == reprs[1]
         assert b"'c23': 1, 'c22': 1" in reprs[0]  # first-seen order
-
-    def test_merge_is_commutative(self):
-        a = profile_corpus([parse_raw(DOC_A)])
-        b = profile_corpus([parse_raw(DOC_B)])
-        ab, ba = merge_profiles(a, b), merge_profiles(b, a)
-        assert ab.doc_count == ba.doc_count == 2
-        assert ab.roots == ba.roots
-        assert ab.foreign == ba.foreign
-        assert ab.elements.keys() == ba.elements.keys()
-        for name in ab.elements:
-            left, right = ab.elements[name], ba.elements[name]
-            assert (left.count, left.text_count) == (right.count, right.text_count)
-            assert left.children == right.children
-            assert left.child_coverage == right.child_coverage
-            assert left.attributes == right.attributes
 
     @settings(max_examples=25, deadline=None)
     @given(st.permutations([DOC_A, DOC_B, DOC_C]))

@@ -333,7 +333,8 @@ class TestLinearGrowth:
         def order(n):
             article = cited_article(n)
             entries = article.reference_list.entries
-            render.format_reference_list(entries, style, [f"b{i}" for i in range(0, n, 2)])
+            cited = [f"b{i}" for i in range(0, n, 2)]
+            render._number_entries(render._format_entries(entries, style), style, cited)
 
         assert grows_linearly(order)
 

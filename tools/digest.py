@@ -16,10 +16,12 @@ of ``PYTHONHASHSEED`` to check that no output depends on it.
 lacks, and exits 1 when there is any.
 
 The inputs are the seed-3 corpus, the seed-3, 5, 7 and 23 schema corpora,
-the deep S and 2S articles, and two small directories made from corpus
+the deep S and 2S articles, and three small directories made from corpus
 articles: one with a truncated file, a duplicate-id copy and an unreadable
-file, and one with XML declarations that name their encoding past the
-256th byte.  Standard library only.
+file, one with XML declarations that name their encoding past the 256th
+byte, and one whose titles, keyword, extent kind, paragraph, person key and
+link target hold every character an escaper replaces.  Standard library
+only.
 """
 
 from __future__ import annotations
@@ -44,6 +46,11 @@ ENTRY = "import sys; from teijournal.cli import main; sys.exit(main())"
 SCHEMA_SEEDS = (3, 5, 7, 23)
 STYLES = ("apa", "chicago", "mla")
 TEI_RULES = "title level a -> article\n* rend italic -> it\nbiblScope type vol -> volume\n"
+# Every character the escapers replace, as element text and as a
+# double-quoted attribute value.
+HOSTILE_TEXT = b"&amp; &lt; &gt; \" ' \\ \t&#13;\n"
+HOSTILE_VALUE = b"&amp; &lt; &gt; &quot; ' \\ &#9;&#13;&#10;"
+HOSTILE_RULES = "title level a -> a&b<c\"d'e\n"
 
 
 def sha256(data: bytes) -> str:
@@ -66,6 +73,21 @@ def padded(data: bytes, encoding: str, char: bytes) -> bytes:
     return data.replace(b"</p>", b'<x:y xmlns:x="urn:x">' + char + b"</x:y></p>", 1)
 
 
+def hostile(data: bytes) -> bytes:
+    """``data`` with the hostile text at the start of each analytic title and
+    of its first keyword, the hostile value as its first extent kind (which
+    a validate finding quotes), and the text, a person mention keyed by the
+    hostile value and a link to it at the end of the first body paragraph."""
+    data = data.replace(b'<title level="a" type="main">',
+                        b'<title level="a" type="main">' + HOSTILE_TEXT)
+    data = data.replace(b"<item><term>", b"<item><term>" + HOSTILE_TEXT, 1)
+    data = data.replace(b'<biblScope type="vol">', b'<biblScope type="' + HOSTILE_VALUE + b'">', 1)
+    head, body = data.split(b"<body>", 1)
+    return head + b"<body>" + body.replace(b"</p>", b" " + HOSTILE_TEXT + (
+        b'<persName key="' + HOSTILE_VALUE + b'">Ada ' + HOSTILE_TEXT + b"</persName>"
+        b'<ref target="' + HOSTILE_VALUE + b'">link</ref></p>'), 1)
+
+
 def write_inputs(work: Path, size: str) -> dict:
     """Write every input; returns {directory name: relative file paths}."""
     dirs: dict = {}
@@ -85,10 +107,16 @@ def write_inputs(work: Path, size: str) -> dict:
         "latin1.xml": padded(first, "ISO-8859-1", b"\xe9"),
         "utf8.xml": padded(third, "UTF-8", "é".encode()),
     })
+    dirs["hostile"] = write_dir(work / "hostile", {
+        "art0000.xml": hostile(first),
+        "art0001.xml": hostile(second),
+        "art0002.xml": third,
+    })
     dirs["deep"] = write_dir(work / "deep", {
         f"deep-{label}.xml": gen.deep_article(3, 0, label, size)[0] for label in ("S", "2S")
     })
     rules = dict.fromkeys(dirs, TEI_RULES)
+    rules["hostile"] = HOSTILE_RULES
     for seed in SCHEMA_SEEDS:
         manifest = gen.schema_corpus(seed, size)
         dirs[f"schema-{seed}"] = write_dir(work / f"schema-{seed}", manifest.files)
@@ -144,7 +172,7 @@ class Runner:
 
 
 def run_all(run: Runner, dirs: dict) -> None:
-    tei_dirs = ("corpus", "damaged", "padded", "deep")
+    tei_dirs = ("corpus", "damaged", "padded", "hostile", "deep")
     raw_dirs = (*(f"schema-{seed}" for seed in SCHEMA_SEEDS), *tei_dirs)
     needle = gen.PERSONS[0].split()[-1]
 
@@ -165,7 +193,8 @@ def run_all(run: Runner, dirs: dict) -> None:
         for style in STYLES:
             for fmt in ("xhtml", "records"):
                 run("biblio", name, "--style", style, "--format", fmt)
-    for path in (*dirs["deep"], dirs["corpus"][0], *dirs["damaged"], *dirs["padded"]):
+    for path in (*dirs["deep"], dirs["corpus"][0], *dirs["damaged"], *dirs["padded"],
+                 *dirs["hostile"]):
         for style in STYLES:
             for to in ("xhtml", "text"):
                 run("render", path, "--style", style, "--to", to)
