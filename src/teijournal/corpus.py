@@ -19,7 +19,7 @@ from itertools import groupby
 from operator import attrgetter
 
 from . import model as m
-from .base import MENTION_KINDS, QUERY_KINDS, Record, factory, slotted
+from .base import MENTION_KINDS, QUERY_KINDS, Finding, Record, factory, slotted
 from .render import (
     StyleGuide,
     builtin_style,
@@ -30,7 +30,7 @@ from .render import (
     format_authors,
     xhtml_page,
 )
-from .xmlio import Issue, ParseReport, model_paths, parse_article
+from .xmlio import ParseReport, model_paths, parse_article
 
 #: The seven index kinds, in output order.
 INDEX_KINDS = (
@@ -115,8 +115,8 @@ class Query(Record, metaclass=slotted):
 # --------------------------------------------------------------------------
 
 
-def _error(message: str) -> ParseReport:
-    return ParseReport(issues=(Issue("error", "", message),))
+def _error(code: str, message: str) -> ParseReport:
+    return ParseReport(issues=(Finding(code, "error", "", message),))
 
 
 def load_corpus(paths) -> Corpus:
@@ -135,17 +135,15 @@ def load_corpus(paths) -> Corpus:
             with open(name, "rb") as handle:
                 data = handle.read()
         except OSError as exc:
-            reports[name] = _error(f"cannot read {name}: {exc}")
+            reports[name] = _error("P-unreadable", f"cannot read {name}: {exc}")
             continue
         report = reports[name] = parse_article(data, name)
         if not report.ok:
             continue
         article = report.outcome
         if article.id in articles:
-            reports[name] = _error(
-                f"duplicate document id {article.id!r}: "
-                f"already loaded from {sources[article.id]}"
-            )
+            reports[name] = _error("P-duplicate-id", f"duplicate document id {article.id!r}: "
+                                   f"already loaded from {sources[article.id]}")
             continue
         articles[article.id] = article
         sources[article.id] = name

@@ -215,7 +215,7 @@ def validate(
                 # R12: reference-list entry ids unique; every entry titled
                 if node.xml_id in seen_ids:
                     emit(
-                        path, "R12", f"duplicate reference id '{node.xml_id}'"
+                        path, "R12", f"duplicate reference id {node.xml_id!r}"
                     )
                 elif node.xml_id is not None:
                     seen_ids.add(node.xml_id)
@@ -227,7 +227,7 @@ def validate(
                 emit(
                     path,
                     "R5",
-                    f"extent kind '{node.kind}' outside "
+                    f"extent kind {node.kind!r} outside "
                     f"{{{', '.join(m.SCOPE_KINDS)}}}",
                 )
         elif isinstance(node, m.Author):
@@ -245,7 +245,7 @@ def validate(
                 emit(
                     path,
                     "R7",
-                    f"organization unit kind '{node.kind}' outside the "
+                    f"organization unit kind {node.kind!r} outside the "
                     "configured vocabulary",
                 )
         elif isinstance(node, m.Division):

@@ -23,7 +23,7 @@ from __future__ import annotations
 import re
 
 from . import model as m
-from .base import Record, escaper, slotted
+from .base import Finding, Record, escaper, slotted
 from .rawxml import TEI_NS, XML_NS, RawXmlError, TreeDocument, parse_raw
 
 # --------------------------------------------------------------------------
@@ -31,13 +31,9 @@ from .rawxml import TEI_NS, XML_NS, RawXmlError, TreeDocument, parse_raw
 # --------------------------------------------------------------------------
 
 
-class Issue(Record, metaclass=slotted):
-    severity: str  # "error" | "warning"
-    location: str  # slash path with 1-based sibling indexes, "" if global
-    message: str
-
-
 class ParseReport(Record, metaclass=slotted):
+    # Findings coded P-*, located by slash path with 1-based sibling
+    # indexes, or "" for the whole file.
     issues: tuple = ()
     outcome: m.Article | None = None
 
@@ -104,18 +100,18 @@ class _Builder:
     def __init__(self, doc: TreeDocument):
         self.doc = doc
         self.foreign = doc.foreign
-        self.issues: list[Issue] = []
+        self.issues: list[Finding] = []
 
     # -- issue helpers ----------------------------------------------------
 
-    def warn(self, node, message: str) -> None:
-        self.issues.append(Issue("warning", self.doc.source_path(node), message))
+    def warn(self, code: str, node, message: str) -> None:
+        self.issues.append(Finding(code, "warning", self.doc.source_path(node), message))
 
-    def error(self, node, message: str) -> None:
-        self.issues.append(Issue("error", self.doc.source_path(node), message))
+    def error(self, code: str, node, message: str) -> None:
+        self.issues.append(Finding(code, "error", self.doc.source_path(node), message))
 
     def unknown(self, node, context: str) -> None:
-        self.warn(node, f"unknown element '{node.tag}' in {context} dropped")
+        self.warn("P-unknown-element", node, f"unknown element '{node.tag}' in {context} dropped")
 
     # -- generic helpers --------------------------------------------------
 
@@ -125,12 +121,12 @@ class _Builder:
     def date_from(self, node, context: str) -> m.CalendarDate | None:
         value = node.get("when") or _text_content(node).strip()
         if not value:
-            self.warn(node, f"{context} date has no usable value; dropped")
+            self.warn("P-no-date", node, f"{context} date has no usable value; dropped")
             return None
         try:
             return m.CalendarDate.parse(value)
         except ValueError:
-            self.warn(node, f"unparseable {context} date {value!r}; dropped")
+            self.warn("P-bad-date", node, f"unparseable {context} date {value!r}; dropped")
             return None
 
     # -- inline content ---------------------------------------------------
@@ -158,7 +154,7 @@ class _Builder:
             return m.Link(node.get("target", ""), "")
         mention = _MENTION_CLASSES.get(name)
         if mention is not None:
-            return mention(self.text(node), node.get(_MENTIONS[mention][1]))
+            return mention(self.text(node), node.get(_MENTIONS[mention][1]) or None)
         if name == "abbr":
             return m.AbbrMention(self.text(node), None)
         if name == "choice":
@@ -202,6 +198,7 @@ class _Builder:
         quote: tuple = ()
         source: m.BiblStruct | str | None = None
         qualifiers: tuple = ()
+        mark = len(self.issues)
         for child in node:
             name = child.tag
             if name == "quote" and not quote:
@@ -212,7 +209,8 @@ class _Builder:
                 source = child.get("target", "")
             elif name == "note" and not qualifiers:
                 qualifiers = self.rich(child)
-            else:
+            else:  # kept whole: what the first read reported does not hold
+                del self.issues[mark:]
                 return m.OpaqueBlock(self.doc.slice(node))
         return m.CitBlock(quote, source, qualifiers)
 
@@ -246,19 +244,18 @@ class _Builder:
         head: tuple = ()
         blocks: list = []
         children: list = []
-        seen_head = False
         for child in _mixed(node):
             if isinstance(child, str):
                 if child.strip():
-                    self.warn(node, "stray text inside div wrapped as paragraph")
+                    self.warn("P-stray-text-in-div", node,
+                              "stray text inside div wrapped as paragraph")
                     blocks.append(m.Paragraph((m.TextRun(child),)))
                 continue
             name = None if child in self.foreign else child.tag
             if name in consumed:
                 continue
-            if name == "head" and not seen_head:
+            if name == "head" and not head:  # an empty head does not count
                 head = self.rich(child)
-                seen_head = True
             elif name == "div":
                 sub = self.division(child, consumed)
                 if sub is not None:
@@ -277,7 +274,7 @@ class _Builder:
         for child in _mixed(node):
             if isinstance(child, str):
                 if child.strip():
-                    self.warn(node, f"stray text in {context} wrapped in div")
+                    self.warn("P-stray-text", node, f"stray text in {context} wrapped in div")
                     out.append(
                         m.Division(blocks=(m.Paragraph((m.TextRun(child),)),))
                     )
@@ -290,7 +287,7 @@ class _Builder:
                 if division is not None:
                     out.append(division)
             else:
-                self.warn(child, f"element '{child.tag}' in {context} wrapped in div")
+                self.warn("P-wrapped", child, f"element '{child.tag}' in {context} wrapped in div")
                 out.append(self.wrapped(child, name))
         return tuple(out)
 
@@ -328,7 +325,7 @@ class _Builder:
             analytic=analytic,
             monogr=monogr,
             identifiers=tuple(identifiers),
-            xml_id=node.get(_XML_ID),
+            xml_id=node.get(_XML_ID) or None,
         )
 
     def analytic(self, node) -> m.Analytic:
@@ -357,7 +354,7 @@ class _Builder:
             elif name == "idno":
                 kind = child.get("type", "")
                 if kind.casefold() == "issn" and issn is None:
-                    issn = self.text(child)
+                    issn = self.text(child) or None
                 else:
                     identifiers.append(m.Identifier(kind, self.text(child)))
             elif name == "imprint":
@@ -385,16 +382,14 @@ class _Builder:
         for child in node:
             name = child.tag
             if name == "publisher":
-                publisher = self.text(child)
+                publisher = self.text(child) or None
             elif name == "pubPlace":
-                pub_place = self.text(child)
+                pub_place = self.text(child) or None
             elif name == "date":
                 attr_role = child.get("type")
                 if attr_role is None and child.get("typ") is not None:
                     attr_role = child.get("typ")
-                    self.warn(
-                        child, "attribute 'typ' on date read as 'type'"
-                    )
+                    self.warn("P-typ-attr", child, "attribute 'typ' on date read as 'type'")
                 if attr_role:
                     role = attr_role.lower()
                 date = self.date_from(child, "imprint")
@@ -429,7 +424,7 @@ class _Builder:
             elif name == "affiliation":
                 affiliation = self.affiliation(child)
             elif name == "email":
-                email = self.text(child)
+                email = self.text(child) or None
             elif name == "orgName":
                 # organizations occasionally stand in the author slot
                 surname = surname or self.text(child)
@@ -467,13 +462,13 @@ class _Builder:
             name = child.tag
             text = self.text(child)
             if name == "settlement" and settlement is None:
-                settlement = text
+                settlement = text or None
             elif name == "postCode" and post_code is None:
-                post_code = text
+                post_code = text or None
             elif name == "country" and country is None:
-                country = text
+                country = text or None
             elif name == "addrLine":
-                lines.append(m.AddressLine(text, child.get("type")))
+                lines.append(m.AddressLine(text, child.get("type") or None))
             elif text:
                 # other address parts survive as typed lines
                 lines.append(m.AddressLine(text, name))
@@ -496,7 +491,7 @@ class _Builder:
                 if titles:
                     main_title = self.rich(titles[0])
                 for extra in titles[1:]:
-                    self.warn(extra, "additional titleStmt title dropped")
+                    self.warn("P-extra-title", extra, "additional titleStmt title dropped")
                 for sub in child:
                     if sub.tag != "title":
                         self.unknown(sub, "titleStmt")
@@ -509,10 +504,8 @@ class _Builder:
                 if structs:
                     source = self.biblstruct(structs[0])
                 for extra in structs[1:]:
-                    self.warn(
-                        extra,
-                        "additional sourceDesc biblStruct dropped; first kept",
-                    )
+                    self.warn("P-extra-source", extra,
+                              "additional sourceDesc biblStruct dropped; first kept")
                 for sub in child:
                     if sub.tag != "biblStruct":
                         self.unknown(sub, "sourceDesc")
@@ -533,15 +526,14 @@ class _Builder:
                 if paras:
                     availability = self.rich(paras[0])
                     for extra in paras[1:]:
-                        self.warn(
-                            extra, "additional availability paragraph dropped"
-                        )
+                        self.warn("P-extra-availability", extra,
+                                  "additional availability paragraph dropped")
                 elif any(isinstance(c, str) and c.strip() for c in _mixed(child)):
                     availability = self.rich(child)
             elif name == "date":
                 date = self.date_from(child, "publication")
             elif name == "authority":
-                authority = self.text(child)
+                authority = self.text(child) or None
             else:
                 self.unknown(child, "publicationStmt")
         return availability, date, authority
@@ -567,7 +559,7 @@ class _Builder:
         return m.ProfileDesc(tuple(keywords), tuple(languages))
 
     def keywords(self, node, out: list) -> None:
-        scheme = node.get("scheme")
+        scheme = node.get("scheme") or None
 
         def add(term) -> None:
             term_text = self.text(term)
@@ -595,10 +587,8 @@ class _Builder:
             try:
                 when = m.CalendarDate.parse(when_value)
             except ValueError:
-                self.warn(
-                    child,
-                    f"change with unparseable date {when_value!r} dropped",
-                )
+                self.warn("P-bad-change-date", child,
+                          f"change with unparseable date {when_value!r} dropped")
                 continue
             description = self.text(child)
             kind = child.get("type") or _leading_word(description)
@@ -624,10 +614,10 @@ class _Builder:
                 continue
             if sub.tag in _LISTBIBL_NAMES:
                 if sub.tag == "listBib":
-                    self.warn(sub, "element 'listBib' read as 'listBibl'")
+                    self.warn("P-listBib", sub, "element 'listBib' read as 'listBibl'")
                 listbibl_seen += 1
                 if listbibl_seen > 1:
-                    self.warn(sub, "additional listBibl merged into the first")
+                    self.warn("P-listBibl-merged", sub, "additional listBibl merged into the first")
                 for entry in sub:
                     if entry.tag == "biblStruct":
                         entries.append(self.biblstruct(entry))
@@ -663,24 +653,21 @@ def parse_article(
     try:
         doc = parse_raw(data)
     except RawXmlError as exc:
-        return ParseReport(issues=(Issue("error", "", str(exc)),))
+        return ParseReport(issues=(Finding("P-refused", "error", "", str(exc)),))
 
     builder = _Builder(doc)
     root = doc.root
     if root.tag != "TEI" or doc.root_ns != TEI_NS:
-        builder.error(
-            root,
-            f"document element must be TEI in namespace {TEI_NS}, "
-            f"got '{root.tag}'",
-        )
+        builder.error("P-not-tei", root,
+                      f"document element must be TEI in namespace {TEI_NS}, got '{root.tag}'")
         return ParseReport(issues=tuple(builder.issues))
 
     header_node = root.find("teiHeader")
     text_node = root.find("text")
     if header_node is None:
-        builder.error(root, "missing teiHeader")
+        builder.error("P-no-header", root, "missing teiHeader")
     if text_node is None:
-        builder.error(root, "missing text")
+        builder.error("P-no-text", root, "missing text")
     if header_node is None or text_node is None:
         return ParseReport(issues=tuple(builder.issues))
 
@@ -715,7 +702,8 @@ def parse_article(
         elif name == "back":
             back = builder.back_matter(child)
         else:
-            builder.warn(child, f"element '{child.tag}' in text wrapped into body")
+            builder.warn("P-wrapped-into-body", child,
+                         f"element '{child.tag}' in text wrapped into body")
             strays.append(builder.wrapped(child, name))
     body += tuple(strays)
 

@@ -3,13 +3,16 @@
 import builtins
 import errno
 import gc
+import io
 import json
 import os
 import re
 import stat
 import subprocess
 import sys
+import tempfile
 import threading
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -17,9 +20,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from teijournal import cli
+from teijournal.base import BUILTIN_STYLES
 from teijournal.cli import ExitStatus, main, read_records, write_records
+from teijournal.xmlio import parse_article
 
-from support import article_bytes, write_corpus
+from support import MUTANT_BASES, article_bytes, tree_mutants, write_corpus
 
 BROKEN_BODY = (
     '<div type="section"><head>One</head>'
@@ -142,6 +147,14 @@ class TestValidate:
             "R9",
             "reference target '#b9' matches no reference-list entry",
         )
+
+    def test_a_quoted_value_holding_a_newline_stays_on_one_line(self, tmp_path, capsys):
+        path = clean_file(tmp_path, source_imprint='<biblScope type="a&#10;b">1</biblScope>')
+        code, out, _ = run(capsys, ["validate", path])
+        assert code == ExitStatus.FINDINGS
+        scope = "TEI[1]/teiHeader[1]/fileDesc[1]/sourceDesc[1]/biblStruct[1]/monogr[1]/imprint[1]"
+        assert out == (f"{path}: [R5/error] {scope}/biblScope[1]: "
+                       "extent kind 'a\\nb' outside {vol, issue, fpage, lpage, pp}\n")
 
     def test_warning_findings_exit_zero(self, tmp_path, capsys):
         path = clean_file(tmp_path, keywords=())
@@ -1183,3 +1196,42 @@ class TestInternalErrors:
             r" \(test_cli\.py:\d+\)\n",
             err,
         )
+
+
+class TestMutantsThroughEveryCommand:
+    """Every subcommand, in process, over a directory holding one structural
+    mutant beside the two articles it was made from: each exits as README
+    says (1 only from ``validate``) and none reports an internal error."""
+
+    @settings(deadline=None)
+    @given(tree_mutants())
+    def test_exit_codes_as_documented_and_no_internal_error(self, data):
+        with tempfile.TemporaryDirectory() as work:
+            directory = Path(work) / "c"
+            files = write_corpus(directory, {
+                "good-0.xml": MUTANT_BASES[0], "good-1.xml": MUTANT_BASES[1], "mutant.xml": data,
+            })
+            mutant, rules = str(directory / "mutant.xml"), Path(work) / "rules.txt"
+            rules.write_text("title level a -> article\n* rend italic -> it\n", encoding="utf-8")
+            parsed = parse_article(data, mutant).ok
+            c = str(directory)
+            runs = [
+                *((["validate", *files, "--format", fmt], {0, 1} if parsed else {2})
+                  for fmt in ("text", "records")),
+                *((["render", mutant, "--style", style], {0} if parsed else {2})
+                  for style in BUILTIN_STYLES),
+                (["render", mutant, "--to", "text"], {0} if parsed else {2}),
+                (["index", c], {0}),
+                (["biblio", c], {0}),
+                (["corrigenda", c], {0}),
+                (["query", c, "--text", "a"], {0}),
+                (["codify", c, "--out", str(Path(work) / "schema.json")], {0}),
+                (["variants", c], {0}),
+                (["arbitrate", c, "--rules", str(rules), "--out-dir", str(Path(work) / "out")], {0}),
+            ]
+            for argv, codes in runs:
+                out, err = io.StringIO(), io.StringIO()
+                with redirect_stdout(out), redirect_stderr(err):
+                    code = main(argv)
+                assert code in codes, (argv, code, err.getvalue())
+                assert "internal error" not in err.getvalue(), (argv, err.getvalue())

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from teijournal import model as m
+from teijournal.base import Finding
 from teijournal.corpus import (
     INDEX_KINDS,
     QUERY_KINDS,
@@ -135,7 +136,8 @@ class TestLoading:
         corpus = load_corpus([nowhere])
         assert corpus.articles == {}
         (issue,) = corpus.load_reports[nowhere].issues
-        assert "cannot read" in issue.message
+        assert (issue.rule_id, issue.severity, issue.location) == ("P-unreadable", "error", "")
+        assert issue.message.startswith(f"cannot read {nowhere}: ")
 
     def test_duplicate_id_keeps_first(self, tmp_path):
         blob = article_bytes(title="Same", doi="10.1/dup")
@@ -144,8 +146,9 @@ class TestLoading:
         corpus = load_corpus([one, two])
         assert list(corpus.articles) == ["10.1/dup"]
         assert corpus.paths["10.1/dup"] == one
-        (issue,) = corpus.load_reports[two].issues
-        assert "duplicate document id" in issue.message
+        assert corpus.load_reports[two].issues == (Finding(
+            "P-duplicate-id", "error", "",
+            f"duplicate document id '10.1/dup': already loaded from {one}"),)
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.sampled_from(sorted(LOAD_FILES)), max_size=8))

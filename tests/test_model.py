@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from teijournal import corpus, render, schema, validator, xmlio
 from teijournal import model as m
-from teijournal.base import Record, factory
+from teijournal.base import Finding, Record, factory
 
 from support import parse_skeleton
 
@@ -380,7 +380,7 @@ class TestRecordContract:
         modules = {cls.__module__ for cls in RECORD_CLASSES}
         assert modules == {f"teijournal.{name}" for name in (
             "base", "model", "xmlio", "validator", "render", "corpus", "schema")}
-        assert len(RECORD_CLASSES) == 63
+        assert len(RECORD_CLASSES) == 62
 
     @pytest.mark.parametrize("cls", RECORD_CLASSES, ids=lambda cls: cls.__qualname__)
     def test_fields_defaults_and_assignment(self, cls):
@@ -476,9 +476,9 @@ class TestRecordContract:
 
     def test_positional_and_keyword_construction(self):
         assert render.Span("t") == render.Span(text="t", typography="plain")
-        assert xmlio.Issue("error", "", "m") == xmlio.Issue(
-            severity="error", location="", message="m")
+        assert Finding("P-x", "error", "", "m") == Finding(
+            rule_id="P-x", severity="error", location="", message="m")
         with pytest.raises(TypeError):
-            xmlio.Issue("error", "")
+            Finding("P-x", "error", "")
         assert m.Monogr().imprint == m.Imprint() and m.BiblStruct().doc_type.value == "unknown"
 

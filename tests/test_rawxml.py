@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 import teijournal
 from teijournal import model as m
 from teijournal import rawxml, render, validator, xmlio
+from teijournal.base import Finding
 from teijournal.cli import ExitStatus, main, read_records
 from teijournal.rawxml import (
     MAX_DEPTH,
@@ -607,7 +608,7 @@ class TestParserParity:
             refusal = str(exc)
         report = xmlio.parse_article(data, "damaged.xml")
         if refusal is not None:
-            assert report.issues == (xmlio.Issue("error", "", refusal),)
+            assert report.issues == (Finding("P-refused", "error", "", refusal),)
             return
         assert all(issue.location for issue in report.issues)
         if report.ok:
@@ -760,7 +761,7 @@ class TestBraceInNamespaceUri:
     def test_parse_article_reports_an_error(self):
         report = xmlio.parse_article(BRACE_URI, "brace.xml")
         assert report.outcome is None
-        assert [(i.severity, i.message) for i in report.issues] == [("error", BRACE_REFUSAL)]
+        assert report.issues == (Finding("P-refused", "error", "", BRACE_REFUSAL),)
 
     def test_validate_cannot_parse_and_exits_2(self, tmp_path):
         path = tmp_path / "brace.xml"

@@ -1,15 +1,18 @@
 """Parse/serialize: fixtures, repairs, refusals, and round-trip laws."""
 
+import ast
 import dataclasses
+import re
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from teijournal import model as m
-from teijournal import cli, render, schema, xmlio
-from teijournal.base import BUILTIN_STYLES, escaper
+from teijournal import cli, corpus, render, schema, xmlio
+from teijournal.base import BUILTIN_STYLES, Finding, escaper
 from teijournal.rawxml import RawXmlError, parse_raw
 from teijournal.render import builtin_style, render_plaintext, render_xhtml
 from teijournal.xmlio import iter_model_paths, parse_article, serialize_article
@@ -48,7 +51,27 @@ def warnings_of(data: bytes) -> list:
     return [i.message for i in report.warnings()]
 
 
+#: code -> (a refused document, the issues its report holds)
+REFUSALS = {
+    "P-refused": (b"this is prose", (
+        ("P-refused", "error", "", "not well-formed: syntax error: line 1, column 0"),)),
+    "P-not-tei": (b"<TEI><teiHeader/><text/></TEI>", (
+        ("P-not-tei", "error", "TEI[1]",
+         f"document element must be TEI in namespace {support.TEI_NS}, got 'TEI'"),)),
+    "P-no-header": (TEI + b"<text/></TEI>", (("P-no-header", "error", "TEI[1]", "missing teiHeader"),)),
+    "P-no-text": (TEI + b"<teiHeader/></TEI>", (("P-no-text", "error", "TEI[1]", "missing text"),)),
+}
+
+
 class TestRefusals:
+    @pytest.mark.parametrize("code", sorted(REFUSALS))
+    def test_refusal_issues(self, code):
+        data, issues = REFUSALS[code]
+        report = parse_article(data, "t.xml")
+        assert report.outcome is None
+        assert [(i.rule_id, i.severity, i.location, i.message)
+                for i in report.issues] == list(issues)
+
     def test_not_xml(self):
         report = parse_article(b"this is prose", "t.xml")
         assert not report.ok
@@ -262,7 +285,8 @@ def _entry(article):
 
 
 def _dropped(location: str, name: str, context: str) -> tuple:
-    return (("warning", location, f"unknown element '{name}' in {context} dropped"),)
+    return (("P-unknown-element", "warning", location,
+             f"unknown element '{name}' in {context} dropped"),)
 
 
 def _para(text: str) -> tuple:
@@ -273,37 +297,41 @@ def _para(text: str) -> tuple:
 REPAIRS = {
     "stray-text-in-div": (
         (b'<div type="section"><p>x', b'<div type="section">loose<p>x'),
-        (("warning", _T + "/body[1]/div[1]", "stray text inside div wrapped as paragraph"),),
+        (("P-stray-text-in-div", "warning", _T + "/body[1]/div[1]",
+          "stray text inside div wrapped as paragraph"),),
         lambda a: a.body[0].blocks[0], _para("loose")[0],
     ),
     "stray-text-in-front": (
         (b"<front>", b"<front>loose"),
-        (("warning", _T + "/front[1]", "stray text in front wrapped in div"),),
+        (("P-stray-text", "warning", _T + "/front[1]", "stray text in front wrapped in div"),),
         lambda a: a.front[0].blocks, _para("loose"),
     ),
     "stray-text-in-body": (
         (b"<body>", b"<body>loose"),
-        (("warning", _T + "/body[1]", "stray text in body wrapped in div"),),
+        (("P-stray-text", "warning", _T + "/body[1]", "stray text in body wrapped in div"),),
         lambda a: a.body[0].blocks, _para("loose"),
     ),
     "stray-text-in-back": (
         (b"<back>", b"<back>loose"),
-        (("warning", _T + "/back[1]", "stray text in back wrapped in div"),),
+        (("P-stray-text", "warning", _T + "/back[1]", "stray text in back wrapped in div"),),
         lambda a: a.back.divisions[0].blocks, _para("loose"),
     ),
     "element-in-text-wrapped-into-body": (
         (b"</body>", b"</body><p>late</p>"),
-        (("warning", _T + "/p[1]", "element 'p' in text wrapped into body"),),
+        (("P-wrapped-into-body", "warning", _T + "/p[1]",
+          "element 'p' in text wrapped into body"),),
         lambda a: a.body[-1].blocks, _para("late"),
     ),
     "div-in-text-read-as-a-div": (
         (b"</body>", b'</body><div type="late"><head>H</head><p>late</p></div>'),
-        (("warning", _T + "/div[1]", "element 'div' in text wrapped into body"),),
+        (("P-wrapped-into-body", "warning", _T + "/div[1]",
+          "element 'div' in text wrapped into body"),),
         lambda a: a.body[-1], m.Division("late", (m.TextRun("H"),), _para("late")),
     ),
     "head-in-body-heads-a-div": (
         (b"<body>", b'<body><head rend="x">H</head>'),
-        (("warning", _T + "/body[1]/head[1]", "element 'head' in body wrapped in div"),),
+        (("P-wrapped", "warning", _T + "/body[1]/head[1]",
+          "element 'head' in body wrapped in div"),),
         lambda a: a.body[0], m.Division(head=(m.TextRun("H"),)),
     ),
     "unknown-in-biblStruct": (
@@ -360,7 +388,8 @@ REPAIRS = {
     ),
     "extra-titleStmt-title": (
         (b"</title></titleStmt>", b'</title><title type="sub">S</title></titleStmt>'),
-        (("warning", _FD + "/titleStmt[1]/title[2]", "additional titleStmt title dropped"),),
+        (("P-extra-title", "warning", _FD + "/titleStmt[1]/title[2]",
+          "additional titleStmt title dropped"),),
         lambda a: a.header.file_desc.main_title, (m.TextRun("T"),),
     ),
     "unknown-in-sourceDesc": (
@@ -375,7 +404,7 @@ REPAIRS = {
     ),
     "extra-availability-paragraph": (
         (b"<p>Open.</p></availability>", b"<p>Open.</p><p>More.</p></availability>"),
-        (("warning", _FD + "/publicationStmt[1]/availability[1]/p[2]",
+        (("P-extra-availability", "warning", _FD + "/publicationStmt[1]/availability[1]/p[2]",
           "additional availability paragraph dropped"),),
         lambda a: a.header.file_desc.availability, (m.TextRun("Open."),),
     ),
@@ -406,7 +435,7 @@ REPAIRS = {
     ),
     "unparseable-change-date": (
         (b"</revisionDesc>", b'<change when="someday">Revised</change></revisionDesc>'),
-        (("warning", _H + "/revisionDesc[1]/change[2]",
+        (("P-bad-change-date", "warning", _H + "/revisionDesc[1]/change[2]",
           "change with unparseable date 'someday' dropped"),),
         lambda a: [c.kind for c in a.header.revision_desc.changes], ["received"],
     ),
@@ -437,19 +466,19 @@ REPAIRS = {
     ),
     "imprint-date-without-a-value": (
         (b'<date when="2001"/>', b"<date/>"),
-        (("warning", _ENTRY + "/monogr[1]/imprint[1]/date[1]",
+        (("P-no-date", "warning", _ENTRY + "/monogr[1]/imprint[1]/date[1]",
           "imprint date has no usable value; dropped"),),
         lambda a: _entry(a).monogr.imprint.date, None,
     ),
     "unparseable-imprint-date": (
         (b'<date when="2001"/>', b'<date when="soon"/>'),
-        (("warning", _ENTRY + "/monogr[1]/imprint[1]/date[1]",
+        (("P-bad-date", "warning", _ENTRY + "/monogr[1]/imprint[1]/date[1]",
           "unparseable imprint date 'soon'; dropped"),),
         lambda a: _entry(a).monogr.imprint.date, None,
     ),
     "date-role-without-a-date": (
         (b'<date when="2001"/>', b'<date type="accessed"/>'),
-        (("warning", _ENTRY + "/monogr[1]/imprint[1]/date[1]",
+        (("P-no-date", "warning", _ENTRY + "/monogr[1]/imprint[1]/date[1]",
           "imprint date has no usable value; dropped"),),
         lambda a: _entry(a).monogr.imprint.date_role, "published",
     ),
@@ -497,6 +526,95 @@ REPAIRS = {
         (),
         lambda a: _entry(a).doc_type.value, "unknown",
     ),
+    "date-typ-read-as-type": (
+        (b'<date when="2009"/>', b'<date typ="Accessed" when="2009"/>'),
+        (("P-typ-attr", "warning", _SRC + "/monogr[1]/imprint[1]/date[1]",
+          "attribute 'typ' on date read as 'type'"),),
+        lambda a: _source(a).monogr.imprint.date_role, "accessed",
+    ),
+    "extra-source-record-dropped": (
+        (b"</biblStruct></sourceDesc>",
+         b'</biblStruct><biblStruct><monogr><title level="m">S</title></monogr></biblStruct>'
+         b"</sourceDesc>"),
+        (("P-extra-source", "warning", _FD + "/sourceDesc[1]/biblStruct[2]",
+          "additional sourceDesc biblStruct dropped; first kept"),),
+        lambda a: _source(a).monogr.titles[0].text, (m.TextRun("J"),),
+    ),
+    "extra-listBibl-merged": (
+        (b"</listBibl></back>", b'</listBibl><listBibl><biblStruct xml:id="r2">'
+         + _ENTRY_TITLE + b"</monogr></biblStruct></listBibl></back>"),
+        (("P-listBibl-merged", "warning", _T + "/back[1]/listBibl[2]",
+          "additional listBibl merged into the first"),),
+        lambda a: [e.xml_id for e in a.reference_list.entries], ["r1", "r2"],
+    ),
+    "listBib-read-as-listBibl": (
+        (b"</listBibl></back>", b'</listBibl><listBib><biblStruct xml:id="r2">'
+         + _ENTRY_TITLE + b"</monogr></biblStruct></listBib></back>"),
+        (("P-listBib", "warning", _T + "/back[1]/listBib[1]",
+          "element 'listBib' read as 'listBibl'"),
+         ("P-listBibl-merged", "warning", _T + "/back[1]/listBib[1]",
+          "additional listBibl merged into the first")),
+        lambda a: [e.xml_id for e in a.reference_list.entries], ["r1", "r2"],
+    ),
+    "empty-head-is-no-head": (
+        (b'<div type="section"><p>x', b'<div type="section"><head/><head>H</head><p>x'),
+        (),
+        lambda a: a.body[0], m.Division("section", (m.TextRun("H"),), _para("x")),
+    ),
+    "empty-mention-key-is-absent": (
+        (b"<p>x</p>", b'<p>x<persName key="">Ada</persName></p>'),
+        (),
+        lambda a: a.body[0].blocks[0].content[1], m.PersonMention("Ada"),
+    ),
+    "empty-entry-id-is-absent": (
+        (b'<biblStruct xml:id="r1">', b'<biblStruct xml:id="">'),
+        (),
+        lambda a: _entry(a).xml_id, None,
+    ),
+    "empty-address-line-type-is-absent": (
+        (b"<address>", b'<address><addrLine type="">1</addrLine>'),
+        (),
+        lambda a: _source(a).analytic.authors[0].affiliation.address.lines,
+        (m.AddressLine("1"),),
+    ),
+    "empty-keyword-scheme-is-absent": (
+        (b"<keywords><term>", b'<keywords scheme=""><term>'),
+        (),
+        lambda a: a.header.profile_desc.keywords, (m.Keyword("k"),),
+    ),
+    "empty-authority-is-absent": (
+        (b"<authority>A</authority>", b"<authority/>"),
+        (),
+        lambda a: a.header.file_desc.authority, None,
+    ),
+    "empty-imprint-texts-are-absent": (
+        (b'<date when="2009"/>', b'<publisher/><pubPlace/><date when="2009"/>'),
+        (),
+        lambda a: (_source(a).monogr.imprint.publisher, _source(a).monogr.imprint.pub_place),
+        (None, None),
+    ),
+    "empty-ISSN-is-absent": (
+        (b'<title level="j" type="main">J</title>',
+         b'<title level="j" type="main">J</title><idno type="ISSN"/>'),
+        (),
+        lambda a: _source(a).monogr.issn, None,
+    ),
+    "empty-email-is-absent": (
+        (b"</affiliation></author>", b"</affiliation><email/></author>"),
+        (),
+        lambda a: _source(a).analytic.authors[0].email, None,
+    ),
+    "empty-address-parts-are-absent": (
+        (b"<country>NZ</country>", b"<settlement/><postCode/><country/>"),
+        (),
+        lambda a: _source(a).analytic.authors[0].affiliation.address, m.Address(),
+    ),
+    "cit-kept-verbatim-reports-nothing": (
+        (b"<p>x</p>", b"<p>x</p><cit><biblStruct><monogr/><revisionDesc/></biblStruct>"
+         b"<biblStruct><monogr/></biblStruct></cit>"),
+        (),
+        lambda a: type(a.body[0].blocks[1]), m.OpaqueBlock,
+    ),
 }
 
 
@@ -511,13 +629,62 @@ class TestRepairTable:
         assert REPAIR_BASE.count(old) == 1
         report = parse_article(REPAIR_BASE.replace(old, new, 1), "t.xml")
         assert report.ok
-        assert [(i.severity, i.location, i.message) for i in report.issues] == list(issues)
+        assert [(i.rule_id, i.severity, i.location, i.message)
+                for i in report.issues] == list(issues)
         assert fact(report.outcome) == value
         data = serialize_article(report.outcome)
         again = parse_article(data, "t.xml")
         assert again.ok and again.issues == ()
         assert again.outcome == report.outcome
         assert serialize_article(again.outcome) == data
+
+
+# --------------------------------------------------------------------------
+# Issue codes: the parser and the corpus loader write each issue's P-* code
+# as a literal at the call site, and every code is one some test expects
+# --------------------------------------------------------------------------
+
+_CODE = re.compile(r"P-[A-Za-z]+(-[A-Za-z]+)*")
+_REPORTING_CALLS = {"warn", "error", "_error", "Finding"}
+
+
+def _source_tree(path) -> ast.Module:
+    return ast.parse(Path(path).read_text(encoding="utf-8"))
+
+
+def _written_codes(module) -> set:
+    """The code of every issue call in ``module``.  A helper among the issue
+    calls passes its ``code`` parameter on, and is checked where it is called."""
+    tree = _source_tree(module.__file__)
+    forwarded = {id(node) for helper in ast.walk(tree)
+                 if isinstance(helper, ast.FunctionDef) and helper.name in _REPORTING_CALLS
+                 for node in ast.walk(helper)}
+    codes = set()
+    for call in ast.walk(tree):
+        if not isinstance(call, ast.Call):
+            continue
+        callee = getattr(call.func, "attr", getattr(call.func, "id", None))
+        if callee not in _REPORTING_CALLS:
+            continue
+        code = call.args[0]
+        if isinstance(code, ast.Name) and code.id == "code" and id(call) in forwarded:
+            continue
+        assert isinstance(code, ast.Constant) and _CODE.fullmatch(code.value), ast.unparse(call)
+        codes.add(code.value)
+    return codes
+
+
+class TestIssueCodes:
+    def test_every_written_code_is_a_literal_that_a_test_expects(self):
+        written = _written_codes(xmlio) | _written_codes(corpus)
+        expected = {issue[0] for _, issues, _, _ in REPAIRS.values() for issue in issues}
+        expected |= {issue[0] for _, issues in REFUSALS.values() for issue in issues}
+        # the load errors, which tests/test_corpus.py expects
+        loads = _source_tree(Path(__file__).with_name("test_corpus.py"))
+        expected |= {node.value for node in ast.walk(loads) if isinstance(node, ast.Constant)
+                     and isinstance(node.value, str) and _CODE.fullmatch(node.value)}
+        assert len(written) == 20
+        assert written == expected
 
 
 class TestCitFixture:
@@ -838,11 +1005,13 @@ class TestTreeMutants:
     @given(support.tree_mutants())
     def test_accepted_mutants_are_fixpoints_with_well_formed_pages(self, data):
         report = parse_article(data, "mutant.xml")
+        assert all(type(i) is Finding and _CODE.fullmatch(i.rule_id) for i in report.issues)
         if not report.ok:
             return
         canonical = serialize_article(report.outcome)
         again = parse_article(canonical, "mutant.xml")
         assert again.ok and not again.issues, again.issues
+        assert again.outcome == report.outcome
         assert serialize_article(again.outcome) == canonical
         for name in BUILTIN_STYLES:
             ET.fromstring(render_xhtml(report.outcome, builtin_style(name)))

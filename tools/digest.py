@@ -12,6 +12,12 @@ relative to that directory, so two builds that differ only in TREE print
 the same paths.  The hash seed is inherited: build twice under two values
 of ``PYTHONHASHSEED`` to check that no output depends on it.
 
+One more child process reads each TEI input through the library and
+records three digests per document: ``parse_article``'s issues as
+``(severity, location, message)`` triples, ``serialize_article``'s bytes
+and the ``validate`` findings.  Parse issues have had those three fields
+in every version, so the manifests of two trees compare.
+
 ``--compare`` prints each key whose digest differs or that one manifest
 lacks, and exits 1 when there is any.
 
@@ -43,6 +49,33 @@ sys.dont_write_bytecode = True  # leave no cache beside the generator
 import gen  # noqa: E402  (perfbench/gen.py)
 
 ENTRY = "import sys; from teijournal.cli import main; sys.exit(main())"
+# Reads the files named on its command line; prints {key: digest} as JSON.
+LIBRARY = """
+import hashlib, json, sys
+from teijournal.validator import validate
+from teijournal.xmlio import parse_article, serialize_article
+
+def sha256(data):
+    return hashlib.sha256(data).hexdigest()
+
+def fields(records, *names):
+    return sha256(json.dumps([[getattr(r, n) for n in names] for r in records]).encode())
+
+digests = {}
+for path in sys.argv[1:]:
+    try:
+        with open(path, "rb") as handle:
+            data = handle.read()
+    except OSError:
+        continue
+    report = parse_article(data, path)
+    digests[f"library {path} :issues"] = fields(report.issues, "severity", "location", "message")
+    if report.ok:
+        digests[f"library {path} :canonical"] = sha256(serialize_article(report.outcome))
+        digests[f"library {path} :findings"] = fields(
+            validate(report.outcome), "rule_id", "severity", "location", "message")
+json.dump(digests, sys.stdout)
+"""
 SCHEMA_SEEDS = (3, 5, 7, 23)
 STYLES = ("apa", "chicago", "mla")
 TEI_RULES = "title level a -> article\n* rend italic -> it\nbiblScope type vol -> volume\n"
@@ -149,6 +182,14 @@ class Runner:
         self.outs += 1
         return f"out/{self.outs:03d}"
 
+    def library(self, paths: list) -> None:
+        """Digest each file's parse issues, canonical bytes and findings."""
+        done = subprocess.run(
+            [sys.executable, "-c", LIBRARY, *paths], cwd=self.work, env=self.env,
+            stdin=subprocess.DEVNULL, capture_output=True, timeout=600, check=True,
+        )
+        self.digests.update(json.loads(done.stdout))
+
     def __call__(self, *argv: str, writes: str | None = None) -> None:
         """Run one subcommand; ``writes`` names the file or directory it
         writes, whose files are digested after the run."""
@@ -175,6 +216,7 @@ def run_all(run: Runner, dirs: dict) -> None:
     tei_dirs = ("corpus", "damaged", "padded", "hostile", "deep")
     raw_dirs = (*(f"schema-{seed}" for seed in SCHEMA_SEEDS), *tei_dirs)
     needle = gen.PERSONS[0].split()[-1]
+    run.library([path for name in tei_dirs for path in dirs[name]])
 
     for name in tei_dirs:
         files = dirs[name]
