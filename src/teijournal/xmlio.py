@@ -4,9 +4,13 @@ Parsing is repair-oriented: recognized structures become typed model nodes,
 recoverable encoding slips are fixed with a warning, metadata that cannot be
 represented is dropped with a warning, and running-text markup outside the
 recognized subset is carried as opaque verbatim slices so body content is
-never lost. Serialization emits one canonical form: UTF-8, alphabetical
-attributes, two-space indentation for element-only content, and opaque
-regions byte-for-byte as captured. The serializer's element calls are the
+never lost. Of a child that the model holds once, the first is kept and
+later ones are reported: every metadata element's children are read
+through ``_Builder.children``, which applies that rule, and a repeated
+``front``, ``body`` or ``back`` is kept verbatim in body. Serialization
+emits one canonical form: UTF-8, alphabetical attributes, two-space
+indentation for element-only content, and opaque regions byte-for-byte as
+captured. The serializer's element calls are the
 only description of that form: :func:`iter_model_paths` makes the same
 calls to name the element that holds each model node. Inside running text,
 ``_INLINE_ELEMENT`` alone describes each inline node's element; the
@@ -113,6 +117,24 @@ class _Builder:
     def unknown(self, node, context: str) -> None:
         self.warn("P-unknown-element", node, f"unknown element '{node.tag}' in {context} dropped")
 
+    def children(self, node, context: str, once=(), many=()):
+        """Yield ``(name, child)`` for each child of ``node`` the model reads:
+        a name in ``many`` every time, one in ``once`` the first time only,
+        a later one reported as extra; any other child is reported unknown."""
+        seen = set()
+        for child in node:
+            name = child.tag
+            if name in many:
+                yield name, child
+            elif name not in once:
+                self.unknown(child, context)
+            elif name in seen:
+                self.warn("P-extra-element", child,
+                          f"additional {context} {name} dropped; first kept")
+            else:
+                seen.add(name)
+                yield name, child
+
     # -- generic helpers --------------------------------------------------
 
     def text(self, node) -> str:
@@ -157,12 +179,11 @@ class _Builder:
             return mention(self.text(node), node.get(_MENTIONS[mention][1]) or None)
         if name == "abbr":
             return m.AbbrMention(self.text(node), None)
-        if name == "choice":
-            abbr = node.find("abbr")
+        # a choice of anything but one abbr and at most one expan is verbatim
+        if name == "choice" and sorted(c.tag for c in node) in (["abbr"], ["abbr", "expan"]):
             expan = node.find("expan")
-            if abbr is not None:
-                expansion = self.text(expan) if expan is not None else None
-                return m.AbbrMention(self.text(abbr), expansion)
+            expansion = self.text(expan) if expan is not None else None
+            return m.AbbrMention(self.text(node.find("abbr")), expansion)
         return m.OpaqueInline(self.doc.slice(node))
 
     # -- running text blocks ----------------------------------------------
@@ -307,18 +328,13 @@ class _Builder:
         analytic = None
         monogr = m.Monogr()
         identifiers: list = []
-        for child in node:
-            name = child.tag
-            if name == "analytic" and analytic is None:
+        for name, child in self.children(node, "biblStruct", ("analytic", "monogr"), ("idno",)):
+            if name == "analytic":
                 analytic = self.analytic(child)
             elif name == "monogr":
                 monogr = self.monogr(child, identifiers)
-            elif name == "idno":
-                identifiers.append(
-                    m.Identifier(child.get("type", ""), self.text(child))
-                )
             else:
-                self.unknown(child, "biblStruct")
+                identifiers.append(m.Identifier(child.get("type", ""), self.text(child)))
         doc_type = node.get("type") or _infer_doc_type(analytic, monogr)
         return m.BiblStruct(
             doc_type=m.DocumentType(doc_type),
@@ -331,13 +347,11 @@ class _Builder:
     def analytic(self, node) -> m.Analytic:
         titles: list = []
         authors: list = []
-        for child in node:
-            if child.tag == "title":
+        for name, child in self.children(node, "analytic", many=("title", "author")):
+            if name == "title":
                 titles.append(self.title(child, "a"))
-            elif child.tag == "author":
-                authors.append(self.author(child))
             else:
-                self.unknown(child, "analytic")
+                authors.append(self.author(child))
         return m.Analytic(tuple(titles), tuple(authors))
 
     def monogr(self, node, identifiers: list) -> m.Monogr:
@@ -345,12 +359,11 @@ class _Builder:
         authors: list = []
         issn = None
         imprint = m.Imprint()
-        for child in node:
-            name = child.tag
+        # editors are container-level contributors
+        many = ("title", "author", "editor", "idno")
+        for name, child in self.children(node, "monogr", ("imprint",), many):
             if name == "title":
                 titles.append(self.title(child, "m"))
-            elif name == "author":
-                authors.append(self.author(child))
             elif name == "idno":
                 kind = child.get("type", "")
                 if kind.casefold() == "issn" and issn is None:
@@ -359,11 +372,8 @@ class _Builder:
                     identifiers.append(m.Identifier(kind, self.text(child)))
             elif name == "imprint":
                 imprint = self.imprint(child)
-            elif name == "editor":
-                # editors are container-level contributors
-                authors.append(self.author(child))
             else:
-                self.unknown(child, "monogr")
+                authors.append(self.author(child))
         return m.Monogr(tuple(titles), tuple(authors), issn, imprint)
 
     def title(self, node, default_level: str) -> m.Title:
@@ -379,8 +389,8 @@ class _Builder:
         date = None
         role = "published"
         scopes: list = []
-        for child in node:
-            name = child.tag
+        once = ("publisher", "pubPlace", "date")
+        for name, child in self.children(node, "imprint", once, ("biblScope",)):
             if name == "publisher":
                 publisher = self.text(child) or None
             elif name == "pubPlace":
@@ -393,11 +403,9 @@ class _Builder:
                 if attr_role:
                     role = attr_role.lower()
                 date = self.date_from(child, "imprint")
-            elif name == "biblScope":
+            else:
                 kind = child.get("type") or child.get("unit", "")
                 scopes.append(m.Scope(kind, self.text(child)))
-            else:
-                self.unknown(child, "imprint")
         if date is None:
             role = "published"  # a role without a date cannot be carried
         return m.Imprint(publisher, pub_place, date, role, tuple(scopes))
@@ -408,28 +416,23 @@ class _Builder:
         identifiers: list = []
         affiliation = None
         email = None
-        for child in node:
-            name = child.tag
+        # organizations occasionally stand in the author slot
+        once = ("persName", "affiliation", "email", "orgName")
+        for name, child in self.children(node, "author", once, ("idno",)):
             if name == "persName":
-                surnames = [self.text(s) for s in child.findall("surname")]
-                surname = " ".join(s for s in surnames if s)
-                forenames = [text for text in map(self.text, child.findall("forename")) if text]
-                for sub in child:
-                    if sub.tag not in ("surname", "forename"):
-                        self.unknown(sub, "persName")
+                parts: dict = {"surname": [], "forename": []}
+                for part, sub in self.children(child, "persName", many=("surname", "forename")):
+                    parts[part].append(self.text(sub))
+                surname = " ".join(filter(None, parts["surname"]))
+                forenames = list(filter(None, parts["forename"]))
             elif name == "idno":
-                identifiers.append(
-                    m.Identifier(child.get("type", ""), self.text(child))
-                )
+                identifiers.append(m.Identifier(child.get("type", ""), self.text(child)))
             elif name == "affiliation":
                 affiliation = self.affiliation(child)
             elif name == "email":
                 email = self.text(child) or None
-            elif name == "orgName":
-                # organizations occasionally stand in the author slot
-                surname = surname or self.text(child)
             else:
-                self.unknown(child, "author")
+                surname = surname or self.text(child)
         return m.Author(
             surname=surname,
             forenames=tuple(forenames),
@@ -442,15 +445,11 @@ class _Builder:
     def affiliation(self, node) -> m.Affiliation:
         org_units: list = []
         address = None
-        for child in node:
-            if child.tag == "orgName":
-                org_units.append(
-                    m.OrgUnit(child.get("type", ""), self.text(child))
-                )
-            elif child.tag == "address":
-                address = self.address(child)
+        for name, child in self.children(node, "affiliation", ("address",), ("orgName",)):
+            if name == "orgName":
+                org_units.append(m.OrgUnit(child.get("type", ""), self.text(child)))
             else:
-                self.unknown(child, "affiliation")
+                address = self.address(child)
         return m.Affiliation(tuple(org_units), address)
 
     def address(self, node) -> m.Address:
@@ -484,33 +483,16 @@ class _Builder:
         publication_date = None
         authority = None
         source = None
-        for child in node:
-            name = child.tag
+        once = ("titleStmt", "publicationStmt", "sourceDesc")
+        for name, child in self.children(node, "fileDesc", once):
             if name == "titleStmt":
-                titles = child.findall("title")
-                if titles:
-                    main_title = self.rich(titles[0])
-                for extra in titles[1:]:
-                    self.warn("P-extra-title", extra, "additional titleStmt title dropped")
-                for sub in child:
-                    if sub.tag != "title":
-                        self.unknown(sub, "titleStmt")
+                for _, title in self.children(child, "titleStmt", ("title",)):
+                    main_title = self.rich(title)
             elif name == "publicationStmt":
-                availability, publication_date, authority = (
-                    self.publication_stmt(child)
-                )
-            elif name == "sourceDesc":
-                structs = child.findall("biblStruct")
-                if structs:
-                    source = self.biblstruct(structs[0])
-                for extra in structs[1:]:
-                    self.warn("P-extra-source", extra,
-                              "additional sourceDesc biblStruct dropped; first kept")
-                for sub in child:
-                    if sub.tag != "biblStruct":
-                        self.unknown(sub, "sourceDesc")
+                availability, publication_date, authority = self.publication_stmt(child)
             else:
-                self.unknown(child, "fileDesc")
+                for _, struct in self.children(child, "sourceDesc", ("biblStruct",)):
+                    source = self.biblstruct(struct)
         return m.FileDesc(
             main_title, availability, publication_date, authority, source
         )
@@ -519,8 +501,8 @@ class _Builder:
         availability: tuple = ()
         date = None
         authority = None
-        for child in node:
-            name = child.tag
+        once = ("availability", "date", "authority")
+        for name, child in self.children(node, "publicationStmt", once):
             if name == "availability":
                 paras = child.findall("p")
                 if paras:
@@ -532,30 +514,22 @@ class _Builder:
                     availability = self.rich(child)
             elif name == "date":
                 date = self.date_from(child, "publication")
-            elif name == "authority":
-                authority = self.text(child) or None
             else:
-                self.unknown(child, "publicationStmt")
+                authority = self.text(child) or None
         return availability, date, authority
 
     def profile_desc(self, node) -> m.ProfileDesc:
         keywords: list = []
         languages: list = []
-        for child in node:
-            name = child.tag
+        for name, child in self.children(node, "profileDesc", many=("langUsage", "textClass")):
             if name == "langUsage":
-                for lang in child.findall("language"):
+                for _, lang in self.children(child, "langUsage", many=("language",)):
                     ident = lang.get("ident", "").strip()
                     if ident:
                         languages.append(ident)
-            elif name == "textClass":
-                for kw in child.findall("keywords"):
-                    self.keywords(kw, keywords)
-                for sub in child:
-                    if sub.tag != "keywords":
-                        self.unknown(sub, "textClass")
             else:
-                self.unknown(child, "profileDesc")
+                for _, kw in self.children(child, "textClass", many=("keywords",)):
+                    self.keywords(kw, keywords)
         return m.ProfileDesc(tuple(keywords), tuple(languages))
 
     def keywords(self, node, out: list) -> None:
@@ -566,23 +540,18 @@ class _Builder:
             if term_text:
                 out.append(m.Keyword(term_text, scheme))
 
-        for child in node:
-            if child.tag == "term":
+        for name, child in self.children(node, "keywords", many=("term", "list")):
+            if name == "term":
                 add(child)
-            elif child.tag == "list":
+            else:
                 for item in child.findall("item"):
                     for term in item.findall("term") or (item,):
                         add(term)
                 # a list head such as "Keywords" is presentation, not content
-            else:
-                self.unknown(child, "keywords")
 
     def revision_desc(self, node) -> m.RevisionDesc:
         changes: list = []
-        for child in node:
-            if child.tag != "change":
-                self.unknown(child, "revisionDesc")
-                continue
+        for _, child in self.children(node, "revisionDesc", many=("change",)):
             when_value = child.get("when", "")
             try:
                 when = m.CalendarDate.parse(when_value)
@@ -618,11 +587,8 @@ class _Builder:
                 listbibl_seen += 1
                 if listbibl_seen > 1:
                     self.warn("P-listBibl-merged", sub, "additional listBibl merged into the first")
-                for entry in sub:
-                    if entry.tag == "biblStruct":
-                        entries.append(self.biblstruct(entry))
-                    else:
-                        self.unknown(entry, "listBibl")
+                for _, entry in self.children(sub, "listBibl", many=("biblStruct",)):
+                    entries.append(self.biblstruct(entry))
             elif sub.tag == "div":
                 listbibl_seen = self.harvest(sub, entries, listbibl_seen)
         return listbibl_seen
@@ -678,42 +644,41 @@ def parse_article(
     file_desc = m.FileDesc()
     profile_desc = m.ProfileDesc()
     revision_desc = m.RevisionDesc()
-    for child in header_node:
-        if child.tag == "fileDesc":
+    once = ("fileDesc", "profileDesc", "revisionDesc")
+    for name, child in builder.children(header_node, "teiHeader", once):
+        if name == "fileDesc":
             file_desc = builder.file_desc(child)
-        elif child.tag == "profileDesc":
+        elif name == "profileDesc":
             profile_desc = builder.profile_desc(child)
-        elif child.tag == "revisionDesc":
-            revision_desc = builder.revision_desc(child)
         else:
-            builder.unknown(child, "teiHeader")
+            revision_desc = builder.revision_desc(child)
 
-    front: tuple = ()
-    body: tuple = ()
-    back = m.BackMatter()
+    # The first front, body and back are read; a repeat is a stray, kept
+    # verbatim in body.
+    front = body = back = None
     strays: list = []
     foreign = doc.foreign
     for child in text_node:
         name = None if child in foreign else child.tag
-        if name == "front":
+        if name == "front" and front is None:
             front = builder.division_sequence(child, "front")
-        elif name == "body":
+        elif name == "body" and body is None:
             body = builder.division_sequence(child, "body")
-        elif name == "back":
+        elif name == "back" and back is None:
             back = builder.back_matter(child)
         else:
             builder.warn("P-wrapped-into-body", child,
                          f"element '{child.tag}' in text wrapped into body")
             strays.append(builder.wrapped(child, name))
-    body += tuple(strays)
+    body = (body or ()) + tuple(strays)
 
     header = m.Header(file_desc, profile_desc, revision_desc)
     article = m.Article(
         id=m.derive_article_id(file_desc.source, source_name),
         header=header,
-        front=front,
+        front=front or (),
         body=body,
-        back=back,
+        back=back or m.BackMatter(),
         # Opaque regions are copied verbatim, so a prefix declared on some
         # ancestor of preserved markup is re-declared on the new root; the
         # first declaration wins, and verbatim re-declarations deeper down

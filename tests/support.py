@@ -698,6 +698,47 @@ MUTANT_BASES = tuple(
         '<ref type="bibr" target="#b1"/>',
     )
 )
+
+
+def _tree(data: bytes) -> ElementTree.Element:
+    """``data``'s tree with unqualified names, the namespace declared by hand."""
+    root = ElementTree.fromstring(data)
+    for element in root.iter():
+        element.tag = element.tag.removeprefix(f"{{{TEI_NS}}}")
+    root.set("xmlns", TEI_NS)
+    return root
+
+
+def _source_path(element, parents: dict) -> str:
+    """The slash path of ``element`` with 1-based indexes among same-named
+    siblings, as ``TreeDocument.source_path`` gives it."""
+    steps = []
+    while element in parents:
+        siblings = [e for e in parents[element] if e.tag == element.tag]
+        steps.append(f"{element.tag}[{siblings.index(element) + 1}]")
+        element = parents[element]
+    return "/".join([f"{element.tag}[1]", *reversed(steps)])
+
+
+def duplicates(data: bytes) -> tuple:
+    """``data`` as ElementTree writes it, and for each element below its
+    root a ``(source path of the copy, document)`` pair: the document with
+    that element duplicated in place."""
+    root = _tree(data)
+    out = []
+    for index in range(1, len(list(root.iter()))):
+        mutant = copy.deepcopy(root)
+        target = list(mutant.iter())[index]
+        parents = {child: parent for parent in mutant.iter() for child in parent}
+        parent = parents[target]
+        duplicate = copy.deepcopy(target)
+        parent.insert(list(parent).index(target) + 1, duplicate)
+        parents[duplicate] = parent
+        out.append((_source_path(duplicate, parents),
+                    ElementTree.tostring(mutant, encoding="unicode").encode("utf-8")))
+    return ElementTree.tostring(root, encoding="unicode").encode("utf-8"), out
+
+
 _HOSTILE_VALUES = ("", "#nope", "1999-13-40", 'a"b', "x&<>'y", "\t\r\n")
 _CR = "\ue000"  # stands for a CR in text, which ElementTree writes raw
 
@@ -708,10 +749,7 @@ def tree_mutants(draw) -> bytes:
     element below the root: delete, duplicate, move under another element,
     wrap in a same-name element, set one of its attributes to a hostile
     value, drop one, or replace its text with ``& < > ]]>`` and a CR."""
-    root = ElementTree.fromstring(draw(st.sampled_from(MUTANT_BASES)))
-    for element in root.iter():  # unqualified names, declared by hand
-        element.tag = element.tag.removeprefix(f"{{{TEI_NS}}}")
-    root.set("xmlns", TEI_NS)
+    root = _tree(draw(st.sampled_from(MUTANT_BASES)))
     for _ in range(draw(st.integers(1, 5))):
         parents = {child: parent for parent in root.iter() for child in parent}
         if not parents:

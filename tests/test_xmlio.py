@@ -388,8 +388,8 @@ REPAIRS = {
     ),
     "extra-titleStmt-title": (
         (b"</title></titleStmt>", b'</title><title type="sub">S</title></titleStmt>'),
-        (("P-extra-title", "warning", _FD + "/titleStmt[1]/title[2]",
-          "additional titleStmt title dropped"),),
+        (("P-extra-element", "warning", _FD + "/titleStmt[1]/title[2]",
+          "additional titleStmt title dropped; first kept"),),
         lambda a: a.header.file_desc.main_title, (m.TextRun("T"),),
     ),
     "unknown-in-sourceDesc": (
@@ -536,7 +536,7 @@ REPAIRS = {
         (b"</biblStruct></sourceDesc>",
          b'</biblStruct><biblStruct><monogr><title level="m">S</title></monogr></biblStruct>'
          b"</sourceDesc>"),
-        (("P-extra-source", "warning", _FD + "/sourceDesc[1]/biblStruct[2]",
+        (("P-extra-element", "warning", _FD + "/sourceDesc[1]/biblStruct[2]",
           "additional sourceDesc biblStruct dropped; first kept"),),
         lambda a: _source(a).monogr.titles[0].text, (m.TextRun("J"),),
     ),
@@ -615,6 +615,66 @@ REPAIRS = {
         (),
         lambda a: type(a.body[0].blocks[1]), m.OpaqueBlock,
     ),
+    "second-monogr-dropped": (
+        (b"</monogr></biblStruct></listBibl>",
+         b'</monogr><monogr><title level="m">Z</title><imprint><publisher>P</publisher>'
+         b"</imprint></monogr></biblStruct></listBibl>"),
+        (("P-extra-element", "warning", _ENTRY + "/monogr[2]",
+          "additional biblStruct monogr dropped; first kept"),),
+        lambda a: (_entry(a).monogr.titles[0].text, _entry(a).monogr.imprint.publisher),
+        ((m.TextRun("B"),), None),
+    ),
+    "second-analytic-dropped": (
+        (b"</analytic>", b'</analytic><analytic><title level="a">Z</title></analytic>'),
+        (("P-extra-element", "warning", _SRC + "/analytic[2]",
+          "additional biblStruct analytic dropped; first kept"),),
+        lambda a: _source(a).analytic.titles[0].text, (m.TextRun("T"),),
+    ),
+    "second-imprint-date-dropped-with-its-role": (
+        (b'<date when="2001"/>', b'<date type="accessed" when="1999"/><date when="2001"/>'),
+        (("P-extra-element", "warning", _ENTRY + "/monogr[1]/imprint[1]/date[2]",
+          "additional imprint date dropped; first kept"),),
+        lambda a: (_entry(a).monogr.imprint.date_role, _entry(a).monogr.imprint.date.year),
+        ("accessed", 1999),
+    ),
+    "second-fileDesc-dropped": (
+        (b"</fileDesc>", b"</fileDesc><fileDesc><titleStmt><title>Z</title></titleStmt></fileDesc>"),
+        (("P-extra-element", "warning", _H + "/fileDesc[2]",
+          "additional teiHeader fileDesc dropped; first kept"),),
+        lambda a: a.header.file_desc.main_title, (m.TextRun("T"),),
+    ),
+    "second-publisher-dropped": (
+        (b'<date when="2009"/>', b'<publisher>P</publisher><publisher>Q</publisher><date when="2009"/>'),
+        (("P-extra-element", "warning", _SRC + "/monogr[1]/imprint[1]/publisher[2]",
+          "additional imprint publisher dropped; first kept"),),
+        lambda a: _source(a).monogr.imprint.publisher, "P",
+    ),
+    "second-persName-dropped": (
+        (b"</surname></persName>", b"</surname></persName><persName><surname>Kim</surname></persName>"),
+        (("P-extra-element", "warning", _AUTHOR + "/persName[2]",
+          "additional author persName dropped; first kept"),),
+        lambda a: (_source(a).analytic.authors[0].surname, _source(a).analytic.authors[0].forenames),
+        ("Lee", ("Ann",)),
+    ),
+    "second-email-dropped": (
+        (b"</affiliation></author>", b"</affiliation><email>a@x</email><email>b@x</email></author>"),
+        (("P-extra-element", "warning", _AUTHOR + "/email[2]",
+          "additional author email dropped; first kept"),),
+        lambda a: _source(a).analytic.authors[0].email, "a@x",
+    ),
+    "second-body-kept-verbatim": (
+        (b"</body>", b'</body><body><div type="section"><p>two</p></div></body>'),
+        (("P-wrapped-into-body", "warning", _T + "/body[2]",
+          "element 'body' in text wrapped into body"),),
+        lambda a: (a.body[0].blocks, a.body[1].blocks),
+        (_para("x"), (m.OpaqueBlock('<body><div type="section"><p>two</p></div></body>'),)),
+    ),
+    "choice-of-two-abbrs-kept-verbatim": (
+        (b"<p>x</p>", b"<p>x<choice><abbr>A</abbr><abbr>B</abbr></choice></p>"),
+        (),
+        lambda a: a.body[0].blocks[0].content[1],
+        m.OpaqueInline("<choice><abbr>A</abbr><abbr>B</abbr></choice>"),
+    ),
 }
 
 
@@ -683,7 +743,7 @@ class TestIssueCodes:
         loads = _source_tree(Path(__file__).with_name("test_corpus.py"))
         expected |= {node.value for node in ast.walk(loads) if isinstance(node, ast.Constant)
                      and isinstance(node.value, str) and _CODE.fullmatch(node.value)}
-        assert len(written) == 20
+        assert len(written) == 19
         assert written == expected
 
 
@@ -1016,6 +1076,26 @@ class TestTreeMutants:
         for name in BUILTIN_STYLES:
             ET.fromstring(render_xhtml(report.outcome, builtin_style(name)))
         assert render_plaintext(report.outcome).endswith("\n")
+
+
+class TestNoSilentDrop:
+    """The model holds every element once or more, or reports the ones it
+    drops: the first of a child it holds once is kept, later ones are
+    reported, and body content is kept verbatim."""
+
+    @pytest.mark.parametrize("base", range(len(support.MUTANT_BASES)))
+    def test_a_duplicate_changes_the_model_or_is_reported_where_it_stands(self, base):
+        data, mutants = support.duplicates(support.MUTANT_BASES[base])
+        original = parse_article(data, "t.xml").outcome
+        assert original == parse_article(support.MUTANT_BASES[base], "t.xml").outcome
+        silent = []
+        for path, mutant in mutants:
+            report = parse_article(mutant, "t.xml")
+            assert report.ok, path
+            if report.outcome == original and path not in {i.location for i in report.issues}:
+                silent.append(path)
+        assert silent == []
+        assert len(mutants) > 70  # every element below the root
 
 
 # Text rich in the characters the escapers replace, around any other.

@@ -25,8 +25,9 @@ The inputs are the seed-3 corpus, the seed-3, 5, 7 and 23 schema corpora,
 the deep S and 2S articles, and three small directories made from corpus
 articles: one with a truncated file, a duplicate-id copy and an unreadable
 file, one with XML declarations that name their encoding past the 256th
-byte, and one whose titles, keyword, extent kind, paragraph, person key and
-link target hold every character an escaper replaces.  Standard library
+byte, one whose titles, keyword, extent kind, paragraph, person key and
+link target hold every character an escaper replaces, and one whose
+articles repeat children that the model holds once.  Standard library
 only.
 """
 
@@ -121,6 +122,28 @@ def hostile(data: bytes) -> bytes:
         b'<ref target="' + HOSTILE_VALUE + b'">link</ref></p>'), 1)
 
 
+def repeated(data: bytes) -> bytes:
+    """``data`` with a second fileDesc, first persName, first email and
+    body; an accessed date before the first imprint date, the source
+    record's; a second publisher after each; a second monogr in each
+    reference entry that ends with its monogr; and a second abbr in each
+    choice."""
+    for old, new, count in (
+        (b"</fileDesc>", b"</fileDesc><fileDesc><titleStmt><title>Repeat</title></titleStmt>"
+         b"</fileDesc>", 1),
+        (b"</persName>", b"</persName><persName><surname>Repeat</surname></persName>", 1),
+        (b"</email>", b"</email><email>repeat@example.org</email>", 1),
+        (b"</body>", b'</body><body><div type="section"><p>Repeated body.</p></div></body>', 1),
+        (b"<imprint><date ", b'<imprint><date type="accessed" when="1999-01-01"/><date ', 1),
+        (b"</publisher>", b"</publisher><publisher>Repeat</publisher>", -1),
+        (b"</monogr></biblStruct>", b'</monogr><monogr><title level="m" type="main">Repeat'
+         b"</title></monogr></biblStruct>", -1),
+        (b"</abbr>", b"</abbr><abbr>Repeat</abbr>", -1),
+    ):
+        data = data.replace(old, new, count)
+    return data
+
+
 def write_inputs(work: Path, size: str) -> dict:
     """Write every input; returns {directory name: relative file paths}."""
     dirs: dict = {}
@@ -143,6 +166,11 @@ def write_inputs(work: Path, size: str) -> dict:
     dirs["hostile"] = write_dir(work / "hostile", {
         "art0000.xml": hostile(first),
         "art0001.xml": hostile(second),
+        "art0002.xml": third,
+    })
+    dirs["repeated"] = write_dir(work / "repeated", {
+        "art0000.xml": repeated(first),
+        "art0001.xml": repeated(second),
         "art0002.xml": third,
     })
     dirs["deep"] = write_dir(work / "deep", {
@@ -213,7 +241,7 @@ class Runner:
 
 
 def run_all(run: Runner, dirs: dict) -> None:
-    tei_dirs = ("corpus", "damaged", "padded", "hostile", "deep")
+    tei_dirs = ("corpus", "damaged", "padded", "hostile", "repeated", "deep")
     raw_dirs = (*(f"schema-{seed}" for seed in SCHEMA_SEEDS), *tei_dirs)
     needle = gen.PERSONS[0].split()[-1]
     run.library([path for name in tei_dirs for path in dirs[name]])
@@ -236,7 +264,7 @@ def run_all(run: Runner, dirs: dict) -> None:
             for fmt in ("xhtml", "records"):
                 run("biblio", name, "--style", style, "--format", fmt)
     for path in (*dirs["deep"], dirs["corpus"][0], *dirs["damaged"], *dirs["padded"],
-                 *dirs["hostile"]):
+                 *dirs["hostile"], *dirs["repeated"]):
         for style in STYLES:
             for to in ("xhtml", "text"):
                 run("render", path, "--style", style, "--to", to)
