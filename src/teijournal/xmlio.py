@@ -7,7 +7,10 @@ recognized subset is carried as opaque verbatim slices so body content is
 never lost. Of a child that the model holds once, the first is kept and
 later ones are reported: every metadata element's children are read
 through ``_Builder.children``, which applies that rule, and a repeated
-``front``, ``body`` or ``back`` is kept verbatim in body. Serialization
+``front``, ``body`` or ``back`` is kept verbatim in body. The back is read
+in one walk: each reference list in it or in its divs is merged where the
+division walk meets it, a div that held only lists is dropped as a shell,
+and any other empty div is kept, as in body. Serialization
 emits one canonical form: UTF-8, alphabetical attributes, two-space
 indentation for element-only content, and opaque regions byte-for-byte as
 captured. The serializer's element calls are the
@@ -105,6 +108,8 @@ class _Builder:
         self.doc = doc
         self.foreign = doc.foreign
         self.issues: list[Finding] = []
+        self.entries: list = []  # of the back's reference lists, merged
+        self.lists = 0  # back reference lists read
 
     # -- issue helpers ----------------------------------------------------
 
@@ -255,16 +260,15 @@ class _Builder:
             return m.TableBlock(self.doc.slice(node), caption)
         return m.FigureBlock(url, caption)
 
-    def division(
-        self, node, consumed: frozenset = frozenset()
-    ) -> m.Division | None:
-        """One div. In back matter, ``consumed`` names the reference lists
-        already harvested: they are skipped, and a div left empty, such as a
-        shell that only wrapped them, is dropped by returning None."""
+    def division(self, node, back: bool = False) -> m.Division | None:
+        """One div. In back matter its reference lists, and those of its
+        divs, are read by ``listbibl``; a shell, a div left empty that held
+        one, is dropped by returning None."""
         kind = node.get("type") or "section"
         head: tuple = ()
         blocks: list = []
         children: list = []
+        lists = self.lists
         for child in _mixed(node):
             if isinstance(child, str):
                 if child.strip():
@@ -273,24 +277,23 @@ class _Builder:
                     blocks.append(m.Paragraph((m.TextRun(child),)))
                 continue
             name = None if child in self.foreign else child.tag
-            if name in consumed:
-                continue
-            if name == "head" and not head:  # an empty head does not count
+            if back and name in _LISTBIBL_NAMES:
+                self.listbibl(child)
+            elif name == "head" and not head:  # an empty head does not count
                 head = self.rich(child)
             elif name == "div":
-                sub = self.division(child, consumed)
+                sub = self.division(child, back)
                 if sub is not None:
                     children.append(sub)
             else:
                 blocks.append(self.block(child))
-        if consumed and not (head or blocks or children):
+        if self.lists > lists and not (head or blocks or children):
             return None
         return m.Division(kind, head, tuple(blocks), tuple(children))
 
-    def division_sequence(
-        self, node, context: str, consumed: frozenset = frozenset()
-    ) -> tuple:
+    def division_sequence(self, node, context: str) -> tuple:
         """Children of front/body/back: divs, with stray blocks wrapped."""
+        back = context == "back"
         out: list = []
         for child in _mixed(node):
             if isinstance(child, str):
@@ -301,10 +304,10 @@ class _Builder:
                     )
                 continue
             name = None if child in self.foreign else child.tag
-            if name in consumed:
-                continue
-            if name == "div":
-                division = self.division(child, consumed)
+            if back and name in _LISTBIBL_NAMES:
+                self.listbibl(child)
+            elif name == "div":
+                division = self.division(child, back)
                 if division is not None:
                     out.append(division)
             else:
@@ -416,10 +419,13 @@ class _Builder:
         identifiers: list = []
         affiliation = None
         email = None
-        # organizations occasionally stand in the author slot
+        named = False  # one persName, or an orgName standing in for it
         once = ("persName", "affiliation", "email", "orgName")
         for name, child in self.children(node, "author", once, ("idno",)):
-            if name == "persName":
+            if named and name in ("persName", "orgName"):
+                self.warn("P-extra-element", child, f"additional author {name} dropped; first kept")
+            elif name == "persName":
+                named = True
                 parts: dict = {"surname": [], "forename": []}
                 for part, sub in self.children(child, "persName", many=("surname", "forename")):
                     parts[part].append(self.text(sub))
@@ -432,7 +438,8 @@ class _Builder:
             elif name == "email":
                 email = self.text(child) or None
             else:
-                surname = surname or self.text(child)
+                named = True
+                surname = self.text(child)
         return m.Author(
             surname=surname,
             forenames=tuple(forenames),
@@ -568,30 +575,19 @@ class _Builder:
 
     def back_matter(self, node) -> m.BackMatter:
         """Back content: divisions plus the merged reference list."""
-        entries: list = []
-        listbibl_seen = self.harvest(node, entries, 0)
-        divisions = self.division_sequence(node, "back", _LISTBIBL_NAMES)
-        reference_list = m.ListBibl(tuple(entries)) if listbibl_seen else None
-        return m.BackMatter(divisions, reference_list)
+        divisions = self.division_sequence(node, "back")
+        return m.BackMatter(divisions, m.ListBibl(tuple(self.entries)) if self.lists else None)
 
-    def harvest(self, node, entries: list, listbibl_seen: int) -> int:
-        """Add the entries of the reference lists directly in ``node`` or in
-        its (nested) divs, the ones ``division`` skips, to ``entries``.  A
-        list inside a block stays in it.  Returns the count of lists seen."""
-        for sub in node:
-            if sub in self.foreign:
-                continue
-            if sub.tag in _LISTBIBL_NAMES:
-                if sub.tag == "listBib":
-                    self.warn("P-listBib", sub, "element 'listBib' read as 'listBibl'")
-                listbibl_seen += 1
-                if listbibl_seen > 1:
-                    self.warn("P-listBibl-merged", sub, "additional listBibl merged into the first")
-                for _, entry in self.children(sub, "listBibl", many=("biblStruct",)):
-                    entries.append(self.biblstruct(entry))
-            elif sub.tag == "div":
-                listbibl_seen = self.harvest(sub, entries, listbibl_seen)
-        return listbibl_seen
+    def listbibl(self, node) -> None:
+        """Merge one reference list, directly in back or in a div of it,
+        into the first.  A list inside a block stays in that block."""
+        if node.tag == "listBib":
+            self.warn("P-listBib", node, "element 'listBib' read as 'listBibl'")
+        self.lists += 1
+        if self.lists > 1:
+            self.warn("P-listBibl-merged", node, "additional listBibl merged into the first")
+        for _, entry in self.children(node, "listBibl", many=("biblStruct",)):
+            self.entries.append(self.biblstruct(entry))
 
 
 def _leading_word(text: str) -> str:

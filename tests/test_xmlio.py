@@ -556,6 +556,28 @@ REPAIRS = {
           "additional listBibl merged into the first")),
         lambda a: [e.xml_id for e in a.reference_list.entries], ["r1", "r2"],
     ),
+    "empty-back-div-kept": (
+        (b"<back>", b'<back><div type="appendix"/>'),
+        (),
+        lambda a: a.back.divisions, (m.Division("appendix"),),
+    ),
+    "back-issues-in-document-order": (
+        (b"<back>", b"<back>loose<listBib/>"),
+        (("P-stray-text", "warning", _T + "/back[1]", "stray text in back wrapped in div"),
+         ("P-listBib", "warning", _T + "/back[1]/listBib[1]",
+          "element 'listBib' read as 'listBibl'"),
+         ("P-listBibl-merged", "warning", _T + "/back[1]/listBibl[1]",
+          "additional listBibl merged into the first")),
+        lambda a: (a.back.divisions[0].blocks, [e.xml_id for e in a.reference_list.entries]),
+        (_para("loose"), ["r1"]),
+    ),
+    "empty-div-beside-back-list-kept": (
+        (b"<back>", b'<back><div type="bibliography"><div type="notes"/><listBibl/></div>'),
+        (("P-listBibl-merged", "warning", _T + "/back[1]/listBibl[1]",
+          "additional listBibl merged into the first"),),
+        lambda a: a.back.divisions,
+        (m.Division("bibliography", children=(m.Division("notes"),)),),
+    ),
     "empty-head-is-no-head": (
         (b'<div type="section"><p>x', b'<div type="section"><head/><head>H</head><p>x'),
         (),
@@ -655,6 +677,20 @@ REPAIRS = {
           "additional author persName dropped; first kept"),),
         lambda a: (_source(a).analytic.authors[0].surname, _source(a).analytic.authors[0].forenames),
         ("Lee", ("Ann",)),
+    ),
+    "orgName-after-persName-dropped": (
+        (b"</surname></persName>", b"</surname></persName><orgName>Org X</orgName>"),
+        (("P-extra-element", "warning", _AUTHOR + "/orgName[1]",
+          "additional author orgName dropped; first kept"),),
+        lambda a: (_source(a).analytic.authors[0].surname, _source(a).analytic.authors[0].forenames),
+        ("Lee", ("Ann",)),
+    ),
+    "persName-after-orgName-dropped": (
+        (b"<author><persName>", b"<author><orgName>Org X</orgName><persName>"),
+        (("P-extra-element", "warning", _AUTHOR + "/persName[1]",
+          "additional author persName dropped; first kept"),),
+        lambda a: (_source(a).analytic.authors[0].surname, _source(a).analytic.authors[0].forenames),
+        ("Org X", ()),
     ),
     "second-email-dropped": (
         (b"</affiliation></author>", b"</affiliation><email>a@x</email><email>b@x</email></author>"),

@@ -13,22 +13,24 @@ the same paths.  The hash seed is inherited: build twice under two values
 of ``PYTHONHASHSEED`` to check that no output depends on it.
 
 One more child process reads each TEI input through the library and
-records three digests per document: ``parse_article``'s issues as
-``(severity, location, message)`` triples, ``serialize_article``'s bytes
-and the ``validate`` findings.  Parse issues have had those three fields
-in every version, so the manifests of two trees compare.
+records four digests per document: ``parse_article``'s issues as
+``(severity, location, message)`` triples, ``serialize_article``'s bytes,
+the ``validate`` findings and ``model_paths`` as ``(path, repr(node))``
+pairs.  Parse issues have had those three fields in every version, so the
+manifests of two trees compare.
 
 ``--compare`` prints each key whose digest differs or that one manifest
 lacks, and exits 1 when there is any.
 
 The inputs are the seed-3 corpus, the seed-3, 5, 7 and 23 schema corpora,
-the deep S and 2S articles, and three small directories made from corpus
+the deep S and 2S articles, and five small directories made from corpus
 articles: one with a truncated file, a duplicate-id copy and an unreadable
 file, one with XML declarations that name their encoding past the 256th
 byte, one whose titles, keyword, extent kind, paragraph, person key and
-link target hold every character an escaper replaces, and one whose
-articles repeat children that the model holds once.  Standard library
-only.
+link target hold every character an escaper replaces, one whose
+articles repeat children that the model holds once, and one whose back
+matter holds an empty div, stray text before a ``listBib`` and an empty div
+beside a ``listBibl``.  Standard library only.
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ ENTRY = "import sys; from teijournal.cli import main; sys.exit(main())"
 LIBRARY = """
 import hashlib, json, sys
 from teijournal.validator import validate
-from teijournal.xmlio import parse_article, serialize_article
+from teijournal.xmlio import model_paths, parse_article, serialize_article
 
 def sha256(data):
     return hashlib.sha256(data).hexdigest()
@@ -75,6 +77,8 @@ for path in sys.argv[1:]:
         digests[f"library {path} :canonical"] = sha256(serialize_article(report.outcome))
         digests[f"library {path} :findings"] = fields(
             validate(report.outcome), "rule_id", "severity", "location", "message")
+        digests[f"library {path} :paths"] = sha256(json.dumps(
+            [[where, repr(node)] for where, node in model_paths(report.outcome)]).encode())
 json.dump(digests, sys.stdout)
 """
 SCHEMA_SEEDS = (3, 5, 7, 23)
@@ -144,6 +148,15 @@ def repeated(data: bytes) -> bytes:
     return data
 
 
+def back_shapes(data: bytes) -> bytes:
+    """``data`` with an empty appendix div, stray text and an empty listBib
+    before its bibliography div, and an empty notes div inside that div,
+    before its listBibl."""
+    return data.replace(b'<back><div type="bibliography">',
+                        b'<back><div type="appendix"/>Stray text.<listBib/>'
+                        b'<div type="bibliography"><div type="notes"/>', 1)
+
+
 def write_inputs(work: Path, size: str) -> dict:
     """Write every input; returns {directory name: relative file paths}."""
     dirs: dict = {}
@@ -171,6 +184,11 @@ def write_inputs(work: Path, size: str) -> dict:
     dirs["repeated"] = write_dir(work / "repeated", {
         "art0000.xml": repeated(first),
         "art0001.xml": repeated(second),
+        "art0002.xml": third,
+    })
+    dirs["back"] = write_dir(work / "back", {
+        "art0000.xml": back_shapes(first),
+        "art0001.xml": back_shapes(second),
         "art0002.xml": third,
     })
     dirs["deep"] = write_dir(work / "deep", {
@@ -241,7 +259,7 @@ class Runner:
 
 
 def run_all(run: Runner, dirs: dict) -> None:
-    tei_dirs = ("corpus", "damaged", "padded", "hostile", "repeated", "deep")
+    tei_dirs = ("corpus", "damaged", "padded", "hostile", "repeated", "back", "deep")
     raw_dirs = (*(f"schema-{seed}" for seed in SCHEMA_SEEDS), *tei_dirs)
     needle = gen.PERSONS[0].split()[-1]
     run.library([path for name in tei_dirs for path in dirs[name]])
@@ -264,7 +282,7 @@ def run_all(run: Runner, dirs: dict) -> None:
             for fmt in ("xhtml", "records"):
                 run("biblio", name, "--style", style, "--format", fmt)
     for path in (*dirs["deep"], dirs["corpus"][0], *dirs["damaged"], *dirs["padded"],
-                 *dirs["hostile"], *dirs["repeated"]):
+                 *dirs["hostile"], *dirs["repeated"], *dirs["back"]):
         for style in STYLES:
             for to in ("xhtml", "text"):
                 run("render", path, "--style", style, "--to", to)
