@@ -23,7 +23,9 @@ from .base import Record, factory, slotted
 # Dates
 # --------------------------------------------------------------------------
 
-_DATE_RE = re.compile(r"^(\d{4})(?:-(\d{2})(?:-(\d{2}))?)?$")
+# ASCII digits only: ``\d`` would read other scripts' digits, which the
+# canonical form writes back as ASCII, so the raw value would not survive.
+_DATE_RE = re.compile(r"^([0-9]{4})(?:-([0-9]{2})(?:-([0-9]{2}))?)?$")
 
 _DAYS_IN_MONTH = (31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31)
 

@@ -13,7 +13,8 @@ division walk meets it, a div that held only lists is dropped as a shell,
 and any other empty div is kept, as in body. Serialization
 emits one canonical form: UTF-8, alphabetical attributes, two-space
 indentation for element-only content, and opaque regions byte-for-byte as
-captured. The serializer's element calls are the
+captured. An element with no content is written self-closed;
+``_Writer.close`` decides it. The serializer's element calls are the
 only description of that form: :func:`iter_model_paths` makes the same
 calls to name the element that holds each model node. Inside running text,
 ``_INLINE_ELEMENT`` alone describes each inline node's element; the
@@ -765,24 +766,27 @@ class _Writer:
     tree; they make the same calls on a :class:`_PathWriter` to list the
     model's paths.  ``node=`` names the addressable model node an element
     holds, which only the path writer reads.  The inline elements of rich
-    text are described once, by ``_INLINE_ELEMENT``.
+    text are described once, by ``_INLINE_ELEMENT``.  An element with no
+    content is written self-closed; ``close`` decides it.
     """
 
     def __init__(self) -> None:
         self.lines: list[str] = ['<?xml version="1.0" encoding="UTF-8"?>']
-        self.open_names: list[str] = []
+        # (name, index of the start-tag line) of each open element
+        self.open_tags: list = []
         self.indent = ""
 
     def line(self, text: str) -> None:
         self.lines.append(self.indent + text)
 
     def leaf(self, name: str, attrs: dict, content: str | tuple = "", node=None) -> None:
-        # A str is text, a tuple rich text; empty markup self-closes.
+        # A str is text, a tuple rich text; empty markup is left to close.
         markup = _inline_markup(content) if isinstance(content, tuple) else _esc(content)
         if markup:
             self.line(_tag(name, attrs) + markup + f"</{name}>")
         else:
-            self.line(_tag(name, attrs, close=True))
+            self.open(name, attrs)
+            self.close()
 
     def term_item(self, term: str, node) -> None:
         # One line, so the term is not indented inside its item.
@@ -792,13 +796,18 @@ class _Writer:
         self.line(markup)  # a table's caption is inside its markup
 
     def open(self, name: str, attrs: dict | None = None, node=None) -> None:
+        self.open_tags.append((name, len(self.lines)))
         self.line(_tag(name, attrs or {}))
-        self.open_names.append(name)
         self.indent += "  "
 
     def close(self) -> None:
+        # The one empty-element rule: no line after the start tag self-closes it.
         self.indent = self.indent[:-2]
-        self.line(f"</{self.open_names.pop()}>")
+        name, start = self.open_tags.pop()
+        if start == len(self.lines) - 1:
+            self.lines[start] = self.lines[start][:-1] + "/>"
+        else:
+            self.line(f"</{name}>")
 
 
 class _PathWriter:
@@ -907,9 +916,6 @@ def _write_article(w, article: m.Article):
 
 def _write_file_desc(w, fd: m.FileDesc) -> None:
     has_pub = fd.availability or fd.publication_date or fd.authority
-    if not (fd.main_title or has_pub or fd.source):
-        w.leaf("fileDesc", {}, node=fd)
-        return
     w.open("fileDesc", node=fd)
     if fd.main_title:
         w.open("titleStmt")
@@ -982,13 +988,10 @@ def _write_text(w, article: m.Article) -> None:
         for division in article.front:
             _write_division(w, division)
         w.close()
-    if article.body:
-        w.open("body")
-        for division in article.body:
-            _write_division(w, division)
-        w.close()
-    else:
-        w.leaf("body", {})
+    w.open("body")
+    for division in article.body:
+        _write_division(w, division)
+    w.close()
     back = article.back
     if back.divisions or back.reference_list is not None:
         w.open("back")
@@ -1001,11 +1004,7 @@ def _write_text(w, article: m.Article) -> None:
 
 
 def _write_division(w, division: m.Division) -> None:
-    attrs = {"type": division.kind}
-    if not (division.head or division.blocks or division.children):
-        w.leaf("div", attrs, node=division)
-        return
-    w.open("div", attrs, node=division)
+    w.open("div", {"type": division.kind}, node=division)
     if division.head:
         w.leaf("head", {}, division.head)
     for block in division.blocks:
@@ -1057,9 +1056,6 @@ _WRITE_BLOCK = {
 
 
 def _write_listbibl(w, listbibl: m.ListBibl) -> None:
-    if not listbibl.entries:
-        w.leaf("listBibl", {}, node=listbibl)
-        return
     w.open("listBibl", node=listbibl)
     for entry in listbibl.entries:
         _write_biblstruct(w, entry)
@@ -1091,15 +1087,7 @@ def _write_title(w, title: m.Title) -> None:
 
 def _write_monogr(w, monogr: m.Monogr) -> None:
     imprint = monogr.imprint
-    has_imprint = (
-        imprint.publisher
-        or imprint.pub_place
-        or imprint.date
-        or imprint.scopes
-    )
-    if not (monogr.titles or monogr.authors or monogr.issn or has_imprint):
-        w.leaf("monogr", {})
-        return
+    has_imprint = imprint.publisher or imprint.pub_place or imprint.date or imprint.scopes
     w.open("monogr")
     for author in monogr.authors:
         _write_author(w, author)
@@ -1125,12 +1113,8 @@ def _write_monogr(w, monogr: m.Monogr) -> None:
 
 
 def _write_author(w, author: m.Author) -> None:
-    attrs = {"type": "corresp"} if author.corresponding else {}
     has_name = author.surname or author.forenames
-    if not (has_name or author.identifiers or author.affiliation or author.email):
-        w.leaf("author", attrs, node=author)
-        return
-    w.open("author", attrs, node=author)
+    w.open("author", {"type": "corresp"} if author.corresponding else {}, node=author)
     for ident in author.identifiers:
         w.leaf("idno", {"type": ident.kind}, ident.value)
     if has_name:
@@ -1148,9 +1132,6 @@ def _write_author(w, author: m.Author) -> None:
 
 
 def _write_affiliation(w, aff: m.Affiliation) -> None:
-    if not (aff.org_units or aff.address):
-        w.leaf("affiliation", {}, node=aff)
-        return
     w.open("affiliation", node=aff)
     for unit in aff.org_units:
         w.leaf("orgName", {"type": unit.kind}, unit.name, node=unit)

@@ -930,6 +930,15 @@ class TestCorpusProducts:
         assert code == ExitStatus.FAILURE
         assert "bad --from date 'wrong'" in err
 
+    def test_query_refuses_a_date_in_non_ascii_digits(self, product_corpus, capsys):
+        arabic_2010 = "\u0662\u0660\u0661\u0660"
+        code, out, err = run(
+            capsys, ["query", str(product_corpus), "--in", "any", "--from", arabic_2010]
+        )
+        assert code == ExitStatus.FAILURE
+        assert out == ""
+        assert f"bad --from date '{arabic_2010}'" in err
+
     def test_query_needs_a_filter(self, product_corpus, capsys):
         code, _, err = run(capsys, ["query", str(product_corpus)])
         assert code == ExitStatus.FAILURE

@@ -476,6 +476,25 @@ REPAIRS = {
           "unparseable imprint date 'soon'; dropped"),),
         lambda a: _entry(a).monogr.imprint.date, None,
     ),
+    "unicode-digit-imprint-date": (
+        (b'<date when="2001"/>', '<date when="\u0662\u0660\u0660\u0661"/>'.encode()),
+        (("P-bad-date", "warning", _ENTRY + "/monogr[1]/imprint[1]/date[1]",
+          "unparseable imprint date '\u0662\u0660\u0660\u0661'; dropped"),),
+        lambda a: _entry(a).monogr.imprint.date, None,
+    ),
+    "unicode-digit-publication-date": (
+        (b"<authority>A</authority>",
+         '<date when="\u0662\u0660\u0660\u0669-06-01"/><authority>A</authority>'.encode()),
+        (("P-bad-date", "warning", _FD + "/publicationStmt[1]/date[1]",
+          "unparseable publication date '\u0662\u0660\u0660\u0669-06-01'; dropped"),),
+        lambda a: a.header.file_desc.publication_date, None,
+    ),
+    "unicode-digit-change-date": (
+        (b'<change when="2009-01-01">', '<change when="\u0662\u0660\u0660\u0669-01-01">'.encode()),
+        (("P-bad-change-date", "warning", _H + "/revisionDesc[1]/change[1]",
+          "change with unparseable date '\u0662\u0660\u0660\u0669-01-01' dropped"),),
+        lambda a: a.header.revision_desc.changes, (),
+    ),
     "date-role-without-a-date": (
         (b'<date when="2001"/>', b'<date type="accessed"/>'),
         (("P-no-date", "warning", _ENTRY + "/monogr[1]/imprint[1]/date[1]",
@@ -933,8 +952,7 @@ def _in_para(node) -> m.Article:
 
 
 # Every element the serializer can write with no content, and its exact form:
-# ten are self-closed, four are a start and an end tag on two lines and
-# three a start and an end tag on one line.
+# fourteen are self-closed and three are a start and an end tag on one line.
 EMPTY_FORMS = {
     "fileDesc": (m.Article(body=(m.Division(blocks=_PARA),)),
                  b"\n  <teiHeader>\n    <fileDesc/>\n  </teiHeader>\n"),
@@ -951,18 +969,18 @@ EMPTY_FORMS = {
                     b"            </author>\n"),
     "analytic": (_with_entry(m.BiblStruct(xml_id="b1", analytic=m.Analytic(),
                                           monogr=m.Monogr(titles=_BOOK))),
-                 b"\n          <analytic>\n          </analytic>\n"),
+                 b"\n          <analytic/>\n          <monogr>\n"),
     "figure": (m.Article(body=(m.Division(blocks=(m.FigureBlock(),)),)),
-               b"\n        <figure>\n        </figure>\n"),
+               b'\n      <div type="section">\n        <figure/>\n      </div>\n'),
     "list": (m.Article(body=(m.Division(blocks=(m.ListBlock(),)),)),
-             b"\n        <list>\n        </list>\n"),
+             b'\n      <div type="section">\n        <list/>\n      </div>\n'),
     "idno": (_with_entry(m.BiblStruct(xml_id="b1", monogr=m.Monogr(titles=_BOOK),
                                       identifiers=(m.Identifier("doi", ""),))),
              b'\n          </monogr>\n          <idno type="doi"/>\n        </biblStruct>\n'),
     "address": (_with_author(m.Author(surname="S",
                                       affiliation=m.Affiliation(address=m.Address()))),
-                b"\n              <affiliation>\n                <address>\n"
-                b"                </address>\n              </affiliation>\n"),
+                b"\n              <affiliation>\n                <address/>\n"
+                b"              </affiliation>\n"),
     "ref": (_in_para(m.BiblRef("#b1")), b'\n        <p><ref target="#b1" type="bibr"/></p>\n'),
     "ptr": (_in_para(m.Link("http://x")), b'\n        <p><ptr target="http://x"/></p>\n'),
     "persName": (_in_para(m.PersonMention("")), b"\n        <p><persName></persName></p>\n"),
@@ -1066,6 +1084,10 @@ def _articles(draw):
     return m.Article(header=m.Header(file_desc=fd), body=(division,))
 
 
+# A start-tag line followed by its own end tag on the next line.
+_EMPTY_PAIR = re.compile(rb"^( *)<([^\s/>]+)(?: [^\n]*)?>\n\1</\2>$", re.M)
+
+
 class TestRoundTripProperties:
     @settings(deadline=None)
     @given(_articles())
@@ -1075,6 +1097,8 @@ class TestRoundTripProperties:
         assert report.ok, (report.issues, data)
         assert report.outcome == article
         assert serialize_article(report.outcome) == data
+        # An element with no content is written self-closed.
+        assert _EMPTY_PAIR.search(data) is None, data
 
     @settings(max_examples=30, deadline=None)
     @given(st.text(_xml_chars, min_size=0, max_size=40))

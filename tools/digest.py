@@ -23,14 +23,16 @@ manifests of two trees compare.
 lacks, and exits 1 when there is any.
 
 The inputs are the seed-3 corpus, the seed-3, 5, 7 and 23 schema corpora,
-the deep S and 2S articles, and five small directories made from corpus
+the deep S and 2S articles, and six small directories made from corpus
 articles: one with a truncated file, a duplicate-id copy and an unreadable
 file, one with XML declarations that name their encoding past the 256th
 byte, one whose titles, keyword, extent kind, paragraph, person key and
 link target hold every character an escaper replaces, one whose
-articles repeat children that the model holds once, and one whose back
+articles repeat children that the model holds once, one whose back
 matter holds an empty div, stray text before a ``listBib`` and an empty div
-beside a ``listBibl``.  Standard library only.
+beside a ``listBibl``, and one with an empty figure, list, analytic and
+address in one article and ``when`` dates in Arabic-Indic digits in
+another.  Standard library only.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ import argparse
 import hashlib
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -89,6 +92,7 @@ TEI_RULES = "title level a -> article\n* rend italic -> it\nbiblScope type vol -
 HOSTILE_TEXT = b"&amp; &lt; &gt; \" ' \\ \t&#13;\n"
 HOSTILE_VALUE = b"&amp; &lt; &gt; &quot; ' \\ &#9;&#13;&#10;"
 HOSTILE_RULES = "title level a -> a&b<c\"d'e\n"
+ARABIC_DIGITS = str.maketrans("0123456789", "".join(chr(0x660 + d) for d in range(10)))
 
 
 def sha256(data: bytes) -> str:
@@ -157,6 +161,25 @@ def back_shapes(data: bytes) -> bytes:
                         b'<div type="bibliography"><div type="notes"/>', 1)
 
 
+def empty_shapes(data: bytes) -> bytes:
+    """``data`` with an empty figure and list after its first body
+    paragraph, an empty analytic in its first reference entry that starts
+    with its monogr, and its first address emptied."""
+    head, body = data.split(b"<body>", 1)
+    body = body.replace(b"</p>", b"</p><figure/><list/>", 1)
+    front, back = body.split(b"<back>", 1)
+    back = re.sub(rb"(<biblStruct [^>]*>)<monogr>", rb"\1<analytic/><monogr>", back, count=1)
+    head = re.sub(rb"<address>.*?</address>", b"<address/>", head, count=1)
+    return head + b"<body>" + front + b"<back>" + back
+
+
+def arabic_dates(data: bytes) -> bytes:
+    """``data`` with the digits of every ``when`` value in Arabic-Indic digits."""
+    def arabic(match):
+        return match[0].decode().translate(ARABIC_DIGITS).encode()
+    return re.sub(rb'when="[^"]*"', arabic, data)
+
+
 def write_inputs(work: Path, size: str) -> dict:
     """Write every input; returns {directory name: relative file paths}."""
     dirs: dict = {}
@@ -189,6 +212,11 @@ def write_inputs(work: Path, size: str) -> dict:
     dirs["back"] = write_dir(work / "back", {
         "art0000.xml": back_shapes(first),
         "art0001.xml": back_shapes(second),
+        "art0002.xml": third,
+    })
+    dirs["empty"] = write_dir(work / "empty", {
+        "art0000.xml": empty_shapes(first),
+        "art0001.xml": arabic_dates(second),
         "art0002.xml": third,
     })
     dirs["deep"] = write_dir(work / "deep", {
@@ -259,7 +287,7 @@ class Runner:
 
 
 def run_all(run: Runner, dirs: dict) -> None:
-    tei_dirs = ("corpus", "damaged", "padded", "hostile", "repeated", "back", "deep")
+    tei_dirs = ("corpus", "damaged", "padded", "hostile", "repeated", "back", "empty", "deep")
     raw_dirs = (*(f"schema-{seed}" for seed in SCHEMA_SEEDS), *tei_dirs)
     needle = gen.PERSONS[0].split()[-1]
     run.library([path for name in tei_dirs for path in dirs[name]])
@@ -282,7 +310,7 @@ def run_all(run: Runner, dirs: dict) -> None:
             for fmt in ("xhtml", "records"):
                 run("biblio", name, "--style", style, "--format", fmt)
     for path in (*dirs["deep"], dirs["corpus"][0], *dirs["damaged"], *dirs["padded"],
-                 *dirs["hostile"], *dirs["repeated"], *dirs["back"]):
+                 *dirs["hostile"], *dirs["repeated"], *dirs["back"], *dirs["empty"]):
         for style in STYLES:
             for to in ("xhtml", "text"):
                 run("render", path, "--style", style, "--to", to)
