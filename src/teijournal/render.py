@@ -169,23 +169,10 @@ def style_from_dict(raw: dict) -> StyleGuide:
                 )
             except ValueError as exc:
                 raise StyleError(str(exc)) from None
-            segments.append(
-                Segment(
-                    path=path,
-                    typography=typography,
-                    prefix=seg.get("prefix", ""),
-                    suffix=seg.get("suffix", ""),
-                    omit_if_absent=omit_if_absent,
-                )
-            )
+            segments.append(Segment(path, typography, seg.get("prefix", ""),
+                                    seg.get("suffix", ""), omit_if_absent))
         layouts[doc_type] = tuple(segments)
-    return StyleGuide(
-        id=style_id,
-        marker_scheme=scheme,
-        list_order=order,
-        author_name_format=name_format,
-        layouts=layouts,
-    )
+    return StyleGuide(style_id, scheme, order, name_format, layouts)
 
 
 def builtin_style(style_id: str) -> StyleGuide:
@@ -260,25 +247,9 @@ def _forward_names(authors: tuple) -> str:
     return _and_list([n for n in names if n])
 
 
-def _level_title(level) -> str | None:
-    """The first main title of an analytic or monogr level, normalized."""
-    for title in level.titles if level else ():
-        if title.type == "main":
-            text = normalize_title(title.text)
-            if text:
-                return text
-    return None
-
-
-def _main_title(record: BiblStruct) -> str | None:
-    """The record's main title, normalized; ``None`` when it has none."""
-    title = record.main_title()
-    return normalize_title(title.text) or None if title else None
-
-
-def _year(record: BiblStruct) -> str | None:
-    date = record.monogr.imprint.date
-    return str(date.year) if date else None
+def _main_titles(level) -> list:
+    """The main titles of an analytic or monogr level, normalized."""
+    return [normalize_title(t.text) for t in level.titles if t.type == "main"] if level else []
 
 
 def _pages(record: BiblStruct) -> str | None:
@@ -289,35 +260,48 @@ def _pages(record: BiblStruct) -> str | None:
 
 
 #: Field paths a layout segment may address -> the field's text for a
-#: record and a name format, empty or ``None`` when the record lacks it.
+#: record, empty or ``None`` when the record lacks it; :func:`format_entry`
+#: writes ``authors`` and :class:`_EntryValues` reads the titles.
 #: ``identifiers.<kind>`` is open as well: the kind is matched
 #: case-insensitively against the record's identifiers.
 _FIELDS = {
-    "authors": lambda record, name_format: format_authors(record.authors(), name_format),
-    "monogr.authors": lambda record, _: _forward_names(record.monogr.authors),
-    "title": lambda record, _: _main_title(record),
-    "analytic.title": lambda record, _: _level_title(record.analytic),
-    "monogr.title": lambda record, _: _level_title(record.monogr),
-    "imprint.publisher": lambda record, _: record.monogr.imprint.publisher,
-    "imprint.pub_place": lambda record, _: record.monogr.imprint.pub_place,
-    "year": lambda record, _: _year(record),
-    "pages": lambda record, _: _pages(record),
-    "issn": lambda record, _: record.monogr.issn,
-    **{
-        f"scopes.{kind}": lambda record, _, kind=kind: record.scope(kind)
-        for kind in SCOPE_KINDS
-    },
+    **dict.fromkeys(("authors", "title", "analytic.title", "monogr.title")),
+    "monogr.authors": lambda record: _forward_names(record.monogr.authors),
+    "imprint.publisher": lambda record: record.monogr.imprint.publisher,
+    "imprint.pub_place": lambda record: record.monogr.imprint.pub_place,
+    "year": lambda record: str(date.year) if (date := record.monogr.imprint.date) else None,
+    "pages": _pages,
+    "issn": lambda record: record.monogr.issn,
+    **{f"scopes.{kind}": lambda record, kind=kind: record.scope(kind) for kind in SCOPE_KINDS},
 }
 
 
-def _segment_value(record: BiblStruct, path: str, name_format: str) -> str | None:
-    """The text for one layout segment; empty or ``None`` when absent."""
-    if path.startswith("identifiers."):
-        return record.identifier(path[len("identifiers."):])
-    field = _FIELDS.get(path)
-    if field is None:
-        raise StyleError(f"unknown segment path {path!r}")
-    return field(record, name_format)
+class _EntryValues(dict):
+    """One record's field values that no style changes, by segment path (its
+    main titles normalized once, each other field on first use), and its
+    sort key and author-date cite text: every layout reads the same ones."""
+
+    __slots__ = ("record", "sort_key", "cite_text")
+
+    def __init__(self, record: BiblStruct):
+        analytic, monogr = _main_titles(record.analytic), _main_titles(record.monogr)
+        # the main title prefers the analytic level, as BiblStruct.main_title does
+        title = (analytic or monogr or [None])[0] or None
+        super().__init__({"title": title, "analytic.title": next(filter(None, analytic), None),
+                          "monogr.title": next(filter(None, monogr), None)})
+        self.record = record
+        self.sort_key = _sort_key(record, title)
+        self.cite_text = _cite_text(record, title)
+
+    def __missing__(self, path: str) -> str | None:
+        if path.startswith("identifiers."):
+            value = self.record.identifier(path[len("identifiers."):])
+        elif _FIELDS.get(path) is None:
+            raise StyleError(f"unknown segment path {path!r}")
+        else:
+            value = _FIELDS[path](self.record)
+        self[path] = value
+        return value
 
 
 def entry_sort_key(record: BiblStruct) -> tuple:
@@ -326,7 +310,7 @@ def entry_sort_key(record: BiblStruct) -> tuple:
     Style-independent, so reference numbering does not shift when the
     rendering style changes.
     """
-    return _sort_key(record, _main_title(record))
+    return _EntryValues(record).sort_key
 
 
 def _sort_key(record: BiblStruct, title: str | None) -> tuple:
@@ -338,7 +322,7 @@ def _sort_key(record: BiblStruct, title: str | None) -> tuple:
 
 def _cite_text(record: BiblStruct, title: str | None) -> str:
     """Author-date in-text form, without parentheses; ``title`` is the
-    record's :func:`_main_title`."""
+    record's main title, normalized."""
     surnames = [a.surname for a in record.authors() if a.surname]
     if len(surnames) > 2:
         who = f"{surnames[0]} et al."
@@ -357,48 +341,42 @@ def _cite_text(record: BiblStruct, title: str | None) -> str:
 # --------------------------------------------------------------------------
 
 
-def format_entry(record: BiblStruct, style: StyleGuide) -> RenderedEntry:
-    """Format one record per the style's layout for its type.
+def format_entry(record: BiblStruct, style: StyleGuide, values=None) -> RenderedEntry:
+    """Format one record per the style's layout for its type, from its
+    :class:`_EntryValues` (worked out here when ``values`` is not given).
 
     Raises :class:`StyleError` for a record with no main title at either
     level — there is nothing to cite.
     """
-    title = _main_title(record)
-    if title is None:
+    values = _EntryValues(record) if values is None else values
+    if values["title"] is None:
         raise StyleError(
             f"record {record.xml_id or '<no id>'} has no main title and cannot be formatted"
         )
     runs: list = []  # (text, typography)
     for seg in style.layout_for(record.doc_type.value):
-        if seg.path == "title":
-            value = title
+        if seg.path == "authors":
+            value = format_authors(record.authors(), style.author_name_format)
         else:
-            value = _segment_value(record, seg.path, style.author_name_format)
+            value = values[seg.path]
         if not value:
             if seg.omit_if_absent:
                 continue
             value = ""
         runs += ((seg.prefix, "plain"), (value, seg.typography), (seg.suffix, "plain"))
-    return RenderedEntry(
-        ref_id=record.xml_id,
-        spans=_tidy_runs(runs),
-        sort_key=_sort_key(record, title),
-        cite_text=_cite_text(record, title),
-    )
+    return RenderedEntry(record.xml_id, _tidy_runs(runs), values.sort_key, values.cite_text)
 
 
-def entry_or_fallback(record: BiblStruct, style: StyleGuide) -> RenderedEntry:
+def entry_or_fallback(record: BiblStruct, style: StyleGuide, values=None) -> RenderedEntry:
     """:func:`format_entry`, or for a record it cannot format, one plain
     span of :func:`bare_entry_text` (``(unciteable record)`` when even that
     is empty), so that no reference list or corpus page fails on it."""
+    values = _EntryValues(record) if values is None else values
     try:
-        return format_entry(record, style)
+        return format_entry(record, style, values)
     except StyleError:
         text = bare_entry_text(record) or "(unciteable record)"
-        title = _main_title(record)
-        return RenderedEntry(
-            record.xml_id, (Span(text),), _sort_key(record, title), _cite_text(record, title)
-        )
+        return RenderedEntry(record.xml_id, (Span(text),), values.sort_key, values.cite_text)
 
 
 def _tidy_runs(runs: list) -> tuple:
@@ -463,13 +441,14 @@ def _first_citations(article: Article) -> tuple:
     return tuple(order)
 
 
-def _format_entries(entries, style: StyleGuide) -> dict:
-    """Entry key (its ``xml:id``, else its position) -> :class:`RenderedEntry`."""
+def _format_entries(entries, style: StyleGuide, values=_EntryValues) -> dict:
+    """Entry key (its ``xml:id``, else its position) -> :class:`RenderedEntry`;
+    ``values(record)`` gives the record's :class:`_EntryValues`."""
     rendered: dict = {}
     for i, record in enumerate(entries):
         key = record.xml_id if record.xml_id else f"\x00{i}"
         if key not in rendered:
-            rendered[key] = entry_or_fallback(record, style)
+            rendered[key] = entry_or_fallback(record, style, values(record))
     return rendered
 
 
@@ -490,20 +469,34 @@ def _number_entries(rendered: dict, style: StyleGuide, citation_order) -> list:
 
 class _PageContext:
     """One page's style, its reference list as :func:`_number_entries` numbers
-    it, and the in-text markers read off that list.  The formatted entries are
-    kept in the article's ``__dict__`` (as :func:`citation_order` is), keyed by
-    the style's name format and layouts by value, all a :class:`RenderedEntry`
-    depends on, so every page and style load that agree on those share them."""
+    it, and the in-text markers read off that list.  Kept in the article's
+    ``__dict__`` (as :func:`citation_order` is) and shared by its pages:
+    each record's :class:`_EntryValues`, the formatted entries keyed by the
+    style's name format and layouts by value (all a :class:`RenderedEntry`
+    depends on), and the divisions' XHTML with a slot for each point that
+    depends on the page (:func:`_divisions_html`)."""
 
     def __init__(self, article: Article, style: StyleGuide):
         self.style = style
-        memo = article.__dict__.setdefault("_rendered_entries", {})
+        self.values_by_id = article.__dict__.setdefault("_entry_values", {})
+        rendered = article.__dict__.setdefault("_rendered_entries", {})
         key = (style.author_name_format, tuple(sorted(style.layouts.items())))
-        if key not in memo:
+        if key not in rendered:
             entries = article.reference_list.entries if article.reference_list else ()
-            memo[key] = _format_entries(entries, style)
-        self.references = _number_entries(memo[key], style, citation_order(article))
+            rendered[key] = _format_entries(entries, style, self.values)
+        self.references = _number_entries(rendered[key], style, citation_order(article))
         self.by_id = {e.ref_id: (label, e) for label, e in self.references if e.ref_id}
+
+    def values(self, record: BiblStruct) -> _EntryValues:
+        """The record's values, kept by ``id``: the article holds the record."""
+        found = self.values_by_id.get(id(record))
+        if found is None:
+            found = self.values_by_id[id(record)] = _EntryValues(record)
+        return found
+
+    def slot(self, render, *args) -> str:
+        """``render(self, *args)``: markup that depends on the page."""
+        return render(self, *args)
 
     def marker(self, target: str) -> str | None:
         """``[n]`` or ``(cite_text)`` for a pointer to an entry, else ``None``."""
@@ -554,6 +547,18 @@ def xhtml_page(title: str, body_markup: str) -> str:
     return f"{start}<body>{body_markup}</body></html>\n"
 
 
+_SLOT = "<>"  # no escaped text or attribute value holds it
+
+
+class _Slots(list):
+    """The ``(render, args)`` of each point of the divisions that depends
+    on the page, in order; ``_SLOT`` marks its place in the markup."""
+
+    def slot(self, render, *args) -> str:
+        self.append((render, args))
+        return _SLOT
+
+
 def _html_marker(ctx: _PageContext, target: str, fallback: str) -> str:
     text = ctx.marker(target)
     if text is None:
@@ -561,12 +566,12 @@ def _html_marker(ctx: _PageContext, target: str, fallback: str) -> str:
     return element("a", escape_text(text), {"class": "tj-ref", "href": f"#ref-{target[1:]}"})
 
 
-#: Inline class -> the node's XHTML markup, given the page context.
+#: Inline class -> the node's XHTML markup; ``ctx.slot`` writes what a page changes.
 _INLINE_HTML = {
     TextRun: lambda node, _: escape_text(node.text),
     Emph: lambda node, ctx: element("b" if "bold" in node.rend else "i",
                                     _rich_to_html(node.content, ctx)),
-    BiblRef: lambda node, ctx: _html_marker(ctx, node.target, node.text),
+    BiblRef: lambda node, ctx: ctx.slot(_html_marker, node.target, node.text),
     Link: lambda node, _: element("a", escape_text(node.text or node.target),
                                   {"href": node.target}),
     PersonMention: lambda node, _: element("span", escape_text(node.text), {"class": "tj-person"}),
@@ -580,7 +585,7 @@ _INLINE_HTML = {
 }
 
 
-def _rich_to_html(content: RichText, ctx: _PageContext) -> str:
+def _rich_to_html(content: RichText, ctx) -> str:
     return "".join([_INLINE_HTML[type(node)](node, ctx) for node in content])
 
 
@@ -596,29 +601,33 @@ def _spans_to_html(entry: RenderedEntry) -> str:
     return "".join(parts)
 
 
-def _cit_to_html(block: CitBlock, ctx: _PageContext) -> str:
+def _cit_to_html(block: CitBlock, ctx) -> str:
     quote = _rich_to_html(block.quote, ctx)
     if isinstance(block.source, str):
-        quote += " " + _html_marker(ctx, block.source, block.source)
+        quote += " " + ctx.slot(_html_marker, block.source, block.source)
     parts = [element("p", quote)]
     if isinstance(block.source, BiblStruct):
-        source = _spans_to_html(entry_or_fallback(block.source, ctx.style))
-        parts.append(element("p", source, {"class": "tj-cit-source"}))
+        parts.append(ctx.slot(_cit_source_html, block.source))
     if block.qualifiers:
         parts.append(element("p", _rich_to_html(block.qualifiers, ctx), {"class": "tj-cit-note"}))
     return element("blockquote", "".join(parts), {"class": "tj-cit"})
 
 
-def _caption_html(caption: RichText, ctx: _PageContext) -> str:
+def _cit_source_html(ctx: _PageContext, record: BiblStruct) -> str:
+    entry = entry_or_fallback(record, ctx.style, ctx.values(record))
+    return element("p", _spans_to_html(entry), {"class": "tj-cit-source"})
+
+
+def _caption_html(caption: RichText, ctx) -> str:
     return element("p", _rich_to_html(caption, ctx)) if caption else ""
 
 
-def _figure_to_html(block: FigureBlock, ctx: _PageContext) -> str:
+def _figure_to_html(block: FigureBlock, ctx) -> str:
     image = element("img", "", {"alt": "", "src": block.graphic_url}) if block.graphic_url else ""
     return element("div", image + _caption_html(block.caption, ctx), {"class": "tj-figure"})
 
 
-#: Block class -> the block's XHTML markup, given the page context.
+#: Block class -> the block's XHTML markup; ``ctx.slot`` writes what a page changes.
 _BLOCK_HTML = {
     Paragraph: lambda block, ctx: element("p", _rich_to_html(block.content, ctx)),
     CitBlock: _cit_to_html,
@@ -647,16 +656,28 @@ def _division_to_html(division: Division, depth: int, ctx) -> str:
     return element("section", "".join(parts), {"class": css})
 
 
+def _divisions_html(article: Article, ctx: _PageContext) -> list:
+    """The front, body and back divisions' markup, rendered once per article
+    with slots (:class:`_Slots`) that each page fills from its own context."""
+    shared = article.__dict__.get("_division_html")
+    if shared is None:
+        slots = _Slots()
+        divisions = (*article.front, *article.body, *article.back.divisions)
+        markup = "".join([_division_to_html(division, 1, slots) for division in divisions])
+        shared = article.__dict__["_division_html"] = (markup.split(_SLOT), tuple(slots))
+    pieces, slots = shared
+    parts = [pieces[0]]
+    for (render, args), piece in zip(slots, pieces[1:]):
+        parts += (render(ctx, *args), piece)
+    return parts
+
+
 def _affiliation_text(author: Author) -> str:
     if author.affiliation is None:
         return ""
-    parts = [u.name for u in author.affiliation.org_units if u.name]
     address = author.affiliation.address
-    if address:
-        for piece in (address.settlement, address.country):
-            if piece:
-                parts.append(piece)
-    return ", ".join(parts)
+    places = (address.settlement, address.country) if address else ()
+    return ", ".join(filter(None, (*(u.name for u in author.affiliation.org_units), *places)))
 
 
 def render_xhtml(article: Article, style: StyleGuide) -> str:
@@ -686,8 +707,7 @@ def render_xhtml(article: Article, style: StyleGuide) -> str:
         items = "".join(element("li", escape_text(kw.term)) for kw in keywords)
         parts.append(element("ul", items, {"class": "tj-keywords"}))
 
-    for division in (*article.front, *article.body, *article.back.divisions):
-        parts.append(_division_to_html(division, 1, ctx))
+    parts += _divisions_html(article, ctx)
 
     if ctx.references:
         items = []
@@ -729,7 +749,7 @@ def bare_entry_text(record: BiblStruct) -> str:
     authors = format_authors(record.authors(), "as-encoded")
     if authors:
         bits.append(authors + ".")
-    title = _main_title(record)
+    title = _EntryValues(record)["title"]
     if title:
         bits.append(title + ".")
     date = record.monogr.imprint.date
@@ -756,7 +776,7 @@ def _cit_to_text(block: CitBlock, ctx: _PageContext) -> list:
         quote = f"{quote} {ctx.marker(block.source) or block.source}"
     lines = _wrap(quote, indent="    ")
     if isinstance(block.source, BiblStruct):
-        source = entry_or_fallback(block.source, ctx.style).plain()
+        source = entry_or_fallback(block.source, ctx.style, ctx.values(block.source)).plain()
         lines.extend(_wrap("-- " + source, indent="    "))
     if block.qualifiers:
         lines.extend(_wrap(plain_text(block.qualifiers, ctx.pointer_text), indent="    "))

@@ -361,9 +361,7 @@ def _check_pointer(run: _Run, path: str, target: str) -> None:
 
 
 def _as_int(value: str | None) -> int | None:
-    if value is None:
-        return None
-    try:
-        return int(value.strip())
-    except ValueError:
-        return None
+    """A page number in ASCII digits, as ``model._DATE_RE`` reads a year:
+    other scripts' digits, signs and ``_`` separators are no number."""
+    value = (value or "").strip()
+    return int(value) if value.isascii() and value.isdigit() else None

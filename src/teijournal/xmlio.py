@@ -551,11 +551,18 @@ class _Builder:
         for name, child in self.children(node, "keywords", many=("term", "list")):
             if name == "term":
                 add(child)
-            else:
-                for item in child.findall("item"):
-                    for term in item.findall("term") or (item,):
-                        add(term)
-                # a list head such as "Keywords" is presentation, not content
+                continue
+            # a list head such as "Keywords" is presentation, not content
+            for kind, item in self.children(child, "list", many=("item", "head")):
+                if kind == "head":
+                    continue
+                if item.find("term") is None:  # the item is the term
+                    add(item)
+                    continue
+                if any(isinstance(part, str) and part.strip() for part in _mixed(item)):
+                    self.warn("P-stray-text", item, "stray text beside a term in item dropped")
+                for _, term in self.children(item, "item", many=("term",)):
+                    add(term)
 
     def revision_desc(self, node) -> m.RevisionDesc:
         changes: list = []

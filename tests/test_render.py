@@ -716,6 +716,40 @@ class TestXhtml:
         assert "foetal development" in page
         ET.fromstring(page)
 
+    def test_text_that_looks_like_a_slot_renders_as_before(self):
+        # The divisions are rendered once per article with "<>" at each point
+        # a page fills in; text, attribute values and verbatim markup that
+        # hold "<>", "<" or NUL render as they did when each page rendered
+        # the divisions itself.
+        record = m.BiblStruct(m.DocumentType("book"), None, m.Monogr(
+            (_main("A <> book"),), (author("Lee"),), imprint=m.Imprint(date=m.CalendarDate(2001))),
+            xml_id="b1")
+        text = "<> and \x00 and <"
+        division = m.Division(head=(m.TextRun(text), m.BiblRef("#b1")), blocks=(
+            m.Paragraph((m.TextRun(text), m.BiblRef("#b1", "<>"), m.BiblRef("#<>", "<>"),
+                         m.Link("<>", text), m.Emph("italic", (m.BiblRef("#b1"),)))),
+            m.CitBlock((m.TextRun(text),), "#b1", (m.TextRun(">"),)),
+            m.CitBlock((m.TextRun("<"),), record),
+            m.OpaqueBlock(f"<x a='{text}'/>")))
+        article = m.Article(body=(division,), back=m.BackMatter(
+            reference_list=m.ListBibl((record,))))
+        escaped = "&lt;&gt; and \x00 and &lt;"
+        section = (
+            f'<section class="tj-section"><h2>{escaped}MARK</h2><p>{escaped}MARK'
+            f'<span class="tj-ref">&lt;&gt;</span><a href="&lt;&gt;">{escaped}</a><i>MARK</i>'
+            f'</p><blockquote class="tj-cit"><p>{escaped} MARK</p><p class="tj-cit-note">&gt;'
+            f'</p></blockquote><blockquote class="tj-cit"><p>&lt;</p><p class="tj-cit-source">'
+            f"SOURCE</p></blockquote><pre class=\"tj-opaque\">&lt;x a='{escaped}'/&gt;</pre>"
+            "</section>"
+        )
+        for style, marker, source in (
+            ("apa", "(Lee 2001)", "Lee (2001). <i>A &lt;&gt; book</i>."),
+            ("chicago", "[1]", "Lee. <i>A &lt;&gt; book</i>., 2001."),
+        ):
+            mark = f'<a class="tj-ref" href="#ref-b1">{marker}</a>'
+            page = render_xhtml(article, builtin_style(style))
+            assert section.replace("MARK", mark).replace("SOURCE", source) in page
+
 
 # --------------------------------------------------------------------------
 # The XHTML writer against ElementTree's serializer, kept here as the oracle

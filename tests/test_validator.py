@@ -385,6 +385,28 @@ class TestRulesOnTheSourceAndEntries:
             ("R12", entry, "reference entry has no main title"),
         ]
 
+    @pytest.mark.parametrize(
+        "fpage, lpage, messages",
+        [
+            ("20", "3", ["first page 20 exceeds last page 3"]),
+            (" 20\n", "\t3 ", ["first page 20 exceeds last page 3"]),
+            ("3", "20", []),
+            # only ASCII digits are a page number, as in a date
+            ("2_0", "3", []),
+            ("\u0662\u0660", "3", []),  # Arabic-Indic 20
+            ("20", "\u0663", []),
+            ("+20", "3", []),
+            ("\uff12\uff10", "3", []),  # fullwidth 20
+        ],
+    )
+    def test_r5_reads_pages_in_ascii_digits_only(self, fpage, lpage, messages):
+        refs = _entry("r1", "First", fpage, lpage)
+        body = '<div type="section"><p>See <ref type="bibr" target="#r1">1</ref>.</p></div>'
+        report = parse_article(article_bytes(title="T", refs=refs, body=body), "t.xml")
+        assert report.ok and not report.issues
+        findings = validate(report.outcome)
+        assert [f.message for f in findings if f.rule_id == "R5"] == messages
+
     def test_r11_and_r8_come_before_the_text_or_last(self):
         article = dataclasses.replace(
             with_profile_desc(parse_skeleton(), keywords=()), body=()

@@ -9,6 +9,7 @@ the corpus products runs once per ``Article`` instance, and each reference
 entry is formatted once per article and layout.
 """
 
+import copy
 import dataclasses
 import gc
 import sys
@@ -210,9 +211,9 @@ def formatted(monkeypatch) -> list:
     records: list = []
     real = render.format_entry
 
-    def counting(record, style):
+    def counting(record, style, *values):
         records.append(record)
-        return real(record, style)
+        return real(record, style, *values)
 
     monkeypatch.setattr(render, "format_entry", counting)
     return records
@@ -257,6 +258,78 @@ def test_a_changed_layout_or_name_format_formats_anew(formatted):
     assert "Ann Writer3" in pages[2] and "Ann Writer3" not in pages[0]
     for style, page in zip((chicago, changed_layout, changed_names), pages):
         assert render.render_xhtml(parse(article_data()), style) == page
+
+
+# --------------------------------------------------------------------------
+# What no style changes is worked out once per article
+# --------------------------------------------------------------------------
+
+STYLES = ("apa", "chicago", "mla")
+# A cit whose source is an embedded record, not a pointer.
+CITED_SOURCE = (
+    '<div type="section"><cit><quote>Q</quote><biblStruct type="book"><monogr>'
+    '<title level="m" type="main">Source</title><imprint><date when="1999"/></imprint>'
+    "</monogr></biblStruct></cit></div>"
+)
+
+
+def calls_of(monkeypatch, name: str) -> list:
+    """The first argument of each call of ``render.<name>``, in call order."""
+    firsts: list = []
+    real = getattr(render, name)
+
+    def counting(first, *rest):
+        firsts.append(first)
+        return real(first, *rest)
+
+    monkeypatch.setattr(render, name, counting)
+    return firsts
+
+
+def every_division(divisions):
+    for division in divisions:
+        yield division
+        yield from every_division(division.children)
+
+
+def test_three_pages_render_each_division_once(monkeypatch):
+    rendered = calls_of(monkeypatch, "_division_to_html")
+    article = parse(article_data())
+    pages = [render.render_xhtml(article, render.builtin_style(style)) for style in STYLES]
+    divisions = (*article.front, *article.body, *article.back.divisions)
+    assert rendered == list(every_division(divisions))
+    assert len(rendered) >= 2  # the body's section and its subsection
+    for style, page in zip(STYLES, pages):
+        assert render.render_xhtml(parse(article_data()), render.builtin_style(style)) == page
+
+
+def test_each_record_title_normalized_once_per_article(monkeypatch):
+    normalized = calls_of(monkeypatch, "normalize_title")
+    article = parse(article_bytes(title="T", body=BODY + CITED_SOURCE, refs=REFS))
+    for style in STYLES:
+        render.render_xhtml(article, render.builtin_style(style))
+    text = render.render_plaintext(article)
+    source = article.body[1].blocks[0].source
+    records = (*article.reference_list.entries, source)
+    titles = [title.text for record in records for title in record.monogr.titles]
+    assert [sum(arg is title for arg in normalized) for title in titles] == [1] * 7
+    assert "-- Source., 1999." in text
+
+
+def test_replaced_article_gets_its_own_division_markup():
+    chicago = render.builtin_style("chicago")
+    article = parse(article_data())
+    page = render.render_xhtml(article, chicago)
+    body = article.body[0]
+    changed = dataclasses.replace(
+        article, body=(dataclasses.replace(body, blocks=body.blocks[1:]),)
+    )
+    changed_page = render.render_xhtml(changed, chicago)
+    assert "Oslo" in page and "Oslo" not in changed_page
+    # b5, cited third on the article's page, is cited first on the changed one
+    assert 'href="#ref-b5">[3]</a>' in page and 'href="#ref-b5">[1]</a>' in changed_page
+    assert changed_page == render.render_xhtml(copy.deepcopy(changed), chicago)
+    assert render.render_xhtml(article, chicago) == page
 
 
 # --------------------------------------------------------------------------

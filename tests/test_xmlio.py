@@ -1,6 +1,7 @@
 """Parse/serialize: fixtures, repairs, refusals, and round-trip laws."""
 
 import ast
+import copy
 import dataclasses
 import re
 import xml.etree.ElementTree as ET
@@ -270,6 +271,7 @@ REPAIR_BASE = wrap(
 _H = "TEI[1]/teiHeader[1]"
 _FD = _H + "/fileDesc[1]"
 _SRC = _FD + "/sourceDesc[1]/biblStruct[1]"
+_KW = _H + "/profileDesc[1]/textClass[1]/keywords[1]"
 _AUTHOR = _SRC + "/analytic[1]/author[1]"
 _T = "TEI[1]/text[1]"
 _ENTRY = _T + "/back[1]/listBibl[1]/biblStruct[1]"
@@ -426,6 +428,33 @@ REPAIRS = {
     "unknown-in-keywords": (
         (b"<keywords><term>", b"<keywords><note>n</note><term>"),
         _dropped(_H + "/profileDesc[1]/textClass[1]/keywords[1]/note[1]", "note", "keywords"),
+        lambda a: a.header.profile_desc.keywords, (m.Keyword("k"),),
+    ),
+    # a keyword list's head is presentation; anything else beside its items
+    # and terms is reported, and a term-less item is its own term
+    "keyword-list-head": (
+        (b"<keywords><term>k</term>", b"<keywords><list><head>Keywords</head><item><term>k"
+         b"</term></item><item>j <hi>i</hi></item></list>"),
+        (),
+        lambda a: a.header.profile_desc.keywords, (m.Keyword("k"), m.Keyword("j i")),
+    ),
+    "unknown-in-keyword-list": (
+        (b"<keywords><term>k</term>", b"<keywords><list><label>L</label><item><term>k</term>"
+         b"</item></list>"),
+        _dropped(_KW + "/list[1]/label[1]", "label", "list"),
+        lambda a: a.header.profile_desc.keywords, (m.Keyword("k"),),
+    ),
+    "unknown-in-keyword-item": (
+        (b"<keywords><term>k</term>", b"<keywords><list><item><term>k</term><note>n</note>"
+         b"</item></list>"),
+        _dropped(_KW + "/list[1]/item[1]/note[1]", "note", "item"),
+        lambda a: a.header.profile_desc.keywords, (m.Keyword("k"),),
+    ),
+    "stray-text-beside-a-term": (
+        (b"<keywords><term>k</term>", b"<keywords><list><item><term>k</term> and more</item>"
+         b"</list>"),
+        (("P-stray-text", "warning", _KW + "/list[1]/item[1]",
+          "stray text beside a term in item dropped"),),
         lambda a: a.header.profile_desc.keywords, (m.Keyword("k"),),
     ),
     "unknown-in-revisionDesc": (
@@ -1110,12 +1139,66 @@ class TestRoundTripProperties:
         assert report.outcome == article
 
 
+# Reference entries for _cited_articles: one titled at the analytic level,
+# one with a custom identifier, one with no main title (its fallback entry).
+_RECORDS = (
+    m.BiblStruct(m.DocumentType("journalArticle"),
+                 m.Analytic((m.Title((m.TextRun(" An  <> article "),), "a"),),
+                            (m.Author("Lee", ("Ann Marie",)), m.Author("Park", ("Jo",)))),
+                 m.Monogr((m.Title((m.TextRun("Journal"),), "j"),),
+                          imprint=m.Imprint(date=m.CalendarDate(2001),
+                                            scopes=(m.Scope("fpage", "3"), m.Scope("lpage", "9")))),
+                 xml_id="b0"),
+    m.BiblStruct(m.DocumentType("book"), None,
+                 m.Monogr((m.Title((m.Emph("italic", (m.TextRun("Book"),)),), "m"),),
+                          (m.Author("Writer"),), imprint=m.Imprint("Pub", "Oslo")),
+                 (m.Identifier("doi", "10.1/x"),), xml_id="b1"),
+    m.BiblStruct(m.DocumentType("book"), None,
+                 m.Monogr((m.Title((m.TextRun("Sub"),), "m", "sub"),)), xml_id="b2"),
+)
+
+
+@st.composite
+def _cited_articles(draw):
+    """A hand-built article with a reference list that its markers, a cit's
+    pointer and a cit's embedded record cite."""
+    article = draw(_articles())
+    targets = st.sampled_from(["#b0", "#b1", "#b2", "#nope", ""])
+    refs = draw(st.lists(st.builds(m.BiblRef, targets, st.text(_xml_chars, max_size=3)),
+                         min_size=1, max_size=4))
+    cits = (m.CitBlock((m.TextRun("q"),), draw(targets)),
+            m.CitBlock((m.TextRun("r"),), draw(st.sampled_from(_RECORDS)), tuple(refs[:1])))
+    cited = m.Division(head=tuple(refs[1:]), blocks=(m.Paragraph(tuple(refs)), *cits))
+    entries = draw(st.lists(st.sampled_from(_RECORDS), max_size=4))
+    return dataclasses.replace(article, front=(cited,), back=m.BackMatter(
+        (cited,), m.ListBibl(tuple(entries))))
+
+
+def _pages():
+    """The four pages of an article as the benchmark renders them."""
+    return [*(lambda a, s=builtin_style(name): render_xhtml(a, s) for name in BUILTIN_STYLES),
+            render_plaintext]
+
+
 class TestPageProperties:
     @settings(deadline=None)
     @given(_articles())
     def test_handbuilt_models_render_well_formed_pages(self, article):
         ET.fromstring(render_xhtml(article, builtin_style("apa")))
         assert render_plaintext(article).endswith("\n")
+
+    @settings(deadline=None)
+    @given(_cited_articles(), st.permutations(range(4)))
+    def test_pages_in_any_order_equal_those_of_memo_free_twins(self, article, order):
+        # each page after the first reads what the earlier ones kept in the
+        # article; a deep copy is rebuilt through __init__ with no memos
+        pages = _pages()
+        rendered = {i: pages[i](article) for i in order}
+        assert article.__dict__.keys() >= {"_entry_values", "_rendered_entries", "_division_html"}
+        for i in order:
+            twin = copy.deepcopy(article)
+            assert not twin.__dict__
+            assert pages[i](twin) == rendered[i]
 
 
 class TestTreeMutants:

@@ -13,11 +13,14 @@ the same paths.  The hash seed is inherited: build twice under two values
 of ``PYTHONHASHSEED`` to check that no output depends on it.
 
 One more child process reads each TEI input through the library and
-records four digests per document: ``parse_article``'s issues as
+records five digests per document: ``parse_article``'s issues as
 ``(severity, location, message)`` triples, ``serialize_article``'s bytes,
-the ``validate`` findings and ``model_paths`` as ``(path, repr(node))``
-pairs.  Parse issues have had those three fields in every version, so the
-manifests of two trees compare.
+the ``validate`` findings, ``model_paths`` as ``(path, repr(node))``
+pairs, and ``:pages``, the ``render_xhtml`` pages in apa, chicago and mla
+and then the ``render_plaintext`` page, all rendered from one parsed
+article in that order, as ``perfbench/worker.py`` renders them.  Parse
+issues have had those three fields in every version, so the manifests of
+two trees compare.
 
 ``--compare`` prints each key whose digest differs or that one manifest
 lacks, and exits 1 when there is any.
@@ -58,6 +61,7 @@ ENTRY = "import sys; from teijournal.cli import main; sys.exit(main())"
 # Reads the files named on its command line; prints {key: digest} as JSON.
 LIBRARY = """
 import hashlib, json, sys
+from teijournal.render import builtin_style, render_plaintext, render_xhtml
 from teijournal.validator import validate
 from teijournal.xmlio import model_paths, parse_article, serialize_article
 
@@ -82,6 +86,11 @@ for path in sys.argv[1:]:
             validate(report.outcome), "rule_id", "severity", "location", "message")
         digests[f"library {path} :paths"] = sha256(json.dumps(
             [[where, repr(node)] for where, node in model_paths(report.outcome)]).encode())
+        # the benchmark's order: each page after the first reads what the
+        # earlier ones kept in the article
+        pages = [render_xhtml(report.outcome, builtin_style(style))
+                 for style in ("apa", "chicago", "mla")] + [render_plaintext(report.outcome)]
+        digests[f"library {path} :pages"] = sha256(json.dumps(pages).encode())
 json.dump(digests, sys.stdout)
 """
 SCHEMA_SEEDS = (3, 5, 7, 23)
@@ -257,7 +266,8 @@ class Runner:
         return f"out/{self.outs:03d}"
 
     def library(self, paths: list) -> None:
-        """Digest each file's parse issues, canonical bytes and findings."""
+        """Digest each file's parse issues, canonical bytes, findings, model
+        paths and pages."""
         done = subprocess.run(
             [sys.executable, "-c", LIBRARY, *paths], cwd=self.work, env=self.env,
             stdin=subprocess.DEVNULL, capture_output=True, timeout=600, check=True,
