@@ -349,6 +349,16 @@ def attribute_name(key: str) -> str:
     return _tree_name(key)[0]
 
 
+def has_text(element) -> bool:
+    """True when any direct text run of ``element`` is more than whitespace."""
+    if element.text and element.text.strip():
+        return True
+    for child in element:
+        if child.tail and child.tail.strip():
+            return True
+    return False
+
+
 _TEI_KEY = "{%s}" % TEI_NS
 _TAG = attrgetter("tag")
 

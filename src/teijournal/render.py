@@ -15,6 +15,7 @@ for the next.
 from __future__ import annotations
 
 import json
+from functools import lru_cache
 from pathlib import Path
 
 from .base import BUILTIN_STYLES, Record, escaper, factory, json_bool, slotted
@@ -175,8 +176,10 @@ def style_from_dict(raw: dict) -> StyleGuide:
     return StyleGuide(style_id, scheme, order, name_format, layouts)
 
 
+@lru_cache(maxsize=None)
 def builtin_style(style_id: str) -> StyleGuide:
-    """One of the shipped styles: ``apa``, ``chicago``, or ``mla``."""
+    """One of the shipped styles, ``apa``, ``chicago`` or ``mla``, read
+    once: every caller shares the returned style and must not mutate it."""
     if style_id not in BUILTIN_STYLES:
         raise StyleError(f"no built-in style {style_id!r} (have {', '.join(BUILTIN_STYLES)})")
     # A path beside the module, not importlib.resources: on Python 3.12+
@@ -473,8 +476,8 @@ class _PageContext:
     ``__dict__`` (as :func:`citation_order` is) and shared by its pages:
     each record's :class:`_EntryValues`, the formatted entries keyed by the
     style's name format and layouts by value (all a :class:`RenderedEntry`
-    depends on), and the divisions' XHTML with a slot for each point that
-    depends on the page (:func:`_divisions_html`)."""
+    depends on), and the XHTML above the reference list with a slot for
+    each point that depends on the page (:func:`_shared_html`)."""
 
     def __init__(self, article: Article, style: StyleGuide):
         self.style = style
@@ -493,10 +496,6 @@ class _PageContext:
         if found is None:
             found = self.values_by_id[id(record)] = _EntryValues(record)
         return found
-
-    def slot(self, render, *args) -> str:
-        """``render(self, *args)``: markup that depends on the page."""
-        return render(self, *args)
 
     def marker(self, target: str) -> str | None:
         """``[n]`` or ``(cite_text)`` for a pointer to an entry, else ``None``."""
@@ -656,22 +655,6 @@ def _division_to_html(division: Division, depth: int, ctx) -> str:
     return element("section", "".join(parts), {"class": css})
 
 
-def _divisions_html(article: Article, ctx: _PageContext) -> list:
-    """The front, body and back divisions' markup, rendered once per article
-    with slots (:class:`_Slots`) that each page fills from its own context."""
-    shared = article.__dict__.get("_division_html")
-    if shared is None:
-        slots = _Slots()
-        divisions = (*article.front, *article.body, *article.back.divisions)
-        markup = "".join([_division_to_html(division, 1, slots) for division in divisions])
-        shared = article.__dict__["_division_html"] = (markup.split(_SLOT), tuple(slots))
-    pieces, slots = shared
-    parts = [pieces[0]]
-    for (render, args), piece in zip(slots, pieces[1:]):
-        parts += (render(ctx, *args), piece)
-    return parts
-
-
 def _affiliation_text(author: Author) -> str:
     if author.affiliation is None:
         return ""
@@ -680,18 +663,17 @@ def _affiliation_text(author: Author) -> str:
     return ", ".join(filter(None, (*(u.name for u in author.affiliation.org_units), *places)))
 
 
-def render_xhtml(article: Article, style: StyleGuide) -> str:
-    """Render the whole article as a standalone XHTML page.
-
-    The output is well-formed XML.  Stable CSS hooks: ``tj-title``,
-    ``tj-author``, ``tj-affiliation``, ``tj-keywords``, ``tj-abstract``,
-    ``tj-section``, ``tj-cit``, ``tj-ref``, ``tj-biblio-entry``.
-    """
-    ctx = _PageContext(article, style)
+def _shared_html(article: Article) -> tuple:
+    """The page title, then the markup of the title, authors, affiliations,
+    keywords and divisions, rendered once per article with slots
+    (:class:`_Slots`) that each page fills from its own context."""
+    shared = article.__dict__.get("_shared_html")
+    if shared is not None:
+        return shared
+    slots = _Slots()
     fd = article.header.file_desc
     title_text = normalize_title(fd.main_title) or article.id or "Untitled"
-
-    title = _rich_to_html(fd.main_title, ctx) if fd.main_title else escape_text(title_text)
+    title = _rich_to_html(fd.main_title, slots) if fd.main_title else escape_text(title_text)
     parts = [element("h1", title, {"class": "tj-title"})]
 
     source = fd.source
@@ -707,7 +689,25 @@ def render_xhtml(article: Article, style: StyleGuide) -> str:
         items = "".join(element("li", escape_text(kw.term)) for kw in keywords)
         parts.append(element("ul", items, {"class": "tj-keywords"}))
 
-    parts += _divisions_html(article, ctx)
+    divisions = (*article.front, *article.body, *article.back.divisions)
+    parts += [_division_to_html(division, 1, slots) for division in divisions]
+    shared = (title_text, "".join(parts).split(_SLOT), tuple(slots))
+    article.__dict__["_shared_html"] = shared
+    return shared
+
+
+def render_xhtml(article: Article, style: StyleGuide) -> str:
+    """Render the whole article as a standalone XHTML page.
+
+    The output is well-formed XML.  Stable CSS hooks: ``tj-title``,
+    ``tj-author``, ``tj-affiliation``, ``tj-keywords``, ``tj-abstract``,
+    ``tj-section``, ``tj-cit``, ``tj-ref``, ``tj-biblio-entry``.
+    """
+    ctx = _PageContext(article, style)
+    title_text, pieces, slots = _shared_html(article)
+    parts = [pieces[0]]
+    for (render, args), piece in zip(slots, pieces[1:]):
+        parts += (render(ctx, *args), piece)
 
     if ctx.references:
         items = []

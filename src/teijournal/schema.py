@@ -17,7 +17,7 @@ import json
 import re
 from collections import Counter
 
-from .rawxml import TreeDocument, attribute_name
+from .rawxml import TreeDocument, attribute_name, has_text
 from .base import Finding, Record, escaper, factory, json_bool, json_object, json_strings, slotted
 
 DEFAULT_ENUMERABLE_ATTRIBUTES = frozenset({"type", "level", "rend", "unit"})
@@ -58,7 +58,7 @@ def _add_element(profile: UsageProfile, foreign: set, element) -> None:
         if values is None:
             values = usage.attributes[name] = Counter()
         values[value] += 1
-    if _has_text(element):
+    if has_text(element):
         usage.text_count += 1
     native = []
     for child in element:
@@ -72,16 +72,6 @@ def _add_element(profile: UsageProfile, foreign: set, element) -> None:
     usage.child_coverage.update(dict.fromkeys([child.tag for child in native], 1))
     for child in native:
         _add_element(profile, foreign, child)
-
-
-def _has_text(element) -> bool:
-    """True when any direct text run of ``element`` is more than whitespace."""
-    if element.text and element.text.strip():
-        return True
-    for child in element:
-        if child.tail and child.tail.strip():
-            return True
-    return False
 
 
 def profile_corpus(docs) -> UsageProfile:
@@ -337,7 +327,7 @@ class _SchemaCheck:
                         f"required attribute '{attr}' missing on '{name}'",
                         False,
                     )
-            if not rule.text and _has_text(node):
+            if not rule.text and has_text(node):
                 emit(
                     "S-text",
                     node,

@@ -32,7 +32,7 @@ import re
 
 from . import model as m
 from .base import Finding, Record, escaper, slotted
-from .rawxml import TEI_NS, XML_NS, RawXmlError, TreeDocument, parse_raw
+from .rawxml import TEI_NS, XML_NS, RawXmlError, TreeDocument, has_text, parse_raw
 
 # --------------------------------------------------------------------------
 # Report types
@@ -84,6 +84,17 @@ _XML_ID = "{%s}id" % XML_NS
 
 def _text_content(node) -> str:
     return "".join(node.itertext())
+
+
+def _parts(node, names) -> dict | None:
+    """``{name: child}`` of ``node``'s children when each has a name in
+    ``names`` and no name repeats, else None: keep ``node`` verbatim."""
+    parts: dict = {}
+    for child in node:
+        if child.tag not in names or child.tag in parts:
+            return None
+        parts[child.tag] = child
+    return parts
 
 
 def _mixed(node) -> list:
@@ -186,10 +197,10 @@ class _Builder:
         if name == "abbr":
             return m.AbbrMention(self.text(node), None)
         # a choice of anything but one abbr and at most one expan is verbatim
-        if name == "choice" and sorted(c.tag for c in node) in (["abbr"], ["abbr", "expan"]):
-            expan = node.find("expan")
-            expansion = self.text(expan) if expan is not None else None
-            return m.AbbrMention(self.text(node.find("abbr")), expansion)
+        parts = _parts(node, ("abbr", "expan")) if name == "choice" else None
+        if parts and "abbr" in parts:
+            expan = self.text(parts["expan"]) if "expan" in parts else None
+            return m.AbbrMention(self.text(parts["abbr"]), expan)
         return m.OpaqueInline(self.doc.slice(node))
 
     # -- running text blocks ----------------------------------------------
@@ -222,43 +233,25 @@ class _Builder:
         return m.OpaqueBlock(self.doc.slice(node))
 
     def cit(self, node):
-        quote: tuple = ()
-        source: m.BiblStruct | str | None = None
-        qualifiers: tuple = ()
-        mark = len(self.issues)
-        for child in node:
-            name = child.tag
-            if name == "quote" and not quote:
-                quote = self.rich(child)
-            elif name == "biblStruct" and source is None:
-                source = self.biblstruct(child)
-            elif name == "ref" and source is None:
-                source = child.get("target", "")
-            elif name == "note" and not qualifiers:
-                qualifiers = self.rich(child)
-            else:  # kept whole: what the first read reported does not hold
-                del self.issues[mark:]
-                return m.OpaqueBlock(self.doc.slice(node))
-        return m.CitBlock(quote, source, qualifiers)
+        parts = _parts(node, ("quote", "biblStruct", "ref", "note"))
+        if parts is None or parts.keys() >= {"biblStruct", "ref"}:
+            return m.OpaqueBlock(self.doc.slice(node))
+        source = parts["ref"].get("target", "") if "ref" in parts else None
+        if "biblStruct" in parts:
+            source = self.biblstruct(parts["biblStruct"])
+        quote, note = [self.rich(parts[n]) if n in parts else () for n in ("quote", "note")]
+        return m.CitBlock(quote, source, note)
 
     def figure(self, node):
-        url = None
-        caption: tuple = ()
-        table = None
-        for child in node:
-            name = child.tag
-            if name == "head" and not caption:
-                caption = self.rich(child)
-            elif name == "graphic" and url is None and table is None:
-                url = child.get("url", "")
-            elif name == "table" and table is None and url is None:
-                table = child
-            else:
-                return m.OpaqueBlock(self.doc.slice(node))
-        if table is not None:
+        parts = _parts(node, ("head", "graphic", "table"))
+        if parts is None or parts.keys() >= {"graphic", "table"}:
+            return m.OpaqueBlock(self.doc.slice(node))
+        caption = self.rich(parts["head"]) if "head" in parts else ()
+        if "table" in parts:
             # Table wrapped in a figure: keep the whole region verbatim but
             # surface the caption so downstream consumers can use it.
             return m.TableBlock(self.doc.slice(node), caption)
+        url = parts["graphic"].get("url", "") if "graphic" in parts else None
         return m.FigureBlock(url, caption)
 
     def division(self, node, back: bool = False) -> m.Division | None:
@@ -518,7 +511,7 @@ class _Builder:
                     for extra in paras[1:]:
                         self.warn("P-extra-availability", extra,
                                   "additional availability paragraph dropped")
-                elif any(isinstance(c, str) and c.strip() for c in _mixed(child)):
+                elif has_text(child):
                     availability = self.rich(child)
             elif name == "date":
                 date = self.date_from(child, "publication")
@@ -559,7 +552,7 @@ class _Builder:
                 if item.find("term") is None:  # the item is the term
                     add(item)
                     continue
-                if any(isinstance(part, str) and part.strip() for part in _mixed(item)):
+                if has_text(item):
                     self.warn("P-stray-text", item, "stray text beside a term in item dropped")
                 for _, term in self.children(item, "item", many=("term",)):
                     add(term)

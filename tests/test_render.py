@@ -913,6 +913,15 @@ class TestStyleValidation:
             assert style.id == style_id
             assert "unknown" in style.layouts
 
+    def test_builtin_style_is_read_once(self, monkeypatch):
+        builtin_style.cache_clear()
+        read = []
+        monkeypatch.setattr("teijournal.render.style_from_dict",
+                            lambda raw: read.append(raw["id"]) or style_from_dict(raw))
+        pages = [render_plaintext(cited_article()) for _ in range(2)]
+        assert pages[0] == pages[1]
+        assert read == ["chicago"]
+
     def test_unknown_builtin(self):
         with pytest.raises(StyleError, match="harvard"):
             builtin_style("harvard")

@@ -685,6 +685,23 @@ REPAIRS = {
         (),
         lambda a: type(a.body[0].blocks[1]), m.OpaqueBlock,
     ),
+    # a cit or figure whose children repeat a name is kept verbatim, the
+    # first of them empty or not
+    "empty-quote-then-quote-kept-verbatim": (
+        (b"<p>x</p>", b"<p>x</p><cit><quote/><quote>Q</quote></cit>"),
+        (),
+        lambda a: type(a.body[0].blocks[1]), m.OpaqueBlock,
+    ),
+    "empty-note-then-note-kept-verbatim": (
+        (b"<p>x</p>", b"<p>x</p><cit><quote>Q</quote><note/><note>N</note></cit>"),
+        (),
+        lambda a: type(a.body[0].blocks[1]), m.OpaqueBlock,
+    ),
+    "empty-figure-head-then-head-kept-verbatim": (
+        (b"<p>x</p>", b'<p>x</p><figure><head/><head>H</head><graphic url="u.png"/></figure>'),
+        (),
+        lambda a: type(a.body[0].blocks[1]), m.OpaqueBlock,
+    ),
     "second-monogr-dropped": (
         (b"</monogr></biblStruct></listBibl>",
          b'</monogr><monogr><title level="m">Z</title><imprint><publisher>P</publisher>'
@@ -829,6 +846,23 @@ class TestIssueCodes:
                      and isinstance(node.value, str) and _CODE.fullmatch(node.value)}
         assert len(written) == 19
         assert written == expected
+
+
+def test_a_cit_or_figure_kept_verbatim_has_no_child_read(monkeypatch):
+    read = []
+    for name in ("biblstruct", "rich"):
+        def recording(self, node, method=getattr(xmlio._Builder, name)):
+            read.append(self.doc.source_path(node))
+            return method(self, node)
+        monkeypatch.setattr(xmlio._Builder, name, recording)
+    (old, new), *_ = REPAIRS["cit-kept-verbatim-reports-nothing"]
+    figure = b"<figure><head>A</head><head>B</head></figure>"
+    report = parse_article(REPAIR_BASE.replace(old, new + figure, 1), "t.xml")
+    assert report.ok and report.issues == ()
+    assert [type(block) for block in report.outcome.body[0].blocks] == [
+        m.Paragraph, m.OpaqueBlock, m.OpaqueBlock]
+    assert _ENTRY in read  # the recording sees the back's record
+    assert [path for path in read if "/cit[" in path or "/figure[" in path] == []
 
 
 class TestCitFixture:
@@ -1160,8 +1194,9 @@ _RECORDS = (
 
 @st.composite
 def _cited_articles(draw):
-    """A hand-built article with a reference list that its markers, a cit's
-    pointer and a cit's embedded record cite."""
+    """A hand-built article with a reference list that its markers, in the
+    main title and the divisions, a cit's pointer and a cit's embedded
+    record cite."""
     article = draw(_articles())
     targets = st.sampled_from(["#b0", "#b1", "#b2", "#nope", ""])
     refs = draw(st.lists(st.builds(m.BiblRef, targets, st.text(_xml_chars, max_size=3)),
@@ -1170,8 +1205,10 @@ def _cited_articles(draw):
             m.CitBlock((m.TextRun("r"),), draw(st.sampled_from(_RECORDS)), tuple(refs[:1])))
     cited = m.Division(head=tuple(refs[1:]), blocks=(m.Paragraph(tuple(refs)), *cits))
     entries = draw(st.lists(st.sampled_from(_RECORDS), max_size=4))
-    return dataclasses.replace(article, front=(cited,), back=m.BackMatter(
-        (cited,), m.ListBibl(tuple(entries))))
+    file_desc = dataclasses.replace(article.header.file_desc, main_title=tuple(refs))
+    return dataclasses.replace(
+        article, header=dataclasses.replace(article.header, file_desc=file_desc),
+        front=(cited,), back=m.BackMatter((cited,), m.ListBibl(tuple(entries))))
 
 
 def _pages():
@@ -1194,7 +1231,7 @@ class TestPageProperties:
         # article; a deep copy is rebuilt through __init__ with no memos
         pages = _pages()
         rendered = {i: pages[i](article) for i in order}
-        assert article.__dict__.keys() >= {"_entry_values", "_rendered_entries", "_division_html"}
+        assert article.__dict__.keys() >= {"_entry_values", "_rendered_entries", "_shared_html"}
         for i in order:
             twin = copy.deepcopy(article)
             assert not twin.__dict__

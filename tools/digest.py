@@ -18,15 +18,19 @@ records five digests per document: ``parse_article``'s issues as
 the ``validate`` findings, ``model_paths`` as ``(path, repr(node))``
 pairs, and ``:pages``, the ``render_xhtml`` pages in apa, chicago and mla
 and then the ``render_plaintext`` page, all rendered from one parsed
-article in that order, as ``perfbench/worker.py`` renders them.  Parse
-issues have had those three fields in every version, so the manifests of
-two trees compare.
+article in that order, as ``perfbench/worker.py`` renders them.  It reads
+each document twice more, once with ``<!DOCTYPE TEI>`` after its XML
+declaration and once cut at 90 % of its bytes, and records the issues of
+each, and the canonical bytes of each that parses: the first goes through
+the parser's DOCTYPE prescan, the second through the scan that locates a
+refusal.  Parse issues have had those three fields in every version, so
+the manifests of two trees compare.
 
 ``--compare`` prints each key whose digest differs or that one manifest
 lacks, and exits 1 when there is any.
 
 The inputs are the seed-3 corpus, the seed-3, 5, 7 and 23 schema corpora,
-the deep S and 2S articles, and six small directories made from corpus
+the deep S and 2S articles, and seven small directories made from corpus
 articles: one with a truncated file, a duplicate-id copy and an unreadable
 file, one with XML declarations that name their encoding past the 256th
 byte, one whose titles, keyword, extent kind, paragraph, person key and
@@ -35,7 +39,11 @@ articles repeat children that the model holds once, one whose back
 matter holds an empty div, stray text before a ``listBib`` and an empty div
 beside a ``listBibl``, and one with an empty figure, list, analytic and
 address in one article and ``when`` dates in Arabic-Indic digits in
-another.  Standard library only.
+another, and one whose running text holds a cit and a figure each with an
+empty child before a second of its name, in one article, and in another a
+cit with an empty note before a second note and a cit whose record holds
+an unknown child with an unknown ``bibl`` after the record.  Standard
+library only.
 """
 
 from __future__ import annotations
@@ -71,6 +79,10 @@ def sha256(data):
 def fields(records, *names):
     return sha256(json.dumps([[getattr(r, n) for n in names] for r in records]).encode())
 
+def with_doctype(data):
+    end = data.index(b"?>") + 2 if data.startswith(b"<?xml") else 0
+    return data[:end] + b"<!DOCTYPE TEI>" + data[end:]
+
 digests = {}
 for path in sys.argv[1:]:
     try:
@@ -91,6 +103,13 @@ for path in sys.argv[1:]:
         pages = [render_xhtml(report.outcome, builtin_style(style))
                  for style in ("apa", "chicago", "mla")] + [render_plaintext(report.outcome)]
         digests[f"library {path} :pages"] = sha256(json.dumps(pages).encode())
+    for variant, changed in (("doctype", with_doctype(data)), ("cut", data[: len(data) * 9 // 10])):
+        report = parse_article(changed, path)
+        digests[f"library {path} {variant} :issues"] = fields(
+            report.issues, "severity", "location", "message")
+        if report.ok:
+            digests[f"library {path} {variant} :canonical"] = sha256(
+                serialize_article(report.outcome))
 json.dump(digests, sys.stdout)
 """
 SCHEMA_SEEDS = (3, 5, 7, 23)
@@ -182,6 +201,12 @@ def empty_shapes(data: bytes) -> bytes:
     return head + b"<body>" + front + b"<back>" + back
 
 
+def running_shapes(data: bytes, *shapes: bytes) -> bytes:
+    """``data`` with ``shapes`` after its first body paragraph."""
+    head, body = data.split(b"<body>", 1)
+    return head + b"<body>" + body.replace(b"</p>", b"</p>" + b"".join(shapes), 1)
+
+
 def arabic_dates(data: bytes) -> bytes:
     """``data`` with the digits of every ``when`` value in Arabic-Indic digits."""
     def arabic(match):
@@ -226,6 +251,14 @@ def write_inputs(work: Path, size: str) -> dict:
     dirs["empty"] = write_dir(work / "empty", {
         "art0000.xml": empty_shapes(first),
         "art0001.xml": arabic_dates(second),
+        "art0002.xml": third,
+    })
+    dirs["running"] = write_dir(work / "running", {
+        "art0000.xml": running_shapes(first, b"<cit><quote/><quote>Repeated quote.</quote></cit>",
+                                      b"<figure><head/><head>Repeated head.</head></figure>"),
+        "art0001.xml": running_shapes(second, b"<cit><quote>Q.</quote><note/><note>N.</note></cit>",
+                                      b"<cit><biblStruct><monogr/><mystery/></biblStruct><bibl/>"
+                                      b"</cit>"),
         "art0002.xml": third,
     })
     dirs["deep"] = write_dir(work / "deep", {
@@ -297,7 +330,8 @@ class Runner:
 
 
 def run_all(run: Runner, dirs: dict) -> None:
-    tei_dirs = ("corpus", "damaged", "padded", "hostile", "repeated", "back", "empty", "deep")
+    tei_dirs = ("corpus", "damaged", "padded", "hostile", "repeated", "back", "empty", "running",
+                "deep")
     raw_dirs = (*(f"schema-{seed}" for seed in SCHEMA_SEEDS), *tei_dirs)
     needle = gen.PERSONS[0].split()[-1]
     run.library([path for name in tei_dirs for path in dirs[name]])
@@ -320,7 +354,8 @@ def run_all(run: Runner, dirs: dict) -> None:
             for fmt in ("xhtml", "records"):
                 run("biblio", name, "--style", style, "--format", fmt)
     for path in (*dirs["deep"], dirs["corpus"][0], *dirs["damaged"], *dirs["padded"],
-                 *dirs["hostile"], *dirs["repeated"], *dirs["back"], *dirs["empty"]):
+                 *dirs["hostile"], *dirs["repeated"], *dirs["back"], *dirs["empty"],
+                 *dirs["running"]):
         for style in STYLES:
             for to in ("xhtml", "text"):
                 run("render", path, "--style", style, "--to", to)
