@@ -6,7 +6,9 @@ expat passes are ``_prescan``, which first reads a document with a DOCTYPE
 whole and makes every refusal but the depth limit, and ``_depth_scan``,
 which locates the first refusal of a refused document.  Elements carry
 display names: TEI names lose their namespace, and other qualified names
-read ``{uri}local``, or ``xml:local`` in the XML namespace.  Byte spans,
+read ``{uri}local``, or ``xml:local`` in the XML namespace; under a
+document element in a namespace, an element in no namespace reads
+``{}local``, so no two namespaces share an element name.  Byte spans,
 whose offsets come from regex scans, and source paths are worked out only
 for documents that ask for them (:class:`TreeDocument`).
 Those spans let higher layers carry unrecognized markup through a
@@ -143,7 +145,8 @@ def _fail(parser, message: str) -> None:
 
 class TreeDocument:
     """A document read by :func:`parse_raw`: an ElementTree ``root`` whose
-    tags are display names.
+    tags are display names.  When ``root`` is in a namespace, an element in
+    no namespace is named ``{}local``; attribute names never are.
 
     Attribute keys keep ElementTree's form (``xml:id`` is
     ``{http://www.w3.org/XML/1998/namespace}id``), except that a key in the
@@ -382,7 +385,8 @@ def _adopt_names(root, tei_prefixed: bool) -> tuple:
     for element in compress(elements, map(is_foreign.__contains__, tags)):
         if element not in foreign:  # in document order, an outer one came first
             foreign.update(element.iter())
-    names = {tag: name for tag, (name, _) in resolved.items()}
+    names = {tag: "{}" + name if root_ns and not uri else name  # see the module docstring
+             for tag, (name, uri) in resolved.items()}
     deque(map(setattr, elements, repeat("tag"), map(names.__getitem__, tags)), maxlen=0)
     twins: dict = {}
     if tei_prefixed:

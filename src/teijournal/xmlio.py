@@ -87,14 +87,14 @@ def _text_content(node) -> str:
 
 
 def _parts(node, names) -> dict | None:
-    """``{name: child}`` of ``node``'s children when each has a name in
-    ``names`` and no name repeats, else None: keep ``node`` verbatim."""
+    """``{name: child}`` of ``node``'s children when each has a name in ``names``,
+    none repeats and no text stands beside them, else None: keep ``node`` verbatim."""
     parts: dict = {}
     for child in node:
         if child.tag not in names or child.tag in parts:
             return None
         parts[child.tag] = child
-    return parts
+    return None if has_text(node) else parts
 
 
 def _mixed(node) -> list:
@@ -118,7 +118,6 @@ class _Builder:
 
     def __init__(self, doc: TreeDocument):
         self.doc = doc
-        self.foreign = doc.foreign
         self.issues: list[Finding] = []
         self.entries: list = []  # of the back's reference lists, merged
         self.lists = 0  # back reference lists read
@@ -179,8 +178,6 @@ class _Builder:
         return tuple(out)
 
     def inline(self, node):
-        if node in self.foreign:
-            return m.OpaqueInline(self.doc.slice(node))
         name = node.tag
         if name == "hi":
             return m.Emph(node.get("rend", ""), self.rich(node))
@@ -207,8 +204,6 @@ class _Builder:
 
     def block(self, node):
         """Map one non-div element inside a division to a Block."""
-        if node in self.foreign:
-            return m.OpaqueBlock(self.doc.slice(node))
         name = node.tag
         if name == "p":
             return m.Paragraph(self.rich(node))
@@ -270,7 +265,7 @@ class _Builder:
                               "stray text inside div wrapped as paragraph")
                     blocks.append(m.Paragraph((m.TextRun(child),)))
                 continue
-            name = None if child in self.foreign else child.tag
+            name = child.tag
             if back and name in _LISTBIBL_NAMES:
                 self.listbibl(child)
             elif name == "head" and not head:  # an empty head does not count
@@ -297,7 +292,7 @@ class _Builder:
                         m.Division(blocks=(m.Paragraph((m.TextRun(child),)),))
                     )
                 continue
-            name = None if child in self.foreign else child.tag
+            name = child.tag
             if back and name in _LISTBIBL_NAMES:
                 self.listbibl(child)
             elif name == "div":
@@ -306,16 +301,16 @@ class _Builder:
                     out.append(division)
             else:
                 self.warn("P-wrapped", child, f"element '{child.tag}' in {context} wrapped in div")
-                out.append(self.wrapped(child, name))
+                out.append(self.wrapped(child))
         return tuple(out)
 
-    def wrapped(self, node, name: str | None) -> m.Division:
+    def wrapped(self, node) -> m.Division:
         """A div for an element found where only divs belong, read as its
         canonical serialization re-reads: a div as itself, a head as the
         head of an empty div, anything else as the div's one block."""
-        if name == "div":
+        if node.tag == "div":
             return self.division(node)
-        if name == "head":
+        if node.tag == "head":
             return m.Division(head=self.rich(node))
         return m.Division(blocks=(self.block(node),))
 
@@ -654,9 +649,8 @@ def parse_article(
     # verbatim in body.
     front = body = back = None
     strays: list = []
-    foreign = doc.foreign
     for child in text_node:
-        name = None if child in foreign else child.tag
+        name = child.tag
         if name == "front" and front is None:
             front = builder.division_sequence(child, "front")
         elif name == "body" and body is None:
@@ -666,7 +660,7 @@ def parse_article(
         else:
             builder.warn("P-wrapped-into-body", child,
                          f"element '{child.tag}' in text wrapped into body")
-            strays.append(builder.wrapped(child, name))
+            strays.append(builder.wrapped(child))
     body = (body or ()) + tuple(strays)
 
     header = m.Header(file_desc, profile_desc, revision_desc)

@@ -315,7 +315,8 @@ def display_name(expat_name: str) -> tuple:
 
 @dataclasses.dataclass(eq=False)
 class RefElement:
-    """One element: its display name and attributes, the byte span of its
+    """One element: its display name (``{}local`` in no namespace under a
+    document element in a namespace) and attributes, the byte span of its
     markup, its source path, whether it is foreign (its namespace, or an
     ancestor's, differs from the document element's), the prefixed
     namespace declarations on its start tag, and its children (elements
@@ -396,6 +397,8 @@ def reference_tree(data: bytes) -> RefDocument:
 
     def on_start(expat_name, attr_list):
         name, uri = display_name(expat_name)
+        if stack and not uri and roots[0].ns:  # no namespace under a namespaced root
+            name = "{}" + name
         items = [(display_name(attr_list[i])[0], attr_list[i + 1])
                  for i in range(0, len(attr_list), 2)]
         start = parser.CurrentByteIndex

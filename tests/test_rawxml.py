@@ -104,7 +104,7 @@ def element(draw, depth: int = 0) -> str:
     names = draw(st.lists(ATTR_NAMES, max_size=3, unique=True))
     parts = [draw(attribute(n)) for n in names]
     decl = draw(st.sampled_from(["", 'xmlns:y="urn:y"', 'xmlns="urn:other"',
-                                 f'xmlns="{TEI}"']))
+                                 f'xmlns="{TEI}"', 'xmlns=""']))
     if decl:
         parts.append(decl)
     head = name + "".join(draw(SPACE) + part for part in parts) + draw(OPTIONAL_SPACE)
@@ -307,6 +307,14 @@ class TestParseTree:
         assert doc.ns_decls == reference.ns_decls
         assert doc.root_ns == reference.root.ns
 
+    def test_no_namespace_under_a_namespaced_root_reads_brace_local(self):
+        doc = parse_raw(b'<r xmlns="urn:r"><a xmlns="" k="v" x:k="w" xmlns:x="urn:x"/></r>')
+        assert [e.tag for e in doc.root.iter()] == ["{urn:r}r", "{}a"]
+        assert [name for name, *_ in doc.attributes(doc.root[0])] == ["k", "{urn:x}k"]
+        assert doc.source_path(doc.root[0]) == "{urn:r}r[1]/{}a[1]"
+        doc = parse_raw(b'<r><a xmlns=""/><b xmlns="urn:b"><c xmlns=""/></b></r>')
+        assert [e.tag for e in doc.root.iter()] == ["r", "a", "{urn:b}b", "c"]
+
     def test_tei_prefixed_attribute_is_read_by_its_local_name(self):
         body = (
             '<div type="s" xmlns:t="http://www.tei-c.org/ns/1.0">'
@@ -367,6 +375,21 @@ def ns_element(draw, scope: frozenset = frozenset({"x"}), depth: int = 0) -> str
         return f"<{head}/>"
     children = draw(st.lists(ns_element(scope, depth + 1), max_size=3))
     return f"<{head}>t{''.join(children)}</{name}>"
+
+
+class TestForeignNames:
+    @settings(deadline=None)
+    @given(documents())
+    def test_no_foreign_element_the_builder_meets_has_a_native_name(self, data):
+        """Under a document element in a namespace, a foreign element whose
+        parent is native, the only kind a reader of the tree meets without
+        entering foreign markup, never has the name of a native element."""
+        doc = parse_raw(data)
+        if not doc.root_ns:
+            return
+        native = [e for e in doc.root.iter() if e not in doc.foreign]
+        boundary = {child.tag for e in native for child in e if child in doc.foreign}
+        assert not boundary & {e.tag for e in native}
 
 
 class TestNamespaceDeclarations:

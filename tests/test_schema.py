@@ -61,6 +61,15 @@ class TestProfiling:
         assert not any("deep" in name for name in profile.elements)  # not descended
         assert profile.elements["sec"].children == {"p": 1}
 
+    def test_element_in_no_namespace_under_a_namespaced_root_is_foreign(self):
+        data = b'<r xmlns="urn:r"><p>t</p><a xmlns="" k="v"><p/></a></r>'
+        profile = profile_corpus([parse_raw(data)])
+        assert profile.foreign == {"{}a": 1}
+        assert sorted(profile.elements) == ["{urn:r}p", "{urn:r}r"]
+        assert sorted(schema_from_json(schema_to_json(codify(profile))).foreign) == ["{}a"]
+        rules = parse_rules("a k v -> x\n{}a k v -> w\n")
+        assert arbitrate([parse_raw(data)], rules) == ([data.replace(b'"v"', b'"w"')], 1)
+
     def test_qualified_attributes_keep_their_display_names(self):
         data = b'<doc xmlns:x="urn:x"><p xml:lang="en" x:k="v">t</p></doc>'
         profile = profile_corpus([parse_raw(data)])

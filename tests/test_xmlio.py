@@ -776,6 +776,46 @@ REPAIRS = {
         lambda a: a.body[0].blocks[0].content[1],
         m.OpaqueInline("<choice><abbr>A</abbr><abbr>B</abbr></choice>"),
     ),
+    # a cit, figure or choice with text beside its children is kept verbatim
+    "text-beside-cit-quote-kept-verbatim": (
+        (b"<p>x</p>", b"<p>x</p><cit>lost words<quote>Q</quote></cit>"),
+        (),
+        lambda a: a.body[0].blocks[1], m.OpaqueBlock("<cit>lost words<quote>Q</quote></cit>"),
+    ),
+    "text-beside-figure-graphic-kept-verbatim": (
+        (b"<p>x</p>", b'<p>x</p><figure>lost words<graphic url="u"/></figure>'),
+        (),
+        lambda a: a.body[0].blocks[1],
+        m.OpaqueBlock('<figure>lost words<graphic url="u"/></figure>'),
+    ),
+    "text-beside-choice-parts-kept-verbatim": (
+        (b"<p>x</p>", b"<p>x<choice><abbr>A</abbr> lost <expan>B</expan></choice></p>"),
+        (),
+        lambda a: a.body[0].blocks[0].content[1],
+        m.OpaqueInline("<choice><abbr>A</abbr> lost <expan>B</expan></choice>"),
+    ),
+    # an element in no namespace never reads as its TEI namesake
+    "no-namespace-surname-dropped": (
+        (b"<surname>Lee</surname>", b'<surname xmlns="">Dean</surname>'),
+        _dropped(_AUTHOR + "/persName[1]/{}surname[1]", "{}surname", "persName"),
+        lambda a: _source(a).analytic.authors[0].surname, "",
+    ),
+    "no-namespace-list-item-kept-verbatim": (
+        (b"<p>x</p>", b'<p>x</p><list><item xmlns="">a</item></list>'),
+        (),
+        lambda a: a.body[0].blocks[1], m.OpaqueBlock('<list><item xmlns="">a</item></list>'),
+    ),
+    "no-namespace-choice-abbr-kept-verbatim": (
+        (b"<p>x</p>", b'<p>x<choice><abbr xmlns="">A</abbr></choice></p>'),
+        (),
+        lambda a: a.body[0].blocks[0].content[1],
+        m.OpaqueInline('<choice><abbr xmlns="">A</abbr></choice>'),
+    ),
+    "no-namespace-table-head-is-no-caption": (
+        (b"<p>x</p>", b'<p>x</p><table><head xmlns="">H</head><row/></table>'),
+        (),
+        lambda a: a.body[0].blocks[1].caption, (),
+    ),
 }
 
 

@@ -24,13 +24,19 @@ declaration and once cut at 90 % of its bytes, and records the issues of
 each, and the canonical bytes of each that parses: the first goes through
 the parser's DOCTYPE prescan, the second through the scan that locates a
 refusal.  Parse issues have had those three fields in every version, so
-the manifests of two trees compare.
+the manifests of two trees compare.  The same child then reads each raw
+directory, schema corpora and TEI directories alike, as ``codify`` and
+``variants`` read it: per document that ``parse_raw`` accepts,
+``:attributes``, every element's ``TreeDocument.attributes`` in document
+order, and per directory the ``repr`` of ``profile_corpus`` as
+``:profile``, ``schema_to_json`` of its ``codify`` as ``:codify`` and the
+``repr`` of its ``detect_variants`` list as ``:variants``.
 
 ``--compare`` prints each key whose digest differs or that one manifest
 lacks, and exits 1 when there is any.
 
 The inputs are the seed-3 corpus, the seed-3, 5, 7 and 23 schema corpora,
-the deep S and 2S articles, and seven small directories made from corpus
+the deep S and 2S articles, and eight small directories made from corpus
 articles: one with a truncated file, a duplicate-id copy and an unreadable
 file, one with XML declarations that name their encoding past the 256th
 byte, one whose titles, keyword, extent kind, paragraph, person key and
@@ -42,8 +48,11 @@ address in one article and ``when`` dates in Arabic-Indic digits in
 another, and one whose running text holds a cit and a figure each with an
 empty child before a second of its name, in one article, and in another a
 cit with an empty note before a second note and a cit whose record holds
-an unknown child with an unknown ``bibl`` after the record.  Standard
-library only.
+an unknown child with an unknown ``bibl`` after the record, and one whose
+articles hold elements in no namespace (``xmlns=""``) named as TEI
+elements: a surname, a list item, a choice's abbr, a table head and a
+paragraph before a TEI one, in a div and directly in body, beside a cit
+with text before its quote.  Standard library only.
 """
 
 from __future__ import annotations
@@ -66,10 +75,14 @@ sys.dont_write_bytecode = True  # leave no cache beside the generator
 import gen  # noqa: E402  (perfbench/gen.py)
 
 ENTRY = "import sys; from teijournal.cli import main; sys.exit(main())"
-# Reads the files named on its command line; prints {key: digest} as JSON.
+# Reads the files named on its command line, then after "--" the raw
+# directories; prints {key: digest} as JSON.
 LIBRARY = """
 import hashlib, json, sys
+from pathlib import Path
+from teijournal.rawxml import RawXmlError, parse_raw
 from teijournal.render import builtin_style, render_plaintext, render_xhtml
+from teijournal.schema import codify, detect_variants, profile_corpus, schema_to_json
 from teijournal.validator import validate
 from teijournal.xmlio import model_paths, parse_article, serialize_article
 
@@ -83,8 +96,9 @@ def with_doctype(data):
     end = data.index(b"?>") + 2 if data.startswith(b"<?xml") else 0
     return data[:end] + b"<!DOCTYPE TEI>" + data[end:]
 
+split = sys.argv.index("--")
 digests = {}
-for path in sys.argv[1:]:
+for path in sys.argv[1:split]:
     try:
         with open(path, "rb") as handle:
             data = handle.read()
@@ -110,6 +124,20 @@ for path in sys.argv[1:]:
         if report.ok:
             digests[f"library {path} {variant} :canonical"] = sha256(
                 serialize_article(report.outcome))
+for directory in sys.argv[split + 1:]:
+    docs = []
+    for path in sorted(str(p) for p in Path(directory).glob("*.xml")):
+        try:
+            doc = parse_raw(Path(path).read_bytes())
+        except (OSError, RawXmlError):
+            continue
+        docs.append(doc)
+        digests[f"library {path} :attributes"] = sha256(json.dumps(
+            [doc.attributes(element) for element in doc.root.iter()]).encode())
+    profile = profile_corpus(docs)
+    digests[f"library {directory} :profile"] = sha256(repr(profile).encode())
+    digests[f"library {directory} :codify"] = sha256(schema_to_json(codify(profile)).encode())
+    digests[f"library {directory} :variants"] = sha256(repr(detect_variants(profile)).encode())
 json.dump(digests, sys.stdout)
 """
 SCHEMA_SEEDS = (3, 5, 7, 23)
@@ -207,6 +235,20 @@ def running_shapes(data: bytes, *shapes: bytes) -> bytes:
     return head + b"<body>" + body.replace(b"</p>", b"</p>" + b"".join(shapes), 1)
 
 
+def foreign_shapes(data: bytes) -> bytes:
+    """``data`` with its first surname in no namespace, and after its first
+    body paragraph a list whose item, a choice whose abbr and a table
+    whose head are in no namespace, a paragraph in no namespace before a
+    TEI one, and a cit with text before its quote."""
+    data = data.replace(b"<surname>", b'<surname xmlns="">', 1)
+    return running_shapes(
+        data, b'<list><item xmlns="">Foreign item.</item></list>',
+        b'<p>An <choice><abbr xmlns="">FA</abbr></choice> inside.</p>',
+        b'<table><head xmlns="">Foreign head.</head><row><cell>c</cell></row></table>',
+        b'<p xmlns="">Foreign paragraph.</p><p>Native paragraph.</p>',
+        b"<cit>Loose words.<quote>Quoted.</quote></cit>")
+
+
 def arabic_dates(data: bytes) -> bytes:
     """``data`` with the digits of every ``when`` value in Arabic-Indic digits."""
     def arabic(match):
@@ -261,6 +303,12 @@ def write_inputs(work: Path, size: str) -> dict:
                                       b"</cit>"),
         "art0002.xml": third,
     })
+    dirs["foreign"] = write_dir(work / "foreign", {
+        "art0000.xml": foreign_shapes(first),
+        "art0001.xml": second.replace(
+            b"<body>", b'<body><p xmlns="">Foreign paragraph.</p><p>Native paragraph.</p>', 1),
+        "art0002.xml": third,
+    })
     dirs["deep"] = write_dir(work / "deep", {
         f"deep-{label}.xml": gen.deep_article(3, 0, label, size)[0] for label in ("S", "2S")
     })
@@ -298,11 +346,12 @@ class Runner:
         self.outs += 1
         return f"out/{self.outs:03d}"
 
-    def library(self, paths: list) -> None:
+    def library(self, paths: list, raw_dirs: tuple) -> None:
         """Digest each file's parse issues, canonical bytes, findings, model
-        paths and pages."""
+        paths and pages, then each raw directory's attribute lists,
+        profile, schema and variants."""
         done = subprocess.run(
-            [sys.executable, "-c", LIBRARY, *paths], cwd=self.work, env=self.env,
+            [sys.executable, "-c", LIBRARY, *paths, "--", *raw_dirs], cwd=self.work, env=self.env,
             stdin=subprocess.DEVNULL, capture_output=True, timeout=600, check=True,
         )
         self.digests.update(json.loads(done.stdout))
@@ -331,10 +380,10 @@ class Runner:
 
 def run_all(run: Runner, dirs: dict) -> None:
     tei_dirs = ("corpus", "damaged", "padded", "hostile", "repeated", "back", "empty", "running",
-                "deep")
+                "foreign", "deep")
     raw_dirs = (*(f"schema-{seed}" for seed in SCHEMA_SEEDS), *tei_dirs)
     needle = gen.PERSONS[0].split()[-1]
-    run.library([path for name in tei_dirs for path in dirs[name]])
+    run.library([path for name in tei_dirs for path in dirs[name]], raw_dirs)
 
     for name in tei_dirs:
         files = dirs[name]
