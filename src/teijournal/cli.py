@@ -597,7 +597,13 @@ def main(argv=None) -> int:
     collecting = gc.isenabled()
     gc.disable()
     try:
-        return int(args.func(args))
+        status = int(args.func(args))
+        sys.stdout.flush()  # so that a closed pipe is met here, not at exit
+        return status
+    except BrokenPipeError:  # the reader left first, as `| head` does
+        print("teijournal: output closed before it was all written", file=sys.stderr)
+        with open(os.devnull, "wb") as null:  # so that the flush at exit is quiet
+            os.dup2(null.fileno(), sys.stdout.fileno())
     except CliError as exc:
         print(f"teijournal: {exc}", file=sys.stderr)
     except Exception as exc:  # a bug, not a finding: never exit 1 for it

@@ -499,15 +499,17 @@ class _Builder:
         authority = None
         once = ("availability", "date", "authority")
         for name, child in self.children(node, "publicationStmt", once):
-            if name == "availability":
-                paras = child.findall("p")
-                if paras:
-                    availability = self.rich(paras[0])
-                    for extra in paras[1:]:
-                        self.warn("P-extra-availability", extra,
-                                  "additional availability paragraph dropped")
-                elif has_text(child):
-                    availability = self.rich(child)
+            if name == "availability" and child.find("p") is None:  # bare text, or none
+                availability = self.rich(child) if has_text(child) else ()
+            elif name == "availability":
+                if has_text(child):
+                    self.warn("P-stray-text", child,
+                              "stray text beside availability paragraphs dropped")
+                paras = self.children(child, "availability", many=("p",))
+                availability = self.rich(next(paras)[1])
+                for _, extra in paras:
+                    self.warn("P-extra-availability", extra,
+                              "additional availability paragraph dropped")
             elif name == "date":
                 date = self.date_from(child, "publication")
             else:
@@ -629,6 +631,10 @@ def parse_article(
     if header_node is None or text_node is None:
         return ParseReport(issues=tuple(builder.issues))
 
+    # text directly in TEI or in text belongs to no model node
+    for node in (root, text_node):
+        if has_text(node):
+            builder.warn("P-stray-text", node, f"stray text in {node.tag} dropped")
     for child in root:
         if child is not header_node and child is not text_node:
             builder.unknown(child, "TEI")

@@ -1206,6 +1206,21 @@ class TestInternalErrors:
             err,
         )
 
+    def test_a_closed_stdout_exits_2_with_one_line(self):
+        read, write = os.pipe()
+        os.close(read)  # the reader has left before the first write
+        try:
+            done = subprocess.run(
+                [sys.executable, "-c", "import sys; from teijournal.cli import main; "
+                 "sys.exit(main())", "explain", "R9"],
+                stdout=write, stderr=subprocess.PIPE, text=True,
+                env={"PYTHONPATH": str(Path(cli.__file__).parents[1])})
+        finally:
+            os.close(write)
+        assert done.returncode == ExitStatus.FAILURE
+        # no internal error, and no "Exception ignored" line at shutdown
+        assert done.stderr == "teijournal: output closed before it was all written\n"
+
 
 class TestMutantsThroughEveryCommand:
     """Every subcommand, in process, over a directory holding one structural

@@ -36,23 +36,17 @@ order, and per directory the ``repr`` of ``profile_corpus`` as
 lacks, and exits 1 when there is any.
 
 The inputs are the seed-3 corpus, the seed-3, 5, 7 and 23 schema corpora,
-the deep S and 2S articles, and eight small directories made from corpus
-articles: one with a truncated file, a duplicate-id copy and an unreadable
-file, one with XML declarations that name their encoding past the 256th
-byte, one whose titles, keyword, extent kind, paragraph, person key and
-link target hold every character an escaper replaces, one whose
-articles repeat children that the model holds once, one whose back
-matter holds an empty div, stray text before a ``listBib`` and an empty div
-beside a ``listBibl``, and one with an empty figure, list, analytic and
-address in one article and ``when`` dates in Arabic-Indic digits in
-another, and one whose running text holds a cit and a figure each with an
-empty child before a second of its name, in one article, and in another a
-cit with an empty note before a second note and a cit whose record holds
-an unknown child with an unknown ``bibl`` after the record, and one whose
-articles hold elements in no namespace (``xmlns=""``) named as TEI
-elements: a surname, a list item, a choice's abbr, a table head and a
-paragraph before a TEI one, in a div and directly in body, beside a cit
-with text before its quote.  Standard library only.
+the deep S and 2S articles, and four small directories.  Three are made
+from corpus articles: ``damaged`` holds a truncated file, a duplicate-id
+copy and an unreadable file, ``padded`` XML declarations that name their
+encoding past the 256th byte, and ``hostile`` titles, a keyword, an extent
+kind, a paragraph, a person key and a link target that hold every
+character an escaper replaces.  ``repairs`` holds ``REPAIR_BASE`` of
+``tests/repairs.py`` as ``base.xml`` and, for each row of its ``REPAIRS``,
+the base with that row's replacement made once as ``<row id>.xml``, so a
+new row is digested with no edit to this tool.  Standard library only,
+apart from ``tests/repairs.py`` and the ``teijournal.model`` it imports,
+both read from this tool's checkout.
 """
 
 from __future__ import annotations
@@ -61,7 +55,6 @@ import argparse
 import hashlib
 import json
 import os
-import re
 import shutil
 import subprocess
 import sys
@@ -69,10 +62,11 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "perfbench"))
-sys.dont_write_bytecode = True  # leave no cache beside the generator
+sys.path[:0] = [str(ROOT / "perfbench"), str(ROOT / "tests"), str(ROOT / "src")]
+sys.dont_write_bytecode = True  # leave no cache beside the generator or the rows
 
 import gen  # noqa: E402  (perfbench/gen.py)
+import repairs  # noqa: E402  (tests/repairs.py, which loads teijournal.model)
 
 ENTRY = "import sys; from teijournal.cli import main; sys.exit(main())"
 # Reads the files named on its command line, then after "--" the raw
@@ -148,7 +142,6 @@ TEI_RULES = "title level a -> article\n* rend italic -> it\nbiblScope type vol -
 HOSTILE_TEXT = b"&amp; &lt; &gt; \" ' \\ \t&#13;\n"
 HOSTILE_VALUE = b"&amp; &lt; &gt; &quot; ' \\ &#9;&#13;&#10;"
 HOSTILE_RULES = "title level a -> a&b<c\"d'e\n"
-ARABIC_DIGITS = str.maketrans("0123456789", "".join(chr(0x660 + d) for d in range(10)))
 
 
 def sha256(data: bytes) -> str:
@@ -186,76 +179,6 @@ def hostile(data: bytes) -> bytes:
         b'<ref target="' + HOSTILE_VALUE + b'">link</ref></p>'), 1)
 
 
-def repeated(data: bytes) -> bytes:
-    """``data`` with a second fileDesc, first persName, first email and
-    body; an accessed date before the first imprint date, the source
-    record's; a second publisher after each; a second monogr in each
-    reference entry that ends with its monogr; and a second abbr in each
-    choice."""
-    for old, new, count in (
-        (b"</fileDesc>", b"</fileDesc><fileDesc><titleStmt><title>Repeat</title></titleStmt>"
-         b"</fileDesc>", 1),
-        (b"</persName>", b"</persName><persName><surname>Repeat</surname></persName>", 1),
-        (b"</email>", b"</email><email>repeat@example.org</email>", 1),
-        (b"</body>", b'</body><body><div type="section"><p>Repeated body.</p></div></body>', 1),
-        (b"<imprint><date ", b'<imprint><date type="accessed" when="1999-01-01"/><date ', 1),
-        (b"</publisher>", b"</publisher><publisher>Repeat</publisher>", -1),
-        (b"</monogr></biblStruct>", b'</monogr><monogr><title level="m" type="main">Repeat'
-         b"</title></monogr></biblStruct>", -1),
-        (b"</abbr>", b"</abbr><abbr>Repeat</abbr>", -1),
-    ):
-        data = data.replace(old, new, count)
-    return data
-
-
-def back_shapes(data: bytes) -> bytes:
-    """``data`` with an empty appendix div, stray text and an empty listBib
-    before its bibliography div, and an empty notes div inside that div,
-    before its listBibl."""
-    return data.replace(b'<back><div type="bibliography">',
-                        b'<back><div type="appendix"/>Stray text.<listBib/>'
-                        b'<div type="bibliography"><div type="notes"/>', 1)
-
-
-def empty_shapes(data: bytes) -> bytes:
-    """``data`` with an empty figure and list after its first body
-    paragraph, an empty analytic in its first reference entry that starts
-    with its monogr, and its first address emptied."""
-    head, body = data.split(b"<body>", 1)
-    body = body.replace(b"</p>", b"</p><figure/><list/>", 1)
-    front, back = body.split(b"<back>", 1)
-    back = re.sub(rb"(<biblStruct [^>]*>)<monogr>", rb"\1<analytic/><monogr>", back, count=1)
-    head = re.sub(rb"<address>.*?</address>", b"<address/>", head, count=1)
-    return head + b"<body>" + front + b"<back>" + back
-
-
-def running_shapes(data: bytes, *shapes: bytes) -> bytes:
-    """``data`` with ``shapes`` after its first body paragraph."""
-    head, body = data.split(b"<body>", 1)
-    return head + b"<body>" + body.replace(b"</p>", b"</p>" + b"".join(shapes), 1)
-
-
-def foreign_shapes(data: bytes) -> bytes:
-    """``data`` with its first surname in no namespace, and after its first
-    body paragraph a list whose item, a choice whose abbr and a table
-    whose head are in no namespace, a paragraph in no namespace before a
-    TEI one, and a cit with text before its quote."""
-    data = data.replace(b"<surname>", b'<surname xmlns="">', 1)
-    return running_shapes(
-        data, b'<list><item xmlns="">Foreign item.</item></list>',
-        b'<p>An <choice><abbr xmlns="">FA</abbr></choice> inside.</p>',
-        b'<table><head xmlns="">Foreign head.</head><row><cell>c</cell></row></table>',
-        b'<p xmlns="">Foreign paragraph.</p><p>Native paragraph.</p>',
-        b"<cit>Loose words.<quote>Quoted.</quote></cit>")
-
-
-def arabic_dates(data: bytes) -> bytes:
-    """``data`` with the digits of every ``when`` value in Arabic-Indic digits."""
-    def arabic(match):
-        return match[0].decode().translate(ARABIC_DIGITS).encode()
-    return re.sub(rb'when="[^"]*"', arabic, data)
-
-
 def write_inputs(work: Path, size: str) -> dict:
     """Write every input; returns {directory name: relative file paths}."""
     dirs: dict = {}
@@ -280,34 +203,10 @@ def write_inputs(work: Path, size: str) -> dict:
         "art0001.xml": hostile(second),
         "art0002.xml": third,
     })
-    dirs["repeated"] = write_dir(work / "repeated", {
-        "art0000.xml": repeated(first),
-        "art0001.xml": repeated(second),
-        "art0002.xml": third,
-    })
-    dirs["back"] = write_dir(work / "back", {
-        "art0000.xml": back_shapes(first),
-        "art0001.xml": back_shapes(second),
-        "art0002.xml": third,
-    })
-    dirs["empty"] = write_dir(work / "empty", {
-        "art0000.xml": empty_shapes(first),
-        "art0001.xml": arabic_dates(second),
-        "art0002.xml": third,
-    })
-    dirs["running"] = write_dir(work / "running", {
-        "art0000.xml": running_shapes(first, b"<cit><quote/><quote>Repeated quote.</quote></cit>",
-                                      b"<figure><head/><head>Repeated head.</head></figure>"),
-        "art0001.xml": running_shapes(second, b"<cit><quote>Q.</quote><note/><note>N.</note></cit>",
-                                      b"<cit><biblStruct><monogr/><mystery/></biblStruct><bibl/>"
-                                      b"</cit>"),
-        "art0002.xml": third,
-    })
-    dirs["foreign"] = write_dir(work / "foreign", {
-        "art0000.xml": foreign_shapes(first),
-        "art0001.xml": second.replace(
-            b"<body>", b'<body><p xmlns="">Foreign paragraph.</p><p>Native paragraph.</p>', 1),
-        "art0002.xml": third,
+    dirs["repairs"] = write_dir(work / "repairs", {
+        "base.xml": repairs.REPAIR_BASE,
+        **{f"{case}.xml": repairs.REPAIR_BASE.replace(old, new, 1)
+           for case, ((old, new), *_) in repairs.REPAIRS.items()},
     })
     dirs["deep"] = write_dir(work / "deep", {
         f"deep-{label}.xml": gen.deep_article(3, 0, label, size)[0] for label in ("S", "2S")
@@ -379,8 +278,7 @@ class Runner:
 
 
 def run_all(run: Runner, dirs: dict) -> None:
-    tei_dirs = ("corpus", "damaged", "padded", "hostile", "repeated", "back", "empty", "running",
-                "foreign", "deep")
+    tei_dirs = ("corpus", "damaged", "padded", "hostile", "repairs", "deep")
     raw_dirs = (*(f"schema-{seed}" for seed in SCHEMA_SEEDS), *tei_dirs)
     needle = gen.PERSONS[0].split()[-1]
     run.library([path for name in tei_dirs for path in dirs[name]], raw_dirs)
@@ -403,8 +301,7 @@ def run_all(run: Runner, dirs: dict) -> None:
             for fmt in ("xhtml", "records"):
                 run("biblio", name, "--style", style, "--format", fmt)
     for path in (*dirs["deep"], dirs["corpus"][0], *dirs["damaged"], *dirs["padded"],
-                 *dirs["hostile"], *dirs["repeated"], *dirs["back"], *dirs["empty"],
-                 *dirs["running"]):
+                 *dirs["hostile"]):
         for style in STYLES:
             for to in ("xhtml", "text"):
                 run("render", path, "--style", style, "--to", to)
