@@ -45,42 +45,49 @@ class UsageProfile(Record, mutable=True, metaclass=slotted):
     foreign: Counter = factory(Counter)  # boundary names
 
 
-def _add_element(profile: UsageProfile, foreign: set, element) -> None:
-    """Record ``element`` and, below it, every element outside the
-    ``foreign`` subtrees."""
-    usage = profile.elements.get(element.tag)
-    if usage is None:
-        usage = profile.elements[element.tag] = ElementUsage()
-    usage.count += 1
-    for key, value in element.items():
-        name = attribute_name(key)
-        values = usage.attributes.get(name)
-        if values is None:
-            values = usage.attributes[name] = Counter()
-        values[value] += 1
-    if has_text(element):
-        usage.text_count += 1
-    native = []
-    for child in element:
-        if child in foreign:
-            profile.foreign[child.tag] += 1
-            continue
-        usage.children[child.tag] += 1
-        native.append(child)
-    # Each child name once, in first-seen order: a set's order would follow
-    # the string hash seed, and with it the profile's repr.
-    usage.child_coverage.update(dict.fromkeys([child.tag for child in native], 1))
-    for child in native:
-        _add_element(profile, foreign, child)
-
-
 def profile_corpus(docs) -> UsageProfile:
-    """Aggregate observations over a collection of parsed trees."""
+    """Aggregate observations over a collection of parsed trees, each read
+    in one document-order loop over its elements outside foreign subtrees:
+    every name enters its counter when first seen, so the repr does not
+    depend on the hash seed.  Foreign children count as boundaries, and each
+    other child name once per parent in ``child_coverage``."""
     profile = UsageProfile()
+    elements = profile.elements
     for doc in docs:
         profile.doc_count += 1
         profile.roots[doc.root.tag] += 1
-        _add_element(profile, doc.foreign, doc.root)
+        foreign = doc.foreign
+        for element in doc.root.iter():
+            if element in foreign:
+                continue
+            usage = elements.get(element.tag)
+            if usage is None:
+                usage = elements[element.tag] = ElementUsage()
+            usage.count += 1
+            for key, value in element.items():
+                name = attribute_name(key)
+                values = usage.attributes.get(name)
+                if values is None:
+                    values = usage.attributes[name] = Counter()
+                values[value] += 1
+            text = element.text  # as has_text tests it, with no call
+            textual = bool(text) and not text.isspace()
+            if len(element):
+                seen = set()
+                for child in element:
+                    if not textual:
+                        tail = child.tail
+                        textual = bool(tail) and not tail.isspace()
+                    name = child.tag
+                    if child in foreign:
+                        profile.foreign[name] += 1
+                        continue
+                    usage.children[name] += 1
+                    if name not in seen:
+                        seen.add(name)
+                        usage.child_coverage[name] += 1
+            if textual:
+                usage.text_count += 1
     return profile
 
 
@@ -245,7 +252,8 @@ def validate_against(
     doc: TreeDocument,
     base: RestrictedSchema | None = None,
 ) -> list:
-    """Report constructs the schema does not permit, in document order.
+    """Report constructs the schema does not permit, in document order; a
+    missing required child is reported after every finding inside its parent.
 
     With a base schema, constructs absent from ``schema`` but permitted
     by ``base`` are downgraded to warnings; absences of required parts
@@ -297,7 +305,8 @@ class _SchemaCheck:
                 brule is not None,
             )
         else:
-            attrs = {attribute_name(key): value for key, value in node.items()}
+            items = node.items()
+            attrs = {attribute_name(key): value for key, value in items} if items else {}
             for attr, value in attrs.items():
                 arule = rule.attributes.get(attr)
                 battr = brule.attributes.get(attr) if brule else None
@@ -334,7 +343,7 @@ class _SchemaCheck:
                     f"text content not allowed in '{name}'",
                     brule is not None and brule.text,
                 )
-        present = set()
+        present = set() if len(node) else ()
         foreign = self.doc.foreign
         for child in node:
             child_name = child.tag
@@ -359,8 +368,8 @@ class _SchemaCheck:
                     base_allows,
                 )
             self.visit(child)
-        if rule is not None:
-            for required in sorted(rule.required_children - present):
+        if rule is not None and rule.required_children:
+            for required in sorted(rule.required_children.difference(present)):
                 emit(
                     "S-required-child",
                     node,
@@ -514,10 +523,11 @@ def arbitrate(docs, rules) -> tuple:
             target = table.get(("*", attribute, value))
         return target
 
+    sources = {from_value for _, _, from_value in table}
     rewritten: list = []
     changes = 0
     for doc in docs:
-        edits = _collect_edits(doc, lookup)
+        edits = _collect_edits(doc, sources, lookup)
         changes += len(edits)
         rewritten.append(_splice(doc.data, edits) if edits else doc.data)
     return rewritten, changes
@@ -536,17 +546,19 @@ def _splice(data: bytes, edits: list) -> bytes:
     return b"".join(parts)
 
 
-def _collect_edits(doc: TreeDocument, lookup) -> list:
+def _collect_edits(doc: TreeDocument, sources: set, lookup) -> list:
     """``(start, end, replacement)`` for every attribute value of ``doc``
-    that a rule rewrites."""
+    that a rule rewrites; a value not in ``sources``, the rules' ``from``
+    values, is passed over before its attribute is named."""
     edits: list = []
     for element in doc.root.iter():
         hits: dict = {}  # (display name, value) -> target
         for key, value in element.items():
-            name = attribute_name(key)
-            target = lookup(element.tag, name, value)
-            if target is not None:
-                hits[name, value] = target
+            if value in sources:
+                name = attribute_name(key)
+                target = lookup(element.tag, name, value)
+                if target is not None:
+                    hits[name, value] = target
         if not hits:
             continue
         # a TEI-prefixed twin of a name may carry another value

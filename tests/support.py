@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 
 from teijournal import model as m
 from teijournal import rawxml
-from teijournal.schema import ElementUsage, UsageProfile
+from teijournal.rawxml import attribute_name, has_text
+from teijournal.schema import ElementUsage, UsageProfile, _SchemaCheck
 from teijournal.xmlio import parse_article, serialize_article
 
 TEI_NS = "http://www.tei-c.org/ns/1.0"
@@ -608,6 +609,157 @@ def merge_profiles(a: UsageProfile, b: UsageProfile) -> UsageProfile:
             for attr, values in usage.attributes.items():
                 target.attributes[attr] = target.attributes.get(attr, Counter()) + values
     return merged
+
+
+# --------------------------------------------------------------------------
+# Schema oracles: the recursive walks ``profile_corpus`` and
+# ``validate_against`` made before each became one tighter pass
+# --------------------------------------------------------------------------
+
+
+def _add_element(profile: UsageProfile, foreign: set, element) -> None:
+    """Record ``element`` and, below it, every element outside the
+    ``foreign`` subtrees."""
+    usage = profile.elements.get(element.tag)
+    if usage is None:
+        usage = profile.elements[element.tag] = ElementUsage()
+    usage.count += 1
+    for key, value in element.items():
+        name = attribute_name(key)
+        values = usage.attributes.get(name)
+        if values is None:
+            values = usage.attributes[name] = Counter()
+        values[value] += 1
+    if has_text(element):
+        usage.text_count += 1
+    native = []
+    for child in element:
+        if child in foreign:
+            profile.foreign[child.tag] += 1
+            continue
+        usage.children[child.tag] += 1
+        native.append(child)
+    # Each child name once, in first-seen order: a set's order would follow
+    # the string hash seed, and with it the profile's repr.
+    usage.child_coverage.update(dict.fromkeys([child.tag for child in native], 1))
+    for child in native:
+        _add_element(profile, foreign, child)
+
+
+def reference_profile(docs) -> UsageProfile:
+    """``profile_corpus`` by one recursive call per element."""
+    profile = UsageProfile()
+    for doc in docs:
+        profile.doc_count += 1
+        profile.roots[doc.root.tag] += 1
+        _add_element(profile, doc.foreign, doc.root)
+    return profile
+
+
+class _ReferenceCheck(_SchemaCheck):
+    """``_SchemaCheck`` with the visit that builds every set and dict."""
+
+    def visit(self, node) -> None:
+        schema = self.schema
+        base = self.base
+        emit = self.emit
+        name = node.tag
+        rule = schema.elements.get(name)
+        brule = base.elements.get(name) if base is not None else None
+        if rule is None:
+            emit(
+                "S-element",
+                node,
+                f"element '{name}' not in the schema",
+                brule is not None,
+            )
+        else:
+            attrs = {attribute_name(key): value for key, value in node.items()}
+            for attr, value in attrs.items():
+                arule = rule.attributes.get(attr)
+                battr = brule.attributes.get(attr) if brule else None
+                if arule is None:
+                    emit(
+                        "S-attribute",
+                        node,
+                        f"attribute '{attr}' not allowed on '{name}'",
+                        battr is not None,
+                    )
+                elif arule.values is not None and value not in arule.values:
+                    base_allows = battr is not None and (
+                        battr.values is None or value in battr.values
+                    )
+                    emit(
+                        "S-value",
+                        node,
+                        f"value '{value}' of '{name}/@{attr}' outside "
+                        f"the closed list {sorted(arule.values)}",
+                        base_allows,
+                    )
+            for attr, arule in rule.attributes.items():
+                if arule.required and attr not in attrs:
+                    emit(
+                        "S-required-attribute",
+                        node,
+                        f"required attribute '{attr}' missing on '{name}'",
+                        False,
+                    )
+            if not rule.text and has_text(node):
+                emit(
+                    "S-text",
+                    node,
+                    f"text content not allowed in '{name}'",
+                    brule is not None and brule.text,
+                )
+        present = set()
+        foreign = self.doc.foreign
+        for child in node:
+            child_name = child.tag
+            if child in foreign:
+                if child_name in schema.foreign:
+                    continue
+                emit(
+                    "S-element",
+                    child,
+                    f"foreign element '{child_name}' not in the schema",
+                    base is not None and child_name in base.foreign,
+                )
+                continue
+            present.add(child_name)
+            if rule is not None and child_name not in rule.children:
+                base_allows = brule is not None and child_name in brule.children
+                emit(
+                    "S-child",
+                    child,
+                    f"element '{child_name}' not permitted inside "
+                    f"'{name}'",
+                    base_allows,
+                )
+            self.visit(child)
+        if rule is not None:
+            for required in sorted(rule.required_children - present):
+                emit(
+                    "S-required-child",
+                    node,
+                    f"required child '{required}' missing in '{name}'",
+                    False,
+                )
+
+
+def reference_findings(schema, doc: rawxml.TreeDocument, base=None) -> list:
+    """``validate_against`` through the reference visit."""
+    check = _ReferenceCheck(schema, base, doc)
+    root = doc.root
+    if schema.root and root.tag != schema.root:
+        check.emit(
+            "S-root",
+            root,
+            f"document element '{root.tag}' differs from schema root "
+            f"'{schema.root}'",
+            False,
+        )
+    check.visit(root)
+    return check.findings
 
 
 # --------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Profiling, codification, variant handling, and corpus arbitration."""
 
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
@@ -27,7 +28,15 @@ from teijournal.schema import (
     validate_against,
 )
 
-from support import article_bytes, attr_value_spans_by_bytes, write_corpus
+from support import (
+    article_bytes,
+    attr_value_spans_by_bytes,
+    reference_findings,
+    reference_profile,
+    tree_mutants,
+    write_corpus,
+)
+from test_rawxml import TEI, documents, with_tei_prefix
 
 DOC_A = b'<doc><sec type="intro"><p>one</p><p>two</p></sec></doc>'
 DOC_B = b'<doc><sec type="body"><p>three</p></sec><note/></doc>'
@@ -323,6 +332,103 @@ class TestValidateAgainst:
             b"<doc><sec type='intro' id='z'><p>x</p></sec></doc>", base
         )
         assert codes == [("S-attribute", "error")]
+
+
+# --------------------------------------------------------------------------
+# The one-loop profile and the checks that skip empty work, against the
+# recursive walks kept in tests/support.py
+# --------------------------------------------------------------------------
+
+
+def _generator():
+    """``perfbench/gen.py``, imported without writing bytecode beside it."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("gen", path)
+    module = sys.modules["gen"] = importlib.util.module_from_spec(spec)
+    dont_write, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = dont_write
+    return module
+
+
+# Names shared with documents(), the schema corpora and the TEI articles,
+# under closed lists, required attributes and children and no text, which
+# they break: every rule fires against it.
+OTHER_SCHEMA = codify(profile_corpus(docs(
+    b'<doc version="2" rend="x"><sec type="intro"><head/><note place="end"/></sec>'
+    b'<a k="1" rend="bold"><b/></a><p><b/></p></doc>',
+    b'<doc version="2"><sec type="intro"><head/></sec><a k="2" rend="bold"><b/>t</a>'
+    b'<p><hi rend="it"/></p></doc>',
+)))
+BASE_SCHEMA = load_base_schema()
+
+
+def findings_agree(corpus) -> int:
+    """Assert that ``profile_corpus`` and ``validate_against`` give what the
+    reference walks give; returns the number of findings compared."""
+    profile = profile_corpus(corpus)
+    assert repr(profile) == repr(reference_profile(corpus))
+    own = codify(profile)
+    fired = 0
+    for doc in corpus:
+        for schema, base in ((own, None), (own, BASE_SCHEMA), (OTHER_SCHEMA, None),
+                             (OTHER_SCHEMA, own)):
+            findings = validate_against(schema, doc, base)
+            assert findings == reference_findings(schema, doc, base)
+            fired += len(findings)
+    return fired
+
+
+def python_space() -> list:
+    """Text and tails of NBSP alone and of ``\\x1c`` alone, which Python's
+    ``isspace`` counts as whitespace and XML does not; XML cannot hold
+    ``\\x1c``, so it is set on the parsed tree."""
+    doc = parse_raw("<doc><p>\u00a0</p><p><b/>\u00a0</p><p>t</p><p><b/></p></doc>".encode())
+    doc.root[2].text = "\x1c"
+    doc.root[3][0].tail = "\x1c"
+    return [doc]
+
+
+SHAPES = {
+    # a value an ATTLIST default supplies is profiled, though arbitrate cannot rewrite it
+    "attlist-default": lambda: docs(
+        b'<!DOCTYPE d [<!ATTLIST hi rend CDATA "italics">]>'
+        b'<d><hi>a</hi><hi rend="italic">b</hi><hi rend="italic">c</hi></d>'),
+    "foreign-child-tail": lambda: docs(
+        b'<doc xmlns:x="urn:x"><p><x:y>in</x:y>tail</p><p><x:y><b/></x:y> </p><x:y/></doc>'),
+    "python-space": python_space,
+    "qualified-attributes": lambda: docs(
+        f'<TEI xmlns="{TEI}" xmlns:t="{TEI}" xmlns:x="urn:x"><p xml:lang="en" x:k="v"'
+        f' t:rend="a" rend="b">t</p><p t:n="1"/><p xml:lang="de"/></TEI>'.encode()),
+    "no-namespace-under-a-namespaced-root": lambda: docs(
+        b'<r xmlns="urn:r"><p>t</p><a xmlns="" k="v"><p/></a>tail<a xmlns=""/></r>'),
+}
+
+
+class TestReferenceWalks:
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_handwritten_shapes(self, shape):
+        assert findings_agree(SHAPES[shape]())
+
+    def test_handwritten_shapes_in_one_corpus(self):
+        assert findings_agree([doc for shape in sorted(SHAPES) for doc in SHAPES[shape]()])
+
+    @settings(deadline=None)
+    @given(st.lists(st.tuples(documents(), st.booleans()), min_size=1, max_size=3))
+    def test_generated_documents(self, drawn):
+        findings_agree([parse_raw(with_tei_prefix(data) if tei else data) for data, tei in drawn])
+
+    @settings(deadline=None)
+    @given(st.lists(tree_mutants(), min_size=1, max_size=3))
+    def test_tree_mutants(self, datas):
+        findings_agree([parse_raw(data) for data in datas])
+
+    @pytest.mark.parametrize("seed", [3, 5, 7])
+    def test_schema_corpora(self, seed):
+        files = _generator().schema_corpus(seed, "full").files
+        assert findings_agree(docs(*(files[name] for name in sorted(files)))) > 1000
 
 
 class TestVariants:

@@ -9,8 +9,10 @@ so that TREE may be any checkout of the project.  For each run it records the
 SHA-256 of stdout, of stderr, of the exit code and of every file the run
 wrote, and writes the digests to OUT.json.  Every path on a command line is
 relative to that directory, so two builds that differ only in TREE print
-the same paths.  The hash seed is inherited: build twice under two values
-of ``PYTHONHASHSEED`` to check that no output depends on it.
+the same paths, and each path a run writes is named by its input directory
+and role (``out/<dir>-codify.json``), so adding or removing a directory
+renames no other key.  The hash seed is inherited: build twice under two
+values of ``PYTHONHASHSEED`` to check that no output depends on it.
 
 One more child process reads each TEI input through the library and
 records five digests per document: ``parse_article``'s issues as
@@ -238,12 +240,6 @@ class Runner:
             PYTHONIOENCODING="utf-8",
         )
         self.digests: dict = {}
-        self.outs = 0
-
-    def out(self) -> str:
-        """A fresh output path for the next run that writes."""
-        self.outs += 1
-        return f"out/{self.outs:03d}"
 
     def library(self, paths: list, raw_dirs: tuple) -> None:
         """Digest each file's parse issues, canonical bytes, findings, model
@@ -305,11 +301,11 @@ def run_all(run: Runner, dirs: dict) -> None:
         for style in STYLES:
             for to in ("xhtml", "text"):
                 run("render", path, "--style", style, "--to", to)
-    page = f"{run.out()}.xhtml"
+    page = "out/deep-render.xhtml"
     run("render", dirs["deep"][0], "--out", page, writes=page)
 
     for name in raw_dirs:
-        schema, capped = f"{run.out()}.json", f"{run.out()}.json"
+        schema, capped = f"out/{name}-codify.json", f"out/{name}-codify-capped.json"
         run("codify", name, "--out", schema, writes=schema)
         run("codify", name, "--out", capped, "--enumerable", "type,rend", "--cap", "3",
             writes=capped)
@@ -317,11 +313,11 @@ def run_all(run: Runner, dirs: dict) -> None:
             run("schema-validate", *dirs[name], "--schema", schema, "--format", fmt)
         run("schema-validate", *dirs[name], "--schema", schema, "--no-base")
         run("variants", name)
-        arbitrated = run.out()
+        arbitrated = f"out/{name}-arbitrate"
         run("arbitrate", name, "--rules", f"rules-{name}.txt", "--out-dir", arbitrated,
             writes=arbitrated)
         run("variants", arbitrated)
-    in_place = run.out()
+    in_place = "out/schema-3-in-place"
     shutil.copytree(run.work / "schema-3", run.work / in_place)
     run("arbitrate", in_place, "--rules", "rules-schema-3.txt", "--in-place", writes=in_place)
 
